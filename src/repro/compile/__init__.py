@@ -29,11 +29,12 @@ stage                     paper anchor
                           node binds once to a Python closure over its
                           slots/memo/indexes, replacing the per-call
                           opcode chain
-:mod:`.vector`            :class:`BitsetKernel` — the vectorized binding
-                          mode over column-major traces: state formulas
-                          (and ``[]/<>`` directly over them) evaluate as
-                          whole-column packed-int bitset operations, and
-                          event change positions derive from bitset shifts
+:mod:`.vector`            the bitset kernel — the vectorized binding mode
+                          over column-major traces and growing prefixes:
+                          state formulas (and ``[]/<>`` directly over
+                          them) evaluate as packed-int bitset operations,
+                          and event change positions derive from bitset
+                          shifts
 :mod:`.runtime`           :class:`PlanState` — the Chapter 3 satisfaction
                           relation over slot-addressed environments, with
                           an interval-endpoint index over state-change

@@ -30,6 +30,7 @@ from typing import Callable, List, Tuple
 from ..semantics.trace import INFINITY
 
 from ..semantics.construction import BOTTOM, Direction, Interval
+from .vector import find_event_bits
 from .dag import (
     CompileError,
     N_ALWAYS,
@@ -289,10 +290,9 @@ def _compile_term_bits(state, kernel, tid, direction):
     comparison), so the caller falls back to the generic exact path whose
     lazy per-position errors the fused path cannot reproduce.
 
-    Tail-marking mirrors ``PlanState._find_event_bits`` exactly: a forward
-    search that found nothing inside the concrete prefix, and every
-    backward search over an infinite context, mark the caller's frame
-    tail-dependent.
+    Every event leaf searches through
+    :func:`~repro.compile.vector.find_event_bits`, the same bit search (and
+    tail-marking) ``PlanState._find_event`` runs for a growing prefix.
     """
     term = state._terms[tid]
     op = term.op
@@ -312,34 +312,7 @@ def _compile_term_bits(state, kernel, tid, direction):
             if bits is None:
                 raise _ExactConstruct
             stats.event_searches += 1
-            n = trace.length
-            chg = bits & ~((bits << 1) | 1)
-            if j == INFINITY:
-                bound = (i if i > n else n) + 1
-            else:
-                bound = j
-            lo = i + 1
-            hi = bound if bound < n else n
-            if hi < lo:
-                window = 0
-            else:
-                window = (chg >> (lo - 1)) & ((1 << (hi - lo + 1)) - 1)
-            if forward:
-                if not window:
-                    if bound > n:
-                        mark_tail()  # no event yet; one may still appear
-                    return BOTTOM
-                k = lo + ((window & -window).bit_length() - 1)
-                return Interval(k - 1, k)
-            if j == INFINITY:
-                # The changeset max can move (or appear) as the prefix grows.
-                mark_tail()
-            elif bound > n:
-                mark_tail()
-            if not window:
-                return BOTTOM
-            k = lo + window.bit_length() - 1
-            return Interval(k - 1, k)
+            return find_event_bits(bits, trace.length, i, j, forward, mark_tail)
         return run
     if op == T_BEGIN:
         inner = _compile_term_bits(state, kernel, term.a, direction)

@@ -46,7 +46,7 @@ from ..semantics.construction import BOTTOM, Direction, Interval
 from ..semantics.state import State
 from ..semantics.trace import INFINITY, Trace
 from ..syntax.terms import Cmp, Const, LogicalVar, OpAfter, OpAt, OpIn, Var
-from .vector import BitsetKernel, TailKernel, changes_from_bits
+from .vector import BitsetKernel, TailKernel, changes_from_bits, find_event_bits
 from .dag import (
     N_AND,
     N_ATOM,
@@ -432,15 +432,16 @@ class PlanState:
         monitoring a growing prefix.
     vectorize:
         Enable the vectorized binding mode: pure state formulas (and
-        ``[] / <>`` directly over them) evaluate as whole-column bitset
-        operations through a :class:`~repro.compile.vector.BitsetKernel`
-        (static :class:`~repro.semantics.trace.Trace`) or a window-extended
-        :class:`~repro.compile.vector.TailKernel` (incremental
-        :class:`GrowingPrefix`), and state-formula event indexes derive
-        their change positions from bitset shifts.  Verdicts and error
-        behaviour are identical either way — the kernels fall back per
-        node whenever they cannot reproduce the per-position semantics
-        bit-for-bit.
+        ``[] / <>`` directly over them) evaluate as columnwise bitset
+        operations through the bitset kernel — a window-extended
+        :class:`~repro.compile.vector.TailKernel` on an incremental
+        :class:`GrowingPrefix`, its static subclass
+        :class:`~repro.compile.vector.BitsetKernel` on a
+        :class:`~repro.semantics.trace.Trace` — and state-formula event
+        indexes derive their change positions from bitset shifts.  Verdicts
+        and error behaviour are identical either way — the kernel falls
+        back per node whenever it cannot reproduce the per-position
+        semantics bit-for-bit.
     forall_unroll_cap:
         ``Forall`` nodes whose variables all carry *explicit* domains with
         at most this many bindings in total unroll at lowering time into a
@@ -1092,8 +1093,9 @@ class PlanState:
         per-state truth scan.  ``None`` when the kernel is absent
         (``vectorize=False``) or declines the event formula.  Static traces
         only — on a growing prefix, kernel-supported events are answered
-        straight off the tail profile by :meth:`_find_event_bits`, with no
-        index object at all."""
+        straight off the profile by
+        :func:`~repro.compile.vector.find_event_bits`, with no index object
+        at all."""
         kernel = self._kernel
         if kernel is None or self._incremental or not kernel.supports(event_nid):
             return None
@@ -1178,8 +1180,9 @@ class PlanState:
                     # caller's frame).  A dead profile falls through to the
                     # memoized exact search.
                     self.stats.event_searches += 1
-                    return self._find_event_bits(
-                        bits, i, j, self._trace.scan_bound(i, j), direction
+                    return find_event_bits(
+                        bits, self._trace.length, i, j,
+                        direction == Direction.FORWARD, self._mark_tail,
                     )
         key: Optional[Tuple[Any, ...]] = None
         try:
@@ -1228,45 +1231,6 @@ class PlanState:
             if index is not None:
                 return self._find_event_indexed(index, i, j, bound, direction)
         return self._find_event_scan(event_nid, i, j, bound, direction)
-
-    def _find_event_bits(
-        self, bits: int, i: int, j: Position, bound: int, direction: str
-    ):
-        """The changeset search as bit arithmetic over a tail profile.
-
-        ``bits`` covers the concrete positions ``1..length`` of a growing
-        prefix; its stutter tail repeats the last state, so no change
-        position exists past the concrete states (in particular the
-        backward search's recurs-forever ⊥ case cannot arise) and the
-        tail-marking mirrors :meth:`_find_event_indexed` on a growing
-        index exactly.
-        """
-        n = self._trace.length
-        # bit k-1 set iff positions (k-1, k) are a False→True change;
-        # `| 1` excludes k = 1 (no predecessor).
-        chg = bits & ~((bits << 1) | 1)
-        lo = i + 1
-        hi = bound if bound < n else n
-        if hi < lo:
-            window = 0
-        else:
-            window = (chg >> (lo - 1)) & ((1 << (hi - lo + 1)) - 1)
-        if direction == Direction.FORWARD:
-            if not window:
-                if bound > n:
-                    self._mark_tail()  # no event yet; one may still appear
-                return BOTTOM
-            k = lo + ((window & -window).bit_length() - 1)
-            return Interval(k - 1, k)
-        if j == INFINITY:
-            # The changeset max can move (or appear) as the prefix grows.
-            self._mark_tail()
-        elif bound > n:
-            self._mark_tail()
-        if not window:
-            return BOTTOM
-        k = lo + window.bit_length() - 1
-        return Interval(k - 1, k)
 
     def _find_event_indexed(
         self, index: EventIndex, i: int, j: Position, bound: int, direction: str

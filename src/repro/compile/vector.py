@@ -1,31 +1,43 @@
-"""The bitset kernel: whole-column evaluation of state formulas.
+"""The bitset kernel: columnwise evaluation of state formulas.
 
 A *state formula* (``PlanNode.is_state``) depends only on the first state
-of its context, so over a static lasso trace its full semantic content is
-one bit per concrete position — a **profile**.  The per-position runtime
-recomputes that profile point by point through the memo tables; this module
-computes it in one pass as packed-int bitset operations over the trace's
-dictionary-encoded columns (:mod:`repro.semantics.columns`):
+of its context, so its full semantic content is one truth bit per concrete
+position — a **profile**.  That is the same fact over a static lasso trace
+and over a growing prefix (which the paper's finite-computation convention
+extends by repeating its last state), so one kernel computes it for both.
+:class:`TailKernel` keeps one packed-int profile per ``(node, bindings)``
+over the concrete positions seen so far, and extends a profile over the
+positions added since it was last read: on a growing prefix once per
+(batched) append, on a static trace exactly once.  Profiles read the
+trace's dictionary-encoded columns (:mod:`repro.semantics.columns`):
 
 * boolean variables, comparison atoms (all six operators, against a
   constant or a bound logical variable), operation predicates with
   state-independent arguments, and the ``start`` predicate each read one
-  column and answer per *distinct value*, not per state;
+  column and answer per *distinct value*, not per state — the OR of the
+  passing codes' position bitsets (``Column.code_bits``);
 * ``¬ / ∧ / ∨ / ⊃ / ≡`` combine child profiles with single big-int ops;
-* ``[] φ`` / ``<> φ`` over a state-formula body reduce to one mask test
-  against the **coverage bitset** of the context — the canonical positions
-  a virtual range ``<lo, hi>`` touches, cycle wrap-around included;
 * event change positions (the False→True edges
   :class:`~repro.compile.runtime.EventIndex` bisects) derive from a bitset
-  shift instead of a per-state scan.
+  shift instead of a per-state scan (:func:`changes_from_bits`,
+  :func:`find_event_bits`).
+
+:class:`BitsetKernel` is that kernel bound to a static trace, plus the
+lasso queries the static lowering asks: a position test over a cached byte
+image, and ``[] φ`` / ``<> φ`` over a state-formula body as one mask test
+against the **coverage bitset** of the context — the canonical positions a
+virtual range ``<lo, hi>`` touches, cycle wrap-around included.
 
 Exactness is non-negotiable: the kernel never guesses.  Any situation whose
 error or semantics it cannot reproduce bit-for-bit — a variable missing in
 some state (the per-position path raises there *lazily*), an unbound
-logical variable, a comparison between incomparable values, a column past
-the dictionary-cardinality cap — makes :meth:`BitsetKernel.profile` return
-``None`` and the caller falls back to the per-position memo path, which
-preserves the evaluator's (deferred-)error behaviour exactly.
+logical variable, an unhashable binding, a comparison between incomparable
+values, a column past the per-code bitset cap — makes
+:meth:`TailKernel.profile` return ``None`` and the caller falls back to the
+per-position memo path, which preserves the evaluator's (deferred-)error
+behaviour exactly.  Such a profile is dead for good; on a growing prefix
+its earlier answers stay valid, because they were bit-for-bit the
+per-position verdicts of the shorter prefix.
 """
 
 from __future__ import annotations
@@ -33,6 +45,7 @@ from __future__ import annotations
 import operator
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
+from ..semantics.construction import BOTTOM, Interval
 from ..semantics.trace import INFINITY
 from ..syntax.terms import (
     Cmp,
@@ -59,10 +72,14 @@ from .dag import (
     STATE_NODE_OPS,
 )
 
-__all__ = ["BitsetKernel", "TailKernel", "bit_positions", "changes_from_bits"]
+__all__ = [
+    "BitsetKernel",
+    "TailKernel",
+    "bit_positions",
+    "changes_from_bits",
+    "find_event_bits",
+]
 
-
-_MISS = object()
 
 _CMP_FUNCS: Dict[str, Callable[[Any, Any], Any]] = {
     "==": operator.eq,
@@ -121,38 +138,168 @@ def changes_from_bits(bits: int, trace) -> Tuple[List[int], List[int]]:
     return stem, cycle
 
 
-class BitsetKernel:
-    """Bitset evaluation of one plan state's state-formula nodes.
+def find_event_bits(bits: int, n: int, i: int, j, forward: bool, mark_tail):
+    """The changeset search of Chapter 3 over a growing prefix's profile.
 
-    Bound to a static :class:`~repro.semantics.trace.Trace` (never a
-    growing prefix — profiles are whole-trace facts).  Profiles cache per
-    ``(node, free-slot bindings)``; a ``None`` profile (the faithful-
-    fallback verdict) caches too, so a node that cannot vectorize is
-    decided once.
+    ``bits`` is an event formula's profile over the concrete positions
+    ``1..n``.  Returns ``Interval(k - 1, k)`` for the first (``forward``)
+    or last False→True change ``k`` in ``(i, bound]``, else ``BOTTOM``;
+    ``bound`` is ``j``, or one past ``max(i, n)`` for an infinite context.
+    The stutter tail repeats the last state, so no change exists past
+    ``n`` (in particular the backward search's recurs-forever ⊥ cannot
+    arise).  ``mark_tail()`` runs when the answer may still change as the
+    prefix grows: a forward search that found nothing with its bound past
+    ``n``, and every backward search over an infinite context or past ``n``.
+    """
+    # bit k-1 set iff positions (k-1, k) are a False→True change; `| 1`
+    # excludes k = 1 (no predecessor).
+    chg = bits & ~((bits << 1) | 1)
+    if j == INFINITY:
+        bound = (i if i > n else n) + 1
+    else:
+        bound = j
+    lo = i + 1
+    hi = bound if bound < n else n
+    if hi < lo:
+        window = 0
+    else:
+        window = (chg >> (lo - 1)) & ((1 << (hi - lo + 1)) - 1)
+    if forward:
+        if not window:
+            if bound > n:
+                mark_tail()  # no event yet; one may still appear
+            return BOTTOM
+        k = lo + ((window & -window).bit_length() - 1)
+        return Interval(k - 1, k)
+    if j == INFINITY or bound > n:
+        # The changeset max can move (or appear) as the prefix grows.
+        mark_tail()
+    if not window:
+        return BOTTOM
+    k = lo + window.bit_length() - 1
+    return Interval(k - 1, k)
+
+
+def _atom_supported(predicate) -> bool:
+    # Exact types only: a Prop/Cmp *subclass* may override ``holds``
+    # with semantics the column read would silently disagree with.
+    kind = type(predicate)
+    if kind in (Prop, TruePredicate, FalsePredicate, StartPredicate):
+        return True
+    if kind is Cmp:
+        left, right = predicate.left, predicate.right
+        if type(left) is Var and type(right) in (Const, LogicalVar):
+            return True
+        if type(right) is Var and type(left) in (Const, LogicalVar):
+            return True
+        return False
+    if kind in (OpAt, OpIn, OpAfter):
+        return not any(arg.state_vars() for arg in predicate.args)
+    return False
+
+
+def _record_test(phases, arg_values) -> Callable[[Any], bool]:
+    """Operation-record match with the elementwise ``!=`` convention of
+    :func:`repro.syntax.terms._args_match`."""
+
+    def test(record) -> bool:
+        if record.phase not in phases:
+            return False
+        actual = record.args
+        if len(arg_values) != len(actual):
+            return False
+        return not any(
+            expected != value for expected, value in zip(arg_values, actual)
+        )
+
+    return test
+
+
+class _Profile:
+    """One (node, bindings) profile of a :class:`TailKernel`.
+
+    ``bits`` covers concrete positions ``1..built_to``; ``passes`` caches
+    the atom test's verdict per dictionary code (the test runs once per
+    *distinct value*, across every extension).  ``dead`` is the permanent
+    exact-fallback flag.
     """
 
-    __slots__ = (
-        "_state",
-        "_trace",
-        "_profiles",
-        "_bytes",
-        "_inv_bounds",
-        "_coverage",
-        "_supported",
-    )
+    __slots__ = ("bits", "built_to", "dead", "passes")
+
+    def __init__(self) -> None:
+        self.bits = 0
+        self.built_to = 0
+        self.dead = False
+        self.passes: Dict[int, bool] = {}
+
+
+class _CallTrack:
+    """Codes of one operation column grouped by ``record.args``.
+
+    Built once per (operation, phase set) as the column's value dictionary
+    grows; ``dead`` marks an unhashable argument tuple, after which every
+    query falls back to the per-code test sweep.
+    """
+
+    __slots__ = ("by_args", "built", "dead")
+
+    def __init__(self) -> None:
+        self.by_args: Dict[Any, List[int]] = {}
+        self.built = 0
+        self.dead = False
+
+
+class TailKernel:
+    """Bitset evaluation of one plan state's state-formula nodes.
+
+    Bound to the plan state's trace — a
+    :class:`~repro.compile.runtime.GrowingPrefix` here, a static trace in
+    the :class:`BitsetKernel` subclass — it keeps one packed truth profile
+    per ``(node, bindings)`` over the *concrete states observed so far* and
+    extends each touched profile in one pass over the positions
+    ``[built_to, length)`` — atoms through the trace's dictionary-encoded
+    columns (the test runs once per distinct value, cached across
+    extensions), connectives by recombining child bits.  A multi-state
+    append is thus absorbed as one vectorized window pass instead of N
+    per-position re-evaluations.
+
+    A column that becomes unusable mid-stream (a variable missing from
+    some appended state, a comparison raising on a fresh value, the column
+    crossing the bitset cap) kills the profile *permanently* and the
+    per-position path takes over.  Profiles never look past the concrete
+    states; on a growing prefix the tail positions (and the tail-marking
+    that keeps the stable/volatile memo split sound) are the caller's
+    responsibility (:mod:`repro.compile.lower`).
+    """
+
+    __slots__ = ("_state", "_trace", "_entries", "_supported", "_calls")
 
     def __init__(self, plan_state, trace) -> None:
         self._state = plan_state
         self._trace = trace
-        self._profiles: Dict[Any, Optional[int]] = {}
-        self._bytes: Dict[Any, bytes] = {}
-        self._inv_bounds: Dict[Any, int] = {}
-        self._coverage: Dict[Any, int] = {}
-        self._supported: Dict[int, bool] = {}
+        self._entries: Dict[Any, _Profile] = {}
+        self._calls: Dict[Any, _CallTrack] = {}
+        # The support verdicts depend only on the plan's node shapes, so
+        # every kernel bound to the same plan (each stream of a pooled
+        # serve fleet) shares one table and the shape walk runs once.
+        plan = plan_state._plan
+        supported = getattr(plan, "_vector_supported", None)
+        if supported is None:
+            supported = {}
+            try:
+                plan._vector_supported = supported
+            except Exception:  # pragma: no cover - exotic plan objects
+                pass
+        self._supported: Dict[int, bool] = supported
 
-    @property
-    def mask(self) -> int:
-        return (1 << self._trace.length) - 1
+    def reset(self) -> None:
+        """Drop per-stream profiles and call tracks (pool reuse).
+
+        ``_supported`` survives: it is a pure function of the plan's node
+        shapes, identical for every stream that recycles this state.
+        """
+        self._entries.clear()
+        self._calls.clear()
 
     # -- static shape check ---------------------------------------------------
 
@@ -170,55 +317,267 @@ class BitsetKernel:
         elif op == N_NOT:
             ok = self.supports(node.a)
         elif op == N_ATOM:
-            ok = self._atom_supported(node.predicate)
+            ok = _atom_supported(node.predicate)
         else:  # and / or / implies / iff
             ok = self.supports(node.a) and self.supports(node.b)
         self._supported[nid] = ok
         return ok
 
-    @staticmethod
-    def _atom_supported(predicate) -> bool:
-        # Exact types only: a Prop/Cmp *subclass* may override ``holds``
-        # with semantics the column read would silently disagree with.
-        kind = type(predicate)
-        if kind in (Prop, TruePredicate, FalsePredicate, StartPredicate):
-            return True
-        if kind is Cmp:
-            left, right = predicate.left, predicate.right
-            if type(left) is Var and type(right) in (Const, LogicalVar):
-                return True
-            if type(right) is Var and type(left) in (Const, LogicalVar):
-                return True
-            return False
-        if kind in (OpAt, OpIn, OpAfter):
-            return not any(arg.state_vars() for arg in predicate.args)
-        return False
-
     # -- profiles -------------------------------------------------------------
 
-    def _key_of(self, node) -> Any:
-        """Profile cache key: node id plus its free-slot bindings.  May
-        raise ``TypeError`` (unhashable binding) — callers then compute
-        uncached."""
+    def _key(self, node) -> Any:
+        """Profile key: the bare node id for slot-free nodes (every
+        propositional atom and connective over them), else the id plus the
+        free-slot bindings.  May be unhashable."""
+        free = node.free_slots
+        if not free:
+            return node.id
         slots = self._state._slots
-        envkey = tuple(slots[s] for s in node.free_slots)
-        key = (node.id, envkey)
-        hash(key)
-        return key
+        return (node.id,) + tuple(slots[s] for s in free)
 
     def profile(self, node) -> Optional[int]:
-        """The node's truth bitset under the current slot bindings, or
-        ``None`` when the per-position path must decide instead."""
+        """Truth bits over concrete positions ``1..length`` under the current
+        slot bindings, extended to the trace's length; ``None`` when the
+        per-position path must decide instead."""
+        key = self._key(node)
         try:
-            key = self._key_of(node)
+            entry = self._entries.get(key)
         except TypeError:
-            return self._compute(node)
-        hit = self._profiles.get(key, _MISS)
-        if hit is not _MISS:
-            return hit
-        bits = self._compute(node)
-        self._profiles[key] = bits
+            # An unhashable binding cannot key a profile; the per-position
+            # path (which needs no cache) decides.
+            return None
+        if entry is None:
+            entry = self._entries[key] = _Profile()
+        if entry.dead:
+            return None
+        n = self._trace.length
+        if entry.built_to < n:
+            try:
+                self._extend(node, entry, n)
+            except Exception:
+                entry.dead = True
+                return None
+        return entry.bits
+
+    def holds_at(self, node, pos: int) -> Optional[bool]:
+        """The node's truth at virtual position ``pos`` (None → fall back).
+
+        Positions past the last concrete state read the stuttered final
+        state, exactly like ``GrowingPrefix.canonical``; the *caller* is
+        responsible for tail-marking those reads.
+        """
+        bits = self.profile(node)
+        if bits is None:
+            return None
+        c = self._trace.canonical(pos) - 1
+        return bool((bits >> c) & 1)
+
+    # -- extension ------------------------------------------------------------
+
+    def _child(self, nid: int) -> int:
+        bits = self.profile(self._state._nodes[nid])
+        if bits is None:
+            raise _Fallback(nid)
         return bits
+
+    def _extend(self, node, entry: _Profile, n: int) -> None:
+        op = node.op
+        if op == N_ATOM:
+            entry.bits = self._atom_bits(node, entry, n)
+        elif op == N_TRUE:
+            entry.bits = (1 << n) - 1
+        elif op == N_FALSE:
+            entry.bits = 0
+        elif op == N_NOT:
+            entry.bits = ~self._child(node.a) & ((1 << n) - 1)
+        else:
+            a = self._child(node.a)
+            b = self._child(node.b)
+            mask = (1 << n) - 1
+            if op == N_AND:
+                entry.bits = a & b
+            elif op == N_OR:
+                entry.bits = a | b
+            elif op == N_IMPLIES:
+                entry.bits = (~a | b) & mask
+            elif op == N_IFF:
+                entry.bits = ~(a ^ b) & mask
+            else:
+                raise _Fallback(node.id)
+        entry.built_to = n
+
+    def _resolve(self, expr) -> Any:
+        """A ``Const`` / *bound* ``LogicalVar`` value (else fall back: the
+        per-position path raises its unbound-variable error lazily)."""
+        if isinstance(expr, Const):
+            return expr.value
+        from .runtime import UNSET  # late: vector loads during runtime's import
+
+        slot = self._state._plan.slot_of.get(expr.name)
+        if slot is not None:
+            value = self._state._slots[slot]
+            if value is not UNSET:
+                return value
+        raise _Fallback(expr)
+
+    def _atom_bits(self, node, entry: _Profile, n: int) -> int:
+        """Bits for positions ``1..n`` (bit 0 = position 1)."""
+        predicate = node.predicate
+        if isinstance(predicate, TruePredicate):
+            return (1 << n) - 1
+        if isinstance(predicate, FalsePredicate):
+            return 0
+        store = self._trace.columns
+        if isinstance(predicate, StartPredicate):
+            # Missing ``__start__`` is False, not an error — no presence
+            # requirement; positions outside the column contribute 0.
+            column = store.column("__start__")
+            return self._value_bits(column, entry, n, bool)
+        if isinstance(predicate, Prop):
+            column = store.column(predicate.name)
+            if column is None or column.missing:
+                # The per-position path raises UnknownStateVariableError at
+                # the position it touches; only it can do that lazily.
+                raise _Fallback(predicate.name)
+            return self._value_bits(column, entry, n, bool)
+        if isinstance(predicate, Cmp):
+            left, right = predicate.left, predicate.right
+            if isinstance(left, Var) and isinstance(right, (Const, LogicalVar)):
+                name, constant, flipped = left.name, self._resolve(right), False
+            elif isinstance(right, Var) and isinstance(left, (Const, LogicalVar)):
+                name, constant, flipped = right.name, self._resolve(left), True
+            else:
+                raise _Fallback(predicate)
+            column = store.column(name)
+            if column is None or column.missing:
+                raise _Fallback(name)
+            compare = _CMP_FUNCS[predicate.op]
+            if flipped:
+                test = lambda value: bool(compare(constant, value))
+            else:
+                test = lambda value: bool(compare(value, constant))
+            # A TypeError inside `compare` kills the profile: the
+            # per-position path raises at the position it touches.
+            return self._value_bits(column, entry, n, test)
+        if isinstance(predicate, (OpAt, OpIn, OpAfter)):
+            env = self._state._env_view(node)
+            # Arguments are state-independent (checked by supports); an
+            # evaluation error falls back to surface per position.
+            arg_values = tuple(arg.evaluate({}, env) for arg in predicate.args)
+            column = store.op_column(predicate.operation)
+            # No column = the operation is idle in every state so far (on a
+            # growing prefix it may first be recorded later; the column then
+            # arrives ABSENT-padded).  ABSENT = idle = False, so absent
+            # positions simply stay unset.
+            phases = predicate.PHASES
+            if predicate.args:
+                bits = self._args_bits(predicate.operation, phases, arg_values, column, n)
+                if bits is not None:
+                    return bits
+                # Unhashable somewhere: the per-code test sweep.
+                test = _record_test(phases, arg_values)
+            else:
+                test = lambda record: record.phase in phases
+            return self._value_bits(column, entry, n, test)
+        raise _Fallback(predicate)
+
+    def _args_bits(self, operation, phases, arg_values, column, n):
+        """Positions whose record matches ``(phases, arg_values)`` via an
+        args-indexed call track, or ``None`` to fall back to the test sweep.
+
+        The track groups the column's codes by ``record.args`` once per
+        (operation, phase set) — each quantifier binding's profile is then
+        one dict lookup plus an OR over the (usually single) matching
+        code's bitset, instead of testing every distinct record per
+        binding.  Requires hashable argument tuples on both sides (the
+        dict's ``==`` equality coincides with the elementwise ``!=``
+        convention for values with coherent equality); anything unhashable
+        returns ``None`` and the caller runs the exact per-code sweep.
+        """
+        if column is None:
+            return 0
+        key = (operation, phases)
+        ct = self._calls.get(key)
+        if ct is None:
+            ct = self._calls[key] = _CallTrack()
+        values = column.values
+        by_args = ct.by_args
+        built = ct.built
+        if built < len(values):
+            try:
+                while built < len(values):
+                    record = values[built]
+                    if record.phase in phases:
+                        # Tuple equality covers the arity check too: a
+                        # query tuple of different length never matches.
+                        by_args.setdefault(record.args, []).append(built)
+                    built += 1
+            except TypeError:
+                ct.dead = True
+            ct.built = built
+        if ct.dead:
+            return None
+        try:
+            codes = by_args.get(arg_values)
+        except TypeError:
+            return None
+        if not codes:
+            return 0
+        bitsets = _code_bits(column, n)
+        out = 0
+        for code in codes:
+            out |= bitsets[code]
+        return out
+
+    def _value_bits(self, column, entry: _Profile, n: int, test) -> int:
+        """OR of the column's per-code bitsets whose value passes ``test``.
+
+        Each profile keeps its own per-code verdict cache, so an extension
+        costs O(distinct codes), not O(window).  ``ABSENT`` positions are
+        False (callers with a presence requirement, Prop/Cmp, bail on the
+        column's ``missing`` flag before reaching here).
+        """
+        if column is None:
+            return 0
+        values = column.values
+        passes = entry.passes
+        out = 0
+        for code, cbits in enumerate(_code_bits(column, n)):
+            if not cbits:
+                continue
+            truth = passes.get(code)
+            if truth is None:
+                truth = passes[code] = bool(test(values[code]))
+            if truth:
+                out |= cbits
+        return out
+
+
+def _code_bits(column, n: int) -> List[int]:
+    """The column's per-code bitsets over ``1..n``; past the cap, fall back."""
+    bitsets = column.code_bits(n)
+    if bitsets is None:
+        raise _Fallback("cardinality cap")
+    return bitsets
+
+
+class BitsetKernel(TailKernel):
+    """The kernel bound to a static lasso :class:`~repro.semantics.trace.Trace`.
+
+    A static trace is a prefix whose profiles are extended once.  On top of
+    them this adds the lasso queries the static lowering asks, each cached
+    per ``(node, bindings)``: :meth:`holds_at` over a byte image of the
+    profile, and :meth:`always` / :meth:`eventually` as one mask test
+    against the context's :meth:`coverage`.
+    """
+
+    __slots__ = ("_images", "_inv_bounds", "_coverage")
+
+    def __init__(self, plan_state, trace) -> None:
+        super().__init__(plan_state, trace)
+        self._images: Dict[Any, bytes] = {}
+        self._inv_bounds: Dict[Any, int] = {}
+        self._coverage: Dict[Any, int] = {}
 
     # -- O(1) queries over a profile ------------------------------------------
 
@@ -230,17 +589,15 @@ class BitsetKernel:
         query instead of an O(length/64) big-int shift.
         """
         try:
-            key = self._key_of(node)
+            data = self._images.get(self._key(node))
         except TypeError:
-            key = None
-        data = self._bytes.get(key) if key is not None else None
+            return None  # unhashable binding: the per-position path decides
         if data is None:
             bits = self.profile(node)
             if bits is None:
                 return None
             data = bits.to_bytes((self._trace.length + 7) >> 3, "little")
-            if key is not None:
-                self._bytes[key] = data
+            self._images[self._key(node)] = data
         c = self._trace.canonical(pos) - 1
         return bool((data[c >> 3] >> (c & 7)) & 1)
 
@@ -273,127 +630,12 @@ class BitsetKernel:
     def _inverse_bound(self, node, bits: int) -> int:
         """Highest position (1-based) where the profile is *false*, cached
         per (node, bindings); 0 when the profile is all-true."""
-        try:
-            key = self._key_of(node)
-        except TypeError:
-            key = None
-        if key is not None:
-            hit = self._inv_bounds.get(key)
-            if hit is not None:
-                return hit
-        bound = (~bits & self.mask).bit_length()
-        if key is not None:
-            self._inv_bounds[key] = bound
+        key = self._key(node)  # hashable: profile() answered for it
+        bound = self._inv_bounds.get(key)
+        if bound is None:
+            mask = (1 << self._trace.length) - 1
+            bound = self._inv_bounds[key] = (~bits & mask).bit_length()
         return bound
-
-    def _compute(self, node) -> Optional[int]:
-        try:
-            return self._bits(node)
-        except Exception:
-            return None
-
-    def _child(self, nid: int) -> int:
-        bits = self.profile(self._state._nodes[nid])
-        if bits is None:
-            raise _Fallback(nid)
-        return bits
-
-    def _bits(self, node) -> int:
-        op = node.op
-        if op == N_ATOM:
-            return self._atom_bits(node)
-        if op == N_TRUE:
-            return self.mask
-        if op == N_FALSE:
-            return 0
-        if op == N_NOT:
-            return ~self._child(node.a) & self.mask
-        a = self._child(node.a)
-        b = self._child(node.b)
-        if op == N_AND:
-            return a & b
-        if op == N_OR:
-            return a | b
-        if op == N_IMPLIES:
-            return (~a | b) & self.mask
-        if op == N_IFF:
-            return ~(a ^ b) & self.mask
-        raise _Fallback(node.id)
-
-    def _require(self, bits: Optional[int]) -> int:
-        if bits is None:
-            raise _Fallback("cardinality cap")
-        return bits
-
-    def _resolve(self, expr) -> Any:
-        """A ``Const`` / *bound* ``LogicalVar`` value (else fall back: the
-        per-position path raises its unbound-variable error lazily)."""
-        if isinstance(expr, Const):
-            return expr.value
-        from .runtime import UNSET  # late: vector loads during runtime's import
-
-        slot = self._state._plan.slot_of.get(expr.name)
-        if slot is not None:
-            value = self._state._slots[slot]
-            if value is not UNSET:
-                return value
-        raise _Fallback(expr)
-
-    def _atom_bits(self, node) -> int:
-        predicate = node.predicate
-        store = self._trace.columns
-        if isinstance(predicate, TruePredicate):
-            return self.mask
-        if isinstance(predicate, FalsePredicate):
-            return 0
-        if isinstance(predicate, StartPredicate):
-            # Missing ``__start__`` is False, not an error — no presence
-            # requirement; positions outside the column contribute 0.
-            column = store.column("__start__")
-            if column is None:
-                return 0
-            return self._require(column.select_bits(bool))
-        if isinstance(predicate, Prop):
-            column = store.column(predicate.name)
-            if column is None or column.missing:
-                # The per-position path raises UnknownStateVariableError at
-                # the position it touches; only it can do that lazily.
-                raise _Fallback(predicate.name)
-            return self._require(column.select_bits(bool))
-        if isinstance(predicate, Cmp):
-            left, right = predicate.left, predicate.right
-            if isinstance(left, Var) and isinstance(right, (Const, LogicalVar)):
-                name, constant, flipped = left.name, self._resolve(right), False
-            elif isinstance(right, Var) and isinstance(left, (Const, LogicalVar)):
-                name, constant, flipped = right.name, self._resolve(left), True
-            else:
-                raise _Fallback(predicate)
-            column = store.column(name)
-            if column is None or column.missing:
-                raise _Fallback(name)
-            compare = _CMP_FUNCS[predicate.op]
-            if flipped:
-                test = lambda value: bool(compare(constant, value))
-            else:
-                test = lambda value: bool(compare(value, constant))
-            # A TypeError inside `compare` propagates: the per-position
-            # path turns it into an EvaluationError at the touched position.
-            return self._require(column.select_bits(test))
-        if isinstance(predicate, (OpAt, OpIn, OpAfter)):
-            env = self._state._env_view(node)
-            # Arguments are state-independent (checked by supports); any
-            # evaluation error falls back to surface per position.
-            arg_values = tuple(arg.evaluate({}, env) for arg in predicate.args)
-            column = store.op_column(predicate.operation)
-            if column is None:
-                # No state ever records this operation: idle everywhere.
-                return 0
-            if predicate.args:
-                bits = column.call_bits(predicate.PHASES, arg_values)
-            else:
-                bits = column.phase_bits(predicate.PHASES)
-            return self._require(bits)
-        raise _Fallback(predicate)
 
     # -- context coverage ------------------------------------------------------
 
@@ -439,407 +681,3 @@ def _mask_range(lo: int, hi: int) -> int:
     if lo > hi:
         return 0
     return (1 << hi) - (1 << (lo - 1))
-
-
-class _TailEntry:
-    """One (node, bindings) profile of a :class:`TailKernel`.
-
-    ``bits`` covers concrete positions ``1..built_to``; ``passes`` caches
-    the atom test's verdict per dictionary code (the test runs once per
-    *distinct value*, exactly like ``Column.select_bits``, but across every
-    extension window).  ``dead`` is the permanent exact-fallback flag.
-    """
-
-    __slots__ = ("bits", "built_to", "dead", "passes")
-
-    def __init__(self) -> None:
-        self.bits = 0
-        self.built_to = 0
-        self.dead = False
-        self.passes: Dict[int, bool] = {}
-
-
-class _CallTrack:
-    """Codes of one operation column grouped by ``record.args``.
-
-    Built once per (operation, phase set) as the column's value dictionary
-    grows; ``dead`` marks an unhashable argument tuple, after which every
-    query falls back to the per-code test sweep.
-    """
-
-    __slots__ = ("by_args", "built", "dead")
-
-    def __init__(self) -> None:
-        self.by_args: Dict[Any, List[int]] = {}
-        self.built = 0
-        self.dead = False
-
-
-class _ColumnTrack:
-    """Per-code position bitsets of one growing column, extended per window.
-
-    The incremental twin of ``_ColumnBase.code_bitsets``: one pass over the
-    appended window files each position under its dictionary code, so *every*
-    profile over this column (one per quantifier binding, say) recombines
-    cached per-code bitsets in O(distinct codes) instead of re-scanning the
-    window per binding.
-    """
-
-    __slots__ = ("bits_by_code", "absent_bits", "built_to")
-
-    def __init__(self) -> None:
-        self.bits_by_code: List[int] = []
-        self.absent_bits = 0
-        self.built_to = 0
-
-    def extend(self, column, n: int) -> None:
-        codes = column.codes
-        bits_by_code = self.bits_by_code
-        bit = 1 << self.built_to
-        for i in range(self.built_to, n):
-            code = codes[i]
-            if code < 0:
-                self.absent_bits |= bit
-            else:
-                if code >= len(bits_by_code):
-                    bits_by_code.extend([0] * (code + 1 - len(bits_by_code)))
-                bits_by_code[code] |= bit
-            bit <<= 1
-        self.built_to = n
-
-
-def _record_test(phases, arg_values) -> Callable[[Any], bool]:
-    """Operation-record match with the elementwise ``!=`` convention of
-    :func:`repro.syntax.terms._args_match` (mirrors
-    :meth:`~repro.semantics.columns.OperationColumn.call_bits`)."""
-
-    def test(record) -> bool:
-        if record.phase not in phases:
-            return False
-        actual = record.args
-        if len(arg_values) != len(actual):
-            return False
-        return not any(
-            expected != value for expected, value in zip(arg_values, actual)
-        )
-
-    return test
-
-
-class TailKernel:
-    """Incremental bitset evaluation over a growing state prefix.
-
-    The batched-append twin of :class:`BitsetKernel`: bound to a
-    :class:`~repro.compile.runtime.GrowingPrefix` instead of a static
-    trace, it keeps one packed truth profile per ``(node, bindings)`` over
-    the *concrete states observed so far* and extends each touched profile
-    in one pass over the appended window ``[built_to, length)`` — atoms
-    through the prefix's incremental dictionary-encoded columns (the test
-    runs once per distinct value, cached across windows), connectives by
-    recombining child bits.  A multi-state append is thus absorbed as one
-    vectorized window pass instead of N per-position re-evaluations.
-
-    The exact-fallback discipline is the same as the static kernel's, with
-    one incremental twist: a column that becomes unusable mid-stream (a
-    variable missing from some appended state, a comparison raising on a
-    fresh value) kills the profile *permanently* (``None`` henceforth) and
-    the per-position path takes over — earlier answers remain valid
-    because they were bit-for-bit the per-position verdicts of the shorter
-    prefix.  Profiles never look past the concrete states; tail positions
-    (and the tail-marking that keeps the stable/volatile memo split sound)
-    are the caller's responsibility (:mod:`repro.compile.lower`).
-    """
-
-    __slots__ = ("_state", "_trace", "_entries", "_supported", "_tracks")
-
-    def __init__(self, plan_state, prefix) -> None:
-        self._state = plan_state
-        self._trace = prefix
-        self._entries: Dict[Any, _TailEntry] = {}
-        self._tracks: Dict[Any, _ColumnTrack] = {}
-        # The support verdicts depend only on the plan's node shapes, so
-        # every kernel bound to the same plan (each stream of a pooled
-        # serve fleet) shares one table and the shape walk runs once.
-        plan = plan_state._plan
-        supported = getattr(plan, "_tail_supported", None)
-        if supported is None:
-            supported = {}
-            try:
-                plan._tail_supported = supported
-            except Exception:  # pragma: no cover - exotic plan objects
-                pass
-        self._supported: Dict[int, bool] = supported
-
-    def reset(self) -> None:
-        """Drop per-stream profiles and column tracks (pool reuse).
-
-        ``_supported`` survives: it is a pure function of the plan's node
-        shapes, identical for every stream that recycles this state.
-        """
-        self._entries.clear()
-        self._tracks.clear()
-
-    # -- static shape check (same rules as the static kernel) ----------------
-
-    def supports(self, nid: int) -> bool:
-        """Whether the node's *shape* is vectorizable (bindings checked later)."""
-        cached = self._supported.get(nid)
-        if cached is not None:
-            return cached
-        node = self._state._nodes[nid]
-        op = node.op
-        if op not in STATE_NODE_OPS:
-            ok = False
-        elif op in (N_TRUE, N_FALSE):
-            ok = True
-        elif op == N_NOT:
-            ok = self.supports(node.a)
-        elif op == N_ATOM:
-            ok = BitsetKernel._atom_supported(node.predicate)
-        else:  # and / or / implies / iff
-            ok = self.supports(node.a) and self.supports(node.b)
-        self._supported[nid] = ok
-        return ok
-
-    # -- profiles -------------------------------------------------------------
-
-    def profile(self, node) -> Optional[int]:
-        """Truth bits over concrete positions ``1..length`` under the current
-        slot bindings, extended to the prefix's length; ``None`` when the
-        per-position path must decide instead."""
-        free = node.free_slots
-        if free:
-            slots = self._state._slots
-            key = (node.id,) + tuple(slots[s] for s in free)
-        else:
-            # Slot-free nodes (every propositional atom and connective over
-            # them) key on the bare node id — no tuple, no binding reads.
-            key = node.id
-        try:
-            entry = self._entries.get(key)
-        except TypeError:
-            # An unhashable binding cannot key an extendable profile; the
-            # per-position path (which needs no cache) decides.
-            return None
-        if entry is None:
-            entry = self._entries[key] = _TailEntry()
-        if entry.dead:
-            return None
-        n = self._trace.length
-        if entry.built_to < n:
-            try:
-                self._extend(node, entry, n)
-            except Exception:
-                entry.dead = True
-                return None
-        return entry.bits
-
-    def holds_at(self, node, pos: int) -> Optional[bool]:
-        """The node's truth at virtual position ``pos`` (None → fall back).
-
-        Positions past the last concrete state read the stuttered final
-        state, exactly like ``GrowingPrefix.canonical``; the *caller* is
-        responsible for tail-marking those reads.
-        """
-        bits = self.profile(node)
-        if bits is None:
-            return None
-        c = self._trace.canonical(pos) - 1
-        return bool((bits >> c) & 1)
-
-    # -- extension ------------------------------------------------------------
-
-    def _child(self, nid: int) -> int:
-        bits = self.profile(self._state._nodes[nid])
-        if bits is None:
-            raise _Fallback(nid)
-        return bits
-
-    def _extend(self, node, entry: _TailEntry, n: int) -> None:
-        op = node.op
-        if op == N_ATOM:
-            entry.bits = self._atom_bits(node, entry, n)
-        elif op == N_TRUE:
-            entry.bits = (1 << n) - 1
-        elif op == N_FALSE:
-            entry.bits = 0
-        elif op == N_NOT:
-            entry.bits = ~self._child(node.a) & ((1 << n) - 1)
-        else:
-            a = self._child(node.a)
-            b = self._child(node.b)
-            mask = (1 << n) - 1
-            if op == N_AND:
-                entry.bits = a & b
-            elif op == N_OR:
-                entry.bits = a | b
-            elif op == N_IMPLIES:
-                entry.bits = (~a | b) & mask
-            elif op == N_IFF:
-                entry.bits = ~(a ^ b) & mask
-            else:
-                raise _Fallback(node.id)
-        entry.built_to = n
-
-    def _resolve(self, expr) -> Any:
-        """A ``Const`` / *bound* ``LogicalVar`` value (else fall back: the
-        per-position path raises its unbound-variable error lazily)."""
-        if isinstance(expr, Const):
-            return expr.value
-        from .runtime import UNSET  # late: vector loads during runtime's import
-
-        slot = self._state._plan.slot_of.get(expr.name)
-        if slot is not None:
-            value = self._state._slots[slot]
-            if value is not UNSET:
-                return value
-        raise _Fallback(expr)
-
-    def _atom_bits(self, node, entry: _TailEntry, n: int) -> int:
-        """Full-prefix bits for positions ``1..n`` (bit 0 = position 1)."""
-        predicate = node.predicate
-        if isinstance(predicate, TruePredicate):
-            return (1 << n) - 1
-        if isinstance(predicate, FalsePredicate):
-            return 0
-        store = self._trace.columns
-        if isinstance(predicate, StartPredicate):
-            # Missing ``__start__`` is False, not an error — no presence
-            # requirement (GrowingPrefix injects it, but stay faithful).
-            column = store.column("__start__")
-            return self._select_bits("v", "__start__", column, entry, n, bool)
-        if isinstance(predicate, Prop):
-            column = store.column(predicate.name)
-            if column is None or column.missing:
-                # The per-position path raises UnknownStateVariableError at
-                # the position it touches; only it can do that lazily.
-                raise _Fallback(predicate.name)
-            return self._select_bits("v", predicate.name, column, entry, n, bool)
-        if isinstance(predicate, Cmp):
-            left, right = predicate.left, predicate.right
-            if isinstance(left, Var) and isinstance(right, (Const, LogicalVar)):
-                name, constant, flipped = left.name, self._resolve(right), False
-            elif isinstance(right, Var) and isinstance(left, (Const, LogicalVar)):
-                name, constant, flipped = right.name, self._resolve(left), True
-            else:
-                raise _Fallback(predicate)
-            column = store.column(name)
-            if column is None or column.missing:
-                raise _Fallback(name)
-            compare = _CMP_FUNCS[predicate.op]
-            if flipped:
-                test = lambda value: bool(compare(constant, value))
-            else:
-                test = lambda value: bool(compare(value, constant))
-            # A TypeError inside `compare` kills the profile: the
-            # per-position path raises at the position it touches.
-            return self._select_bits("v", name, column, entry, n, test)
-        if isinstance(predicate, (OpAt, OpIn, OpAfter)):
-            env = self._state._env_view(node)
-            # Arguments are state-independent (checked by supports); an
-            # evaluation error falls back to surface per position.
-            arg_values = tuple(arg.evaluate({}, env) for arg in predicate.args)
-            column = store.op_column(predicate.operation)
-            # No column yet = the operation is idle in every state so far
-            # (it may first be recorded later; the column then arrives
-            # ABSENT-padded and the next window reads it).  ABSENT = idle
-            # = False, so absent positions simply stay unset.
-            if predicate.args:
-                bits = self._call_bits(
-                    predicate.operation, predicate.PHASES, arg_values, column, n
-                )
-                if bits is None:  # unhashable somewhere: per-code test sweep
-                    test = _record_test(predicate.PHASES, arg_values)
-                    return self._select_bits(
-                        "o", predicate.operation, column, entry, n, test
-                    )
-                return bits
-            phases = predicate.PHASES
-            test = lambda record: record.phase in phases
-            return self._select_bits("o", predicate.operation, column, entry, n, test)
-        raise _Fallback(predicate)
-
-    def _call_bits(self, operation, phases, arg_values, column, n):
-        """Positions whose record matches ``(phases, arg_values)`` via an
-        args-indexed call track, or ``None`` to fall back to the test sweep.
-
-        The track groups the column's codes by ``record.args`` once per
-        (operation, phase set) — each quantifier binding's profile is then
-        one dict lookup plus an OR over the (usually single) matching
-        code's bitset, instead of testing every distinct record per
-        binding.  Requires hashable argument tuples on both sides (the
-        dict's ``==`` equality coincides with the elementwise ``!=``
-        convention for values with coherent equality); anything unhashable
-        returns ``None`` and the caller runs the exact per-code sweep.
-        """
-        if column is None:
-            return 0
-        key = ("c", operation, phases)
-        ct = self._tracks.get(key)
-        if ct is None:
-            ct = self._tracks[key] = _CallTrack()
-        values = column.values
-        by_args = ct.by_args
-        built = ct.built
-        if built < len(values):
-            try:
-                while built < len(values):
-                    record = values[built]
-                    if record.phase in phases:
-                        # Tuple equality covers the arity check too: a
-                        # query tuple of different length never matches.
-                        by_args.setdefault(record.args, []).append(built)
-                    built += 1
-            except TypeError:
-                ct.dead = True
-            ct.built = built
-        if ct.dead:
-            return None
-        track = self._tracks.get(("o", operation))
-        if track is None:
-            track = self._tracks[("o", operation)] = _ColumnTrack()
-        if track.built_to < n:
-            track.extend(column, n)
-        try:
-            codes = by_args.get(arg_values)
-        except TypeError:
-            return None
-        if not codes:
-            return 0
-        bits_by_code = track.bits_by_code
-        out = 0
-        for code in codes:
-            if code < len(bits_by_code):
-                out |= bits_by_code[code]
-        return out
-
-    def _select_bits(self, kind, name, column, entry: _TailEntry, n: int, test) -> int:
-        """OR of the column track's per-code bitsets whose value passes.
-
-        The window pass over appended codes runs once per *column* (in the
-        track); each profile then recombines per-code bitsets through its
-        own per-code verdict cache — O(distinct codes) per extension, not
-        O(window) per (node, bindings) entry.  ``ABSENT`` positions are
-        False (callers with a presence requirement, Prop/Cmp, bail on the
-        column's ``missing`` flag before reaching here).
-        """
-        if column is None:
-            return 0
-        key = (kind, name)
-        track = self._tracks.get(key)
-        if track is None:
-            track = self._tracks[key] = _ColumnTrack()
-        if track.built_to < n:
-            track.extend(column, n)
-        values = column.values
-        passes = entry.passes
-        out = 0
-        for code, cbits in enumerate(track.bits_by_code):
-            if not cbits:
-                continue
-            truth = passes.get(code)
-            if truth is None:
-                truth = passes[code] = bool(test(values[code]))
-            if truth:
-                out |= cbits
-        return out

@@ -7,33 +7,37 @@ entry point", "which non-boolean values were ever observed".  Storing the
 trace row-major — one dict-backed :class:`~repro.semantics.state.State` per
 position — makes each of those questions an O(n) Python-object walk.
 
-A :class:`ColumnStore` turns the same data column-major, built in **one**
-pass over the source states:
+One per-state encoder (:func:`_encode_state`) turns states column-major,
+for two stores:
 
-* one :class:`Column` per state variable — a stdlib ``array`` of small
-  integer codes into a per-column interned value list (dictionary
-  encoding), so booleans, enums and repeated non-scalar values all store as
-  machine integers;
-* one :class:`OperationColumn` per operation name, dictionary-encoding the
-  (phase, args, results) records the same way;
-* the ``__start__`` marking of the Init-clause ``start`` predicate done
-  columnwise (one code write) instead of rebuilding the first state;
-* the trace's observed value universe, deduplicated through a set during
-  the same pass (replacing the quadratic ``value not in seen`` list scan).
+* a :class:`ColumnStore` holds one static trace, built lazily in one pass
+  over its source states; the same pass collects the trace's observed value
+  universe (deduplicated through a set), and the ``__start__`` marking of
+  the Init-clause ``start`` predicate is done columnwise (one code write)
+  instead of rebuilding the first state;
+* an :class:`IncrementalColumnStore` holds a growing prefix, fed one state
+  at a time.
 
-Columns expose packed-int **bitsets** (bit ``c`` = concrete position
-``c + 1``): per-code membership, truthiness, comparisons against a
-constant, and operation phase/argument matches all answer as one big
-integer, which is what :mod:`repro.compile.vector` evaluates whole state
-formulas on.  Bitset construction goes through per-code ``bytearray``
-buffers so cost stays O(n + codes·n/8) rather than O(n²/wordsize) of
-repeated big-int shifting.
+Either way there is one :class:`Column` per state variable — a stdlib
+``array`` of small integer codes into a per-column interned value list
+(dictionary encoding), so booleans, enums and repeated non-scalar values
+all store as machine integers — and one :class:`OperationColumn` per
+operation name, encoding the (phase, args, results) records the same way.
+
+Every column builds its own per-code **position bitsets** (bit ``i`` of
+code ``c``'s int set iff position ``i + 1`` holds value ``c``), which is
+what :mod:`repro.compile.vector` evaluates whole state formulas on.
+:meth:`_ColumnBase.code_bits` extends them lazily over the positions not
+built yet — a ``bytearray`` per code over the new positions, then one
+shift-or per code — so a static column is built in one pass, and a growing
+column pays per append for the appended window and one shift-or per code
+the window holds, never a rebuild.
 """
 
 from __future__ import annotations
 
 from array import array
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from .state import OperationRecord, State
 
@@ -49,10 +53,12 @@ __all__ = [
 #: Code marking "this state does not bind the column's variable / operation".
 ABSENT = -1
 
-#: Columns with more distinct values than this skip per-code bitsets: the
-#: memory (codes · n/8 bytes) stops paying for itself, and a comparison
-#: against a high-cardinality column is better served by the per-position
-#: endpoint indexes.  Kernels treat a ``None`` bitset table as "fall back".
+#: Columns with more distinct values than this, or whose per-code bitsets
+#: would take more bytes (codes · n/8), keep no bitsets: the memory stops
+#: paying for itself, and a comparison against a high-cardinality column is
+#: better served by the per-position endpoint indexes.  A column only gains
+#: codes and positions, so once past a cap it stays there; the kernel then
+#: falls back to the per-position path.
 _MAX_BITSET_CODES = 1024
 _MAX_BITSET_BYTES = 8_000_000
 
@@ -88,31 +94,58 @@ def _intern(
     return code
 
 
-def _codes_to_bitsets(codes: "array", count: int) -> Optional[List[int]]:
-    """One bitset per code: bit ``i`` set in ``out[c]`` iff ``codes[i] == c``."""
-    n = len(codes)
-    nbytes = (n + 7) >> 3
-    if count > _MAX_BITSET_CODES or count * nbytes > _MAX_BITSET_BYTES:
-        return None
-    buffers = [bytearray(nbytes) for _ in range(count)]
-    for i, code in enumerate(codes):
-        if code >= 0:
-            buffers[code][i >> 3] |= 1 << (i & 7)
-    return [int.from_bytes(buffer, "little") for buffer in buffers]
+_Interns = Dict[str, Tuple[Dict[Any, int], List[int]]]
+
+
+def _encode_state(
+    state: State,
+    index: int,
+    columns: Dict[str, "Column"],
+    interns: _Interns,
+    op_columns: Dict[str, "OperationColumn"],
+    op_interns: _Interns,
+) -> None:
+    """Append state ``index`` to the columns.
+
+    Interns every value and operation record of the state; a name seen for
+    the first time opens a column ``ABSENT``-padded over the earlier
+    positions, and every column the state does not bind is padded.
+    """
+    for name, value in state.raw_values.items():
+        column = columns.get(name)
+        if column is None:
+            column = columns[name] = Column(name, prefix_length=index)
+            interns[name] = ({}, [])
+        code_of, unhashable = interns[name]
+        column.codes.append(_intern(value, column.values, code_of, unhashable))
+    for name, record in state.raw_operations.items():
+        op_column = op_columns.get(name)
+        if op_column is None:
+            op_column = op_columns[name] = OperationColumn(name, prefix_length=index)
+            op_interns[name] = ({}, [])
+        code_of, unhashable = op_interns[name]
+        op_column.codes.append(_intern(record, op_column.values, code_of, unhashable))
+    filled = index + 1
+    for column in columns.values():
+        if len(column.codes) < filled:
+            column.pad()
+    for op_column in op_columns.values():
+        if len(op_column.codes) < filled:
+            op_column.pad()
 
 
 class _ColumnBase:
     """Shared dictionary-encoded storage of one column."""
 
-    __slots__ = ("name", "codes", "values", "missing", "_bitsets", "_present")
+    __slots__ = ("name", "codes", "values", "missing", "_bits", "_bits_to")
 
     def __init__(self, name: str, prefix_length: int = 0) -> None:
         self.name = name
         self.codes: "array" = array("l", [ABSENT]) * prefix_length
         self.values: List[Any] = []
         self.missing = prefix_length > 0
-        self._bitsets: Optional[List[int]] = None
-        self._present: Optional[int] = None
+        self._bits: Optional[List[int]] = []
+        self._bits_to = 0
 
     def __len__(self) -> int:
         return len(self.codes)
@@ -124,59 +157,49 @@ class _ColumnBase:
             return False, None
         return True, self.values[code]
 
-    @property
-    def full_mask(self) -> int:
-        return (1 << len(self.codes)) - 1
-
-    def code_bitsets(self) -> Optional[List[int]]:
-        """Per-code position bitsets, or ``None`` above the cardinality cap."""
-        if self._bitsets is None:
-            self._bitsets = _codes_to_bitsets(self.codes, len(self.values))
-        return self._bitsets
-
-    def present_bits(self) -> int:
-        """Bitset of positions where the column binds a value."""
-        if self._present is None:
-            if not self.missing:
-                self._present = self.full_mask
-            else:
-                buffer = bytearray((len(self.codes) + 7) >> 3)
-                for i, code in enumerate(self.codes):
-                    if code >= 0:
-                        buffer[i >> 3] |= 1 << (i & 7)
-                self._present = int.from_bytes(buffer, "little")
-        return self._present
-
     def pad(self) -> None:
         """Mark the next position as not binding this column."""
         self.codes.append(ABSENT)
         self.missing = True
 
-    def select_bits(self, test: Callable[[Any], bool]) -> Optional[int]:
-        """Bitset of positions whose *value* satisfies ``test``.
+    def code_bits(self, n: int) -> Optional[List[int]]:
+        """Per-code position bitsets over (at least) the first ``n`` positions.
 
-        ``test`` runs once per **distinct** value (the entire point of the
-        dictionary encoding); its exceptions propagate so callers can fall
-        back to per-position evaluation with identical error behaviour.
-        Returns ``None`` above the per-code bitset cardinality cap.
+        Entry ``c`` has bit ``i`` set iff ``codes[i] == c``; ``ABSENT``
+        positions are in no entry.  The bitsets extend from where the last
+        call stopped: a ``bytearray`` per code over the new positions, then
+        one shift-or per code, so extending costs O(new positions) plus one
+        shift-or per code they hold.  ``None`` past the cardinality / byte
+        cap, for good (the bitsets are dropped).
         """
-        bitsets = self.code_bitsets()
-        if bitsets is None:
+        bits = self._bits
+        built = self._bits_to
+        if bits is None or built >= n:
+            return bits
+        count = len(self.values)
+        if count > _MAX_BITSET_CODES or count * ((n + 7) >> 3) > _MAX_BITSET_BYTES:
+            self._bits = None
             return None
-        out = 0
-        for code, value in enumerate(self.values):
-            if test(value):
-                out |= bitsets[code]
-        return out
+        bits.extend([0] * (count - len(bits)))
+        width = (n - built + 7) >> 3
+        buffers: List[Optional[bytearray]] = [None] * count
+        for j, code in enumerate(self.codes[built:n]):
+            if code >= 0:
+                buffer = buffers[code]
+                if buffer is None:
+                    buffer = buffers[code] = bytearray(width)
+                buffer[j >> 3] |= 1 << (j & 7)
+        for code, buffer in enumerate(buffers):
+            if buffer is not None:
+                bits[code] |= int.from_bytes(buffer, "little") << built
+        self._bits_to = n
+        return bits
 
 
 class Column(_ColumnBase):
     """Dictionary-encoded values of one state variable across a trace."""
 
     __slots__ = ()
-
-    def append(self, value: Any, code_of: Dict[Any, int], unhashable: List[int]) -> None:
-        self.codes.append(_intern(value, self.values, code_of, unhashable))
 
 
 class OperationColumn(_ColumnBase):
@@ -188,44 +211,21 @@ class OperationColumn(_ColumnBase):
 
     __slots__ = ()
 
-    def phase_bits(self, phases: Sequence[str]) -> Optional[int]:
-        return self.select_bits(lambda record: record.phase in phases)
-
-    def call_bits(self, phases: Sequence[str], arg_values: Sequence[Any]) -> Optional[int]:
-        """Positions whose record matches both the phase set and the
-        evaluated argument tuple, with the elementwise ``!=`` convention of
-        :func:`repro.syntax.terms._args_match`."""
-
-        def test(record: OperationRecord) -> bool:
-            if record.phase not in phases:
-                return False
-            actual = record.args
-            if len(arg_values) != len(actual):
-                return False
-            return not any(expected != value for expected, value in zip(arg_values, actual))
-
-        return self.select_bits(test)
-
 
 class IncrementalColumnStore:
     """The column-major form of a *growing* state prefix, fed one state at
     a time.
 
-    The per-state twin of :class:`ColumnStore`: the incremental monitors'
-    :class:`~repro.compile.runtime.GrowingPrefix` absorbs each appended
-    state into the same dictionary-encoded :class:`Column` /
-    :class:`OperationColumn` objects (``ABSENT`` padding included), so the
-    tail-window bitset kernel (:class:`~repro.compile.vector.TailKernel`)
-    can extend its truth profiles over just the appended window.  No
-    ``__start__`` marking happens here — ``GrowingPrefix.append`` injects
-    it into the state rows before they arrive.
-
-    The whole-column bitset caches of :class:`_ColumnBase`
-    (``code_bitsets``/``present_bits``/``select_bits``) are *not* meant to
-    be used on these columns: they snapshot a growing column and would go
-    stale on the next absorb.  The incremental kernel keeps its own
-    window-extended bitsets instead, reading only ``codes`` and
-    ``values``.
+    The incremental monitors' :class:`~repro.compile.runtime.GrowingPrefix`
+    absorbs each appended state through the same encoder as
+    :class:`ColumnStore`, into the same :class:`Column` /
+    :class:`OperationColumn` objects (``ABSENT`` padding included).  The
+    columns' per-code bitsets extend lazily (:meth:`_ColumnBase.code_bits`),
+    so the bitset kernel (:class:`~repro.compile.vector.TailKernel`) reads
+    them after any number of absorbs and extends its truth profiles over
+    just the appended window.  No ``__start__`` marking happens here —
+    ``GrowingPrefix.append`` injects it into the state rows before they
+    arrive.
     """
 
     __slots__ = ("length", "_columns", "_op_columns", "_interns", "_op_interns")
@@ -234,38 +234,16 @@ class IncrementalColumnStore:
         self.length = 0
         self._columns: Dict[str, Column] = {}
         self._op_columns: Dict[str, OperationColumn] = {}
-        self._interns: Dict[str, Tuple[Dict[Any, int], List[int]]] = {}
-        self._op_interns: Dict[str, Tuple[Dict[Any, int], List[int]]] = {}
+        self._interns: _Interns = {}
+        self._op_interns: _Interns = {}
 
     def absorb(self, state: State) -> None:
         """Append one state's values/operations to every column (padded)."""
-        index = self.length
-        for name, value in state.raw_values.items():
-            column = self._columns.get(name)
-            if column is None:
-                column = self._columns[name] = Column(name, prefix_length=index)
-                self._interns[name] = ({}, [])
-            code_of, unhashable = self._interns[name]
-            column.append(value, code_of, unhashable)
-        for name, record in state.raw_operations.items():
-            op_column = self._op_columns.get(name)
-            if op_column is None:
-                op_column = self._op_columns[name] = OperationColumn(
-                    name, prefix_length=index
-                )
-                self._op_interns[name] = ({}, [])
-            code_of, unhashable = self._op_interns[name]
-            op_column.codes.append(
-                _intern(record, op_column.values, code_of, unhashable)
-            )
-        filled = index + 1
-        for column in self._columns.values():
-            if len(column.codes) < filled:
-                column.pad()
-        for op_column in self._op_columns.values():
-            if len(op_column.codes) < filled:
-                op_column.pad()
-        self.length = filled
+        _encode_state(
+            state, self.length,
+            self._columns, self._interns, self._op_columns, self._op_interns,
+        )
+        self.length += 1
 
     def column(self, name: str) -> Optional[Column]:
         return self._columns.get(name)
@@ -302,34 +280,14 @@ class ColumnStore:
 
     def _build(self) -> None:
         columns: Dict[str, Column] = {}
-        interns: Dict[str, Tuple[Dict[Any, int], List[int]]] = {}
+        interns: _Interns = {}
         op_columns: Dict[str, OperationColumn] = {}
-        op_interns: Dict[str, Tuple[Dict[Any, int], List[int]]] = {}
+        op_interns: _Interns = {}
         universe: List[Any] = []
         seen: set = set()
         unhashable_seen: List[Any] = []
         for index, state in enumerate(self._source or ()):
-            for name, value in state.raw_values.items():
-                column = columns.get(name)
-                if column is None:
-                    column = columns[name] = Column(name, prefix_length=index)
-                    interns[name] = ({}, [])
-                code_of, unhashable = interns[name]
-                column.append(value, code_of, unhashable)
-            for name, record in state.raw_operations.items():
-                op_column = op_columns.get(name)
-                if op_column is None:
-                    op_column = op_columns[name] = OperationColumn(name, prefix_length=index)
-                    op_interns[name] = ({}, [])
-                code_of, unhashable = op_interns[name]
-                op_column.codes.append(_intern(record, op_column.values, code_of, unhashable))
-            filled = index + 1
-            for column in columns.values():
-                if len(column.codes) < filled:
-                    column.pad()
-            for op_column in op_columns.values():
-                if len(op_column.codes) < filled:
-                    op_column.pad()
+            _encode_state(state, index, columns, interns, op_columns, op_interns)
             for value in state.observed_values():
                 try:
                     if value in seen:
@@ -389,10 +347,6 @@ class ColumnStore:
         """Distinct observed non-boolean values, in first-observation order."""
         self._ensure()
         return self._universe  # type: ignore[return-value]
-
-    @property
-    def full_mask(self) -> int:
-        return (1 << self.length) - 1
 
     # -- row reconstruction (the lazy State view) ----------------------------
 
