@@ -36,7 +36,6 @@ can push the sharded fleet to 10k streams without another code path.
 
 import json
 import os
-import tempfile
 import time
 
 from repro.api.session import Session
@@ -279,7 +278,7 @@ def test_quantified_only_throughput(benchmark):
     record_point("serve-quantified", row)
 
 
-def _drive_pool(shards, fleet, frames, plan_cache_dir, rounds=1):
+def _drive_pool(shards, fleet, frames, rounds=1):
     """Open/ingest/close one fleet through a pool; (elapsed, verdicts).
 
     ``rounds`` replays the identical wire into a fresh fleet of streams
@@ -287,7 +286,7 @@ def _drive_pool(shards, fleet, frames, plan_cache_dir, rounds=1):
     warm), best round wins — the registry gates' best-of-N discipline,
     applied symmetrically to both shard counts.
     """
-    pool = ShardPool(shards, plan_cache_dir=plan_cache_dir)
+    pool = ShardPool(shards)
     try:
         opens = [
             {"op": "open", "stream": script.stream, "spec": script.spec}
@@ -325,15 +324,10 @@ def test_shard_fanout(benchmark):
     cores = os.cpu_count() or 1
 
     def sweep():
-        # One persistent plan cache across both pools: the first worker to
-        # see each spec compiles it to disk, everything after warm-loads.
-        with tempfile.TemporaryDirectory(prefix="repro-serve-bench-") as cache:
-            single_s, single_verdicts = _drive_pool(
-                1, fleet, frames, cache, rounds=ROUNDS
-            )
-            sharded_s, sharded_verdicts = _drive_pool(
-                SHARDS, fleet, frames, cache, rounds=ROUNDS
-            )
+        single_s, single_verdicts = _drive_pool(1, fleet, frames, rounds=ROUNDS)
+        sharded_s, sharded_verdicts = _drive_pool(
+            SHARDS, fleet, frames, rounds=ROUNDS
+        )
         assert sharded_verdicts == single_verdicts
         return {
             "streams": len(fleet),

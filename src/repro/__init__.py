@@ -12,8 +12,8 @@ statistics, wall time); :meth:`~repro.api.session.Session.check_many`
 batches campaigns and can fan them out over worker processes.  Five
 pluggable engines — ``trace``, ``bounded``, ``tableau``, ``lll``,
 ``monitor`` — wrap the subsystems below, with auto-dispatch on the formula
-fragment.  The historical per-subsystem entry points keep working and are
-also re-exported (with deprecation warnings) from :mod:`repro.api.legacy`.
+fragment.  The historical per-subsystem entry points keep working at their
+defining modules.
 
 The package is organised as:
 

@@ -16,8 +16,9 @@ satisfaction), ``compiled`` (the same satisfaction relation through the
 ``bounded`` (small-scope validity), ``tableau`` (Appendix B / Algorithm A),
 ``lll`` (Appendix C) and ``monitor`` (incremental prefixes).
 ``Session.check`` auto-dispatches on the formula fragment when no mode is
-given.  The historical entry points remain available as deprecation shims in
-:mod:`repro.api.legacy`.
+given.  The historical per-subsystem entry points (``satisfies``,
+``is_bounded_valid``, ``TableauDecider``, ...) keep working at their
+defining modules.
 
 Quickstart::
 
@@ -28,7 +29,6 @@ Quickstart::
     session.check("[] (p -> <> q) /\\ <> p -> <> q")     # tableau: valid
 """
 
-from . import legacy
 from .coerce import CheckRequestError, coerce_formula, coerce_trace
 from .engines import (
     BoundedEngine,
@@ -67,5 +67,4 @@ __all__ = [
     "default_registry",
     "QUERY_VALIDITY",
     "QUERY_SATISFIABILITY",
-    "legacy",
 ]

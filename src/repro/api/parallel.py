@@ -4,23 +4,12 @@
 worker processes.  The batch is split into contiguous chunks (preserving
 order), each worker materializes its own :class:`~repro.api.session.Session`
 and runs a chunk serially, and the results are re-concatenated in request
-order.  Workers share nothing in memory; per-trace memo sharing still
-happens within a chunk, so chunks should group requests over the same trace
-— which is how the conformance runner lays them out.
-
-Workers *do* share the parent session's persistent plan store: when the
-session was built with ``plan_cache_dir=...`` the directory travels to
-every worker session, and the parent precompiles each compiled-path plan
-into it before the fan-out — so workers start **warm**, loading plans by
-digest (``plan_disk_hits``) instead of recompiling per process.  Digests
-are **alpha-invariant**: requests whose formulas differ only in
-bound-variable names address one store entry, so a campaign sweeping
-renamed variants of one specification compiles it once in the parent and
-every worker warm-loads that single plan (``plan_alpha_interned`` counts
-the collapsed variants; stores written before alpha-interning migrate on
-first touch, visible as ``plan_digest_migrations``).  Each worker's
-cache statistics come back with its chunk and are exposed on
-``Session.last_parallel_cache_stats``.
+order.  Workers share nothing: each compiles the plans its chunk needs
+into its own in-memory plan cache, and per-trace memo sharing happens
+within a chunk, so chunks should group requests over the same trace —
+which is how the conformance runner lays them out.  Each worker's
+:mod:`repro.obs` registry snapshot rides home with its chunk, and the
+parent session merges it into its own registry on join.
 """
 
 from __future__ import annotations
@@ -69,54 +58,39 @@ def split_chunks(
 
 
 def _run_chunk(
-    payload: Tuple[List[CheckRequest], Optional[str]]
-) -> Tuple[List[CheckResult], Dict[str, Any], Dict[str, Any]]:
-    # A fresh session per worker: evaluator memo tables are shared within
-    # the chunk, never across processes — but the persistent plan store
-    # (when configured) is shared with the parent, so plans the parent
-    # precompiled load from disk instead of recompiling per worker.  The
-    # worker session carries its own child MetricsRegistry; its snapshot
-    # rides home with the chunk and the parent merges it on join.
+    requests: List[CheckRequest],
+) -> Tuple[List[CheckResult], Dict[str, Any]]:
+    # A fresh session per worker: plans and evaluator memo tables are
+    # shared within the chunk, never across processes.  The worker session
+    # carries its own MetricsRegistry; its snapshot rides home with the
+    # chunk and the parent merges it on join.
     from .session import Session
 
-    requests, plan_cache_dir = payload
-    session = Session(plan_cache_dir=plan_cache_dir)
+    session = Session()
     results = [session._run(request) for request in requests]
-    return results, session.cache_statistics(), session.metrics.snapshot()
+    return results, session.metrics.snapshot()
 
 
 def run_chunked(
     requests: Sequence[CheckRequest],
     processes: int,
     chunk_size: Optional[int] = None,
-    plan_cache_dir: Optional[str] = None,
-    stats_sink: Optional[List[Dict[str, Any]]] = None,
     metrics_sink: Optional[List[Dict[str, Any]]] = None,
 ) -> List[CheckResult]:
     """Run ``requests`` over ``processes`` workers; results in request order.
 
-    ``plan_cache_dir`` hands every worker session the persistent plan
-    store; ``stats_sink`` (a list) collects one cache-statistics dict per
-    worker chunk, in chunk order; ``metrics_sink`` likewise collects one
-    :meth:`~repro.obs.MetricsRegistry.snapshot` per chunk, ready for
-    ``merge_snapshot`` into the parent registry.
+    ``metrics_sink`` (a list) collects one
+    :meth:`~repro.obs.MetricsRegistry.snapshot` per worker chunk, in chunk
+    order, ready for ``merge_snapshot`` into the parent registry.
     """
     chunks = split_chunks(requests, processes, chunk_size)
     if len(chunks) <= 1:
-        results, stats, metrics = _run_chunk((list(requests), plan_cache_dir))
-        if stats_sink is not None:
-            stats_sink.append(stats)
-        if metrics_sink is not None:
-            metrics_sink.append(metrics)
-        return results
-    _prepare_columns(requests)
-    context = multiprocessing.get_context()
-    with context.Pool(processes=min(processes, len(chunks))) as pool:
-        chunk_results = pool.map(
-            _run_chunk, [(chunk, plan_cache_dir) for chunk in chunks]
-        )
-    if stats_sink is not None:
-        stats_sink.extend(stats for _, stats, _ in chunk_results)
+        chunk_results = [_run_chunk(list(requests))]
+    else:
+        _prepare_columns(requests)
+        context = multiprocessing.get_context()
+        with context.Pool(processes=min(processes, len(chunks))) as pool:
+            chunk_results = pool.map(_run_chunk, chunks)
     if metrics_sink is not None:
-        metrics_sink.extend(metrics for _, _, metrics in chunk_results)
-    return [result for results, _, _ in chunk_results for result in results]
+        metrics_sink.extend(metrics for _, metrics in chunk_results)
+    return [result for results, _ in chunk_results for result in results]

@@ -89,17 +89,6 @@ class Session:
         on ``CheckResult.engine_reason``).  Pass ``prefer_compiled=False``
         to keep the interpreting ``trace`` engine the default; requests
         override per-call with ``compile=True`` / ``compile=False``.
-    plan_cache_dir:
-        Directory of the digest-addressed **persistent** plan store
-        (:class:`~repro.compile.cache.DiskPlanStore`).  Defaults to the
-        ``REPRO_PLAN_CACHE`` environment variable when set — which worker
-        processes inherit, so ``check_many(processes=...)`` fan-outs and
-        :mod:`repro.serve` shard workers reload plans compiled by any
-        earlier process instead of recompiling per worker.  An explicit
-        directory is threaded into ``check_many(processes=...)`` worker
-        sessions too, and the parent precompiles each compiled-path plan
-        into it before fanning out — warm workers report their cache
-        statistics on :attr:`last_parallel_cache_stats`.
     forall_unroll_cap:
         Bound on quantifier unrolling in the compiled runtime (``None`` =
         the runtime default, ``0`` disables specialization).  Part of the
@@ -129,7 +118,6 @@ class Session:
         engines: Optional[EngineRegistry] = None,
         processes: Optional[int] = None,
         prefer_compiled: bool = True,
-        plan_cache_dir: Optional[str] = None,
         forall_unroll_cap: Optional[int] = None,
         metrics: Optional[MetricsRegistry] = None,
         tracer: Optional[Tracer] = None,
@@ -143,14 +131,7 @@ class Session:
         self._registry_is_default = engines is None
         self._processes = processes
         self._prefer_compiled = prefer_compiled
-        self._plan_cache_dir = plan_cache_dir
         self._forall_unroll_cap = forall_unroll_cap
-        #: Per-worker cache statistics of the most recent
-        #: ``check_many(processes=...)`` fan-out (one dict per chunk).
-        #: Kept for tooling compatibility — worker telemetry now also
-        #: arrives as ``repro.obs`` registry snapshots merged into
-        #: :attr:`metrics` on join.
-        self.last_parallel_cache_stats: List[Dict[str, Any]] = []
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.tracer = tracer if tracer is not None else Tracer()
         # Hot-path instruments, declared once (children are cached too).
@@ -181,6 +162,12 @@ class Session:
         self._m_parallel_chunks = self.metrics.counter(
             "repro_parallel_chunks_total",
             "Worker chunks completed by check_many fan-outs.",
+        )
+        self._m_parallel_fallbacks = self.metrics.counter(
+            "repro_parallel_fallbacks_total",
+            "check_many fan-outs that fell back to in-process execution, "
+            "by exception class.",
+            ("reason",),
         )
         self._m_plan_interned = self.metrics.counter(
             "repro_plan_interned_total",
@@ -308,10 +295,7 @@ class Session:
         if self._plan_cache is None:
             from ..compile import PlanCache
 
-            self._plan_cache = PlanCache(
-                on_evict=self._drop_plan_states_for,
-                disk_path=self._plan_cache_dir,
-            )
+            self._plan_cache = PlanCache(on_evict=self._drop_plan_states_for)
         return self._plan_cache
 
     @property
@@ -326,17 +310,13 @@ class Session:
     def cache_statistics(self) -> Dict[str, Any]:
         """One snapshot of every cache this session holds.
 
-        Plan-cache hit/miss/eviction and disk hit/write counters plus the
-        bound plan-state, evaluator and spec-identity entry counts — the
+        Plan-cache hit/miss/eviction counters plus the bound plan-state,
+        evaluator, spec-identity and plan-state-pool entry counts — the
         numbers :mod:`repro.serve` surfaces per worker in service
-        snapshots.  ``plan_disk_writes`` / ``plan_disk_hits`` are always
-        present (zero without a persistent store), so one call reports the
-        full cache picture.  The same numbers flow into
-        :meth:`metrics_snapshot` as ``repro_plan_cache_*`` series.
+        snapshots.  The same numbers flow into :meth:`metrics_snapshot` as
+        ``repro_plan_cache_*`` series.
         """
         stats: Dict[str, Any] = dict(self.plan_cache.statistics())
-        stats.setdefault("plan_disk_writes", 0)
-        stats.setdefault("plan_disk_hits", 0)
         stats["plan_states"] = len(self._plan_states)
         stats["evaluators"] = len(self._evaluators)
         stats["spec_plan_entries"] = len(self._spec_plans)
@@ -367,8 +347,6 @@ class Session:
             "repro_plan_cache_hits": ("plan_cache_hits", "LRU hits this generation."),
             "repro_plan_cache_misses": ("plan_cache_misses", "LRU misses this generation."),
             "repro_plan_cache_evictions": ("plan_cache_evictions", "LRU evictions."),
-            "repro_plan_disk_hits": ("plan_disk_hits", "Plans loaded from the persistent store."),
-            "repro_plan_disk_writes": ("plan_disk_writes", "Plans written to the persistent store."),
             "repro_plan_states": ("plan_states", "Bound plan states held."),
             "repro_evaluators": ("evaluators", "Shared interpreter evaluators held."),
             "repro_plan_state_pool_size": (
@@ -376,9 +354,6 @@ class Session:
             "repro_plan_alpha_interned": (
                 "plan_alpha_interned",
                 "Cache lookups collapsed onto an alpha-equivalent plan."),
-            "repro_plan_digest_migrations": (
-                "plan_digest_migrations",
-                "Disk entries re-keyed from the pre-alpha digest."),
         }
         for name, (key, help_text) in gauges.items():
             if key in cache:
@@ -398,8 +373,7 @@ class Session:
         multi-root plan comes from this session's (warm) plan cache.
 
         Opening thousands of monitored streams over the same specification
-        compiles it once per process — and, with a persistent
-        ``plan_cache_dir``, once per *fleet*.  ``options`` pass through to
+        compiles it once per session.  ``options`` pass through to
         the monitor (``on_change``, ``capture_errors``, ``stat_window``).
         The monitor records whether its plan was served from cache on
         ``plan_from_cache`` and whether its lowered state came from the
@@ -732,23 +706,15 @@ class Session:
             from .parallel import run_chunked
 
             shipped = [self._prepare_for_worker(r) for r in prepared]
-            self._warm_plan_store(shipped)
-            stats_sink: List[Dict[str, Any]] = []
             metrics_sink: List[Dict[str, Any]] = []
             try:
                 with self.tracer.span(
                     "check_many", requests=len(shipped), processes=processes
                 ) as span:
                     results = run_chunked(
-                        shipped,
-                        processes,
-                        chunk_size,
-                        plan_cache_dir=self._plan_cache_dir,
-                        stats_sink=stats_sink,
-                        metrics_sink=metrics_sink,
+                        shipped, processes, chunk_size, metrics_sink=metrics_sink
                     )
                     span.set(chunks=len(metrics_sink))
-                self.last_parallel_cache_stats = stats_sink
                 # Worker registries merge deterministically: counter/
                 # histogram addition is order-independent, so the parent's
                 # totals cannot depend on chunk completion order.
@@ -762,6 +728,7 @@ class Session:
                 # real traceback): re-run everything in-process — loudly,
                 # because a big campaign silently losing its parallelism
                 # (and doing the work twice) is worth knowing about.
+                self._m_parallel_fallbacks.child(type(exc).__name__).inc()
                 warnings.warn(
                     f"check_many fell back from {processes} worker processes "
                     f"to in-process execution: {type(exc).__name__}: {exc}",
@@ -789,40 +756,6 @@ class Session:
         if changes:
             return request.with_options(**changes)
         return request
-
-    def _warm_plan_store(self, requests: Sequence[CheckRequest]) -> None:
-        """Precompile every compiled-path plan into the persistent store.
-
-        Runs before a worker fan-out when this session carries an explicit
-        ``plan_cache_dir``: each distinct (formula, domain-shape) that will
-        dispatch to the compiled engine is compiled once here — an atomic
-        digest-addressed write — so every worker's first lookup is a
-        ``plan_disk_hits`` load, never a recompilation.  Best-effort: a
-        formula the pipeline cannot lower is skipped (the worker falls
-        back to the interpreting engine exactly as it would have anyway).
-        """
-        if self._plan_cache_dir is None:
-            return
-        seen = set()
-        for request in requests:
-            if request.trace is None:
-                continue
-            if not (request.compile is True or request.mode == "compiled"):
-                continue
-            try:
-                formula = request.resolved_formula()
-            except Exception:
-                continue
-            if not isinstance(formula, Formula):
-                continue
-            key = (repr(formula), _domain_key(request.domain))
-            if key in seen:
-                continue
-            seen.add(key)
-            try:
-                self.plan_cache.get(formula, request.domain)
-            except Exception:
-                continue
 
     def check_spec(
         self,

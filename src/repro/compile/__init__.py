@@ -67,7 +67,7 @@ The ``compiled`` engine (``Session.check(..., mode="compiled")`` or
 plan cache and the unified :class:`~repro.api.result.CheckResult`.
 """
 
-from .cache import DEFAULT_MAX_PLANS, DiskPlanStore, PlanCache
+from .cache import DEFAULT_MAX_PLANS, PlanCache
 from .dag import CompileError, DagBuilder, PlanNode, PlanTerm
 from .lower import bind_dispatch
 from .normalize import normalize, structural_key
@@ -107,7 +107,6 @@ __all__ = [
     "spec_digest",
     "bind_dispatch",
     "PlanCache",
-    "DiskPlanStore",
     "DEFAULT_MAX_PLANS",
     "PlanState",
     "PlanStats",

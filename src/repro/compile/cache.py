@@ -8,99 +8,30 @@ LRU**: entries key on the content digest (formula or spec digest plus the
 names carrying explicit quantification domains), lookups refresh recency,
 and inserts beyond ``max_plans`` evict the least recently used plan —
 long-lived sessions churning through unbounded formula streams stay
-bounded without manual ``clear_caches`` calls.  Hit/miss/eviction and
+bounded without manual ``clear_caches`` calls.  Digests are
+alpha-invariant, so formulas equal up to bound-variable names share one
+plan (``alpha_interned`` counts those hits).  Hit/miss/eviction and
 compile-time counters are reported by the ``compiled`` engine on every
 :class:`~repro.api.result.CheckResult`; :meth:`PlanCache.clear` drops the
 plans *and* resets the counters, so cache statistics always describe the
 current cache generation.
 
-Plans are also **digest-addressed on disk**: give the cache a directory
-(``disk_path=...``, or the ``REPRO_PLAN_CACHE`` environment variable, which
-worker processes inherit) and every compiled plan is pickled to
-``<dir>/<digest>.plan`` with an atomic rename, while in-memory misses try
-the directory before compiling.  This is what lets ``check_many
---processes`` workers and :mod:`repro.serve` shard workers start *warm*:
-the parent (or a previous run) compiles each plan once and every worker
-loads it instead of recompiling per process.  The store is best-effort —
-corrupt, truncated or version-skewed files read as misses and are
-rewritten — and the pickled payload is format-stamped so plan-layout
-changes invalidate old entries instead of resurrecting them.
+Plans live in memory only, one cache per session: each process compiles
+what it checks, which for the paper's specifications takes a few
+milliseconds.
 """
 
 from __future__ import annotations
 
-import os
-import pickle
 import time
 from collections import OrderedDict
 from typing import Any, Callable, Dict, Iterable, Mapping, Optional, Sequence, Tuple
 
 from ..syntax.formulas import Formula
-from .plan import CompiledPlan, formula_digest, legacy_formula_digest
-from .specplan import SpecPlan, legacy_spec_digest, spec_digest
+from .plan import CompiledPlan, formula_digest
+from .specplan import SpecPlan, spec_digest
 
-__all__ = ["PlanCache", "DiskPlanStore", "DEFAULT_MAX_PLANS", "PLAN_FORMAT"]
-
-#: Environment variable naming the default on-disk plan-cache directory.
-#: Inherited by worker processes, so setting it once warms every fan-out.
-PLAN_CACHE_ENV = "REPRO_PLAN_CACHE"
-
-#: Bump when the pickled plan layout changes incompatibly — stale files
-#: then read as misses (and are overwritten) instead of loading garbage.
-PLAN_FORMAT = 1
-
-
-class DiskPlanStore:
-    """A digest-addressed directory of pickled plans.
-
-    Writes are atomic (temp file + ``os.replace``) so concurrent workers
-    racing on the same digest each leave a complete file; reads treat any
-    unreadable, truncated or format-skewed entry as a miss.  All I/O
-    errors are swallowed — a broken cache directory degrades to cold
-    compilation, never to a failed check.
-    """
-
-    def __init__(self, path: str) -> None:
-        self.path = path
-        os.makedirs(path, exist_ok=True)
-
-    def _file(self, digest: str) -> str:
-        return os.path.join(self.path, f"{digest}.plan")
-
-    def load(self, digest: str) -> Optional[Any]:
-        try:
-            with open(self._file(digest), "rb") as handle:
-                payload = pickle.load(handle)
-        except (OSError, pickle.PickleError, EOFError, AttributeError,
-                ImportError, IndexError, TypeError):
-            return None
-        if not isinstance(payload, tuple) or len(payload) != 2:
-            return None
-        fmt, plan = payload
-        if fmt != PLAN_FORMAT:
-            return None
-        return plan
-
-    def store(self, digest: str, plan: Any) -> bool:
-        target = self._file(digest)
-        tmp = f"{target}.tmp.{os.getpid()}"
-        try:
-            with open(tmp, "wb") as handle:
-                pickle.dump((PLAN_FORMAT, plan), handle, pickle.HIGHEST_PROTOCOL)
-            os.replace(tmp, target)
-        except (OSError, pickle.PickleError, TypeError):
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            return False
-        return True
-
-    def __len__(self) -> int:
-        try:
-            return sum(1 for name in os.listdir(self.path) if name.endswith(".plan"))
-        except OSError:
-            return 0
+__all__ = ["PlanCache", "DEFAULT_MAX_PLANS"]
 
 
 #: Default LRU capacity: generous for any hand-written campaign, small
@@ -119,40 +50,23 @@ class PlanCache:
     on_evict:
         Called with each evicted digest — the session uses this to drop the
         plan states bound to an evicted plan.
-    disk_path:
-        Directory of the digest-addressed persistent store.  Defaults to
-        the ``REPRO_PLAN_CACHE`` environment variable (fresh worker
-        processes inherit it, so fan-outs start warm); pass ``False`` to
-        force a purely in-memory cache even when the variable is set.
     """
 
     def __init__(
         self,
         max_plans: Optional[int] = DEFAULT_MAX_PLANS,
         on_evict: Optional[Callable[[str], None]] = None,
-        disk_path: Any = None,
     ) -> None:
         if max_plans is not None and max_plans < 1:
             raise ValueError(f"max_plans must be at least 1, got {max_plans}")
         self._plans: "OrderedDict[str, Any]" = OrderedDict()
         self._max_plans = max_plans
         self._on_evict = on_evict
-        if disk_path is None:
-            disk_path = os.environ.get(PLAN_CACHE_ENV) or False
-        self._disk: Optional[DiskPlanStore] = None
-        if disk_path:
-            try:
-                self._disk = DiskPlanStore(disk_path)
-            except OSError:
-                self._disk = None  # unusable directory: stay in-memory
         self.hits = 0
         self.misses = 0
         self.evictions = 0
-        self.disk_hits = 0
-        self.disk_writes = 0
         self.compile_time_s = 0.0
         self.alpha_interned = 0
-        self.digest_migrations = 0
 
     def __len__(self) -> int:
         return len(self._plans)
@@ -161,20 +75,7 @@ class PlanCache:
     def max_plans(self) -> Optional[int]:
         return self._max_plans
 
-    @property
-    def disk_path(self) -> Optional[str]:
-        return self._disk.path if self._disk is not None else None
-
     # -- the LRU core --------------------------------------------------------
-
-    def _lookup(self, digest: str) -> Optional[Any]:
-        plan = self._plans.get(digest)
-        if plan is not None:
-            self._plans.move_to_end(digest)
-            self.hits += 1
-        else:
-            self.misses += 1
-        return plan
 
     def _store(self, digest: str, plan: Any) -> None:
         self._plans[digest] = plan
@@ -186,6 +87,31 @@ class PlanCache:
             self.evictions += 1
             if self._on_evict is not None:
                 self._on_evict(evicted)
+
+    def _get_or_compile(
+        self,
+        digest: str,
+        is_verbatim: Callable[[Any], bool],
+        compile_plan: Callable[[], Any],
+    ) -> Tuple[Any, bool]:
+        """The plan under ``digest``, compiling and storing it on a miss.
+
+        ``is_verbatim`` tells a hit on the very sources apart from one on
+        an alpha-equivalent variant (counted in ``alpha_interned``).
+        """
+        plan = self._plans.get(digest)
+        if plan is not None:
+            self._plans.move_to_end(digest)
+            self.hits += 1
+            if not is_verbatim(plan):
+                self.alpha_interned += 1
+            return plan, True
+        self.misses += 1
+        started = time.perf_counter()
+        plan = compile_plan()
+        self.compile_time_s += time.perf_counter() - started
+        self._store(digest, plan)
+        return plan, False
 
     @staticmethod
     def _domain_shape(domain: Optional[Mapping[str, Iterable[Any]]]) -> Tuple[str, ...]:
@@ -204,27 +130,11 @@ class PlanCache:
         """
         shape = self._domain_shape(domain)
         digest = formula_digest(formula, domain_shape=shape)
-        plan = self._lookup(digest)
-        if plan is not None:
-            if plan.source != formula:
-                self.alpha_interned += 1
-            return plan, True
-        plan = self._disk_load(digest, CompiledPlan)
-        if plan is None:
-            plan = self._migrate(
-                digest, legacy_formula_digest(formula, shape), CompiledPlan
-            )
-        if plan is not None:
-            if plan.source != formula:
-                self.alpha_interned += 1
-            self._store(digest, plan)
-            return plan, True
-        started = time.perf_counter()
-        plan = CompiledPlan(formula, digest=digest, domain_shape=shape)
-        self.compile_time_s += time.perf_counter() - started
-        self._store(digest, plan)
-        self._disk_store(digest, plan)
-        return plan, False
+        return self._get_or_compile(
+            digest,
+            lambda plan: plan.source == formula,
+            lambda: CompiledPlan(formula, digest=digest, domain_shape=shape),
+        )
 
     def get_spec(
         self,
@@ -239,85 +149,26 @@ class PlanCache:
         items = [(name, formula) for name, formula in items]
         shape = self._domain_shape(domain)
         digest = spec_digest(items, domain_shape=shape)
-        plan = self._lookup(digest)
-        if plan is not None:
-            if plan.sources != tuple(items):
-                self.alpha_interned += 1
-            return plan, True
-        plan = self._disk_load(digest, SpecPlan)
-        if plan is None:
-            plan = self._migrate(
-                digest, legacy_spec_digest(items, shape), SpecPlan
-            )
-        if plan is not None:
-            if plan.sources != tuple(items):
-                self.alpha_interned += 1
-            self._store(digest, plan)
-            return plan, True
-        started = time.perf_counter()
-        plan = SpecPlan(items, digest=digest, domain_shape=shape)
-        self.compile_time_s += time.perf_counter() - started
-        self._store(digest, plan)
-        self._disk_store(digest, plan)
-        return plan, False
-
-    # -- the persistent layer -------------------------------------------------
-
-    def _disk_load(self, digest: str, expected_type: type) -> Optional[Any]:
-        if self._disk is None:
-            return None
-        plan = self._disk.load(digest)
-        if not isinstance(plan, expected_type) or plan.digest != digest:
-            return None  # hash-named file holding something else: miss
-        self.disk_hits += 1
-        return plan
-
-    def _disk_store(self, digest: str, plan: Any) -> None:
-        if self._disk is not None and self._disk.store(digest, plan):
-            self.disk_writes += 1
-
-    def _migrate(
-        self, digest: str, legacy_digest: str, expected_type: type
-    ) -> Optional[Any]:
-        """Adopt a disk entry written under the pre-alpha digest.
-
-        A store populated before alpha-interning keyed this plan by its
-        verbatim repr; re-key it under the alpha-invariant digest (safe:
-        renamed binders always enumerate the name-independent default
-        universe, so any member of the alpha class answers for all) and
-        rewrite it so the next process finds it directly.
-        """
-        if self._disk is None or legacy_digest == digest:
-            return None
-        plan = self._disk_load(legacy_digest, expected_type)
-        if plan is None:
-            return None
-        plan.digest = digest
-        self._disk_store(digest, plan)
-        self.digest_migrations += 1
-        return plan
+        return self._get_or_compile(
+            digest,
+            lambda plan: plan.sources == tuple(items),
+            lambda: SpecPlan(items, digest=digest, domain_shape=shape),
+        )
 
     # -- maintenance ---------------------------------------------------------
 
     def clear(self) -> None:
-        """Drop every in-memory plan and reset the statistics counters.
-
-        The on-disk store is *not* purged — persistence across
-        processes/runs is its purpose; delete the directory to cold-start.
-        """
+        """Drop every plan and reset the statistics counters."""
         self._plans.clear()
         self.hits = 0
         self.misses = 0
         self.evictions = 0
-        self.disk_hits = 0
-        self.disk_writes = 0
         self.compile_time_s = 0.0
         self.alpha_interned = 0
-        self.digest_migrations = 0
 
     def statistics(self) -> Dict[str, Any]:
         """Counters reported on compiled-engine results."""
-        stats = {
+        return {
             "plan_cache_size": len(self._plans),
             "plan_cache_capacity": self._max_plans,
             "plan_cache_hits": self.hits,
@@ -325,10 +176,4 @@ class PlanCache:
             "plan_cache_evictions": self.evictions,
             "plan_compile_time_s": self.compile_time_s,
             "plan_alpha_interned": self.alpha_interned,
-            "plan_digest_migrations": self.digest_migrations,
         }
-        if self._disk is not None:
-            stats["plan_cache_dir"] = self._disk.path
-            stats["plan_disk_hits"] = self.disk_hits
-            stats["plan_disk_writes"] = self.disk_writes
-        return stats

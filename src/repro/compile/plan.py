@@ -46,8 +46,12 @@ def formula_digest(formula: Formula, domain_shape: Tuple[str, ...] = ()) -> str:
 def legacy_formula_digest(
     formula: Formula, domain_shape: Tuple[str, ...] = ()
 ) -> str:
-    """The pre-alpha digest (verbatim repr) — kept so a persistent plan
-    store written before alpha-interning can be migrated on first touch."""
+    """The verbatim-repr digest of a formula (plus domain shape).
+
+    Keys plans built by direct construction (``domain_shape=None``), which
+    compile the formula verbatim: alpha-equivalent plans built that way
+    may bind *different* explicit domains, so they must not share a key.
+    """
     payload = repr(formula) + "\x00" + "\x00".join(domain_shape)
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 

@@ -67,7 +67,12 @@ def spec_digest(
 def legacy_spec_digest(
     items: Sequence[Tuple[str, Formula]], domain_shape: Tuple[str, ...] = ()
 ) -> str:
-    """The pre-alpha digest (verbatim reprs), kept for disk-store migration."""
+    """The verbatim-repr digest of a clause sequence (plus domain shape).
+
+    Keys spec plans built by direct construction (``domain_shape=None``),
+    which compile their clauses verbatim; see
+    :func:`~repro.compile.plan.legacy_formula_digest`.
+    """
     payload = "\x00".join(f"{name}\x1f{formula!r}" for name, formula in items)
     payload += "\x00\x00" + "\x00".join(domain_shape)
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()

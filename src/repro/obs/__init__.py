@@ -8,7 +8,6 @@ Legacy surface                                  repro.obs replacement
 ==============================================  ==================================
 ``Session.cache_statistics()``                  ``Session.metrics_snapshot()``
                                                 (``repro_plan_cache_*`` series)
-``Session.last_parallel_cache_stats``           worker registries merged on join
 ``Monitor.step_costs`` / ``last_step_cost``     ``serve_step_cost`` histogram
 ``StreamRegistry.service_snapshot()`` counters  ``serve_*`` labelled series
 ``PlanStats`` per-state counters                ``PlanProfiler`` kind attribution

@@ -13,7 +13,7 @@ the monitored systems produce them.  The pieces:
   :class:`~repro.serve.streams.StreamRegistry`: monitors, MVCC-style
   published snapshots, verdict-change alerts;
 - :mod:`~repro.serve.shard` / :mod:`~repro.serve.worker` — consistent-hash
-  sharding over worker processes with a shared on-disk plan cache;
+  sharding over worker processes, each with its own warm plan cache;
 - :mod:`~repro.serve.service` — the asyncio socket front end;
 - :mod:`~repro.serve.client` — an asyncio client and the load generator;
 - :mod:`~repro.serve.replay` — the regression corpus replayed through the

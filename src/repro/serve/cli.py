@@ -3,10 +3,10 @@
 Four subcommands::
 
     python -m repro.serve serve [--host H] [--port P] [--shards N]
-        [--plan-cache DIR] [--stat-window N] [--metrics-port P]
+        [--stat-window N] [--metrics-port P]
     python -m repro.serve loadgen [--host H] [--port P | --self-host [--shards N]]
         [--streams N] [--rate STATES_PER_SEC] [--fault-rate F]
-        [--batch B] [--seed S] [--connections C] [--plan-cache DIR]
+        [--batch B] [--seed S] [--connections C]
     python -m repro.serve replay [PATH ...] [--batch B]
     python -m repro.serve stats [--host H] [--port P] [--interval S] [--json]
 
@@ -45,9 +45,6 @@ def _build_parser() -> argparse.ArgumentParser:
     serve_cmd.add_argument("--shards", type=int, default=0,
                            help="shard streams over N worker processes "
                                 "(0/1: one in-process registry)")
-    serve_cmd.add_argument("--plan-cache", default=None, metavar="DIR",
-                           help="persistent digest-addressed plan cache "
-                                "(defaults to $REPRO_PLAN_CACHE)")
     serve_cmd.add_argument("--stat-window", type=int, default=256,
                            help="per-stream bounded stats window")
     serve_cmd.add_argument("--metrics-port", type=int, default=None, metavar="P",
@@ -68,8 +65,6 @@ def _build_parser() -> argparse.ArgumentParser:
                           help="states per append frame")
     load_cmd.add_argument("--seed", type=int, default=0)
     load_cmd.add_argument("--connections", type=int, default=4)
-    load_cmd.add_argument("--plan-cache", default=None, metavar="DIR",
-                          help="plan cache for --self-host")
 
     replay_cmd = commands.add_parser(
         "replay", help="replay the corpus through the wire protocol"
@@ -96,11 +91,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_serve(args: argparse.Namespace) -> int:
     from .service import MonitorService
 
-    service = MonitorService(
-        shards=args.shards,
-        plan_cache_dir=args.plan_cache,
-        stat_window=args.stat_window,
-    )
+    service = MonitorService(shards=args.shards, stat_window=args.stat_window)
 
     async def _run() -> None:
         if args.metrics_port is not None:
@@ -128,9 +119,7 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
         host, port = args.host, args.port
         try:
             if args.self_host:
-                service = MonitorService(
-                    shards=args.shards, plan_cache_dir=args.plan_cache
-                )
+                service = MonitorService(shards=args.shards)
                 host, port = await service.start(args.host, 0)
                 backend = (
                     f"{args.shards} shards" if args.shards > 1

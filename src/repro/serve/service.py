@@ -39,21 +39,18 @@ class MonitorService:
     def __init__(
         self,
         shards: int = 0,
-        plan_cache_dir: Optional[str] = None,
         stat_window: int = 256,
         session=None,
     ) -> None:
         self._pool: Optional[ShardPool] = None
         self._registry: Optional[StreamRegistry] = None
         if shards and shards > 1:
-            self._pool = ShardPool(
-                shards, plan_cache_dir=plan_cache_dir, stat_window=stat_window
-            )
+            self._pool = ShardPool(shards, stat_window=stat_window)
         else:
             if session is None:
                 from ..api.session import Session
 
-                session = Session(plan_cache_dir=plan_cache_dir)
+                session = Session()
             self._registry = StreamRegistry(
                 session=session, stat_window=stat_window
             )

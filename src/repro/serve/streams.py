@@ -6,8 +6,7 @@ and the corpus replay harness all push decoded request frames through
 :meth:`StreamRegistry.handle` and write back whatever response frames it
 returns.  One registry owns one :class:`~repro.api.session.Session`, so
 every stream opened on the same specification reuses one warm compiled
-plan (and, with a persistent plan-cache directory, plans compiled by any
-earlier process).
+plan.
 
 Each stream is an incremental :class:`~repro.checking.monitor.Monitor` —
 the multi-root ``SpecPlanState`` path with tail-aware memos — plus a

@@ -4,15 +4,14 @@ One :class:`ShardPool` owns ``n`` worker processes, each running
 :func:`shard_worker_main`: a plain loop over a ``multiprocessing`` pipe
 that applies request frames to a private :class:`~repro.serve.streams.
 StreamRegistry` (its own :class:`~repro.api.session.Session`, its own warm
-plan cache — give every worker the same persistent ``plan_cache_dir`` and
-only the first to see a specification ever compiles it).  The parent
-routes each frame by consistent hash on its stream id
-(:class:`~repro.serve.shard.HashRing`), ships frames **in batches** per
-worker (one pickle round-trip absorbs an arbitrary number of appends, so
-the pipe never becomes the bottleneck the per-frame latency would make
-it), and re-interleaves nothing: responses come back grouped per worker in
-submission order, which is exactly per-stream order — the only order the
-protocol promises.
+in-memory plan cache: each worker compiles a specification the first time
+one of its streams opens it).  The parent routes each frame by consistent
+hash on its stream id (:class:`~repro.serve.shard.HashRing`), ships frames
+**in batches** per worker (one pickle round-trip absorbs an arbitrary
+number of appends, so the pipe never becomes the bottleneck the per-frame
+latency would make it), and re-interleaves nothing: responses come back
+grouped per worker in submission order, which is exactly per-stream order
+— the only order the protocol promises.
 
 Stream-less frames fan out: a service-wide ``snapshot`` queries every
 worker and merges the aggregates, ``metrics`` merges every worker's
@@ -37,7 +36,6 @@ class WorkerConfig:
     """Everything a worker needs to build its registry (must pickle)."""
 
     worker_id: int
-    plan_cache_dir: Optional[str] = None
     stat_window: int = 256
     session_options: Dict[str, Any] = field(default_factory=dict)
 
@@ -61,9 +59,7 @@ def shard_worker_main(conn, config: WorkerConfig) -> None:
     from ..api.session import Session
     from .streams import StreamRegistry
 
-    session = Session(
-        plan_cache_dir=config.plan_cache_dir, **config.session_options
-    )
+    session = Session(**config.session_options)
     registry = StreamRegistry(
         session=session,
         stat_window=config.stat_window,
@@ -133,7 +129,6 @@ class ShardPool:
     def __init__(
         self,
         shards: int,
-        plan_cache_dir: Optional[str] = None,
         stat_window: int = 256,
         replicas: int = DEFAULT_REPLICAS,
         context: Optional[str] = None,
@@ -149,11 +144,7 @@ class ShardPool:
         self._closed = False
         for worker_id in range(shards):
             parent_conn, child_conn = ctx.Pipe()
-            config = WorkerConfig(
-                worker_id=worker_id,
-                plan_cache_dir=plan_cache_dir,
-                stat_window=stat_window,
-            )
+            config = WorkerConfig(worker_id=worker_id, stat_window=stat_window)
             process = ctx.Process(
                 target=shard_worker_main,
                 args=(child_conn, config),

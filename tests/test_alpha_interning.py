@@ -11,24 +11,30 @@ stream's history.  This module pins both halves:
 - ``formula_digest`` / ``spec_digest`` are alpha-invariant, stable across
   pretty-print round-trips, and still separate structurally different
   formulas;
-- the plan cache interns alpha classes (memory and disk, including the
-  legacy-digest migration path for stores written before interning);
+- the plan cache interns alpha classes (single- and multi-root plans);
+- as a property over generated ``rich``-fragment formulas and traces,
+  consistently renaming ``forall`` binders keeps the digest, the interned
+  plan and every verdict of the ``trace`` and ``compiled`` engines;
 - pooled plan states are isolated: release/reacquire yields a state that
   answers exactly like a freshly lowered one, and concurrent monitors of
   one family never share memo contents.
 """
 
+import random
 import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.api.session import Session
 from repro.compile.cache import PlanCache
 from repro.compile.normalize import alpha_canonical
 from repro.compile.plan import formula_digest, legacy_formula_digest
 from repro.compile.specplan import legacy_spec_digest, spec_digest
+from repro.gen.generators import ScenarioProfile, gen_formula, gen_trace
 from repro.specs import unreliable_queue_spec
 from repro.syntax import parse_formula, to_ascii
+from repro.syntax.formulas import Forall
 from repro.syntax.builder import (
     after_op,
     at_op,
@@ -195,28 +201,67 @@ class TestCacheInterning:
         assert plan1 is plan2
         assert cache.alpha_interned == 1
 
-    def test_legacy_disk_entries_migrate(self, tmp_path):
-        # A store written before alpha-interning keys plans by verbatim
-        # repr; the first alpha-aware lookup adopts and re-keys it.
-        f = fifo_clauses("a", "b")["order"]
-        writer = PlanCache(disk_path=str(tmp_path))
-        plan, _ = writer.get(f)
-        legacy = legacy_formula_digest(f, ())
-        plan.digest = legacy
-        writer._disk_store(legacy, plan)
 
-        reader = PlanCache(disk_path=str(tmp_path))
-        # Drop the alpha-keyed file so only the legacy entry remains.
-        (tmp_path / f"{formula_digest(f)}.plan").unlink()
-        loaded, from_cache = reader.get(f)
-        assert from_cache
-        assert reader.digest_migrations == 1
-        assert loaded.digest == formula_digest(f)
-        # The migrated entry was rewritten under the new digest: the next
-        # process finds it directly.
-        follower = PlanCache(disk_path=str(tmp_path))
-        _, again = follower.get(f)
-        assert again and follower.digest_migrations == 0
+PROFILE = ScenarioProfile()
+
+#: Consistent renamings of the profile's logical variables — fresh names,
+#: and a swap.  Generated formulas mention logical variables only under
+#: their ``forall`` binders (and never shadow one), so each is an
+#: alpha-renaming.
+RENAMINGS = ({"a": "m", "b": "n"}, {"a": "b", "b": "a"})
+
+
+def renamed_case(seed, mapping):
+    """A generated formula, its renamed twin and three traces to check."""
+    rng = random.Random(seed)
+    name = rng.choice(PROFILE.logical_vars)
+    # One outer binder at least, so every renaming changes the formula.
+    body = gen_formula(
+        rng, PROFILE, size=rng.randint(2, 9), fragment="rich", bound_vars=(name,)
+    )
+    formula = Forall((name,), body)
+    traces = [gen_trace(rng, PROFILE) for _ in range(3)]
+    return formula, rename_binders(formula, mapping), traces
+
+
+def outcome(result):
+    """Verdict plus captured error class (messages may name the binder)."""
+    error = result.error.split(":", 1)[0] if result.error else None
+    return result.verdict, error
+
+
+class TestAlphaRenamingProperty:
+    """Renaming ``forall`` binders is invisible: no domain is given, so
+    every binder canonicalizes and the renamed formula must share the
+    original's digest, plan and verdicts."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from(RENAMINGS))
+    def test_renaming_keeps_digest_plan_and_verdicts(self, seed, mapping):
+        formula, renamed, traces = renamed_case(seed, mapping)
+        assert renamed != formula
+        assert formula_digest(renamed) == formula_digest(formula)
+
+        cache = PlanCache()
+        plan, from_cache = cache.get(formula)
+        interned = cache.alpha_interned
+        shared, shared_from_cache = cache.get(renamed)
+        assert not from_cache and shared_from_cache
+        assert shared is plan
+        assert cache.alpha_interned == interned + 1
+
+        session = Session()
+        for trace in traces:
+            for mode in ("trace", "compiled"):
+                original = session.check(
+                    formula, trace=trace, mode=mode, capture_errors=True
+                )
+                variant = session.check(
+                    renamed, trace=trace, mode=mode, capture_errors=True
+                )
+                assert outcome(variant) == outcome(original), (
+                    mode, to_ascii(formula), to_ascii(renamed)
+                )
 
 
 def queue_states():
@@ -370,12 +415,5 @@ class TestSessionMetrics:
             for row in snapshot["repro_plan_state_pool_total"]["series"]
         }
         assert pool[("hit",)] == 1
-        gauges = {
-            name: snapshot[name]["series"][0]["value"]
-            for name in (
-                "repro_plan_alpha_interned",
-                "repro_plan_digest_migrations",
-            )
-        }
-        assert gauges["repro_plan_alpha_interned"] >= 1
-        assert gauges["repro_plan_digest_migrations"] == 0
+        alpha = snapshot["repro_plan_alpha_interned"]["series"][0]["value"]
+        assert alpha >= 1

@@ -4,10 +4,8 @@ Covers the acceptance criteria of the façade redesign: one
 ``Session.check``/``check_many`` call path reaching all five engines with
 the unified ``CheckResult``, conformance-campaign verdicts identical to the
 pre-façade ``Specification.check`` loop, the memo-key and bind-next
-satellites, and the deprecation shims.
+satellites, and the historical entry points agreeing with the façade.
 """
-
-import warnings
 
 import pytest
 
@@ -18,7 +16,6 @@ from repro.api import (
     Session,
     check,
     coerce_formula,
-    legacy,
 )
 from repro.checking import ConformanceCase, run_conformance
 from repro.core.bounded_checker import is_bounded_valid
@@ -26,8 +23,10 @@ from repro.core.valid_formulas import get
 from repro.errors import EvaluationError
 from repro.lll.semantics import is_satisfiable_bounded
 from repro.lll.syntax import LChop, LTrueStar, LVar
+from repro.ltl.decision import is_valid
 from repro.ltl.syntax import LProp, Sometime
 from repro.semantics import Evaluator, make_trace
+from repro.semantics.evaluator import satisfies
 from repro.semantics.trace import INFINITY
 from repro.specs import sender_spec, service_provided_spec
 from repro.syntax import parse_formula
@@ -463,57 +462,21 @@ class TestParallelParity:
 
 
 class TestLegacyShims:
-    def test_every_entry_point_resolves_and_warns(self):
-        for name in legacy.__all__:
-            legacy._warned.discard(name)
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                attribute = getattr(legacy, name)
-            assert attribute is not None
-            assert any(issubclass(w.category, DeprecationWarning) for w in caught), name
-
-    def test_each_entry_point_warns_exactly_once(self):
-        for name in legacy.__all__:
-            legacy._warned.discard(name)
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                first = getattr(legacy, name)
-                second = getattr(legacy, name)
-            assert first is second
-            deprecations = [w for w in caught
-                            if issubclass(w.category, DeprecationWarning)]
-            assert len(deprecations) == 1, name
-            assert name in str(deprecations[0].message)
-
-    def test_shims_forward_the_defining_module_objects(self):
-        from importlib import import_module
-
-        from repro.api.legacy import _ENTRY_POINTS
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            for name, (module_name, attribute, _) in _ENTRY_POINTS.items():
-                assert getattr(legacy, name) is \
-                    getattr(import_module(module_name), attribute), name
+    """The historical entry points, at their defining modules."""
 
     def test_shimmed_entry_points_still_work(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            assert legacy.satisfies(make_trace(ROWS), parse_formula("<> x == 2"))
-            assert legacy.is_bounded_valid(parse_formula("<> p -> <> p"),
-                                           max_length=2).valid
-            assert legacy.is_valid(Sometime(LProp("p"))) is False
+        assert satisfies(make_trace(ROWS), parse_formula("<> x == 2"))
+        assert is_bounded_valid(parse_formula("<> p -> <> p"), max_length=2).valid
+        assert is_valid(Sometime(LProp("p"))) is False
 
     def test_shim_verdicts_match_the_facade(self):
         trace = make_trace(ROWS)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            for text in ("<> x == 2", "[] x == 1", "<> p"):
-                shim = legacy.satisfies(trace, parse_formula(text))
-                facade = Session().check(text, trace=trace)
-                assert shim == facade.verdict
-            shim_bounded = legacy.is_bounded_valid(parse_formula("<> p -> <> p"),
-                                                   max_length=2)
-            facade_bounded = Session().check("<> p -> <> p", mode="bounded",
-                                             max_length=2)
-            assert shim_bounded.valid == facade_bounded.verdict
+        for text in ("<> x == 2", "[] x == 1", "<> p"):
+            direct = satisfies(trace, parse_formula(text))
+            facade = Session().check(text, trace=trace)
+            assert direct == facade.verdict
+        direct_bounded = is_bounded_valid(parse_formula("<> p -> <> p"),
+                                          max_length=2)
+        facade_bounded = Session().check("<> p -> <> p", mode="bounded",
+                                         max_length=2)
+        assert direct_bounded.valid == facade_bounded.verdict

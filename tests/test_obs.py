@@ -10,10 +10,9 @@ Covers the observability tentpole's acceptance behaviours:
   parity against an unprofiled run;
 - :class:`StatWindow` ``percentile``/``merge`` with the chunked-compaction
   edge cases, the lifetime ``total_count`` invariant in particular;
-- ``Session.cache_statistics()`` always carrying the disk-cache keys and
-  ``Session.metrics_snapshot()`` reflecting check traffic;
-- worker-registry merge determinism under ``check_many(processes=N)``
-  (with ``last_parallel_cache_stats`` still intact);
+- ``Session.metrics_snapshot()`` reflecting check traffic;
+- worker-registry merge determinism under ``check_many(processes=N)``, and
+  the counted (and still warned) fall-back to in-process execution;
 - the serve ``metrics`` frame — in-process, over the asyncio socket, and
   aggregated across a :class:`ShardPool` — plus the framing counters the
   ``FrameDecoder`` now surfaces.
@@ -21,6 +20,7 @@ Covers the observability tentpole's acceptance behaviours:
 
 import asyncio
 import json
+import warnings
 
 import pytest
 
@@ -49,6 +49,10 @@ from repro.syntax import parse_formula
 
 
 ROWS = [{"x": 1, "p": False}, {"x": 2, "p": True}, {"x": 3, "p": True}]
+
+#: Pickle finds functions by qualified name, and a module-level lambda has
+#: none it can look up: a request carrying it cannot ship to a worker.
+UNPICKLABLE = lambda value: value  # noqa: E731
 
 
 class TestRegistry:
@@ -400,11 +404,6 @@ class TestStatWindow:
 
 
 class TestSessionMetrics:
-    def test_cache_statistics_always_has_disk_keys(self):
-        stats = Session().cache_statistics()
-        assert stats["plan_disk_writes"] == 0
-        assert stats["plan_disk_hits"] == 0
-
     def test_metrics_snapshot_reflects_checks(self):
         session = Session()
         trace = make_trace(ROWS)
@@ -452,10 +451,10 @@ class TestWorkerMergeDeterminism:
             for index in range(count)
         ]
 
-    def test_parallel_merge_totals_and_stability(self, tmp_path):
+    def test_parallel_merge_totals_and_stability(self):
         totals = []
         for _ in range(2):
-            session = Session(plan_cache_dir=str(tmp_path))
+            session = Session()
             session.check_many(self.requests(6), processes=2, chunk_size=2)
             snap = session.metrics_snapshot()
             totals.append(
@@ -463,13 +462,29 @@ class TestWorkerMergeDeterminism:
             )
             chunks = snap["repro_parallel_chunks_total"]["series"][0]["value"]
             assert chunks == 3
-            # The legacy side channel keeps working alongside the merge.
-            stats = session.last_parallel_cache_stats
-            assert isinstance(stats, list) and len(stats) == 3
-            assert all("plan_disk_writes" in s and "plan_disk_hits" in s
-                       for s in stats)
         # Fan-out order cannot change the merged totals.
         assert totals == [6, 6]
+
+    def test_fallback_to_serial_is_counted_by_reason(self):
+        # A lambda in ``env`` cannot be pickled to a worker, so the fan-out
+        # falls back to running the batch in-process.
+        requests = [
+            request.with_options(env={"scale": UNPICKLABLE})
+            for request in self.requests(4)
+        ]
+        session = Session()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            fanned = session.check_many(requests, processes=2)
+        serial = Session().check_many(requests)
+        assert [r.verdict for r in fanned] == [r.verdict for r in serial]
+        fallbacks = [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert len(fallbacks) == 1
+        series = session.metrics_snapshot()["repro_parallel_fallbacks_total"]["series"]
+        assert sum(row["value"] for row in series) == 1
+        assert {tuple(row["labels"]): row["value"] for row in series} == {
+            ("PicklingError",): 1
+        }
 
 
 class TestServeMetrics:

@@ -15,8 +15,6 @@ and single-state appends produce.  This harness pins that:
 - the serve registry's same-stream coalescing answers byte-identical
   response and snapshot sequences to frame-at-a-time dispatch, including
   mid-group verdict flips and malformed frames;
-- warm parallel workers load every compiled plan from the persistent
-  store (``plan_disk_hits``) with zero recompiles;
 - a fixed-seed quantified mini-fuzz keeps the whole engine family in
   agreement.
 """
@@ -258,31 +256,6 @@ class TestServeCoalescing:
         ]
         grouped = coalesced.handle_batch(copy.deepcopy(frames))
         assert grouped == sequential
-
-
-class TestWarmParallelPlanCache:
-    def test_workers_load_plans_from_disk_with_zero_recompiles(self, tmp_path):
-        trace = reliable_queue_trace()
-        requests = [
-            CheckRequest(
-                clause.interpreted_formula(),
-                trace=trace,
-                compile=True,
-                capture_errors=True,
-                label=clause.name,
-            )
-            for clause in reliable_queue_spec().clauses
-        ] * 4
-        session = Session(plan_cache_dir=str(tmp_path))
-        fanned = session.check_many(requests, processes=2)
-        serial = Session().check_many(requests)
-        assert [r.verdict for r in fanned] == [r.verdict for r in serial]
-        stats = session.last_parallel_cache_stats
-        assert stats, "parallel fan-out must report worker cache statistics"
-        for worker_stats in stats:
-            assert worker_stats["plan_disk_hits"] > 0
-            assert worker_stats["plan_cache_misses"] == worker_stats["plan_disk_hits"]
-            assert worker_stats["plan_compile_time_s"] == 0.0
 
 
 class TestQuantifiedMiniFuzz:

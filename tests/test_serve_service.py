@@ -9,14 +9,13 @@ Covers the serving tentpole's acceptance behaviours end to end:
 - version-stamped MVCC snapshots that never re-evaluate;
 - protocol error frames for every semantic failure, with the stream (and
   connection) surviving;
-- the digest-addressed on-disk plan cache warming fresh sessions;
+- streams on one specification sharing one compiled plan;
 - bounded monitor statistics (the :class:`StatWindow` regression) and
   batched absorption parity;
 - the asyncio socket front end and the consistent-hash shard pool.
 """
 
 import asyncio
-import os
 
 import pytest
 
@@ -182,28 +181,6 @@ class TestPlanCacheSharing:
         plan_a = registry.stream("a").monitor.plan
         plan_b = registry.stream("b").monitor.plan
         assert plan_a is plan_b
-
-    def test_disk_cache_warms_fresh_sessions(self, tmp_path):
-        cache_dir = str(tmp_path / "plans")
-        formulas = {"safe": parse_formula("[] p")}
-        first = Session(plan_cache_dir=cache_dir)
-        cold = first.monitor(formulas)
-        assert cold.plan_from_cache is False
-        assert first.cache_statistics()["plan_disk_writes"] >= 1
-        assert os.listdir(cache_dir)
-        # A brand-new process-equivalent: fresh session, same directory.
-        second = Session(plan_cache_dir=cache_dir)
-        warm = second.monitor(formulas)
-        assert warm.plan_from_cache is True
-        assert second.cache_statistics()["plan_disk_hits"] >= 1
-        # Warm and cold plans answer identically.
-        for state in ({"p": True}, {"p": False}):
-            from repro.semantics.state import State
-
-            cold.observe(State(state))
-            warm.observe(State(state))
-        assert {n: v.holds for n, v in cold.verdicts.items()} == \
-               {n: v.holds for n, v in warm.verdicts.items()}
 
 
 class TestMonitorStatistics:
