@@ -408,10 +408,9 @@ class Monitor:
         """
         if not states:
             return dict(self._verdicts)
-        for state in states:
-            if not isinstance(state, State):
-                state = State(state)
-            self._prefix.append(state)
+        self._prefix.extend(
+            [state if isinstance(state, State) else State(state) for state in states]
+        )
         before = self._state.stats.dispatch_calls
         self._state.note_append()
         self._refresh_verdicts(weight=commits)

@@ -23,7 +23,10 @@ Incremental monitoring
 
 ``PlanState(..., incremental=True)`` evaluates over a
 :class:`GrowingPrefix` — the paper's finite-computation convention on a
-prefix that gains one state per :meth:`GrowingPrefix.append`.  During
+prefix that gains a window of states per :meth:`GrowingPrefix.extend`.  The
+prefix is column-only: each window is encoded once, columnwise, into the
+dictionary-encoded columns the bitset kernel reads, and no ``State`` rows
+are kept (row views are rebuilt from the columns on demand).  During
 evaluation the runtime tracks, per memo entry, whether the verdict
 depended on the *tail* of the computation (a stuttered position beyond the
 last concrete state, the exhaustion of an infinite suffix enumeration, a
@@ -38,7 +41,7 @@ one appended state cost amortized O(changed work) instead of O(prefix).
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Tuple, Union
+from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 from ..errors import EvaluationError, TraceError
 from ..semantics.columns import IncrementalColumnStore
@@ -91,67 +94,56 @@ _MISS = object()
 
 
 class GrowingPrefix:
-    """A stutter-extended state prefix supporting O(1) appends.
+    """A stutter-extended state prefix held as columns only.
 
     Implements the position protocol of :class:`repro.semantics.trace.Trace`
     specialized to the paper's finite-computation convention
-    (``loop_start == length``, period 1), without rebuilding the state list
-    on every appended state the way ``Trace(list(states))`` would.
+    (``loop_start == length``, period 1).  Each appended window is encoded
+    once, column by column, into an
+    :class:`~repro.semantics.columns.IncrementalColumnStore` (``__start__``
+    marked there), and its ``State`` objects are dropped.  :meth:`state_at`
+    and :meth:`states` answer with row views rebuilt from the columns and
+    cached per position, as ``Trace`` does.
     """
 
-    __slots__ = (
-        "_states",
-        "_universe",
-        "_universe_seen",
-        "_universe_built_to",
-        "_column_store",
-    )
+    __slots__ = ("columns", "_rows")
 
     def __init__(self) -> None:
-        self._states: List[State] = []
-        self._universe: List[Any] = []
-        # Companion set for O(1) membership on hashable values; the list
-        # keeps the deterministic observation order Trace.value_universe has.
-        self._universe_seen: set = set()
-        # Universe maintenance is lazy (cursor catch-up on value_universe):
-        # plans with no quantifier never pay for it.
-        self._universe_built_to = 0
-        # Lazy incremental column store (built on first `columns` access,
-        # then caught up per append): the tail-window kernel's substrate.
-        self._column_store: Optional[IncrementalColumnStore] = None
+        #: The prefix's dictionary-encoded columns: the substrate the
+        #: tail-window :class:`~repro.compile.vector.TailKernel` extends its
+        #: truth profiles over.
+        self.columns = IncrementalColumnStore()
+        self._rows: Dict[int, State] = {}
 
     def append(self, state: State) -> None:
-        if not isinstance(state, State):
-            raise TraceError(
-                f"trace element {len(self._states)} is not a State: "
-                f"{type(state).__name__}"
-            )
-        if not self._states:
-            values = dict(state.values_map)
-            values["__start__"] = True
-            state = State(values, state.operations)
-        elif "__start__" not in state:
-            values = dict(state.values_map)
-            values["__start__"] = False
-            state = State(values, state.operations)
-        self._states.append(state)
+        self.extend((state,))
+
+    def extend(self, states: Sequence[State]) -> None:
+        """Append a window of states, encoded in one pass per column."""
+        for index, state in enumerate(states):
+            if not isinstance(state, State):
+                raise TraceError(
+                    f"trace element {self.length + index} is not a State: "
+                    f"{type(state).__name__}"
+                )
+        self.columns.absorb(states)
 
     # -- Trace position protocol --------------------------------------------
 
     @property
     def length(self) -> int:
-        return len(self._states)
+        return self.columns.length
 
     @property
     def loop_start(self) -> int:
-        return len(self._states)
+        return self.columns.length
 
     @property
     def period(self) -> int:
         return 1
 
     def states(self) -> Tuple[State, ...]:
-        return tuple(self._states)
+        return tuple(self.state_at(pos) for pos in range(1, self.length + 1))
 
     def canonical(self, position: Position) -> int:
         if position == INFINITY:
@@ -159,11 +151,18 @@ class GrowingPrefix:
         pos = int(position)
         if pos < 1:
             raise TraceError(f"positions are 1-based, got {pos}")
-        n = len(self._states)
+        n = self.columns.length
         return pos if pos <= n else n
 
     def state_at(self, position: Position) -> State:
-        return self._states[self.canonical(position) - 1]
+        index = self.canonical(position) - 1
+        row = self._rows.get(index)
+        if row is None:
+            store = self.columns
+            row = self._rows[index] = State(
+                store.state_values(index), store.state_operations(index)
+            )
+        return row
 
     def suffix_representatives(self, start: Position, end: Position) -> List[int]:
         if start == INFINITY:
@@ -171,7 +170,7 @@ class GrowingPrefix:
         lo = int(start)
         if end != INFINITY:
             return list(range(lo, int(end) + 1))
-        n = len(self._states)
+        n = self.columns.length
         if lo >= n:
             return [lo]
         return list(range(lo, n + 1))
@@ -179,61 +178,24 @@ class GrowingPrefix:
     def scan_bound(self, start: Position, end: Position) -> int:
         if end != INFINITY:
             return int(end)
-        return max(int(start), len(self._states)) + 1
+        return max(int(start), self.columns.length) + 1
 
     def repeats_forever(self, position: Position) -> bool:
         if position == INFINITY:
             return True
-        return int(position) >= len(self._states)
+        return int(position) >= self.columns.length
 
     def value_universe(self) -> Tuple[Any, ...]:
-        states = self._states
-        built = self._universe_built_to
-        if built < len(states):
-            universe = self._universe
-            seen = self._universe_seen
-            for index in range(built, len(states)):
-                for value in states[index].observed_values():
-                    try:
-                        if value in seen:
-                            continue
-                        seen.add(value)
-                    except TypeError:
-                        if value in universe:  # unhashable: linear fallback
-                            continue
-                    universe.append(value)
-            self._universe_built_to = len(states)
-        return tuple(self._universe)
-
-    @property
-    def columns(self) -> IncrementalColumnStore:
-        """The prefix's dictionary-encoded columns, caught up to its length.
-
-        Built on first access (per-append absorption costs nothing until a
-        vectorized plan state actually reads columns), then extended one
-        state at a time — the substrate the tail-window
-        :class:`~repro.compile.vector.TailKernel` extends its truth
-        profiles over.
-        """
-        store = self._column_store
-        if store is None:
-            store = self._column_store = IncrementalColumnStore()
-        states = self._states
-        while store.length < len(states):
-            store.absorb(states[store.length])
-        return store
+        return self.columns.value_universe()
 
     def reset(self) -> None:
         """Forget every observed state (plan-state pool reuse).
 
-        Containers are cleared *in place*, never replaced — the lowered
-        closures and the tail kernel capture this exact object.
+        The prefix object itself survives — the lowered closures and the
+        tail kernel capture it — and only its columns and rows are dropped.
         """
-        self._states.clear()
-        self._universe.clear()
-        self._universe_seen.clear()
-        self._universe_built_to = 0
-        self._column_store = None
+        self.columns = IncrementalColumnStore()
+        self._rows.clear()
 
 
 class EventIndex:

@@ -338,10 +338,8 @@ class SpecPlanState:
         is what makes batched appends cheaper than repeated single-state
         :meth:`append` calls — verdicts afterwards are identical.
         """
-        trace = self._state.trace
-        for state in states:
-            trace.append(state)
         if states:
+            self._state.trace.extend(states)
             self._state.note_append(len(states))
 
     def note_append(self, count: int = 1) -> None:

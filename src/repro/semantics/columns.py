@@ -7,16 +7,18 @@ entry point", "which non-boolean values were ever observed".  Storing the
 trace row-major — one dict-backed :class:`~repro.semantics.state.State` per
 position — makes each of those questions an O(n) Python-object walk.
 
-One per-state encoder (:func:`_encode_state`) turns states column-major,
-for two stores:
+One window encoder (:meth:`_Store._encode`) turns a run of states
+column-major, one column at a time: each column's codes come from one list
+comprehension of dictionary lookups, and only values the column has not
+interned yet (or cannot hash) are interned one by one.  The same call pads
+the columns the window does not bind, marks the ``__start__`` column of the
+Init-clause ``start`` predicate (True at position 1, False where a state
+lacks it) and extends the observed value universe.  Two stores share it:
 
-* a :class:`ColumnStore` holds one static trace, built lazily in one pass
-  over its source states; the same pass collects the trace's observed value
-  universe (deduplicated through a set), and the ``__start__`` marking of
-  the Init-clause ``start`` predicate is done columnwise (one code write)
-  instead of rebuilding the first state;
-* an :class:`IncrementalColumnStore` holds a growing prefix, fed one state
-  at a time.
+* a :class:`ColumnStore` holds one static trace, encoded as one window;
+* an :class:`IncrementalColumnStore` holds a growing prefix, encoded one
+  appended window at a time — the incremental monitors keep no ``State``
+  rows, only these columns.
 
 Either way there is one :class:`Column` per state variable — a stdlib
 ``array`` of small integer codes into a per-column interned value list
@@ -37,7 +39,8 @@ the window holds, never a rebuild.
 from __future__ import annotations
 
 from array import array
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from itertools import chain
+from typing import Any, Dict, List, Optional, Sequence, Set, Tuple, Type
 
 from .state import OperationRecord, State
 
@@ -53,6 +56,9 @@ __all__ = [
 #: Code marking "this state does not bind the column's variable / operation".
 ABSENT = -1
 
+#: The fast lookup's answer for a value its column has not interned yet.
+_NEW = -2
+
 #: Columns with more distinct values than this, or whose per-code bitsets
 #: would take more bytes (codes · n/8), keep no bitsets: the memory stops
 #: paying for itself, and a comparison against a high-cardinality column is
@@ -63,81 +69,74 @@ _MAX_BITSET_CODES = 1024
 _MAX_BITSET_BYTES = 8_000_000
 
 
-def _intern(
-    value: Any,
-    values: List[Any],
-    code_of: Dict[Any, int],
-    unhashable: List[int],
-) -> int:
-    """The dictionary-encoding intern: one code per distinct value.
+class _Missing:
+    __slots__ = ()
 
-    Distinctness follows ``dict`` key semantics (``1``, ``1.0`` and ``True``
-    share a code — consistent with ``==`` everywhere the codes are compared);
-    unhashable values fall back to a linear scan over their own codes, the
-    same convention :class:`repro.compile.runtime.GrowingPrefix` uses for
-    its value universe.
+
+#: What a window reads for a variable (operation) a state does not bind;
+#: every intern table maps it to ``ABSENT``.
+_MISSING = _Missing()
+
+
+class _Universe:
+    """The distinct observed non-boolean values, in first-observation order.
+
+    Deduplication runs through a set, with a scan over the unhashable values
+    seen so far.  A comparison that raises during that scan is kept and
+    raised by :meth:`values` — never by the append that met the value.
     """
-    try:
-        code = code_of.get(value)
-    except TypeError:
-        for known in unhashable:
-            if values[known] == value:
-                return known
-        code = len(values)
-        values.append(value)
-        unhashable.append(code)
-        return code
-    if code is None:
-        code = len(values)
-        values.append(value)
-        code_of[value] = code
-    return code
 
+    __slots__ = ("_values", "_seen", "_unhashable", "_error")
 
-_Interns = Dict[str, Tuple[Dict[Any, int], List[int]]]
+    def __init__(
+        self, values: Sequence[Any] = (), error: Optional[Exception] = None
+    ) -> None:
+        self._values: List[Any] = list(values)
+        self._seen: Set[Any] = set()
+        self._unhashable: List[Any] = []
+        self._error = error
 
+    def observe(self, states: Sequence[State]) -> None:
+        if self._error is not None:
+            return
+        values, seen, unhashable = self._values, self._seen, self._unhashable
+        try:
+            for state in states:
+                for value in state.observed_values():
+                    try:
+                        if value in seen:
+                            continue
+                        seen.add(value)
+                    except TypeError:
+                        if value in unhashable:
+                            continue
+                        unhashable.append(value)
+                    values.append(value)
+        except Exception as exc:  # a value's __eq__ / __hash__ raised
+            self._error = exc
 
-def _encode_state(
-    state: State,
-    index: int,
-    columns: Dict[str, "Column"],
-    interns: _Interns,
-    op_columns: Dict[str, "OperationColumn"],
-    op_interns: _Interns,
-) -> None:
-    """Append state ``index`` to the columns.
-
-    Interns every value and operation record of the state; a name seen for
-    the first time opens a column ``ABSENT``-padded over the earlier
-    positions, and every column the state does not bind is padded.
-    """
-    for name, value in state.raw_values.items():
-        column = columns.get(name)
-        if column is None:
-            column = columns[name] = Column(name, prefix_length=index)
-            interns[name] = ({}, [])
-        code_of, unhashable = interns[name]
-        column.codes.append(_intern(value, column.values, code_of, unhashable))
-    for name, record in state.raw_operations.items():
-        op_column = op_columns.get(name)
-        if op_column is None:
-            op_column = op_columns[name] = OperationColumn(name, prefix_length=index)
-            op_interns[name] = ({}, [])
-        code_of, unhashable = op_interns[name]
-        op_column.codes.append(_intern(record, op_column.values, code_of, unhashable))
-    filled = index + 1
-    for column in columns.values():
-        if len(column.codes) < filled:
-            column.pad()
-    for op_column in op_columns.values():
-        if len(op_column.codes) < filled:
-            op_column.pad()
+    def values(self) -> Tuple[Any, ...]:
+        if self._error is not None:
+            raise self._error
+        return tuple(self._values)
 
 
 class _ColumnBase:
-    """Shared dictionary-encoded storage of one column."""
+    """Shared dictionary-encoded storage of one column.
 
-    __slots__ = ("name", "codes", "values", "missing", "_bits", "_bits_to")
+    Interning follows ``dict`` key semantics, except that booleans are
+    interned apart: ``1`` and ``1.0`` share a code, ``True`` gets its own.
+    A row rebuilt from the column must give back a value the default
+    quantification domain treats the same way — it leaves out booleans —
+    which ``True`` standing in for ``1`` would not.  Values that cannot be
+    hashed, or whose hash or comparison raises, fall back to a scan over
+    their own codes, where a comparison that raises counts as "different".
+    """
+
+    __slots__ = (
+        "name", "codes", "values", "missing", "_bits", "_bits_to",
+        "_hashed", "_bools", "_unhashable",
+    )
 
     def __init__(self, name: str, prefix_length: int = 0) -> None:
         self.name = name
@@ -146,6 +145,9 @@ class _ColumnBase:
         self.missing = prefix_length > 0
         self._bits: Optional[List[int]] = []
         self._bits_to = 0
+        self._hashed: Dict[Any, int] = {_MISSING: ABSENT}
+        self._bools: Dict[Any, int] = {_MISSING: ABSENT}
+        self._unhashable: List[int] = []
 
     def __len__(self) -> int:
         return len(self.codes)
@@ -157,10 +159,65 @@ class _ColumnBase:
             return False, None
         return True, self.values[code]
 
-    def pad(self) -> None:
-        """Mark the next position as not binding this column."""
-        self.codes.append(ABSENT)
+    def pad(self, count: int) -> None:
+        """Mark the next ``count`` positions as not binding this column."""
+        self.codes.extend(array("l", [ABSENT]) * count)
         self.missing = True
+
+    def encode(self, values: List[Any], new_at: Set[int]) -> None:
+        """Append the codes of a window's ``values`` (``_MISSING`` = absent).
+
+        One list comprehension of dictionary lookups, into the boolean
+        table when the window's values are all booleans and into the other
+        one when none is; values new to the column, unhashable ones and
+        windows mixing booleans with other values are interned one by one.
+        Window indexes that interned a new value are added to ``new_at``.
+        """
+        kinds = set(map(type, values))
+        if _Missing in kinds:
+            self.missing = True
+            kinds.discard(_Missing)
+        codes: Optional[List[int]] = None
+        if bool not in kinds or len(kinds) == 1:
+            get = (self._bools if bool in kinds else self._hashed).get
+            try:
+                codes = [get(value, _NEW) for value in values]
+            except Exception:  # unhashable, or a raising hash: one by one
+                pass
+        if codes is None:
+            codes = [_NEW] * len(values)
+        if _NEW in codes:
+            for j, code in enumerate(codes):
+                if code == _NEW:
+                    codes[j], new = self._intern(values[j])
+                    if new:
+                        new_at.add(j)
+        self.codes.fromlist(codes)
+
+    def _intern(self, value: Any) -> Tuple[int, bool]:
+        """``(code, new)`` of ``value``, appending it to ``values`` if new."""
+        values = self.values
+        table: Optional[Dict[Any, int]] = self._bools if type(value) is bool else self._hashed
+        try:
+            code = table.get(value)  # type: ignore[union-attr]
+        except Exception:  # unhashable, or a __hash__ / __eq__ that raises
+            table = None
+            for known in self._unhashable:
+                try:
+                    if values[known] is value or values[known] == value:
+                        return known, False
+                except Exception:
+                    continue
+            code = None
+        if code is not None:
+            return code, False
+        code = len(values)
+        values.append(value)
+        if table is None:
+            self._unhashable.append(code)
+        else:
+            table[value] = code
+        return code, True
 
     def code_bits(self, n: int) -> Optional[List[int]]:
         """Per-code position bitsets over (at least) the first ``n`` positions.
@@ -212,38 +269,78 @@ class OperationColumn(_ColumnBase):
     __slots__ = ()
 
 
-class IncrementalColumnStore:
-    """The column-major form of a *growing* state prefix, fed one state at
-    a time.
+def _encode_columns(
+    columns: Dict[str, Any],
+    kind: Type[_ColumnBase],
+    rows: List[Dict[str, Any]],
+    offset: int,
+    mark_start: bool,
+    new_at: Set[int],
+) -> None:
+    """Append one window of ``rows`` (name → value maps) to ``columns``.
 
-    The incremental monitors' :class:`~repro.compile.runtime.GrowingPrefix`
-    absorbs each appended state through the same encoder as
-    :class:`ColumnStore`, into the same :class:`Column` /
-    :class:`OperationColumn` objects (``ABSENT`` padding included).  The
-    columns' per-code bitsets extend lazily (:meth:`_ColumnBase.code_bits`),
-    so the bitset kernel (:class:`~repro.compile.vector.TailKernel`) reads
-    them after any number of absorbs and extends its truth profiles over
-    just the appended window.  No ``__start__`` marking happens here —
-    ``GrowingPrefix.append`` injects it into the state rows before they
-    arrive.
+    A name seen for the first time opens a column ``ABSENT``-padded over
+    the ``offset`` earlier positions; columns the window never binds are
+    padded.  With ``mark_start`` the ``__start__`` column is True at
+    position 1, False where a row lacks it and the row's value elsewhere.
     """
+    names = dict.fromkeys(chain.from_iterable(rows))
+    if mark_start:
+        names["__start__"] = None
+    for name in names:
+        column = columns.get(name)
+        if column is None:
+            column = columns[name] = kind(name, prefix_length=offset)
+        if mark_start and name == "__start__":
+            values = [row.get(name, False) for row in rows]
+            if not offset:
+                values[0] = True
+        else:
+            values = [row.get(name, _MISSING) for row in rows]
+        column.encode(values, new_at)
+    if len(names) < len(columns):
+        for name, column in columns.items():
+            if name not in names:
+                column.pad(len(rows))
 
-    __slots__ = ("length", "_columns", "_op_columns", "_interns", "_op_interns")
 
-    def __init__(self) -> None:
+class _Store:
+    """Columns of a state sequence, appended one window at a time."""
+
+    __slots__ = ("length", "_mark_start", "_columns", "_op_columns", "_universe")
+
+    def __init__(self, mark_start: bool) -> None:
         self.length = 0
+        self._mark_start = mark_start
         self._columns: Dict[str, Column] = {}
         self._op_columns: Dict[str, OperationColumn] = {}
-        self._interns: _Interns = {}
-        self._op_interns: _Interns = {}
+        self._universe = _Universe()
 
-    def absorb(self, state: State) -> None:
-        """Append one state's values/operations to every column (padded)."""
-        _encode_state(
-            state, self.length,
-            self._columns, self._interns, self._op_columns, self._op_interns,
+    def _encode(self, states: Sequence[State]) -> None:
+        """The window encoder: append ``states`` column by column.
+
+        The value universe is extended from the states that interned a new
+        value in some column — a value no column has seen before — in
+        position order, so it lists values exactly as a scan of every state
+        would: states in order, each state's values in its own key order,
+        then operation args and results.
+        """
+        if not states:
+            return
+        offset = self.length
+        new_at: Set[int] = set()
+        _encode_columns(
+            self._columns, Column, [state.raw_values for state in states],
+            offset, self._mark_start, new_at,
         )
-        self.length += 1
+        _encode_columns(
+            self._op_columns, OperationColumn, [state.raw_operations for state in states],
+            offset, False, new_at,
+        )
+        self.length = offset + len(states)
+        self._universe.observe([states[j] for j in sorted(new_at)])
+
+    # -- accessors -----------------------------------------------------------
 
     def column(self, name: str) -> Optional[Column]:
         return self._columns.get(name)
@@ -251,9 +348,58 @@ class IncrementalColumnStore:
     def op_column(self, name: str) -> Optional[OperationColumn]:
         return self._op_columns.get(name)
 
+    def value_universe(self) -> Tuple[Any, ...]:
+        """Distinct observed non-boolean values, in first-observation order.
 
-class ColumnStore:
-    """The column-major form of one trace, built lazily in a single pass.
+        Raises the error a value's comparison raised while the universe was
+        extended, if one did.
+        """
+        return self._universe.values()
+
+    # -- row reconstruction (the lazy State view) ----------------------------
+
+    def state_values(self, index: int) -> Dict[str, Any]:
+        """The variable assignment of concrete state ``index`` (0-based)."""
+        out: Dict[str, Any] = {}
+        for name, column in self._columns.items():
+            present, value = column.value_at(index)
+            if present:
+                out[name] = value
+        return out
+
+    def state_operations(self, index: int) -> Dict[str, OperationRecord]:
+        out: Dict[str, OperationRecord] = {}
+        for name, column in self._op_columns.items():
+            present, record = column.value_at(index)
+            if present:
+                out[name] = record
+        return out
+
+
+class IncrementalColumnStore(_Store):
+    """The column-major form of a *growing* state prefix.
+
+    The incremental monitors' :class:`~repro.compile.runtime.GrowingPrefix`
+    holds nothing else: each appended window is encoded here once, column
+    by column, with ``__start__`` marked, and its ``State`` objects are
+    dropped.  The columns' per-code bitsets extend lazily
+    (:meth:`_ColumnBase.code_bits`), so the bitset kernel
+    (:class:`~repro.compile.vector.TailKernel`) reads them after any number
+    of absorbs and extends its truth profiles over just the appended window.
+    """
+
+    __slots__ = ()
+
+    def __init__(self) -> None:
+        super().__init__(mark_start=True)
+
+    def absorb(self, states: Sequence[State]) -> None:
+        """Append one window of states to every column (padded)."""
+        self._encode(states)
+
+
+class ColumnStore(_Store):
+    """The column-major form of one trace, encoded as a single window.
 
     Parameters
     ----------
@@ -266,148 +412,51 @@ class ColumnStore:
         marking did) and every other position missing it gets ``False``.
     """
 
-    __slots__ = ("length", "_source", "_mark_start", "_columns", "_op_columns", "_universe")
+    __slots__ = ()
 
     def __init__(self, source_states: Sequence[State], mark_start: bool) -> None:
-        self.length = len(source_states)
-        self._source: Optional[Sequence[State]] = source_states
-        self._mark_start = mark_start
-        self._columns: Optional[Dict[str, Column]] = None
-        self._op_columns: Optional[Dict[str, OperationColumn]] = None
-        self._universe: Optional[Tuple[Any, ...]] = None
+        super().__init__(mark_start)
+        self._build(source_states)
 
-    # -- the single build pass ----------------------------------------------
-
-    def _build(self) -> None:
-        columns: Dict[str, Column] = {}
-        interns: _Interns = {}
-        op_columns: Dict[str, OperationColumn] = {}
-        op_interns: _Interns = {}
-        universe: List[Any] = []
-        seen: set = set()
-        unhashable_seen: List[Any] = []
-        for index, state in enumerate(self._source or ()):
-            _encode_state(state, index, columns, interns, op_columns, op_interns)
-            for value in state.observed_values():
-                try:
-                    if value in seen:
-                        continue
-                    seen.add(value)
-                except TypeError:
-                    if value in unhashable_seen:  # unhashable: linear fallback
-                        continue
-                    unhashable_seen.append(value)
-                universe.append(value)
-        if self._mark_start and self.length:
-            start = columns.get("__start__")
-            if start is None:
-                start = columns["__start__"] = Column("__start__", prefix_length=self.length)
-                interns["__start__"] = ({}, [])
-            code_of, unhashable = interns["__start__"]
-            # Position 1 is always True (the eager marking overrode the
-            # source value there too); other positions default to False.
-            start.codes[0] = _intern(True, start.values, code_of, unhashable)
-            false_code: Optional[int] = None
-            for i in range(1, self.length):
-                if start.codes[i] == ABSENT:
-                    if false_code is None:
-                        false_code = _intern(False, start.values, code_of, unhashable)
-                    start.codes[i] = false_code
-            start.missing = any(code == ABSENT for code in start.codes)
-        self._columns = columns
-        self._op_columns = op_columns
-        self._universe = tuple(universe)
-        self._source = None  # the states are no longer needed here
-
-    def _ensure(self) -> None:
-        if self._columns is None:
-            self._build()
-
-    # -- accessors -----------------------------------------------------------
-
-    @property
-    def columns(self) -> Dict[str, Column]:
-        self._ensure()
-        return self._columns  # type: ignore[return-value]
-
-    @property
-    def op_columns(self) -> Dict[str, OperationColumn]:
-        self._ensure()
-        return self._op_columns  # type: ignore[return-value]
-
-    def column(self, name: str) -> Optional[Column]:
-        self._ensure()
-        return self._columns.get(name)  # type: ignore[union-attr]
-
-    def op_column(self, name: str) -> Optional[OperationColumn]:
-        self._ensure()
-        return self._op_columns.get(name)  # type: ignore[union-attr]
-
-    def value_universe(self) -> Tuple[Any, ...]:
-        """Distinct observed non-boolean values, in first-observation order."""
-        self._ensure()
-        return self._universe  # type: ignore[return-value]
-
-    # -- row reconstruction (the lazy State view) ----------------------------
-
-    def state_values(self, index: int) -> Dict[str, Any]:
-        """The variable assignment of concrete state ``index`` (0-based)."""
-        self._ensure()
-        out: Dict[str, Any] = {}
-        for name, column in self._columns.items():  # type: ignore[union-attr]
-            present, value = column.value_at(index)
-            if present:
-                out[name] = value
-        return out
-
-    def state_operations(self, index: int) -> Dict[str, OperationRecord]:
-        self._ensure()
-        out: Dict[str, OperationRecord] = {}
-        for name, column in self._op_columns.items():  # type: ignore[union-attr]
-            present, record = column.value_at(index)
-            if present:
-                out[name] = record
-        return out
+    def _build(self, source_states: Sequence[State]) -> None:
+        self._encode(source_states)
 
     # -- pickling -------------------------------------------------------------
 
     def __getstate__(self) -> Dict[str, Any]:
         # Ship the built columns (compact arrays + interned values), never
         # the source State objects: this is the zero-copy worker handoff.
-        self._ensure()
-        return {
+        payload = {
             "length": self.length,
             "columns": [
                 (c.name, c.codes.tobytes(), c.values, c.missing)
-                for c in self._columns.values()  # type: ignore[union-attr]
+                for c in self._columns.values()
             ],
             "op_columns": [
                 (c.name, c.codes.tobytes(), c.values, c.missing)
-                for c in self._op_columns.values()  # type: ignore[union-attr]
+                for c in self._op_columns.values()
             ],
-            "universe": self._universe,
         }
+        try:
+            payload["universe"] = self._universe.values()
+        except Exception as exc:
+            payload["universe"], payload["universe_error"] = (), exc
+        return payload
 
     def __setstate__(self, payload: Dict[str, Any]) -> None:
         self.length = payload["length"]
-        self._source = None
         self._mark_start = False  # marking is already in the columns
-        self._universe = payload["universe"]
-        columns: Dict[str, Column] = {}
-        for name, raw, values, missing in payload["columns"]:
-            column = Column(name)
-            column.codes = array("l")
-            column.codes.frombytes(raw)
-            column.values = values
-            column.missing = missing
-            columns[name] = column
-        self._columns = columns
-        op_columns: Dict[str, OperationColumn] = {}
-        for name, raw, values, missing in payload["op_columns"]:
-            column = OperationColumn(name)
-            column.codes = array("l")
-            column.codes.frombytes(raw)
-            column.values = values
-            column.missing = missing
-            op_columns[name] = column
-        self._op_columns = op_columns
+        self._universe = _Universe(payload["universe"], payload.get("universe_error"))
+        self._columns = _unpickle_columns(Column, payload["columns"])
+        self._op_columns = _unpickle_columns(OperationColumn, payload["op_columns"])
+
+
+def _unpickle_columns(kind: Type[_ColumnBase], shipped: List[Tuple]) -> Dict[str, Any]:
+    columns: Dict[str, Any] = {}
+    for name, raw, values, missing in shipped:
+        column = kind(name)
+        column.codes.frombytes(raw)
+        column.values = values
+        column.missing = missing
+        columns[name] = column
+    return columns

@@ -1,14 +1,17 @@
 """Per-code column bitsets and the one bitset kernel, proven by parity.
 
-One builder (``Column.code_bits``) serves static traces and growing
-prefixes, and one kernel (``TailKernel``, with ``BitsetKernel`` as its
-static subclass) evaluates state formulas over it.  Two properties pin the
-pair down:
+One window encoder fills the columns of static traces and growing prefixes,
+one builder (``Column.code_bits``) derives their bitsets, and one kernel
+(``TailKernel``, with ``BitsetKernel`` as its static subclass) evaluates
+state formulas over them.  Two properties pin the pair down:
 
 * **window splits** — any split of a state sequence into append frames
-  leaves a growing column with the same per-value bitsets as a static
-  column built from the same states, and leaves a monitor fed those frames
-  with the same verdicts as a one-shot check of the whole prefix;
+  leaves a growing store with the same columns, codes and per-value bitsets
+  as a static store built from the same states (missing values, unhashable
+  values, booleans beside equal numbers and operations included), leaves a
+  column-only prefix with the same rows and value universe as the static
+  trace, and leaves a monitor fed those frames with the same verdicts as a
+  one-shot check of the whole prefix;
 * **the bitset cap** — a column past ``_MAX_BITSET_CODES`` /
   ``_MAX_BITSET_BYTES`` keeps no bitsets, whether it got there mid-stream
   or was built past it; the profiles over it fall back to the per-position
@@ -16,20 +19,29 @@ pair down:
   ``trace`` engines.
 """
 
+import gc
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.api import Session
 from repro.checking.monitor import Monitor
-from repro.compile import compile_formula
+from repro.compile import GrowingPrefix, compile_formula
 from repro.core.specification import Specification
+from repro.errors import TraceError
+from repro.gen.loadgen import LOAD_FAMILIES, generate_stream_scripts
 from repro.semantics import columns
 from repro.semantics.columns import ColumnStore, IncrementalColumnStore
 from repro.semantics.state import OperationRecord, State
-from repro.semantics.trace import make_trace
+from repro.semantics.trace import Trace, make_trace
+from repro.serve.protocol import rows_to_states
+from repro.serve.streams import SPEC_FACTORIES
 from repro.syntax.parser import parse_formula
 
-VARIABLES = ("p", "x", "s")
+#: ``l`` holds unhashable values (lists); ``m`` mixes booleans with the
+#: numbers equal to them.
+VARIABLES = ("p", "x", "s", "l", "m")
 OPERATIONS = ("Send", "Recv")
 
 #: Clauses over every kernel path: propositional atoms, comparisons,
@@ -61,6 +73,8 @@ def state_lists(draw, max_size):
             "p": st.booleans(),
             "x": st.integers(0, 3),
             "s": st.sampled_from([5, 6, 7]),
+            "l": st.lists(st.integers(0, 1), max_size=2),
+            "m": st.sampled_from([True, 1, 1.0, False, 0, 2]),
         }),
         min_size=1, max_size=max_size,
     ))
@@ -82,19 +96,38 @@ def frames_of(states, cuts):
         start = stop
 
 
-def bits_by_value(column, n):
-    if column is None:
-        return {}
-    return dict(zip(column.values, column.code_bits(n)))
+def typed(value):
+    """``value`` tagged so that ``True`` and ``1`` compare different while
+    ``1`` and ``1.0`` stay equal — the columns' interning rule."""
+    return (type(value) is bool, value)
 
 
-def reference_bits(rows, n):
-    """Per-value bitsets from a plain scan of ``(name, value)`` rows."""
-    out = {}
-    for i, value in enumerate(rows[:n]):
-        if value is not None:
-            out[value] = out.get(value, 0) | (1 << i)
-    return out
+def typed_row(mapping):
+    return sorted((name, typed(value)) for name, value in mapping.items())
+
+
+def scanned_universe(states):
+    """The value universe by a plain scan of every state (the reference)."""
+    universe = []
+    for state in states:
+        for value in state.observed_values():
+            if not any(typed(value) == typed(seen) for seen in universe):
+                universe.append(value)
+    return universe
+
+
+def assert_same_column(growing, static, rows, n):
+    """Equal codes, values and bitsets, decoding to exactly ``rows``."""
+    assert list(growing.codes) == list(static.codes)
+    assert [typed(v) for v in growing.values] == [typed(v) for v in static.values]
+    assert growing.missing == static.missing == any(r is columns._MISSING for r in rows)
+    assert [
+        typed(growing.values[code]) if code >= 0 else None for code in growing.codes
+    ] == [None if r is columns._MISSING else typed(r) for r in rows]
+    bits = growing.code_bits(n)
+    assert bits == static.code_bits(n)
+    for code, code_bits in enumerate(bits):
+        assert code_bits == sum(1 << i for i, c in enumerate(growing.codes) if c == code)
 
 
 class TestWindowSplits:
@@ -102,9 +135,10 @@ class TestWindowSplits:
     @given(state_lists(24), st.lists(st.integers(1, 23), max_size=6))
     def test_growing_code_bits_match_the_static_column(self, states, cuts):
         growing = IncrementalColumnStore()
+        prefix = GrowingPrefix()
         for frame in frames_of(states, cuts):
-            for state in frame:
-                growing.absorb(state)
+            growing.absorb(frame)
+            prefix.extend(frame)
             # Extend window by window, as the kernel does per append.
             for name in VARIABLES:
                 column = growing.column(name)
@@ -115,19 +149,35 @@ class TestWindowSplits:
                 if column is not None:
                     column.code_bits(growing.length)
         n = len(states)
-        static = ColumnStore(states, mark_start=False)
-        for name in VARIABLES:
-            expected = reference_bits(
-                [s.raw_values.get(name) for s in states], n
-            )
-            assert bits_by_value(growing.column(name), n) == expected
-            assert bits_by_value(static.column(name), n) == expected
+        static = ColumnStore(states, mark_start=True)
+        for name in VARIABLES + ("__start__",):
+            if static.column(name) is None:
+                assert growing.column(name) is None
+                continue
+            rows = [s.raw_values.get(name, columns._MISSING) for s in states]
+            if name == "__start__":
+                rows = [True] + [s.raw_values.get(name, False) for s in states[1:]]
+            assert_same_column(growing.column(name), static.column(name), rows, n)
         for name in OPERATIONS:
-            expected = reference_bits(
-                [s.raw_operations.get(name) for s in states], n
-            )
-            assert bits_by_value(growing.op_column(name), n) == expected
-            assert bits_by_value(static.op_column(name), n) == expected
+            if static.op_column(name) is None:
+                assert growing.op_column(name) is None
+                continue
+            rows = [s.raw_operations.get(name, columns._MISSING) for s in states]
+            assert_same_column(growing.op_column(name), static.op_column(name), rows, n)
+        # The column-only prefix: the static trace's rows, ``__start__``
+        # included, and its value universe in the same order.
+        trace = Trace(states)
+        assert prefix.length == growing.length == n
+        assert [typed_row(s.raw_values) for s in prefix.states()] == [
+            typed_row(s.raw_values) for s in trace.states()
+        ]
+        assert [s.raw_operations for s in prefix.states()] == [
+            s.raw_operations for s in trace.states()
+        ]
+        universe = [typed(v) for v in scanned_universe(states)]
+        assert [typed(v) for v in prefix.value_universe()] == universe
+        assert [typed(v) for v in growing.value_universe()] == universe
+        assert [typed(v) for v in trace.value_universe()] == universe
 
     @settings(max_examples=80, deadline=None)
     @given(state_lists(16), st.lists(st.integers(1, 15), max_size=5))
@@ -163,9 +213,105 @@ class TestWindowSplits:
         assert observed == one_shot(session, spec, trace, compiled=True)
 
 
+class _Incomparable(list):
+    """A list whose ``==`` raises."""
+
+    def __eq__(self, other):
+        raise ValueError("incomparable")
+
+    __hash__ = None
+
+
+def test_a_value_whose_comparison_raises_gets_a_fresh_code():
+    # ``q`` is read by no clause.  Its values compare by raising, which
+    # counts as "different": each gets its own code, every column keeps
+    # the prefix's length, and the error surfaces only from the value
+    # universe that needed the comparison.
+    states = [State({"x": i, "p": True, "q": _Incomparable([i])}) for i in range(3)]
+    monitor = Monitor({
+        "always": parse_formula("[] (x < 3 \\/ p)"),
+        "eventually": parse_formula("<> p"),
+    })
+    monitor.observe_batch(states)
+    assert {name: v.holds for name, v in monitor.verdicts.items()} == {
+        "always": True, "eventually": True,
+    }
+    prefix = monitor.plan_state.trace
+    store = prefix.columns
+    assert store.length == prefix.length == 3
+    assert [len(store.column(name)) for name in ("x", "p", "q", "__start__")] == [3] * 4
+    assert list(store.column("q").codes) == [0, 1, 2]
+    with pytest.raises(ValueError, match="incomparable"):
+        prefix.value_universe()
+    trace = Trace(states)
+    assert trace.columns.length == 3
+    with pytest.raises(ValueError, match="incomparable"):
+        trace.value_universe()
+
+
+def test_extend_rejects_a_window_before_encoding_any_of_it():
+    prefix = GrowingPrefix()
+    prefix.append(State({"p": True}))
+    with pytest.raises(TraceError, match="trace element 3 is not a State: dict"):
+        prefix.extend([State({"p": False}), State({"p": True}), {"p": False}])
+    assert prefix.length == 1
+    assert len(prefix.columns.column("p")) == 1
+
+
 def one_shot(session, spec, trace, compiled):
     result = session.check_spec(spec, trace, compiled=compiled)
     return {v.clause.name: (None if v.error else v.holds) for v in result.verdicts}
+
+
+# -- ingest cost ---------------------------------------------------------------
+
+#: States per stream, states per frame, generated segments per stream, and
+#: the traced-allocation ceiling per ingested state.  Columns cost a code
+#: per variable per state (27-94 B/state in all, on these streams); a
+#: prefix that keeps each appended ``State`` pays several times the ceiling.
+INGEST_STATES = 16384
+INGEST_FRAME = 64
+INGEST_SEGMENTS = 8
+INGEST_BYTES_PER_STATE = 160
+
+
+@pytest.mark.parametrize("family", [family[0] for family in LOAD_FAMILIES])
+def test_ingest_encodes_each_frame_once_and_keeps_no_rows(monkeypatch, family):
+    # One long healthy stream: the family's generated segments, repeated.
+    scripts = generate_stream_scripts(
+        len(LOAD_FAMILIES) * INGEST_SEGMENTS, seed=3, fault_rate=0.0
+    )
+    index = [f[0] for f in LOAD_FAMILIES].index(family)
+    period = [row for script in scripts[index::len(LOAD_FAMILIES)] for row in script.rows()]
+    rows = (period * (INGEST_STATES // len(period) + 1))[:INGEST_STATES]
+    frames = [rows[i:i + INGEST_FRAME] for i in range(0, INGEST_STATES, INGEST_FRAME)]
+    specification = SPEC_FACTORIES()[family]()
+    monitor = Session().monitor(
+        {c.name: c.interpreted_formula() for c in specification.clauses}
+    )
+    absorbed = []
+    absorb = IncrementalColumnStore.absorb
+
+    def counted(store, window):
+        absorbed.append(len(window))
+        absorb(store, window)
+
+    monkeypatch.setattr(IncrementalColumnStore, "absorb", counted)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        # Each frame's states are decoded inside the measured window, as
+        # the service decodes wire rows, so states the prefix kept count.
+        monitor.observe_batch(rows_to_states(frames[0]))
+        first = tracemalloc.get_traced_memory()[0]
+        for frame in frames[1:]:
+            monitor.observe_batch(rows_to_states(frame))
+        grown = tracemalloc.get_traced_memory()[0] - first
+    finally:
+        tracemalloc.stop()
+    assert absorbed == [INGEST_FRAME] * len(frames)
+    assert monitor.prefix_length == INGEST_STATES
+    assert grown / (INGEST_STATES - INGEST_FRAME) <= INGEST_BYTES_PER_STATE
 
 
 # -- the bitset cap --------------------------------------------------------------

@@ -106,12 +106,15 @@ class TestColumnRoundTrip:
         assert trace.value_universe() == (3, 1)
 
     def test_dict_key_semantics_shares_codes_for_equal_values(self):
-        # 1, 1.0 and True intern to one code — consistent with == everywhere
-        # the codes are compared.
+        # 1 and 1.0 intern to one code — consistent with == everywhere the
+        # codes are compared.  True gets its own: a row rebuilt from the
+        # column must not turn 1 into a boolean, which the default
+        # quantification domain leaves out.
         trace = make_trace([{"x": 1}, {"x": 1.0}, {"x": True}])
         column = trace.columns.column("x")
-        assert len(column.values) == 1
-        assert column.codes[0] == column.codes[1] == column.codes[2]
+        assert column.values == [1, True]
+        assert column.codes[0] == column.codes[1] != column.codes[2]
+        assert type(column.values[column.codes[2]]) is bool
 
 
 class TestColumnarPickle:

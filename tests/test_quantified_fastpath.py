@@ -31,7 +31,8 @@ from repro.gen import (
     replay_corpus,
 )
 from repro.gen.loadgen import generate_stream_scripts
-from repro.serve.protocol import trace_to_rows
+from repro.semantics.trace import Trace
+from repro.serve.protocol import rows_to_states, trace_to_rows
 from repro.serve.streams import StreamRegistry
 from repro.specs import reliable_queue_spec
 from repro.systems import reliable_queue_trace
@@ -256,6 +257,31 @@ class TestServeCoalescing:
         ]
         grouped = coalesced.handle_batch(copy.deepcopy(frames))
         assert grouped == sequential
+
+    def test_flip_replay_keeps_booleans_apart_from_equal_numbers(self):
+        # The replay re-ingests the stream's rows as rebuilt from its
+        # columns.  Were ``True`` and ``1`` one code, the second row would
+        # come back with ``a = True`` and drop 1 from the default
+        # quantification domain, so the replay would answer True.
+        formula = "forall v . <> (b == ?v)"
+        rows = [{"values": {"a": True, "b": 0}}, {"values": {"a": 1, "b": 0}}]
+        frames = [{"op": "append", "stream": "s", "states": [row]} for row in rows]
+        frame_at_a_time, coalesced = StreamRegistry(), StreamRegistry()
+        for registry in (frame_at_a_time, coalesced):
+            registry.handle({"op": "open", "stream": "s", "formulas": {"u": formula}})
+        sequential = [
+            response
+            for frame in frames
+            for response in frame_at_a_time.handle(copy.deepcopy(frame))
+        ]
+        grouped = coalesced.handle_batch(copy.deepcopy(frames))
+        assert grouped == sequential
+        assert sequential[-1]["verdicts"] == {"u": False}
+        assert self._snapshot(coalesced, "s") == self._snapshot(frame_at_a_time, "s")
+        reference = Session().check(
+            formula, mode="trace", trace=Trace(rows_to_states(rows))
+        )
+        assert reference.verdict is False
 
 
 class TestQuantifiedMiniFuzz:
