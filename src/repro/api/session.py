@@ -105,11 +105,6 @@ class Session:
         A :class:`~repro.obs.Tracer`; every :meth:`check` / :meth:`check_spec`
         call opens a span (engine, reason, verdict) into its bounded
         buffer.
-    share_plan_states:
-        Enable the cross-trace plan-state pool and the monitor identity
-        fast path (the default).  ``False`` forces every
-        :meth:`monitor` call to parse, digest and lower from scratch —
-        the unpooled baseline the sharing benchmark compares against.
     """
 
     def __init__(
@@ -121,10 +116,8 @@ class Session:
         forall_unroll_cap: Optional[int] = None,
         metrics: Optional[MetricsRegistry] = None,
         tracer: Optional[Tracer] = None,
-        share_plan_states: bool = True,
     ) -> None:
         self._default_domain = dict(domain) if domain else None
-        self._share_plan_states = bool(share_plan_states)
         self._registry = engines if engines is not None else default_registry()
         # Custom registries cannot be reconstructed inside worker processes,
         # so parallel fan-out is reserved for the default engine set.
@@ -174,12 +167,6 @@ class Session:
             "Plan-cache hits that served an alpha-equivalent (renamed) "
             "formula from an interned plan.",
         )
-        self._m_plan_state_pool = self.metrics.counter(
-            "repro_plan_state_pool_total",
-            "Plan-state pool events, by outcome "
-            "(hit/miss on acquire, released/discarded on release).",
-            ("outcome",),
-        )
         self._traces: Dict[str, Trace] = {}
         self._evaluators: Dict[Tuple[int, Any], Evaluator] = {}
         self._trace_refs: Dict[int, Trace] = {}
@@ -204,9 +191,6 @@ class Session:
         self._monitor_plans: "OrderedDict[Any, Tuple[Any, Any, Any]]" = (
             OrderedDict()
         )
-        # Lazy bounded pool of lowered incremental plan states, keyed by
-        # (plan digest, domain key, unroll cap); see release_monitor.
-        self._plan_state_pool: Optional[Any] = None
 
     # -- traces and evaluators -----------------------------------------------------
 
@@ -281,8 +265,6 @@ class Session:
         self._spec_plans.clear()
         self._spec_plan_failures.clear()
         self._monitor_plans.clear()
-        if self._plan_state_pool is not None:
-            self._plan_state_pool.clear()
         if self._plan_cache is not None:
             self._plan_cache.clear()
         return self
@@ -298,42 +280,23 @@ class Session:
             self._plan_cache = PlanCache(on_evict=self._drop_plan_states_for)
         return self._plan_cache
 
-    @property
-    def plan_state_pool(self):
-        """The session's :class:`~repro.compile.pool.PlanStatePool` (lazy)."""
-        if self._plan_state_pool is None:
-            from ..compile.pool import PlanStatePool
-
-            self._plan_state_pool = PlanStatePool()
-        return self._plan_state_pool
-
     def cache_statistics(self) -> Dict[str, Any]:
         """One snapshot of every cache this session holds.
 
         Plan-cache hit/miss/eviction counters plus the bound plan-state,
-        evaluator, spec-identity and plan-state-pool entry counts — the
-        numbers :mod:`repro.serve` surfaces per worker in service
-        snapshots.  The same numbers flow into :meth:`metrics_snapshot` as
-        ``repro_plan_cache_*`` series.
+        evaluator and spec-identity entry counts — the numbers
+        :mod:`repro.serve` surfaces per worker in service snapshots.  The
+        same numbers flow into :meth:`metrics_snapshot` as
+        ``repro_plan_cache_*`` series.  ``plan_state_pool_hits`` is always
+        0: monitors bind a fresh plan state each, and the key stays for
+        readers written against the former plan-state pool.
         """
         stats: Dict[str, Any] = dict(self.plan_cache.statistics())
         stats["plan_states"] = len(self._plan_states)
         stats["evaluators"] = len(self._evaluators)
         stats["spec_plan_entries"] = len(self._spec_plans)
         stats["monitor_plan_entries"] = len(self._monitor_plans)
-        if self._plan_state_pool is not None:
-            stats.update(self._plan_state_pool.statistics())
-        else:
-            stats.update(
-                {
-                    "plan_state_pool_size": 0,
-                    "plan_state_pool_keys": 0,
-                    "plan_state_pool_hits": 0,
-                    "plan_state_pool_misses": 0,
-                    "plan_state_pool_releases": 0,
-                    "plan_state_pool_discards": 0,
-                }
-            )
+        stats["plan_state_pool_hits"] = 0
         return stats
 
     def metrics_snapshot(self) -> Dict[str, Any]:
@@ -349,8 +312,6 @@ class Session:
             "repro_plan_cache_evictions": ("plan_cache_evictions", "LRU evictions."),
             "repro_plan_states": ("plan_states", "Bound plan states held."),
             "repro_evaluators": ("evaluators", "Shared interpreter evaluators held."),
-            "repro_plan_state_pool_size": (
-                "plan_state_pool_size", "Lowered plan states parked in the pool."),
             "repro_plan_alpha_interned": (
                 "plan_alpha_interned",
                 "Cache lookups collapsed onto an alpha-equivalent plan."),
@@ -376,17 +337,13 @@ class Session:
         compiles it once per session.  ``options`` pass through to
         the monitor (``on_change``, ``capture_errors``, ``stat_window``).
         The monitor records whether its plan was served from cache on
-        ``plan_from_cache`` and whether its lowered state came from the
-        plan-state pool on ``state_from_pool``.
+        ``plan_from_cache``.
 
-        Two sharing layers sit behind this call.  Formulas passed by
-        *identity* (the serve registry resolves each spec family once and
-        reuses the objects) skip the per-open parse + digest entirely.
-        And unless the session was built with ``share_plan_states=False``,
-        a monitor released through :meth:`release_monitor` parks its
-        fully-lowered plan state in a bounded pool, keyed by (plan digest,
-        domain, unroll cap); the next open of the same shape reuses the
-        closure table instead of lowering again.
+        Formulas passed by *identity* (the serve registry resolves each
+        spec family once and reuses the objects) skip the per-open parse
+        and digest.  Every monitor binds a fresh plan state of its own
+        when it first observes a state: monitors share the compiled plan,
+        never memo tables or a prefix.
         """
         from ..checking.monitor import Monitor
 
@@ -400,7 +357,7 @@ class Session:
         items: Any = None
         from_cache = False
         identity_key = None
-        if self._share_plan_states and domain_key is not _UNCACHEABLE:
+        if domain_key is not _UNCACHEABLE:
             identity_key = (
                 tuple((name, id(f)) for name, f in formulas.items()),
                 domain_key,
@@ -426,55 +383,18 @@ class Session:
                 while len(self._monitor_plans) > self._SPEC_PLAN_IDENTITY_CAPACITY:
                     self._monitor_plans.popitem(last=False)
         options.setdefault("forall_unroll_cap", self._forall_unroll_cap)
-        pool_key = None
-        pooled = None
-        if self._share_plan_states and domain_key is not _UNCACHEABLE:
-            pool_key = (plan.digest, domain_key, cap)
-            pooled = self.plan_state_pool.acquire(pool_key)
-            if pooled is not None and pooled.plan is not plan:
-                # The plan was evicted and recompiled between park and
-                # acquire; a state lowered for the old object is garbage.
-                pooled = None
-            self._m_plan_state_pool.child(
-                "hit" if pooled is not None else "miss"
-            ).inc()
-        monitor = Monitor(
-            dict(items), domain, plan=plan, plan_state=pooled, **options
-        )
+        monitor = Monitor(dict(items), domain, plan=plan, **options)
         monitor.plan_from_cache = from_cache
-        if pool_key is not None:
-            monitor.plan_state._pool_key = pool_key
         return monitor
 
     def release_monitor(self, monitor) -> bool:
-        """Park a finished monitor's lowered plan state for reuse.
+        """A no-op kept for callers of the former plan-state pool.
 
-        The serve registry calls this when a stream closes (or a handle is
-        rebuilt): the monitor's spec-plan state is reset *in place* —
-        memos, slots, kernel profiles and the growing prefix all cleared,
-        the expensive closure table kept — and pooled under its (plan,
-        domain, cap) key, so the next :meth:`monitor` call of the same
-        shape skips the lowering.  Returns whether the state was pooled;
-        monitors from other sessions, uncacheable domains or a
-        ``share_plan_states=False`` session are simply ignored.  The
-        monitor must not be used after release.
+        Always returns ``False``: nothing is parked or reset, and the
+        monitor stays usable.  Dropping the last reference to a monitor
+        frees its plan state.
         """
-        if not self._share_plan_states:
-            return False
-        state = getattr(monitor, "plan_state", None)
-        if state is None:
-            return False
-        key = getattr(state, "_pool_key", None)
-        if key is None:
-            return False
-        # Detach before parking so a double release cannot pool one state
-        # twice (the second call finds no key and walks away).
-        state._pool_key = None
-        stored = self.plan_state_pool.release(key, state)
-        self._m_plan_state_pool.child(
-            "released" if stored else "discarded"
-        ).inc()
-        return stored
+        return False
 
     #: Identity-cache capacity: far above any hand-written campaign's spec
     #: count, small enough that spec-streaming sessions stay bounded.
@@ -499,8 +419,6 @@ class Session:
             if plan.digest == digest
         ]:
             del self._monitor_plans[key]
-        if self._plan_state_pool is not None:
-            self._plan_state_pool.drop_plan(digest)
 
     def plan_state(
         self,

@@ -252,14 +252,8 @@ class Monitor:
         A prebuilt multi-root plan whose roots are exactly the formula
         names — :meth:`repro.api.session.Session.monitor` passes one from
         the session's warm plan cache, so opening thousands of streams on
-        the same specification compiles it once.
-    plan_state:
-        A recycled incremental :class:`SpecPlanState` for ``plan`` (reset
-        to length zero) from the session's plan-state pool; the monitor
-        then skips the lowering entirely.  It must have been lowered over
-        the same domain and unroll cap as this monitor's — the session
-        keys its pool by exactly that, so callers going through
-        :meth:`Session.monitor` never see a mismatch.
+        the same specification compiles it once.  Each monitor binds its
+        own plan state over it when it first observes a state.
     on_change:
         Called as ``on_change(name, verdict)`` whenever a formula's verdict
         flips (or is first decided) — the serve layer's alert hook.
@@ -283,7 +277,6 @@ class Monitor:
         domain: Optional[Mapping[str, Iterable[object]]] = None,
         *,
         plan: Optional[SpecPlan] = None,
-        plan_state: Optional[SpecPlanState] = None,
         on_change: Optional[Callable[[str, MonitorVerdict], None]] = None,
         capture_errors: bool = False,
         stat_window: Optional[int] = DEFAULT_STAT_WINDOW,
@@ -291,8 +284,6 @@ class Monitor:
     ) -> None:
         self._formulas = dict(formulas)
         self._domain = domain
-        if plan_state is not None and plan is None:
-            plan = plan_state.plan
         if plan is None:
             plan = SpecPlan(list(self._formulas.items()))
         elif set(plan.roots) != set(self._formulas):
@@ -302,27 +293,11 @@ class Monitor:
                 f"{sorted(self._formulas)}"
             )
         self._plan = plan
-        if plan_state is not None:
-            # A recycled (pooled) state: already lowered for this plan over
-            # this exact domain, reset to length zero.  The session's pool
-            # hands these out so reopened streams skip the lowering.
-            if plan_state.plan is not plan:
-                raise ValueError(
-                    "prebuilt plan state was lowered for a different plan"
-                )
-            self._prefix = plan_state.trace
-            self._state: SpecPlanState = plan_state
-            self.state_from_pool = True
-        else:
-            self._prefix = GrowingPrefix()
-            self._state = SpecPlanState(
-                plan,
-                self._prefix,
-                domain=domain,
-                incremental=True,
-                forall_unroll_cap=forall_unroll_cap,
-            )
-            self.state_from_pool = False
+        self._forall_unroll_cap = forall_unroll_cap
+        self._prefix = GrowingPrefix()
+        # Bound on first use (``plan_state``): constructing a monitor costs
+        # no lowering, and one that never observes a state never lowers.
+        self._state: Optional[SpecPlanState] = None
         self._on_change = on_change
         self._capture_errors = capture_errors
         self._stat_window = stat_window
@@ -353,7 +328,15 @@ class Monitor:
 
     @property
     def plan_state(self) -> SpecPlanState:
-        """The shared multi-root plan state behind this monitor."""
+        """The multi-root plan state behind this monitor, bound on first use."""
+        if self._state is None:
+            self._state = SpecPlanState(
+                self._plan,
+                self._prefix,
+                domain=self._domain,
+                incremental=True,
+                forall_unroll_cap=self._forall_unroll_cap,
+            )
         return self._state
 
     def _refresh_verdicts(self, weight: int = 1) -> None:
@@ -379,11 +362,12 @@ class Monitor:
         """
         if not isinstance(state, State):
             state = State(state)
+        plan_state = self.plan_state
         self._prefix.append(state)
-        before = self._state.stats.dispatch_calls
-        self._state.note_append()
+        before = plan_state.stats.dispatch_calls
+        plan_state.note_append()
         self._refresh_verdicts()
-        self.step_costs.append(self._state.stats.dispatch_calls - before)
+        self.step_costs.append(plan_state.stats.dispatch_calls - before)
         return dict(self._verdicts)
 
     def observe_batch(
@@ -408,13 +392,14 @@ class Monitor:
         """
         if not states:
             return dict(self._verdicts)
+        plan_state = self.plan_state
         self._prefix.extend(
             [state if isinstance(state, State) else State(state) for state in states]
         )
-        before = self._state.stats.dispatch_calls
-        self._state.note_append()
+        before = plan_state.stats.dispatch_calls
+        plan_state.note_append()
         self._refresh_verdicts(weight=commits)
-        self.step_costs.append(self._state.stats.dispatch_calls - before)
+        self.step_costs.append(plan_state.stats.dispatch_calls - before)
         return dict(self._verdicts)
 
     def observe_trace(self, trace: Trace) -> Dict[str, MonitorVerdict]:

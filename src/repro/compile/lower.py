@@ -522,44 +522,19 @@ def bind_dispatch(state) -> Tuple[Tuple[Callable[[int, object], bool], ...], fro
     ``_holds``.  An unknown opcode fails here, at binding time, instead of
     at the first evaluation that reaches the node.
     """
-    plan = state._plan
     kernel = state._kernel
     vectorize = _vectorized_incremental if state._incremental else _vectorized
-    # Which nodes accept the vectorized mode is a property of the plan's
-    # shapes, not of the particular trace, so the first binding records a
-    # recipe on the plan and later bindings (every pooled stream of a serve
-    # fleet) skip the doomed vectorization attempts instead of re-probing
-    # every node.  Nodes *in* the recipe still call ``vectorize`` — the
-    # closures must capture this state's kernel — and a node that fails
-    # where the recipe succeeded simply stays on the per-position path
-    # (verdicts are identical either way).
-    recipe = None
-    recipe_key = None
-    if kernel is not None:
-        recipe_key = (type(kernel).__name__, bool(state._incremental))
-        recipe = getattr(plan, "_lowering_recipes", {}).get(recipe_key)
     ops: List[Callable] = []
     vector_ids: List[int] = []
-    for node in plan.nodes:
+    for node in state._plan.nodes:
         factory = _FACTORIES.get(node.op)
         if factory is None:
             raise CompileError(f"cannot lower plan node: {node!r}")
         closure = factory(state, node)
-        if kernel is not None and (recipe is None or node.id in recipe):
+        if kernel is not None:
             vectorized = vectorize(state, kernel, node, closure)
             if vectorized is not None:
                 closure = vectorized
                 vector_ids.append(node.id)
         ops.append(closure)
-    nids = frozenset(vector_ids)
-    if recipe is None and recipe_key is not None:
-        recipes = getattr(plan, "_lowering_recipes", None)
-        if recipes is None:
-            recipes = {}
-            try:
-                plan._lowering_recipes = recipes
-            except Exception:  # pragma: no cover - exotic plan objects
-                recipes = None
-        if recipes is not None:
-            recipes[recipe_key] = nids
-    return tuple(ops), nids
+    return tuple(ops), frozenset(vector_ids)

@@ -188,15 +188,6 @@ class GrowingPrefix:
     def value_universe(self) -> Tuple[Any, ...]:
         return self.columns.value_universe()
 
-    def reset(self) -> None:
-        """Forget every observed state (plan-state pool reuse).
-
-        The prefix object itself survives — the lowered closures and the
-        tail kernel capture it — and only its columns and rows are dropped.
-        """
-        self.columns = IncrementalColumnStore()
-        self._rows.clear()
-
 
 class EventIndex:
     """Per-state truth profile and change positions of one state-formula event.
@@ -560,39 +551,6 @@ class PlanState:
         self._volatile_constructs.clear()
         self._default_domain = None
         self.stats.steps += count
-
-    def reset(self) -> None:
-        """Return this state to its freshly-lowered condition (pool reuse).
-
-        The lowered closure table captures the slot vector, memo dicts,
-        stats object and kernel *by identity*, so everything is cleared in
-        place — never replaced — and the closures (the expensive part of
-        binding) survive across the streams that recycle this state.  A
-        growing prefix is reset with it; a static trace is left alone
-        (static states are not poolable — their closures capture the
-        trace's positions).
-        """
-        self._default_domain = None
-        self._slots[:] = [UNSET] * len(self._slots)
-        self._stable.clear()
-        self._volatile.clear()
-        self._agg.clear()
-        self._indexes.clear()
-        self._shared_indexes.clear()
-        self._columns.clear()
-        self._event_memo.clear()
-        self._construct_memo.clear()
-        self._volatile_events.clear()
-        self._volatile_constructs.clear()
-        self._tail[:] = [False]
-        self.stats.__init__()
-        if isinstance(self._trace, GrowingPrefix):
-            self._trace.reset()
-        kernel = self._kernel
-        if kernel is not None:
-            kernel_reset = getattr(kernel, "reset", None)
-            if kernel_reset is not None:
-                kernel_reset()
 
     # -- the satisfaction relation ------------------------------------------
 

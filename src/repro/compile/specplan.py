@@ -345,15 +345,6 @@ class SpecPlanState:
     def note_append(self, count: int = 1) -> None:
         self._state.note_append(count)
 
-    def reset(self) -> None:
-        """Return to the freshly-lowered condition (plan-state pooling).
-
-        Clears the shared plan state's memos, slots, kernel profiles and —
-        in incremental mode — the growing prefix itself, all in place, so
-        the lowered closure table is reused verbatim by the next stream.
-        """
-        self._state.reset()
-
 
 def compile_specification(specification) -> SpecPlan:
     """Compile a :class:`~repro.core.specification.Specification` whole.

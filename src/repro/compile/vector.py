@@ -280,8 +280,9 @@ class TailKernel:
         self._entries: Dict[Any, _Profile] = {}
         self._calls: Dict[Any, _CallTrack] = {}
         # The support verdicts depend only on the plan's node shapes, so
-        # every kernel bound to the same plan (each stream of a pooled
-        # serve fleet) shares one table and the shape walk runs once.
+        # every kernel bound to the same plan (each stream of a serve
+        # fleet, each trace of a campaign) shares one table and the shape
+        # walk runs once per plan.
         plan = plan_state._plan
         supported = getattr(plan, "_vector_supported", None)
         if supported is None:
@@ -291,15 +292,6 @@ class TailKernel:
             except Exception:  # pragma: no cover - exotic plan objects
                 pass
         self._supported: Dict[int, bool] = supported
-
-    def reset(self) -> None:
-        """Drop per-stream profiles and call tracks (pool reuse).
-
-        ``_supported`` survives: it is a pure function of the plan's node
-        shapes, identical for every stream that recycles this state.
-        """
-        self._entries.clear()
-        self._calls.clear()
 
     # -- static shape check ---------------------------------------------------
 

@@ -10,8 +10,8 @@ the monitored systems produce them.  The pieces:
   (``open`` / ``append`` / ``snapshot`` / ``close``, batched appends,
   explicit error frames, incremental framing);
 - :mod:`~repro.serve.streams` — the per-worker
-  :class:`~repro.serve.streams.StreamRegistry`: monitors, MVCC-style
-  published snapshots, verdict-change alerts;
+  :class:`~repro.serve.streams.StreamRegistry`: monitors, versioned
+  snapshots of the last committed batch, verdict-change alerts;
 - :mod:`~repro.serve.shard` / :mod:`~repro.serve.worker` — consistent-hash
   sharding over worker processes, each with its own warm plan cache;
 - :mod:`~repro.serve.service` — the asyncio socket front end;

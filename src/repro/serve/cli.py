@@ -27,7 +27,7 @@ from __future__ import annotations
 import argparse
 import asyncio
 import sys
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from ..gen.corpus import DEFAULT_CORPUS_DIR
 
@@ -243,25 +243,9 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     if interned or alpha:
         print(f"interned plans:   served={interned:,.0f} "
               f"alpha-classes collapsed={alpha:,.0f}")
-    pool = _counter_by_label(snapshot, "serve_pool_state_total")
-    if pool:
-        # serve_pool_state_total carries (family, outcome) label pairs;
-        # fold them into a per-family hit rate.
-        by_family: Dict[str, Dict[str, float]] = {}
-        for key, value in pool.items():
-            family, _, outcome = key.rpartition("/")
-            by_family.setdefault(family or "-", {})[outcome] = value
-        parts = []
-        for family, outcomes in sorted(by_family.items()):
-            hits = outcomes.get("hit", 0)
-            total = hits + outcomes.get("miss", 0)
-            share = hits / total if total else 0.0
-            parts.append(f"{family}={hits:,.0f}/{total:,.0f} ({share:.0%})")
-        print(f"pooled states:    {' '.join(parts)}")
     for metric, label in (
         ("serve_step_cost", "step cost"),
         ("serve_batch_states", "batch states"),
-        ("serve_snapshot_rebuild_seconds", "rebuild secs"),
     ):
         entry = snapshot.get(metric)
         if entry and any(row.get("count") for row in entry.get("series", ())):

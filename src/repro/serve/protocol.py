@@ -21,6 +21,7 @@ Request frames::
 A state ROW is ``{"values": {name: value, ...}}`` plus an optional
 ``"ops"`` mapping of operation records ``{name: [phase, args, results]}``
 — exactly the shape :func:`state_to_row`/:func:`row_to_state` round-trip.
+``values`` may not bind ``__start__``: the monitor derives it.
 ``append`` frames are **batched**: all rows are absorbed as one unit and
 verdicts re-evaluate once at the batch boundary (send one row per frame
 for per-state alert granularity).  ``"ack": false`` suppresses the
@@ -326,6 +327,11 @@ def row_to_state(row: Any, stream: Optional[str] = None) -> State:
     if not isinstance(values, dict):
         raise ProtocolError(
             "bad-state", "a state row requires an object field 'values'",
+            stream=stream,
+        )
+    if "__start__" in values:
+        raise ProtocolError(
+            "bad-state", "'__start__' is derived by the monitor, not sent",
             stream=stream,
         )
     operations = None

@@ -10,12 +10,12 @@ plan.
 
 Each stream is an incremental :class:`~repro.checking.monitor.Monitor` —
 the multi-root ``SpecPlanState`` path with tail-aware memos — plus a
-**published snapshot**: a small version-stamped verdict digest rebuilt at
-every batch boundary.  Snapshot reads return that published version
-as-is, MVCC-style (the "Multiversion Concurrency Control" reading of the
-ROADMAP item): a reader sees the last *committed* batch, never a
-half-absorbed one, and ingestion never waits on readers — there is no
-lock to contend because snapshots cost a dict copy.
+version counter bumped once per committed batch.  A snapshot read builds
+a small version-stamped verdict digest from the monitor when it is asked
+for.  A registry is single-threaded (in process and in each shard
+worker), so no read can fall between a batch and its commit: every
+snapshot shows the last *committed* batch, and each read gets a frame of
+its own.
 
 Verdict-change alerts ride the monitor's ``on_change`` hook: whenever a
 clause's verdict flips (or first materializes, or starts erroring), the
@@ -39,8 +39,6 @@ semantic change.
 
 from __future__ import annotations
 
-import copy
-import time
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..api.session import Session
@@ -84,7 +82,7 @@ SPEC_FACTORIES = _spec_factories
 
 
 class StreamHandle:
-    """One named stream: an incremental monitor plus its published snapshot."""
+    """One named stream: an incremental monitor plus its commit counters."""
 
     __slots__ = (
         "name",
@@ -94,12 +92,9 @@ class StreamHandle:
         "states_ingested",
         "batches",
         "alerts_emitted",
-        "last_rebuild_s",
-        "_published",
         "_pending_alerts",
         "_frame_counts",
         "_rebuild",
-        "_release",
     )
 
     def __init__(
@@ -108,7 +103,6 @@ class StreamHandle:
         monitor,
         rebuild: Optional[Callable[[], Any]] = None,
         family: str = "formulas",
-        release: Optional[Callable[[Any], Any]] = None,
     ) -> None:
         self.name = name
         #: The spec family this stream monitors (a registered spec name, or
@@ -129,12 +123,6 @@ class StreamHandle:
         #: Builds a fresh, empty monitor for the same formulas (the
         #: registry passes one backed by the session's warm plan cache).
         self._rebuild = rebuild
-        #: Hands a retired monitor back to the session's plan-state pool
-        #: (a flip replay retires the optimistic monitor it replaces).
-        self._release = release
-        #: Wall seconds of the most recent published-snapshot rebuild.
-        self.last_rebuild_s = 0.0
-        self._published = self._build_snapshot()
         monitor.on_change = self._on_change  # the stream owns the alert hook
 
     # -- alerts ---------------------------------------------------------------
@@ -162,7 +150,6 @@ class StreamHandle:
         self._frame_counts.append(len(states))
         alerts, self._pending_alerts = self._pending_alerts, []
         self.alerts_emitted += len(alerts)
-        self._published = self._build_snapshot()
         return alerts
 
     def absorb_group(
@@ -173,9 +160,8 @@ class StreamHandle:
         The concatenated states are absorbed in **one**
         :meth:`~repro.checking.monitor.Monitor.observe_batch` call with
         ``commits=k`` — one volatile-memo sweep and one verdict refresh
-        whose ``stable_for`` weights stand in for the ``k`` commits.  The
-        published snapshot is rebuilt once, at the group boundary, but
-        every frame keeps its own snapshot version (``k`` bumps).
+        whose ``stable_for`` weights stand in for the ``k`` commits.  Every
+        frame keeps its own snapshot version (``k`` bumps).
 
         Returns one ``(alerts, verdict_map, length, version)`` entry per
         frame, exactly what frame-at-a-time ingestion would have produced:
@@ -208,7 +194,6 @@ class StreamHandle:
             pairs = [([], verdicts) for _ in batches]
         for frame_alerts, _ in pairs:
             self.alerts_emitted += len(frame_alerts)
-        self._published = self._build_snapshot()
         out: List[Tuple[List[Dict[str, Any]], Dict[str, Optional[bool]], int, int]] = []
         length = start_length
         for index, (batch, (frame_alerts, verdicts)) in enumerate(zip(batches, pairs)):
@@ -278,19 +263,18 @@ class StreamHandle:
                      {name: v.holds for name, v in monitor.verdicts.items()})
                 )
         monitor.on_change = self._on_change
-        retired, self.monitor = self.monitor, monitor
+        self.monitor = monitor
         self._pending_alerts = []
-        if self._release is not None:
-            # The replayed states were copied chunk by chunk above, so the
-            # retired monitor's trace can be reset and its plan state
-            # parked for the next stream of this family.
-            self._release(retired)
         return pairs
 
-    # -- the published (non-blocking) snapshot --------------------------------
+    # -- snapshots ------------------------------------------------------------
 
-    def _build_snapshot(self) -> Dict[str, Any]:
-        rebuild_started = time.perf_counter()
+    def snapshot(self) -> Dict[str, Any]:
+        """The last *committed* version, built for this read.
+
+        Each call returns a new frame, so a reader mutating its copy
+        cannot reach any other read.
+        """
         monitor = self.monitor
         costs = monitor.step_costs
         verdicts = {
@@ -301,7 +285,7 @@ class StreamHandle:
             }
             for name, v in monitor.verdicts.items()
         }
-        published = {
+        return {
             "ok": "snapshot",
             "stream": self.name,
             "version": self.version,
@@ -320,17 +304,6 @@ class StreamHandle:
             },
             "memo_size": monitor.plan_state.memo_size,
         }
-        self.last_rebuild_s = time.perf_counter() - rebuild_started
-        return published
-
-    def snapshot(self) -> Dict[str, Any]:
-        """The last *committed* version — a copy, never an evaluation.
-
-        A deep copy: snapshots hold nested verdict/step-cost objects, and
-        a reader mutating its copy must not corrupt the published version
-        every other reader shares.
-        """
-        return copy.deepcopy(self._published)
 
     def verdict_map(self) -> Dict[str, Optional[bool]]:
         return {name: v.holds for name, v in self.monitor.verdicts.items()}
@@ -357,8 +330,8 @@ class StreamRegistry:
         self._streams: Dict[str, StreamHandle] = {}
         #: Resolved clause maps per registered spec family.  Reusing the
         #: *same* formula objects across opens keeps the session's
-        #: identity fast path and plan-state pool hot: every stream of a
-        #: family lands on one interned plan and recycled states.
+        #: identity fast path hot: every stream of a family lands on one
+        #: interned plan without a parse or digest.
         self._family_formulas: Dict[str, Dict[str, Any]] = {}
         self.worker_id = worker_id
         self.opened = 0
@@ -372,12 +345,6 @@ class StreamRegistry:
         self._m_opened = self.metrics.counter(
             "serve_streams_opened_total", "Streams opened, by spec family.",
             ("family",),
-        )
-        self._m_pool_state = self.metrics.counter(
-            "serve_pool_state_total",
-            "Plan states served from the session pool on stream open, "
-            "by spec family and outcome.",
-            ("family", "outcome"),
         )
         self._m_closed = self.metrics.counter(
             "serve_streams_closed_total", "Streams closed, by spec family.",
@@ -407,11 +374,6 @@ class StreamRegistry:
         self._m_step_cost = self.metrics.histogram(
             "serve_step_cost", "Evaluation step cost per committed batch, by spec family.",
             ("family",), buckets=DEFAULT_SIZE_BUCKETS,
-        )
-        self._m_rebuild_seconds = self.metrics.histogram(
-            "serve_snapshot_rebuild_seconds",
-            "Published-snapshot rebuild wall time, by spec family.",
-            ("family",),
         )
         self._m_open_streams = self.metrics.gauge(
             "serve_streams_open", "Streams currently open on this worker."
@@ -542,25 +504,16 @@ class StreamRegistry:
             )
 
         family = frame.get("spec", "formulas")
-        handle = StreamHandle(
-            name,
-            monitor,
-            rebuild=rebuild,
-            family=family,
-            release=self._session.release_monitor,
-        )
+        handle = StreamHandle(name, monitor, rebuild=rebuild, family=family)
         self._streams[name] = handle
         self.opened += 1
         self._m_opened.child(family).inc()
-        from_pool = bool(getattr(monitor, "state_from_pool", False))
-        self._m_pool_state.child(family, "hit" if from_pool else "miss").inc()
         self._m_open_streams.child().set(len(self._streams))
         return {
             "ok": "opened",
             "stream": name,
             "clauses": list(formulas),
             "plan_from_cache": bool(monitor.plan_from_cache),
-            "state_from_pool": from_pool,
         }
 
     def _resolve_formulas(self, frame: Mapping[str, Any]) -> Dict[str, Any]:
@@ -702,7 +655,6 @@ class StreamRegistry:
         cost = handle.monitor.last_step_cost
         if cost is not None:
             self._m_step_cost.child(family).observe(cost)
-        self._m_rebuild_seconds.child(family).observe(handle.last_rebuild_s)
 
     def snapshot(self, name: Optional[str] = None) -> Dict[str, Any]:
         if name is not None:
@@ -753,14 +705,10 @@ class StreamRegistry:
         self.closed += 1
         self._m_closed.child(handle.family).inc()
         self._m_open_streams.child().set(len(self._streams))
-        response = {
+        return {
             "ok": "closed",
             "stream": name,
             "length": handle.monitor.prefix_length,
             "version": handle.version,
             "verdicts": handle.verdict_map(),
         }
-        # After the farewell frame is built, the monitor's plan state goes
-        # back to the session pool for the next stream of this family.
-        self._session.release_monitor(handle.monitor)
-        return response

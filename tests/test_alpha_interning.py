@@ -1,10 +1,10 @@
-"""Alpha-invariant plan interning and cross-trace plan-state pooling.
+"""Alpha-invariant plan interning, and plan states that streams never share.
 
 Bound-variable names are presentation, not semantics: clauses equal up to
 binder renaming must compile to one plan (one digest, one DAG, one cache
-entry), and a fleet of monitors over one plan shape must recycle lowered
-plan states through the session pool without any stream observing another
-stream's history.  This module pins both halves:
+entry), and a fleet of monitors over one plan must each bind a plan state
+of their own, so no stream observes another stream's history.  This
+module pins both halves:
 
 - ``alpha_canonical`` unifies renamed, shadowed and nested binders while
   leaving frozen (domain-shape) names verbatim;
@@ -15,9 +15,9 @@ stream's history.  This module pins both halves:
 - as a property over generated ``rich``-fragment formulas and traces,
   consistently renaming ``forall`` binders keeps the digest, the interned
   plan and every verdict of the ``trace`` and ``compiled`` engines;
-- pooled plan states are isolated: release/reacquire yields a state that
-  answers exactly like a freshly lowered one, and concurrent monitors of
-  one family never share memo contents.
+- every ``Session.monitor`` call binds a fresh plan state: concurrent
+  monitors of one family never share memo contents, and
+  ``release_monitor`` leaves the released monitor intact.
 """
 
 import random
@@ -269,35 +269,41 @@ def queue_states():
 
 
 class TestPlanStatePooling:
-    def test_release_then_reopen_reuses_the_state(self):
-        session = Session()
-        formulas = fifo_clauses("a", "b")
-        first = session.monitor(formulas, capture_errors=True)
-        first_state = first.plan_state
-        first.observe_batch(queue_states())
-        assert session.release_monitor(first)
-        second = session.monitor(formulas, capture_errors=True)
-        assert second.plan_state is first_state
-        assert second.state_from_pool
-        assert second.prefix_length == 0
+    """No plan state is pooled: monitors share a plan, never a state."""
 
-    def test_pooled_state_answers_like_a_fresh_one(self):
+    def test_release_leaves_the_monitor_intact_and_reopen_binds_fresh(self):
+        session = Session()
         formulas = fifo_clauses("a", "b")
         states = queue_states()
-        session = Session()
-        recycled = session.monitor(formulas, capture_errors=True)
-        recycled.observe_batch(states)
-        session.release_monitor(recycled)
-        pooled = session.monitor(formulas, capture_errors=True)
-        assert pooled.state_from_pool
+        first = session.monitor(formulas, capture_errors=True)
+        first.observe_batch(states)
+        verdicts = {n: v.holds for n, v in first.verdicts.items()}
+        first_state = first.plan_state
+        assert session.release_monitor(first) is False
+        second = session.monitor(formulas, capture_errors=True)
+        assert second.plan is first.plan
+        assert second.plan_state is not first_state
+        assert second.prefix_length == 0
+        assert first.plan_state is first_state
+        assert first.prefix_length == len(states)
+        assert {n: v.holds for n, v in first.verdicts.items()} == verdicts
 
-        fresh = Session().monitor(formulas, capture_errors=True)
-        for state in states:
-            pooled.observe(state)
-            fresh.observe(state)
-            assert {n: v.holds for n, v in pooled.verdicts.items()} == {
-                n: v.holds for n, v in fresh.verdicts.items()
-            }
+    def test_a_monitor_lowers_on_its_first_observation(self, monkeypatch):
+        from repro.compile import lower
+
+        bind = lower.bind_dispatch
+        bound = []
+
+        def counting_bind(state):
+            bound.append(state)
+            return bind(state)
+
+        monkeypatch.setattr(lower, "bind_dispatch", counting_bind)
+        monitor = Session().monitor(fifo_clauses("a", "b"), capture_errors=True)
+        assert bound == []
+        monitor.observe_batch(queue_states())
+        monitor.observe_batch(queue_states())
+        assert len(bound) == 1
 
     def test_sibling_monitors_never_share_memo_contents(self):
         session = Session()
@@ -313,65 +319,18 @@ class TestPlanStatePooling:
             n: v.holds for n, v in right.verdicts.items()
         }
 
-    def test_release_is_idempotent(self):
-        session = Session()
-        monitor = session.monitor(fifo_clauses("a", "b"), capture_errors=True)
-        assert session.release_monitor(monitor)
-        assert not session.release_monitor(monitor)
-
-    def test_share_plan_states_false_disables_pooling(self):
-        session = Session(share_plan_states=False)
-        monitor = session.monitor(fifo_clauses("a", "b"), capture_errors=True)
-        assert not monitor.state_from_pool
-        assert not session.release_monitor(monitor)
-        stats = session.cache_statistics()
-        assert stats["plan_state_pool_hits"] == 0
-        assert stats["plan_state_pool_releases"] == 0
-
     def test_alpha_variant_families_pool_together(self):
         # Families differing only in binder names land on one interned
-        # plan, so their released states are interchangeable.
+        # plan: one compilation serves both.
         session = Session()
         first = session.monitor(fifo_clauses("a", "b"), capture_errors=True)
-        plan = first.plan
-        session.release_monitor(first)
         second = session.monitor(fifo_clauses("u", "v"), capture_errors=True)
-        assert second.plan is plan
-        assert second.state_from_pool
+        assert second.plan is first.plan
         assert session.cache_statistics()["plan_cache_misses"] == 1
-
-    def test_clear_caches_empties_the_pool(self):
-        session = Session()
-        monitor = session.monitor(fifo_clauses("a", "b"), capture_errors=True)
-        session.release_monitor(monitor)
-        assert session.cache_statistics()["plan_state_pool_size"] == 1
-        session.clear_caches()
-        assert session.cache_statistics()["plan_state_pool_size"] == 0
 
 
 class TestServePooling:
-    def test_reopened_stream_is_served_from_the_pool(self):
-        from repro.serve.streams import StreamRegistry
-
-        registry = StreamRegistry()
-        opened = registry.handle(
-            {"op": "open", "stream": "s1", "spec": "reliable_queue"}
-        )[0]
-        assert opened["ok"] == "opened"
-        assert opened["state_from_pool"] is False
-        registry.handle({"op": "close", "stream": "s1"})
-        reopened = registry.handle(
-            {"op": "open", "stream": "s2", "spec": "reliable_queue"}
-        )[0]
-        assert reopened["plan_from_cache"] is True
-        assert reopened["state_from_pool"] is True
-        snapshot = registry.metrics_snapshot()
-        series = {
-            tuple(row["labels"]): row["value"]
-            for row in snapshot["serve_pool_state_total"]["series"]
-        }
-        assert series[("reliable_queue", "hit")] == 1
-        assert series[("reliable_queue", "miss")] == 1
+    """A stream reopened on a warm registry answers like a cold one."""
 
     def test_pooled_reopen_answers_like_a_cold_registry(self):
         from repro.serve.protocol import trace_to_rows
@@ -382,9 +341,9 @@ class TestServePooling:
         warm.handle({"op": "open", "stream": "w0", "spec": "reliable_queue"})
         warm.handle({"op": "append", "stream": "w0", "states": rows})
         warm.handle({"op": "close", "stream": "w0"})
-        # This stream's monitor state comes from the pool.
+        # This stream reopens the family on a warm plan cache.
         warm.handle({"op": "open", "stream": "w1", "spec": "reliable_queue"})
-        pooled = warm.handle(
+        reopened = warm.handle(
             {"op": "append", "stream": "w1", "states": rows}
         )[-1]
 
@@ -393,27 +352,20 @@ class TestServePooling:
         fresh = cold.handle(
             {"op": "append", "stream": "c1", "states": rows}
         )[-1]
-        assert pooled["verdicts"] == fresh["verdicts"]
-        assert pooled["length"] == fresh["length"]
+        assert reopened["verdicts"] == fresh["verdicts"]
+        assert reopened["length"] == fresh["length"]
 
 
 class TestSessionMetrics:
     def test_interned_and_pool_series_land_in_the_snapshot(self):
         session = Session()
-        monitor = session.monitor(fifo_clauses("a", "b"), capture_errors=True)
-        session.release_monitor(monitor)
-        again = session.monitor(fifo_clauses("u", "v"), capture_errors=True)
-        assert again.state_from_pool
+        session.monitor(fifo_clauses("a", "b"), capture_errors=True)
+        session.monitor(fifo_clauses("u", "v"), capture_errors=True)
         snapshot = session.metrics_snapshot()
         interned = sum(
             row["value"]
             for row in snapshot["repro_plan_interned_total"]["series"]
         )
         assert interned >= 1
-        pool = {
-            tuple(row["labels"]): row["value"]
-            for row in snapshot["repro_plan_state_pool_total"]["series"]
-        }
-        assert pool[("hit",)] == 1
         alpha = snapshot["repro_plan_alpha_interned"]["series"][0]["value"]
         assert alpha >= 1

@@ -200,6 +200,7 @@ class TestStateRows:
         {"values": {}, "ops": {"Enq": ["at", [1]]}},        # record too short
         {"values": {}, "ops": {"Enq": [7, [], []]}},        # phase not a string
         {"values": {}, "ops": {"Enq": ["at", {}, []]}},     # args not a list
+        {"values": {"p": False, "__start__": True}},        # start is derived
     ])
     def test_bad_rows_are_protocol_errors(self, row):
         with pytest.raises(ProtocolError) as exc:
