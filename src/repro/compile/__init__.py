@@ -33,8 +33,9 @@ stage                     paper anchor
                           over column-major traces and growing prefixes:
                           state formulas (and ``[]/<>`` directly over
                           them) evaluate as packed-int bitset operations,
-                          and event change positions derive from bitset
-                          shifts
+                          and each profile searched as an event keeps a
+                          window-extended change index that searches
+                          bisect
 :mod:`.runtime`           :class:`PlanState` — the Chapter 3 satisfaction
                           relation over slot-addressed environments, with
                           an interval-endpoint index over state-change

@@ -30,7 +30,7 @@ from typing import Callable, List, Tuple
 from ..semantics.trace import INFINITY
 
 from ..semantics.construction import BOTTOM, Direction, Interval
-from .vector import find_event_bits
+from .vector import search_changes
 from .dag import (
     CompileError,
     N_ALWAYS,
@@ -278,20 +278,31 @@ class _ExactConstruct(Exception):
 
 
 def _compile_term_bits(state, kernel, tid, direction):
-    """Compile interval term ``tid`` to a closure ``(i, j) -> Interval|⊥``.
+    """Compile interval term ``tid`` to a closure ``(i, j) -> (found, horizon)``.
 
-    The closure computes ``F(term, <i, j>)`` straight from tail-kernel
-    change profiles — the whole ``_construct_interval`` →  ``_construct``
-    → ``_find_event`` recursion collapsed to bit arithmetic at lowering
-    time, with the direction of every event search resolved statically
-    (it only depends on the term's shape).  Returns ``None`` when some
-    event leaf is not kernel-vectorizable; raises :class:`_ExactConstruct`
-    at *call* time when a profile has died (unusable column, erroring
-    comparison), so the caller falls back to the generic exact path whose
-    lazy per-position errors the fused path cannot reproduce.
+    The closure computes ``found = F(term, <i, j>)`` straight from the
+    tail kernel's change indexes — the whole ``_construct_interval`` →
+    ``_construct`` → ``_find_event`` recursion collapsed to bisections at
+    lowering time, with the direction of every event search resolved
+    statically (it only depends on the term's shape).  Returns ``None``
+    when some event leaf is not kernel-vectorizable; raises
+    :class:`_ExactConstruct` at *call* time when a profile has died
+    (unusable column, erroring comparison), so the caller falls back to the
+    generic exact path whose lazy per-position errors the fused path cannot
+    reproduce.
+
+    ``horizon`` is the last start ``i' >= i`` up to which ``F(term, <i',
+    j>)`` gives the same result with the same tail marking.  F depends on
+    the start only through the searches made from it, so the horizon is
+    the least of their horizons
+    (:func:`~repro.compile.vector.search_changes`: one before the change a
+    search found, unbounded when it found none); a search from a position
+    an earlier search found adds nothing.  Shapes that put the start in
+    the interval (``=> J``, ``<= J``, the bare context) answer the start
+    itself.
 
     Every event leaf searches through
-    :func:`~repro.compile.vector.find_event_bits`, the same bit search (and
+    :func:`~repro.compile.vector.search_changes`, the same bisection (and
     tail-marking) ``PlanState._find_event`` runs for a growing prefix.
     """
     term = state._terms[tid]
@@ -301,18 +312,18 @@ def _compile_term_bits(state, kernel, tid, direction):
         node = state._nodes[nid]
         if not (node.is_state and kernel.supports(nid)):
             return None
-        profile = kernel.profile
+        changes = kernel.changes
         trace = state._trace
         mark_tail = state._mark_tail
         forward = direction == Direction.FORWARD
         stats = state.stats
 
         def run(i, j):
-            bits = profile(node)
-            if bits is None:
+            index = changes(node)
+            if index is None:
                 raise _ExactConstruct
             stats.event_searches += 1
-            return find_event_bits(bits, trace.length, i, j, forward, mark_tail)
+            return search_changes(index, trace.length, i, j, forward, mark_tail)
         return run
     if op == T_BEGIN:
         inner = _compile_term_bits(state, kernel, term.a, direction)
@@ -320,10 +331,10 @@ def _compile_term_bits(state, kernel, tid, direction):
             return None
 
         def run(i, j):
-            found = inner(i, j)
+            found, horizon = inner(i, j)
             if found is BOTTOM:
-                return BOTTOM
-            return Interval(found.lo, found.lo)
+                return BOTTOM, horizon
+            return Interval(found.lo, found.lo), horizon
         return run
     if op == T_END:
         inner = _compile_term_bits(state, kernel, term.a, direction)
@@ -331,16 +342,16 @@ def _compile_term_bits(state, kernel, tid, direction):
             return None
 
         def run(i, j):
-            found = inner(i, j)
+            found, horizon = inner(i, j)
             if found is BOTTOM or found.hi == INFINITY:
-                return BOTTOM
+                return BOTTOM, horizon
             last = int(found.hi)
-            return Interval(last, last)
+            return Interval(last, last), horizon
         return run
     if op in (T_FORWARD, T_BACKWARD):
         left, right = term.a, term.b
         if left is None and right is None:
-            return lambda i, j: Interval(i, j)
+            return lambda i, j: (Interval(i, j), i)
         if op == T_FORWARD:
             # ``I =>``: the *next* I (caller's direction); ``=> J``: the
             # first J, always forward.
@@ -373,39 +384,43 @@ def _compile_term_bits(state, kernel, tid, direction):
             return None
         if rrun is None:
             def run(i, j):
-                found = lrun(i, j)
+                found, horizon = lrun(i, j)
                 if found is BOTTOM or found.hi == INFINITY:
-                    return BOTTOM
-                return Interval(int(found.hi), j)
+                    return BOTTOM, horizon
+                return Interval(int(found.hi), j), horizon
             return run
         if lrun is None:
             def run(i, j):
-                found = rrun(i, j)
+                found, horizon = rrun(i, j)
                 if found is BOTTOM or found.hi == INFINITY:
-                    return BOTTOM
-                return Interval(i, int(found.hi))
+                    return BOTTOM, horizon
+                return Interval(i, int(found.hi)), i
             return run
         if op == T_FORWARD:
             def run(i, j):
-                prefix = lrun(i, j)
+                prefix, horizon = lrun(i, j)
                 if prefix is BOTTOM or prefix.hi == INFINITY:
-                    return BOTTOM
+                    return BOTTOM, horizon
                 lo = int(prefix.hi)
-                found = rrun(lo, j)
+                # J is searched from where I ended, which stays put up to
+                # I's horizon: its own horizon does not bound this one.
+                found = rrun(lo, j)[0]
                 if found is BOTTOM or found.hi == INFINITY:
-                    return BOTTOM
-                return Interval(lo, int(found.hi))
+                    return BOTTOM, horizon
+                return Interval(lo, int(found.hi)), horizon
             return run
 
         def run(i, j):
-            suffix = rrun(i, j)
+            suffix, horizon = rrun(i, j)
             if suffix is BOTTOM or suffix.hi == INFINITY:
-                return BOTTOM
+                return BOTTOM, horizon
             hi = int(suffix.hi)
-            found = lrun(i, hi)
+            found, left_horizon = lrun(i, hi)
+            if left_horizon < horizon:
+                horizon = left_horizon
             if found is BOTTOM or found.hi == INFINITY:
-                return BOTTOM
-            return Interval(int(found.hi), hi)
+                return BOTTOM, horizon
+            return Interval(int(found.hi), hi), horizon
         return run
     return None
 
@@ -413,8 +428,15 @@ def _compile_term_bits(state, kernel, tid, direction):
 def _vectorized_incremental(state, kernel, node, fallback):
     """The tail-kernel binding of ``node`` on a growing prefix, or ``None``.
 
-    Same two shapes as :func:`_vectorized`, but over profiles that only
-    cover the *concrete* states observed so far.  ``_holds`` skips both
+    The two shapes of :func:`_vectorized`, but over profiles that only
+    cover the *concrete* states observed so far, plus ``[I]α`` / ``*I``
+    over a term whose events are all kernel-vectorizable: the fused term
+    closure (:func:`_compile_term_bits`) builds the interval from change
+    indexes, and the node's closure leaves that construction's horizon in
+    ``state._horizon`` for the ``[] / <>`` frontier
+    (``PlanState._holds_suffixes_incremental``), which then skips every
+    start up to it.  A dead profile falls back to the node's generic
+    closure, with the start itself as horizon.  ``_holds`` skips both
     context normalization and the tail push for vector node ids, so these
     closures own both obligations: a context reaching past the last
     concrete state marks the caller's frame tail-dependent (its verdict
@@ -485,30 +507,27 @@ def _vectorized_incremental(state, kernel, node, fallback):
         )
         if construct_fast is None:
             return None
-        if node.op == N_OCCURS:
-            def run(lo, hi):
-                if lo > trace.length:
-                    mark_tail()
-                    lo, hi = normalize(lo, hi)
-                try:
-                    return construct_fast(lo, hi) is not BOTTOM
-                except _ExactConstruct:
-                    return fallback(lo, hi)
-            return run
         holds = state._holds
-        body = node.a
+        body = node.a if node.op == N_INTERVAL else None
 
         def run(lo, hi):
             if lo > trace.length:
                 mark_tail()
                 lo, hi = normalize(lo, hi)
             try:
-                found = construct_fast(lo, hi)
+                found, horizon = construct_fast(lo, hi)
             except _ExactConstruct:
-                return fallback(lo, hi)
-            if found is BOTTOM:
-                return True
-            return holds(body, found.lo, found.hi)
+                verdict = fallback(lo, hi)
+                state._horizon = lo
+                return verdict
+            # Every start up to the horizon builds this same interval, so
+            # the verdict (the body's through its memo) holds for all of them.
+            if body is None:
+                verdict = found is not BOTTOM
+            else:
+                verdict = found is BOTTOM or holds(body, found.lo, found.hi)
+            state._horizon = horizon
+            return verdict
         return run
     return None
 

@@ -49,7 +49,7 @@ from ..semantics.construction import BOTTOM, Direction, Interval
 from ..semantics.state import State
 from ..semantics.trace import INFINITY, Trace
 from ..syntax.terms import Cmp, Const, LogicalVar, OpAfter, OpAt, OpIn, Var
-from .vector import BitsetKernel, TailKernel, changes_from_bits, find_event_bits
+from .vector import BitsetKernel, TailKernel, changes_from_bits, search_changes
 from .dag import (
     N_AND,
     N_ATOM,
@@ -390,8 +390,8 @@ class PlanState:
         :class:`~repro.compile.vector.TailKernel` on an incremental
         :class:`GrowingPrefix`, its static subclass
         :class:`~repro.compile.vector.BitsetKernel` on a
-        :class:`~repro.semantics.trace.Trace` — and state-formula event
-        indexes derive their change positions from bitset shifts.  Verdicts
+        :class:`~repro.semantics.trace.Trace` — and state-formula events
+        are searched through the profiles' change indexes.  Verdicts
         and error behaviour are identical either way — the kernel falls
         back per node whenever it cannot reproduce the per-position
         semantics bit-for-bit.
@@ -442,6 +442,10 @@ class PlanState:
         self._volatile_events: Dict[Any, Any] = {}
         self._volatile_constructs: Dict[Any, Any] = {}
         self._tail: List[bool] = [False]
+        #: The horizon the last fused ``[I]α`` / ``*I`` closure reported:
+        #: the last start from which its verdict and tail marking repeat
+        #: (see :func:`repro.compile.lower._compile_term_bits`).
+        self._horizon: Position = 0
         if forall_unroll_cap is None:
             forall_unroll_cap = DEFAULT_FORALL_UNROLL_CAP
         self._forall_unroll_cap = max(0, int(forall_unroll_cap))
@@ -693,6 +697,13 @@ class PlanState:
         pending tail-dependent suffix.  A deciding verdict (a False child
         under ``[]``, a True child under ``<>``) short-circuits exactly like
         the evaluator's ``all()`` / ``any()``.
+
+        A child bound to a fused interval closure (``[I]α`` / ``*I`` over
+        kernel events) reports a *horizon*: every start up to it builds the
+        same interval with the same tail marking, so it has the same verdict
+        and tail-dependence, and the loop jumps past it.  Pending starts
+        waiting on the same change point thus share one evaluation; any
+        other child advances one start at a time.
         """
         child = node.a
         n = self._trace.length
@@ -704,13 +715,18 @@ class PlanState:
             frontier = self._agg.get(agg_key, lo - 1)
         except TypeError:
             agg_key = None
+        spans = child in self._vector_nids and self._nodes[child].op in (
+            N_INTERVAL, N_OCCURS,
+        )
         first_tail: Optional[int] = None
-        for k in range(max(frontier + 1, lo), n + 1):
+        k = max(frontier + 1, lo)
+        while k <= n:
             value, tail = self._holds_tracked(child, k, INFINITY)
             if value is want:
                 return want
             if tail and first_tail is None:
                 first_tail = k
+            k = self._horizon + 1 if spans else k + 1
         if agg_key is not None:
             self._agg[agg_key] = n if first_tail is None else first_tail - 1
         self._mark_tail()  # an undecided verdict depends on future states
@@ -1009,12 +1025,14 @@ class PlanState:
 
     def _kernel_index(self, event_nid: int, node) -> Optional[EventIndex]:
         """An endpoint index whose change positions come from the bitset
-        kernel: one profile computation and one shift-and-mask instead of a
-        per-state truth scan.  ``None`` when the kernel is absent
-        (``vectorize=False``) or declines the event formula.  Static traces
-        only — on a growing prefix, kernel-supported events are answered
-        straight off the profile by
-        :func:`~repro.compile.vector.find_event_bits`, with no index object
+        kernel instead of a per-state truth scan: the stem is the profile's
+        change index (:meth:`~repro.compile.vector.TailKernel.changes`), the
+        lasso cycle one bit test per cycle position
+        (:func:`~repro.compile.vector.changes_from_bits`).  ``None`` when
+        the kernel is absent (``vectorize=False``) or declines the event
+        formula.  Static traces only — on a growing prefix,
+        kernel-supported events bisect the change index directly
+        (:func:`~repro.compile.vector.search_changes`), with no index object
         at all."""
         kernel = self._kernel
         if kernel is None or self._incremental or not kernel.supports(event_nid):
@@ -1023,7 +1041,8 @@ class PlanState:
         if bits is None:
             return None
         index = EventIndex(state_eval=None)
-        index.stem, index.cycle = changes_from_bits(bits, self._trace)
+        index.stem = kernel.changes(node)
+        index.cycle = changes_from_bits(bits, self._trace)
         # Fully built for the static trace: ensure() is a no-op from here.
         index.built_to = self._trace.length
         return index
@@ -1092,18 +1111,18 @@ class PlanState:
         if self._incremental and node.is_state:
             kernel = self._kernel
             if kernel is not None and kernel.supports(event_nid):
-                bits = kernel.profile(node)
-                if bits is not None:
-                    # Growing prefix, vectorizable event: the bit search is
-                    # cheaper than this memo's key build, so answer directly
-                    # (tail-marking happens inside, straight onto the
-                    # caller's frame).  A dead profile falls through to the
-                    # memoized exact search.
+                index = kernel.changes(node)
+                if index is not None:
+                    # Growing prefix, vectorizable event: bisecting the
+                    # change index is cheaper than this memo's key build,
+                    # so answer directly (tail-marking happens inside,
+                    # straight onto the caller's frame).  A dead profile
+                    # falls through to the memoized exact search.
                     self.stats.event_searches += 1
-                    return find_event_bits(
-                        bits, self._trace.length, i, j,
+                    return search_changes(
+                        index, self._trace.length, i, j,
                         direction == Direction.FORWARD, self._mark_tail,
-                    )
+                    )[0]
         key: Optional[Tuple[Any, ...]] = None
         try:
             envkey = tuple(self._slots[s] for s in node.free_slots)
@@ -1144,7 +1163,7 @@ class PlanState:
         bound = trace.scan_bound(i, j)
         if node.is_state:
             # Growing-prefix vectorizable events answered directly in
-            # :meth:`_find_event` (the tail-profile bit search); reaching
+            # :meth:`_find_event` (the change-index bisection); reaching
             # here means a static trace, an unsupported shape, or a dead
             # profile — the index/scan paths decide.
             index = self._index_for(event_nid, node)

@@ -17,10 +17,14 @@ trace's dictionary-encoded columns (:mod:`repro.semantics.columns`):
   column and answer per *distinct value*, not per state — the OR of the
   passing codes' position bitsets (``Column.code_bits``);
 * ``¬ / ∧ / ∨ / ⊃ / ≡`` combine child profiles with single big-int ops;
-* event change positions (the False→True edges
-  :class:`~repro.compile.runtime.EventIndex` bisects) derive from a bitset
-  shift instead of a per-state scan (:func:`changes_from_bits`,
-  :func:`find_event_bits`).
+* a profile that serves as an event keeps a **change index**: its
+  False→True change positions, ascending, in a compact ``array``
+  (:meth:`TailKernel.changes`).  It is allocated on the profile's first
+  event search and then extended over each appended window only, so an
+  event search on a growing prefix is a bisection
+  (:func:`search_changes`), not a shift of a whole-prefix int; a static
+  trace's :class:`~repro.compile.runtime.EventIndex` takes its stem from
+  the same index (and its lasso cycle from :func:`changes_from_bits`).
 
 :class:`BitsetKernel` is that kernel bound to a static trace, plus the
 lasso queries the static lowering asks: a position test over a cached byte
@@ -43,6 +47,8 @@ per-position verdicts of the shorter prefix.
 from __future__ import annotations
 
 import operator
+from array import array
+from bisect import bisect_right
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..semantics.construction import BOTTOM, Interval
@@ -77,7 +83,7 @@ __all__ = [
     "TailKernel",
     "bit_positions",
     "changes_from_bits",
-    "find_event_bits",
+    "search_changes",
 ]
 
 
@@ -115,69 +121,67 @@ def bit_positions(bits: int) -> List[int]:
     return out
 
 
-def changes_from_bits(bits: int, trace) -> Tuple[List[int], List[int]]:
-    """The ``(stem, cycle)`` False→True change positions of a truth bitset.
+def changes_from_bits(bits: int, trace) -> List[int]:
+    """The False→True change positions of a lasso's repeating cycle.
 
-    Mirrors :meth:`repro.semantics.trace.Trace.change_positions` — ``stem``
-    holds virtual positions ``k`` in ``[2, length]`` whose adjacent pair is
-    a change, ``cycle`` the changes in the first virtual copy of the
-    repeating cycle — but reads the profile as one packed int: the stem is
-    a single shift-and-mask, the cycle one bit test per cycle position.
+    Mirrors the ``cycle`` half of
+    :meth:`repro.semantics.trace.Trace.change_positions`: the changes in
+    the first virtual copy of the cycle, positions ``length + 1`` to
+    ``length + period``, one bit test per cycle position.  The ``stem``
+    half is the profile's change index (:meth:`TailKernel.changes`).
     """
     n = trace.length
-    # bit j set in `chg` iff bit j set and bit j-1 clear; `| 1` excludes
-    # j = 0 (position 1 has no predecessor).
-    chg = bits & ~((bits << 1) | 1)
-    stem = [j + 1 for j in bit_positions(chg)]
-    cycle = [
+    return [
         k
         for k in range(n + 1, n + trace.period + 1)
         if (bits >> (trace.canonical(k) - 1)) & 1
         and not (bits >> (trace.canonical(k - 1) - 1)) & 1
     ]
-    return stem, cycle
 
 
-def find_event_bits(bits: int, n: int, i: int, j, forward: bool, mark_tail):
-    """The changeset search of Chapter 3 over a growing prefix's profile.
+def search_changes(changes, n: int, i: int, j, forward: bool, mark_tail):
+    """The changeset search of Chapter 3 over a growing prefix.
 
-    ``bits`` is an event formula's profile over the concrete positions
-    ``1..n``.  Returns ``Interval(k - 1, k)`` for the first (``forward``)
-    or last False→True change ``k`` in ``(i, bound]``, else ``BOTTOM``;
+    ``changes`` is an event formula's change index over the concrete
+    positions ``1..n`` (:meth:`TailKernel.changes`).  Returns ``(found,
+    horizon)``.  ``found`` is ``Interval(k - 1, k)`` for the first
+    (``forward``) or last change ``k`` in ``(i, bound]``, else ``BOTTOM``;
     ``bound`` is ``j``, or one past ``max(i, n)`` for an infinite context.
     The stutter tail repeats the last state, so no change exists past
     ``n`` (in particular the backward search's recurs-forever ⊥ cannot
     arise).  ``mark_tail()`` runs when the answer may still change as the
     prefix grows: a forward search that found nothing with its bound past
-    ``n``, and every backward search over an infinite context or past ``n``.
+    ``n``, and every backward search over an infinite context or past
+    ``n``.
+
+    ``horizon`` is the last context start from which the same search (same
+    ``j``) gives the same answer and the same tail marking: ``k - 1`` when
+    it found ``k`` (any earlier start still has ``k`` as its first or last
+    change), unbounded when it found nothing (a later start sees a subset
+    of the same empty range).
     """
-    # bit k-1 set iff positions (k-1, k) are a False→True change; `| 1`
-    # excludes k = 1 (no predecessor).
-    chg = bits & ~((bits << 1) | 1)
     if j == INFINITY:
         bound = (i if i > n else n) + 1
     else:
         bound = j
-    lo = i + 1
-    hi = bound if bound < n else n
-    if hi < lo:
-        window = 0
-    else:
-        window = (chg >> (lo - 1)) & ((1 << (hi - lo + 1)) - 1)
     if forward:
-        if not window:
-            if bound > n:
-                mark_tail()  # no event yet; one may still appear
-            return BOTTOM
-        k = lo + ((window & -window).bit_length() - 1)
-        return Interval(k - 1, k)
+        after = bisect_right(changes, i)
+        if after < len(changes):
+            k = changes[after]
+            if k <= bound:
+                return Interval(k - 1, k), k - 1
+        if bound > n:
+            mark_tail()  # no event yet; one may still appear
+        return BOTTOM, INFINITY
     if j == INFINITY or bound > n:
         # The changeset max can move (or appear) as the prefix grows.
         mark_tail()
-    if not window:
-        return BOTTOM
-    k = lo + window.bit_length() - 1
-    return Interval(k - 1, k)
+    last = bisect_right(changes, bound) - 1
+    if last >= 0:
+        k = changes[last]
+        if k > i:
+            return Interval(k - 1, k), k - 1
+    return BOTTOM, INFINITY
 
 
 def _atom_supported(predicate) -> bool:
@@ -221,16 +225,19 @@ class _Profile:
     ``bits`` covers concrete positions ``1..built_to``; ``passes`` caches
     the atom test's verdict per dictionary code (the test runs once per
     *distinct value*, across every extension).  ``dead`` is the permanent
-    exact-fallback flag.
+    exact-fallback flag.  ``changes`` is the change index over positions
+    ``1..changes_to``, ``None`` until the profile's first event search.
     """
 
-    __slots__ = ("bits", "built_to", "dead", "passes")
+    __slots__ = ("bits", "built_to", "dead", "passes", "changes", "changes_to")
 
     def __init__(self) -> None:
         self.bits = 0
         self.built_to = 0
         self.dead = False
         self.passes: Dict[int, bool] = {}
+        self.changes: Optional[array] = None
+        self.changes_to = 0
 
 
 class _CallTrack:
@@ -261,7 +268,8 @@ class TailKernel:
     columns (the test runs once per distinct value, cached across
     extensions), connectives by recombining child bits.  A multi-state
     append is thus absorbed as one vectorized window pass instead of N
-    per-position re-evaluations.
+    per-position re-evaluations.  A profile searched as an event also
+    keeps its change index (:meth:`changes`), extended the same way.
 
     A column that becomes unusable mid-stream (a variable missing from
     some appended state, a comparison raising on a fresh value, the column
@@ -350,6 +358,41 @@ class TailKernel:
                 entry.dead = True
                 return None
         return entry.bits
+
+    def changes(self, node) -> Optional[array]:
+        """The node's change index, extended to the trace's length, or
+        ``None`` when the per-position path must decide instead.
+
+        The index lists, ascending, the positions ``k`` in ``[2, length]``
+        where the node is false at ``k - 1`` and true at ``k`` — the node's
+        changeset as an event.  It is allocated on the profile's first
+        event search and afterwards extended over the positions appended
+        since, one shift of that window each time.  The profile is read
+        through :meth:`profile` only when it needs extending.
+        """
+        key = self._key(node)
+        try:
+            entry = self._entries.get(key)
+        except TypeError:
+            return None  # unhashable binding: the per-position path decides
+        if entry is None or entry.built_to < self._trace.length or entry.dead:
+            if self.profile(node) is None:
+                return None
+            entry = self._entries[key]
+        index = entry.changes
+        if index is None:
+            index = entry.changes = array("l")
+        built, n = entry.changes_to, entry.built_to
+        if built < n:
+            # Bit t of `window` is position built + t; a first build reads
+            # position 0 as true, so that position 1 is never a change.
+            bits = entry.bits
+            window = bits >> (built - 1) if built else bits << 1 | 1
+            rises = (window & ~(window << 1)) >> 1
+            if rises:
+                index.extend([built + 1 + t for t in bit_positions(rises)])
+            entry.changes_to = n
+        return index
 
     def holds_at(self, node, pos: int) -> Optional[bool]:
         """The node's truth at virtual position ``pos`` (None → fall back).

@@ -21,7 +21,7 @@ lacks it) and extends the observed value universe.  Two stores share it:
   rows, only these columns.
 
 Either way there is one :class:`Column` per state variable — a stdlib
-``array`` of small integer codes into a per-column interned value list
+``array`` of 4-byte integer codes into a per-column interned value list
 (dictionary encoding), so booleans, enums and repeated non-scalar values
 all store as machine integers — and one :class:`OperationColumn` per
 operation name, encoding the (phase, args, results) records the same way.
@@ -140,7 +140,7 @@ class _ColumnBase:
 
     def __init__(self, name: str, prefix_length: int = 0) -> None:
         self.name = name
-        self.codes: "array" = array("l", [ABSENT]) * prefix_length
+        self.codes: "array" = array("i", [ABSENT]) * prefix_length
         self.values: List[Any] = []
         self.missing = prefix_length > 0
         self._bits: Optional[List[int]] = []
@@ -161,7 +161,7 @@ class _ColumnBase:
 
     def pad(self, count: int) -> None:
         """Mark the next ``count`` positions as not binding this column."""
-        self.codes.extend(array("l", [ABSENT]) * count)
+        self.codes.extend(array("i", [ABSENT]) * count)
         self.missing = True
 
     def encode(self, values: List[Any], new_at: Set[int]) -> None:

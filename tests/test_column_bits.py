@@ -10,16 +10,21 @@ state formulas over them.  Two properties pin the pair down:
   as a static store built from the same states (missing values, unhashable
   values, booleans beside equal numbers and operations included), leaves a
   column-only prefix with the same rows and value universe as the static
-  trace, and leaves a monitor fed those frames with the same verdicts as a
-  one-shot check of the whole prefix;
+  trace, and leaves a monitor fed those frames with the same verdicts,
+  after every frame, as a one-shot check of the prefix so far;
 * **the bitset cap** — a column past ``_MAX_BITSET_CODES`` /
   ``_MAX_BITSET_BYTES`` keeps no bitsets, whether it got there mid-stream
   or was built past it; the profiles over it fall back to the per-position
   path instead of growing, and verdicts match the ``stepwise`` and
   ``trace`` engines.
+
+Beside them, two cost checks on deterministic counters: each appended
+frame is encoded once and no rows are kept, and a stream repeating one
+segment keeps its dispatch calls per state flat as its history grows.
 """
 
 import gc
+import os
 import tracemalloc
 
 import pytest
@@ -44,9 +49,29 @@ from repro.syntax.parser import parse_formula
 VARIABLES = ("p", "x", "s", "l", "m")
 OPERATIONS = ("Send", "Recv")
 
+#: Every shape the fused term closures build an interval for, over
+#: kernel events: comparisons, a boolean variable and an operation
+#: predicate.
+TERM_SHAPES = {
+    "event": "(x >= 2)",
+    "from": "(x >= 2) =>",
+    "to": "=> p",
+    "from-to": "(x == 1) => (at Send(0))",
+    "back-from": "(s == 6) <=",
+    "back-to": "<= (x == 0)",
+    "back": "(x >= 1) <= p",
+    "begin": "begin((x >= 2) => ~p)",
+    "end": "end(p <= (s != 5))",
+    "nested": "((x == 1) => (s == 6)) <= ~p",
+    "context": "=>",
+}
+
 #: Clauses over every kernel path: propositional atoms, comparisons,
 #: operation predicates with and without arguments, ``[] / <>`` over state
-#: formulas, and interval terms built from state-formula events.
+#: formulas, and interval terms built from state-formula events — among
+#: them ``[] / <>`` over ``[I]α`` and ``*I`` for every shape in
+#: ``TERM_SHAPES``, whose frontier skips the starts a construction's
+#: horizon covers.
 CLAUSES = {
     "always-cmp": "[] (x < 3 \\/ p)",
     "eventually": "<> (x == 2 /\\ ~p)",
@@ -56,6 +81,13 @@ CLAUSES = {
     "occurs": "*((at Send(0)) => (after Recv))",
     "backward": "[] [(x >= 1) <= (x == 0)] <> (s != 5)",
 }
+for _shape, _term in TERM_SHAPES.items():
+    CLAUSES.update({
+        f"always-{_shape}": f"[] [{_term}] <> p",
+        f"eventually-{_shape}": f"<> [{_term}] [] (x < 3)",
+        f"always-occurs-{_shape}": f"[] *({_term})",
+        f"eventually-occurs-{_shape}": f"<> *({_term})",
+    })
 
 _records = st.builds(
     OperationRecord,
@@ -182,35 +214,41 @@ class TestWindowSplits:
     @settings(max_examples=80, deadline=None)
     @given(state_lists(16), st.lists(st.integers(1, 15), max_size=5))
     def test_monitor_frames_match_one_shot_check(self, states, cuts):
+        # Verdicts are compared after every frame: starts left pending
+        # across frames are where a wrong horizon would show.
         formulas = {name: parse_formula(text) for name, text in CLAUSES.items()}
         monitor = Monitor(formulas, capture_errors=True)
-        for frame in frames_of(states, cuts):
-            monitor.observe_batch(frame)
-        observed = {
-            name: (None if v.error else v.holds)
-            for name, v in monitor.verdicts.items()
-        }
         spec = Specification("window splits")
         for name, formula in formulas.items():
             spec.add_axiom(name, formula)
-        trace = make_trace([dict(s.raw_values) for s in states], operations=[
-            {name: {"phase": r.phase, "args": r.args, "results": r.results}
-             for name, r in s.raw_operations.items()}
-            for s in states
-        ])
         session = Session()
-        reference = one_shot(session, spec, trace, compiled=False)
-        # The reference evaluator decides every clause unless a value is
-        # missing; it then raises where its operand order first meets the
-        # missing variable, which the compiled runtime's normalized order
-        # may short-circuit past (``x < 3 \/ p`` with ``p`` true).  Where
-        # it decides, the monitor decides the same way, and the monitor
-        # matches the compiled one-shot check exactly, errors included.
-        complete = all(len(s.raw_values) == len(VARIABLES) for s in states)
-        for name, verdict in reference.items():
-            assert verdict is not None or not complete, name
-            assert verdict is None or observed[name] is verdict, name
-        assert observed == one_shot(session, spec, trace, compiled=True)
+        seen = 0
+        for frame in frames_of(states, cuts):
+            monitor.observe_batch(frame)
+            seen += len(frame)
+            observed = {
+                name: (None if v.error else v.holds)
+                for name, v in monitor.verdicts.items()
+            }
+            prefix = states[:seen]
+            trace = make_trace([dict(s.raw_values) for s in prefix], operations=[
+                {name: {"phase": r.phase, "args": r.args, "results": r.results}
+                 for name, r in s.raw_operations.items()}
+                for s in prefix
+            ])
+            reference = one_shot(session, spec, trace, compiled=False)
+            # The reference evaluator decides every clause unless a value
+            # is missing; it then raises where its operand order first
+            # meets the missing variable, which the compiled runtime's
+            # normalized order may short-circuit past (``x < 3 \/ p`` with
+            # ``p`` true).  Where it decides, the monitor decides the same
+            # way, and the monitor matches the compiled one-shot check
+            # exactly, errors included.
+            complete = all(len(s.raw_values) == len(VARIABLES) for s in prefix)
+            for name, verdict in reference.items():
+                assert verdict is not None or not complete, (name, seen)
+                assert verdict is None or observed[name] is verdict, (name, seen)
+            assert observed == one_shot(session, spec, trace, compiled=True), seen
 
 
 class _Incomparable(list):
@@ -312,6 +350,82 @@ def test_ingest_encodes_each_frame_once_and_keeps_no_rows(monkeypatch, family):
     assert absorbed == [INGEST_FRAME] * len(frames)
     assert monitor.prefix_length == INGEST_STATES
     assert grown / (INGEST_STATES - INGEST_FRAME) <= INGEST_BYTES_PER_STATE
+
+
+# -- history cost ----------------------------------------------------------------
+
+#: States of the repeated-segment stream (``HISTORY_COST_STATES`` raises it:
+#: CI runs 100k, the nightly run 1M), states per frame, the prefix lengths
+#: whose verdicts are checked against a one-shot check, and the largest
+#: allowed growth of dispatch calls per state from the first tenth of
+#: frames to the last.
+HISTORY_STATES = int(os.environ.get("HISTORY_COST_STATES", "20000"))
+HISTORY_FRAME = 64
+HISTORY_CHECKPOINTS = (2500, 5000, 10000, 20000)
+HISTORY_GROWTH = 1.25
+
+
+def repeated_segment_rows():
+    """One healthy ``mutex`` segment (loadgen seed 3, 30 states), repeated.
+
+    Process 1 never enters its critical section in it, so every start of
+    ``A1/12 = [] [x1 <= cs1] <> ~x2`` waits on a ``cs1`` change that never
+    comes: a frontier that evaluates each pending start on its own does
+    work linear in the prefix on every frame.
+    """
+    script = generate_stream_scripts(
+        4, seed=3, fault_rate=0.0, families=[LOAD_FAMILIES[0]]
+    )[0]
+    segment = script.rows()
+    return (segment * (HISTORY_STATES // len(segment) + 1))[:HISTORY_STATES]
+
+
+@pytest.fixture(scope="module")
+def repeated_segment_one_shot():
+    """Per checkpoint length: the verdicts of a one-shot ``check_spec`` of
+    the full ``mutex`` specification on that prefix."""
+    rows = repeated_segment_rows()
+    specification = SPEC_FACTORIES()["mutex"]()
+    verdicts = {}
+    for length in HISTORY_CHECKPOINTS:
+        if length <= len(rows):
+            trace = Trace(rows_to_states(rows[:length]))
+            verdicts[length] = one_shot(Session(), specification, trace, compiled=True)
+    return verdicts
+
+
+@pytest.mark.parametrize("clause", ["A1/12", None], ids=["A1-12", "mutex"])
+def test_repeated_segment_dispatch_stays_flat(clause, repeated_segment_one_shot):
+    rows = repeated_segment_rows()
+    specification = SPEC_FACTORIES()["mutex"]()
+    monitor = Session().monitor({
+        c.name: c.interpreted_formula()
+        for c in specification.clauses
+        if clause is None or c.name == clause
+    })
+    stats = monitor.plan_state.stats
+    checkpoints = sorted(repeated_segment_one_shot)
+    # Frames end at every checkpoint, so verdicts are read there.
+    bounds = sorted(set(range(HISTORY_FRAME, len(rows), HISTORY_FRAME))
+                    | set(checkpoints) | {len(rows)})
+    batches = []
+    start = 0
+    for stop in bounds:
+        before = stats.dispatch_calls
+        monitor.observe_batch(rows_to_states(rows[start:stop]))
+        batches.append((stop - start, stats.dispatch_calls - before))
+        start = stop
+        if stop in checkpoints:
+            reference = repeated_segment_one_shot[stop]
+            observed = {name: v.holds for name, v in monitor.verdicts.items()}
+            assert observed == {name: reference[name] for name in observed}, stop
+
+    def per_state(part):
+        return sum(d for _, d in part) / sum(n for n, _ in part)
+
+    tenth = max(1, len(batches) // 10)
+    first, last = per_state(batches[:tenth]), per_state(batches[-tenth:])
+    assert last <= HISTORY_GROWTH * first, (first, last)
 
 
 # -- the bitset cap --------------------------------------------------------------

@@ -158,7 +158,10 @@ class TestBitsetKernel:
         node = next(n for n in state._nodes if n.predicate is not None)
         bits = kernel.profile(node)
         assert bits is not None
-        assert changes_from_bits(bits, trace) == trace.change_positions(profile)
+        # The change index is the stem; the lasso cycle comes from the bits.
+        assert (list(kernel.changes(node)), changes_from_bits(bits, trace)) == (
+            trace.change_positions(profile)
+        )
 
     @pytest.mark.parametrize("formula_text", [
         "p", "~p", "p /\\ q", "p \\/ ~q", "x == 2", "x != 2", "x < 3",
