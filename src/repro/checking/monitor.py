@@ -57,6 +57,7 @@ from typing import Any, Callable, Dict, Iterable, Iterator, List, Mapping, Optio
 
 from ..compile import GrowingPrefix, SpecPlan, SpecPlanState
 from ..core.specification import Specification
+from ..semantics.columns import Window
 from ..semantics.state import State
 from ..semantics.trace import Trace
 from ..syntax.formulas import Formula
@@ -384,6 +385,11 @@ class Monitor:
         Verdict histories and ``on_change`` callbacks see one entry per
         *batch* — send batches of one for per-state granularity.
 
+        ``states`` is a :class:`~repro.semantics.columns.Window` — what the
+        serve layer builds from wire rows, taken as it is — or a sequence
+        of ``State`` s and plain mappings, converted in one pass (a mapping
+        becomes ``State(mapping)``).
+
         ``commits`` is the number of observation steps the batch stands
         for: the serve layer coalesces ``k`` back-to-back frames into one
         batch and passes ``commits=k`` so each formula's ``stable_for``
@@ -393,9 +399,7 @@ class Monitor:
         if not states:
             return dict(self._verdicts)
         plan_state = self.plan_state
-        self._prefix.extend(
-            [state if isinstance(state, State) else State(state) for state in states]
-        )
+        self._prefix.extend(Window.of(states, coerce=True))
         before = plan_state.stats.dispatch_calls
         plan_state.note_append()
         self._refresh_verdicts(weight=commits)

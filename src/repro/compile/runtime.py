@@ -98,12 +98,14 @@ class GrowingPrefix:
 
     Implements the position protocol of :class:`repro.semantics.trace.Trace`
     specialized to the paper's finite-computation convention
-    (``loop_start == length``, period 1).  Each appended window is encoded
-    once, column by column, into an
+    (``loop_start == length``, period 1).  Each appended window — a
+    :class:`~repro.semantics.columns.Window`, as the serve layer builds
+    from wire rows without a ``State``, or a sequence of ``State`` s — is
+    encoded once, column by column, into an
     :class:`~repro.semantics.columns.IncrementalColumnStore` (``__start__``
-    marked there), and its ``State`` objects are dropped.  :meth:`state_at`
-    and :meth:`states` answer with row views rebuilt from the columns and
-    cached per position, as ``Trace`` does.
+    marked there), and then dropped.  :meth:`state_at` and :meth:`states`
+    answer with row views rebuilt from the columns and cached per position,
+    as ``Trace`` does.
     """
 
     __slots__ = ("columns", "_rows")
@@ -119,13 +121,13 @@ class GrowingPrefix:
         self.extend((state,))
 
     def extend(self, states: Sequence[State]) -> None:
-        """Append a window of states, encoded in one pass per column."""
-        for index, state in enumerate(states):
-            if not isinstance(state, State):
-                raise TraceError(
-                    f"trace element {self.length + index} is not a State: "
-                    f"{type(state).__name__}"
-                )
+        """Append a window of states, encoded in one pass per column.
+
+        A :class:`~repro.semantics.columns.Window` is taken as it is; a
+        sequence of ``State`` s is converted in one pass, and an element
+        that is not a ``State`` raises :class:`TraceError` before any of
+        the window is encoded.
+        """
         self.columns.absorb(states)
 
     # -- Trace position protocol --------------------------------------------

@@ -7,13 +7,19 @@ entry point", "which non-boolean values were ever observed".  Storing the
 trace row-major — one dict-backed :class:`~repro.semantics.state.State` per
 position — makes each of those questions an O(n) Python-object walk.
 
-One window encoder (:meth:`_Store._encode`) turns a run of states
-column-major, one column at a time: each column's codes come from one list
-comprehension of dictionary lookups, and only values the column has not
-interned yet (or cannot hash) are interned one by one.  The same call pads
-the columns the window does not bind, marks the ``__start__`` column of the
-Init-clause ``start`` predicate (True at position 1, False where a state
-lacks it) and extends the observed value universe.  Two stores share it:
+A run of states travels as a :class:`Window`: two parallel lists, each
+state's value map and its operation map.  The serve layer fills one
+straight from validated wire rows, so a served state is never built as a
+``State``; a sequence of ``State`` s becomes one by reading their maps.
+The window is the only input of the one window encoder
+(:meth:`_Store._encode`), which turns it column-major, one column at a
+time: each column's codes come from one list comprehension of dictionary
+lookups, and only values the column has not interned yet (or cannot hash)
+are interned one by one.  The same call pads the columns the window does
+not bind, marks the ``__start__`` column of the Init-clause ``start``
+predicate (True at position 1, False where a state lacks it) and extends
+the observed value universe; it only reads the window's maps.  Two stores
+share it:
 
 * a :class:`ColumnStore` holds one static trace, encoded as one window;
 * an :class:`IncrementalColumnStore` holds a growing prefix, encoded one
@@ -39,15 +45,18 @@ the window holds, never a rebuild.
 from __future__ import annotations
 
 from array import array
+from collections.abc import Sequence as SequenceABC
 from itertools import chain
-from typing import Any, Dict, List, Optional, Sequence, Set, Tuple, Type
+from typing import Any, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Set, Tuple, Type
 
-from .state import OperationRecord, State
+from ..errors import TraceError
+from .state import OperationRecord, State, observed_values
 
 __all__ = [
     "ABSENT",
     "Column",
     "OperationColumn",
+    "Window",
     "ColumnStore",
     "IncrementalColumnStore",
 ]
@@ -78,6 +87,73 @@ class _Missing:
 _MISSING = _Missing()
 
 
+class Window(SequenceABC):
+    """A batch of states held as two parallel lists.
+
+    ``values[i]`` is state ``i``'s variable map and ``operations[i]`` its
+    operation-record map (name → :class:`OperationRecord`); ``len()`` is
+    the state count.  The encoder only reads the maps, so a window may hold
+    maps it does not own — the serve layer's decoded wire dicts, a
+    ``State``'s internal maps.  Read as a ``Sequence[State]``, it builds
+    each ``State`` on access.
+    """
+
+    __slots__ = ("values", "operations")
+
+    def __init__(
+        self,
+        values: List[Mapping[str, Any]],
+        operations: List[Mapping[str, OperationRecord]],
+    ) -> None:
+        self.values = values
+        self.operations = operations
+
+    @classmethod
+    def of(cls, states: Sequence[Any], first: int = 0, coerce: bool = False) -> "Window":
+        """``states`` as a window: a window as it is, anything else in one pass.
+
+        An element that is not a ``State`` raises :class:`TraceError`
+        (naming it as trace element ``first`` + its index) before anything
+        is encoded — or, with ``coerce``, becomes ``State(element)``.
+        """
+        if isinstance(states, Window):
+            return states
+        values: List[Mapping[str, Any]] = []
+        operations: List[Mapping[str, OperationRecord]] = []
+        for state in states:
+            if not isinstance(state, State):
+                if not coerce:
+                    raise TraceError(
+                        f"trace element {first + len(values)} is not a State: "
+                        f"{type(state).__name__}"
+                    )
+                state = State(state)
+            values.append(state.raw_values)
+            operations.append(state.raw_operations)
+        return cls(values, operations)
+
+    @classmethod
+    def join(cls, windows: Iterable["Window"]) -> "Window":
+        """The concatenation of ``windows``, in order."""
+        values: List[Mapping[str, Any]] = []
+        operations: List[Mapping[str, OperationRecord]] = []
+        for window in windows:
+            values += window.values
+            operations += window.operations
+        return cls(values, operations)
+
+    def __len__(self) -> int:
+        return len(self.values)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return Window(self.values[index], self.operations[index])
+        return State(self.values[index], self.operations[index])
+
+    def __iter__(self) -> Iterator[State]:
+        return map(State, self.values, self.operations)
+
+
 class _Universe:
     """The distinct observed non-boolean values, in first-observation order.
 
@@ -96,13 +172,14 @@ class _Universe:
         self._unhashable: List[Any] = []
         self._error = error
 
-    def observe(self, states: Sequence[State]) -> None:
+    def observe(self, window: Window, indexes: Iterable[int]) -> None:
+        """Add the values of the window's states at ``indexes``, in order."""
         if self._error is not None:
             return
         values, seen, unhashable = self._values, self._seen, self._unhashable
         try:
-            for state in states:
-                for value in state.observed_values():
+            for j in indexes:
+                for value in observed_values(window.values[j], window.operations[j]):
                     try:
                         if value in seen:
                             continue
@@ -272,7 +349,7 @@ class OperationColumn(_ColumnBase):
 def _encode_columns(
     columns: Dict[str, Any],
     kind: Type[_ColumnBase],
-    rows: List[Dict[str, Any]],
+    rows: List[Mapping[str, Any]],
     offset: int,
     mark_start: bool,
     new_at: Set[int],
@@ -316,8 +393,8 @@ class _Store:
         self._op_columns: Dict[str, OperationColumn] = {}
         self._universe = _Universe()
 
-    def _encode(self, states: Sequence[State]) -> None:
-        """The window encoder: append ``states`` column by column.
+    def _encode(self, window: Window) -> None:
+        """The window encoder: append ``window`` column by column.
 
         The value universe is extended from the states that interned a new
         value in some column — a value no column has seen before — in
@@ -325,20 +402,18 @@ class _Store:
         would: states in order, each state's values in its own key order,
         then operation args and results.
         """
-        if not states:
+        if not window:
             return
         offset = self.length
         new_at: Set[int] = set()
         _encode_columns(
-            self._columns, Column, [state.raw_values for state in states],
-            offset, self._mark_start, new_at,
+            self._columns, Column, window.values, offset, self._mark_start, new_at
         )
         _encode_columns(
-            self._op_columns, OperationColumn, [state.raw_operations for state in states],
-            offset, False, new_at,
+            self._op_columns, OperationColumn, window.operations, offset, False, new_at
         )
-        self.length = offset + len(states)
-        self._universe.observe([states[j] for j in sorted(new_at)])
+        self.length = offset + len(window)
+        self._universe.observe(window, sorted(new_at))
 
     # -- accessors -----------------------------------------------------------
 
@@ -381,11 +456,11 @@ class IncrementalColumnStore(_Store):
 
     The incremental monitors' :class:`~repro.compile.runtime.GrowingPrefix`
     holds nothing else: each appended window is encoded here once, column
-    by column, with ``__start__`` marked, and its ``State`` objects are
-    dropped.  The columns' per-code bitsets extend lazily
-    (:meth:`_ColumnBase.code_bits`), so the bitset kernel
-    (:class:`~repro.compile.vector.TailKernel`) reads them after any number
-    of absorbs and extends its truth profiles over just the appended window.
+    by column, with ``__start__`` marked, and then dropped.  The columns'
+    per-code bitsets extend lazily (:meth:`_ColumnBase.code_bits`), so the
+    bitset kernel (:class:`~repro.compile.vector.TailKernel`) reads them
+    after any number of absorbs and extends its truth profiles over just
+    the appended window.
     """
 
     __slots__ = ()
@@ -394,8 +469,14 @@ class IncrementalColumnStore(_Store):
         super().__init__(mark_start=True)
 
     def absorb(self, states: Sequence[State]) -> None:
-        """Append one window of states to every column (padded)."""
-        self._encode(states)
+        """Append one window of states to every column (padded).
+
+        A :class:`Window` is encoded as it is; a sequence of ``State`` s is
+        converted in one pass first (:meth:`Window.of`), so an element that
+        is not a ``State`` raises :class:`TraceError` before any of the
+        window is encoded.
+        """
+        self._encode(Window.of(states, self.length))
 
 
 class ColumnStore(_Store):
@@ -419,7 +500,7 @@ class ColumnStore(_Store):
         self._build(source_states)
 
     def _build(self, source_states: Sequence[State]) -> None:
-        self._encode(source_states)
+        self._encode(Window.of(source_states))
 
     # -- pickling -------------------------------------------------------------
 

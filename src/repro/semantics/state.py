@@ -220,11 +220,16 @@ class State(Mapping[str, Any]):
 
     def observed_values(self) -> Tuple[Any, ...]:
         """All values mentioned by this state (used to build quantifier domains)."""
-        seen = []
-        for value in self._values.values():
-            if not isinstance(value, bool):
-                seen.append(value)
-        for record in self._operations.values():
-            seen.extend(record.args)
-            seen.extend(record.results)
-        return tuple(seen)
+        return observed_values(self._values, self._operations)
+
+
+def observed_values(
+    values: Mapping[str, Any], operations: Mapping[str, OperationRecord]
+) -> Tuple[Any, ...]:
+    """The values a state with these maps mentions: its non-boolean
+    variable values, then each operation record's args and results."""
+    seen = [value for value in values.values() if not isinstance(value, bool)]
+    for record in operations.values():
+        seen.extend(record.args)
+        seen.extend(record.results)
+    return tuple(seen)

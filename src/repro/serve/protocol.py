@@ -24,7 +24,11 @@ A state ROW is ``{"values": {name: value, ...}}`` plus an optional
 ``values`` may not bind ``__start__``: the monitor derives it.
 ``append`` frames are **batched**: all rows are absorbed as one unit and
 verdicts re-evaluate once at the batch boundary (send one row per frame
-for per-state alert granularity).  ``"ack": false`` suppresses the
+for per-state alert granularity).  :func:`rows_to_states` is the one row
+validator: it checks a frame's rows and fills one
+:class:`~repro.semantics.columns.Window` with the decoded ``values``
+dicts themselves, so a served row reaches the column encoder without a
+``State`` being built or a dict copied.  ``"ack": false`` suppresses the
 ``appended`` acknowledgement (alerts still fire) for fire-and-forget
 ingestion.
 
@@ -48,15 +52,16 @@ with :func:`repro.obs.to_prometheus_text`.
 
 Malformed input never kills a connection: undecodable bytes, oversized
 lines, non-object JSON, unknown ops and missing/ill-typed fields each
-produce an explicit ``error`` frame (codes in :data:`ERROR_CODES`) and the
-session continues with the next line.
+produce an explicit ``error`` frame (codes in :data:`ERROR_CODES`), in
+the order of the lines, and the session continues with the next line.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Mapping, Optional, Union
 
+from ..semantics.columns import Window
 from ..semantics.state import OperationRecord, State
 
 __all__ = [
@@ -91,7 +96,7 @@ ERROR_CODES = (
     "duplicate-stream",  # open on a name already serving
     "unknown-spec",    # open names a spec outside the registry
     "bad-formula",     # open carries unparseable concrete syntax
-    "bad-state",       # append carries a row that does not build a State
+    "bad-state",       # append carries a malformed state row
     "internal",        # unexpected server-side failure, stream unharmed
 )
 
@@ -122,7 +127,14 @@ def encode_frame(frame: Dict[str, Any]) -> bytes:
 
 
 def decode_frame(line: Any) -> Dict[str, Any]:
-    """One line (bytes or str) → a frame dict, or :class:`ProtocolError`."""
+    """One line (bytes or str) → a frame dict, or :class:`ProtocolError`.
+
+    An entry of :meth:`FrameDecoder.feed` that is already a
+    :class:`ProtocolError` (an oversized line) is raised as it is, so a
+    caller decoding every entry answers each error at its line's place.
+    """
+    if isinstance(line, ProtocolError):
+        raise line
     if isinstance(line, (bytes, bytearray)):
         try:
             line = line.decode("utf-8")
@@ -227,7 +239,11 @@ class FrameDecoder:
     hundred lines, a line split mid-UTF-8-sequence — buffers the partial
     tail and returns the *complete* raw lines.  Decoding those lines (and
     answering per-line errors) is the caller's business, so one bad line
-    never poisons its neighbours in the same chunk.
+    never poisons its neighbours in the same chunk: a line longer than
+    ``max_line`` is returned as its ``line-too-long``
+    :class:`ProtocolError`, at its place among the lines — a complete one
+    where it ended, a partial tail that outgrew the limit last.  Only a
+    chunk that completes no line at all raises that error instead.
 
     Oversize-line poisoning is *counted*: :attr:`poisoned_lines` is the
     number of lines rejected by the framing guard and :attr:`resyncs` the
@@ -253,8 +269,9 @@ class FrameDecoder:
         """Bytes buffered waiting for their newline."""
         return len(self._buffer)
 
-    def feed(self, data: bytes) -> List[bytes]:
-        """Absorb a chunk; returns every newly completed line (sans ``\\n``)."""
+    def feed(self, data: bytes) -> List[Union[bytes, ProtocolError]]:
+        """Absorb a chunk; returns every newly completed line (sans ``\\n``),
+        with a :class:`ProtocolError` in place of each oversized one."""
         if self._poisoned:
             # After an oversized line, resynchronize at the next newline.
             cut = data.find(b"\n")
@@ -267,32 +284,35 @@ class FrameDecoder:
         self._buffer.extend(data)
         if b"\n" not in self._buffer:
             if len(self._buffer) > self._max_line:
-                self._poisoned = True
-                self.poisoned_lines += 1
-                self._buffer.clear()
-                raise ProtocolError(
-                    "line-too-long",
-                    f"frame exceeds {self._max_line} bytes before its newline",
-                )
+                raise self._poison_tail()
             return []
         *complete, tail = self._buffer.split(b"\n")
         self._buffer = bytearray(tail)
-        lines = [line.rstrip(b"\r") for line in complete if line.strip()]
-        if len(self._buffer) > self._max_line:
-            self._poisoned = True
-            self.poisoned_lines += 1
-            self._buffer.clear()
-            raise ProtocolError(
-                "line-too-long",
-                f"frame exceeds {self._max_line} bytes before its newline",
-            )
-        for line in lines:
+        lines: List[Union[bytes, ProtocolError]] = []
+        for line in complete:
+            if not line.strip():
+                continue
+            line = line.rstrip(b"\r")
             if len(line) > self._max_line:
                 self.poisoned_lines += 1
-                raise ProtocolError(
+                lines.append(ProtocolError(
                     "line-too-long", f"frame exceeds {self._max_line} bytes"
-                )
+                ))
+            else:
+                lines.append(line)
+        if len(self._buffer) > self._max_line:
+            lines.append(self._poison_tail())
         return lines
+
+    def _poison_tail(self) -> ProtocolError:
+        """Drop the oversized partial line and skip to the next newline."""
+        self._poisoned = True
+        self.poisoned_lines += 1
+        self._buffer.clear()
+        return ProtocolError(
+            "line-too-long",
+            f"frame exceeds {self._max_line} bytes before its newline",
+        )
 
 
 # -- state rows -------------------------------------------------------------
@@ -318,60 +338,80 @@ def state_to_row(state: State) -> Dict[str, Any]:
 
 def row_to_state(row: Any, stream: Optional[str] = None) -> State:
     """One wire row → a :class:`State`; :class:`ProtocolError` on bad shape."""
-    if not isinstance(row, dict):
-        raise ProtocolError(
-            "bad-state", f"a state row is an object, got {type(row).__name__}",
-            stream=stream,
-        )
-    values = row.get("values")
-    if not isinstance(values, dict):
-        raise ProtocolError(
-            "bad-state", "a state row requires an object field 'values'",
-            stream=stream,
-        )
-    if "__start__" in values:
-        raise ProtocolError(
-            "bad-state", "'__start__' is derived by the monitor, not sent",
-            stream=stream,
-        )
-    operations = None
-    if "ops" in row:
-        raw_ops = row["ops"]
-        if not isinstance(raw_ops, dict):
+    return rows_to_states([row], stream)[0]
+
+
+#: The operation map of every row without ``"ops"``; windows only read it.
+_NO_OPERATIONS: Mapping[str, OperationRecord] = {}
+
+
+def rows_to_states(rows: Iterable[Any], stream: Optional[str] = None) -> Window:
+    """Wire rows → one :class:`~repro.semantics.columns.Window` of states.
+
+    The one row validator: rows are checked in order, and the first bad one
+    raises its ``bad-state`` :class:`ProtocolError` before the window is
+    returned, so a frame with a bad row commits nothing.  A good row's
+    decoded ``values`` dict goes into the window as it is — no ``State`` is
+    built and no dict copied (the encoder only reads it) — beside an
+    operation map of :class:`OperationRecord` s built from its ``ops``.
+    """
+    value_maps: List[Dict[str, Any]] = []
+    operation_maps: List[Mapping[str, OperationRecord]] = []
+    for row in rows:
+        if not isinstance(row, dict):
             raise ProtocolError(
-                "bad-state", "'ops' must map operation names to records",
+                "bad-state", f"a state row is an object, got {type(row).__name__}",
                 stream=stream,
             )
-        operations = {}
-        for name, record in raw_ops.items():
-            if (
-                not isinstance(record, (list, tuple))
-                or len(record) != 3
-                or not isinstance(record[0], str)
-                or not isinstance(record[1], list)
-                or not isinstance(record[2], list)
-            ):
-                raise ProtocolError(
-                    "bad-state",
-                    f"operation {name!r} record must be [phase, args, results]",
-                    stream=stream,
-                )
-            try:
-                operations[name] = OperationRecord(
-                    record[0], tuple(record[1]), tuple(record[2])
-                )
-            except Exception as exc:
-                raise ProtocolError(
-                    "bad-state", f"operation {name!r}: {exc}", stream=stream
-                ) from None
-    try:
-        return State(values, operations)
-    except Exception as exc:
-        raise ProtocolError("bad-state", str(exc), stream=stream) from None
+        values = row.get("values")
+        if not isinstance(values, dict):
+            raise ProtocolError(
+                "bad-state", "a state row requires an object field 'values'",
+                stream=stream,
+            )
+        if "__start__" in values:
+            raise ProtocolError(
+                "bad-state", "'__start__' is derived by the monitor, not sent",
+                stream=stream,
+            )
+        operations = row.get("ops", _NO_OPERATIONS)
+        if operations is not _NO_OPERATIONS:
+            operations = _operation_records(operations, stream)
+        value_maps.append(values)
+        operation_maps.append(operations)
+    return Window(value_maps, operation_maps)
 
 
-def rows_to_states(rows: Iterable[Any], stream: Optional[str] = None) -> List[State]:
-    return [row_to_state(row, stream) for row in rows]
+def _operation_records(raw_ops: Any, stream: Optional[str]) -> Dict[str, OperationRecord]:
+    """A row's ``ops`` field → operation name → :class:`OperationRecord`."""
+    if not isinstance(raw_ops, dict):
+        raise ProtocolError(
+            "bad-state", "'ops' must map operation names to records",
+            stream=stream,
+        )
+    operations = {}
+    for name, record in raw_ops.items():
+        if (
+            not isinstance(record, (list, tuple))
+            or len(record) != 3
+            or not isinstance(record[0], str)
+            or not isinstance(record[1], list)
+            or not isinstance(record[2], list)
+        ):
+            raise ProtocolError(
+                "bad-state",
+                f"operation {name!r} record must be [phase, args, results]",
+                stream=stream,
+            )
+        try:
+            operations[name] = OperationRecord(
+                record[0], tuple(record[1]), tuple(record[2])
+            )
+        except Exception as exc:
+            raise ProtocolError(
+                "bad-state", f"operation {name!r}: {exc}", stream=stream
+            ) from None
+    return operations
 
 
 def trace_to_rows(trace) -> List[Dict[str, Any]]:

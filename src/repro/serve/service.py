@@ -166,16 +166,14 @@ class MonitorService:
                     break
                 try:
                     lines = decoder.feed(chunk)
-                except ProtocolError as exc:
-                    self._sync_framing(decoder, framing_seen)
-                    writer.write(encode_frame(exc.to_frame()))
-                    await writer.drain()
-                    continue
+                except ProtocolError as exc:  # the chunk completed no line
+                    lines = [exc]
                 self._sync_framing(decoder, framing_seen)
                 frames: List[Dict[str, Any]] = []
                 responses: List[Dict[str, Any]] = []
                 for line in lines:
                     try:
+                        # An oversized line is its own ProtocolError entry.
                         frames.append(decode_frame(line))
                     except ProtocolError as exc:
                         # Flush what decoded so far, then the error, keeping

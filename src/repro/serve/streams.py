@@ -43,6 +43,7 @@ from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..api.session import Session
 from ..obs import DEFAULT_SIZE_BUCKETS, MetricsRegistry
+from ..semantics.columns import Window
 from ..syntax.parser import parse_formula
 from .protocol import ProtocolError, rows_to_states, validate_request
 
@@ -153,11 +154,11 @@ class StreamHandle:
         return alerts
 
     def absorb_group(
-        self, batches: Sequence[Sequence[Any]]
+        self, batches: Sequence[Window]
     ) -> List[Tuple[List[Dict[str, Any]], Dict[str, Optional[bool]], int, int]]:
         """Commit ``k`` back-to-back frames as one coalesced runtime batch.
 
-        The concatenated states are absorbed in **one**
+        The frames' windows, concatenated, are absorbed in **one**
         :meth:`~repro.checking.monitor.Monitor.observe_batch` call with
         ``commits=k`` — one volatile-memo sweep and one verdict refresh
         whose ``stable_for`` weights stand in for the ``k`` commits.  Every
@@ -178,7 +179,7 @@ class StreamHandle:
             ]
         start_version = self.version
         start_length = self.monitor.prefix_length
-        merged = [state for batch in batches for state in batch]
+        merged = Window.join(batches)
         commits = sum(1 for batch in batches if batch)
         if merged:
             self.monitor.observe_batch(merged, commits=commits)
@@ -589,7 +590,7 @@ class StreamRegistry:
         """
         name = run[0]["stream"]
         handle = self._streams[name]
-        decoded: List[Tuple[Dict[str, Any], List[Any]]] = []
+        decoded: List[Tuple[Dict[str, Any], Window]] = []
         failure: Optional[ProtocolError] = None
         for frame in run:
             try:

@@ -18,11 +18,13 @@ state formulas over them.  Two properties pin the pair down:
   path instead of growing, and verdicts match the ``stepwise`` and
   ``trace`` engines.
 
-Beside them, two cost checks on deterministic counters: each appended
-frame is encoded once and no rows are kept, and a stream repeating one
-segment keeps its dispatch calls per state flat as its history grows.
+Beside them, three cost checks on deterministic counters: each appended
+frame is encoded once and no rows are kept, serving wire rows builds no
+``State`` at all, and a stream repeating one segment keeps its dispatch
+calls per state flat as its history grows.
 """
 
+import copy
 import gc
 import os
 import tracemalloc
@@ -41,7 +43,7 @@ from repro.semantics.columns import ColumnStore, IncrementalColumnStore
 from repro.semantics.state import OperationRecord, State
 from repro.semantics.trace import Trace, make_trace
 from repro.serve.protocol import rows_to_states
-from repro.serve.streams import SPEC_FACTORIES
+from repro.serve.streams import SPEC_FACTORIES, StreamRegistry
 from repro.syntax.parser import parse_formula
 
 #: ``l`` holds unhashable values (lists); ``m`` mixes booleans with the
@@ -313,16 +315,21 @@ INGEST_SEGMENTS = 8
 INGEST_BYTES_PER_STATE = 160
 
 
-@pytest.mark.parametrize("family", [family[0] for family in LOAD_FAMILIES])
-def test_ingest_encodes_each_frame_once_and_keeps_no_rows(monkeypatch, family):
-    # One long healthy stream: the family's generated segments, repeated.
+def ingest_frames(family):
+    """One long healthy stream's wire rows, in frames: the family's
+    generated segments, repeated."""
     scripts = generate_stream_scripts(
         len(LOAD_FAMILIES) * INGEST_SEGMENTS, seed=3, fault_rate=0.0
     )
     index = [f[0] for f in LOAD_FAMILIES].index(family)
     period = [row for script in scripts[index::len(LOAD_FAMILIES)] for row in script.rows()]
     rows = (period * (INGEST_STATES // len(period) + 1))[:INGEST_STATES]
-    frames = [rows[i:i + INGEST_FRAME] for i in range(0, INGEST_STATES, INGEST_FRAME)]
+    return [rows[i:i + INGEST_FRAME] for i in range(0, INGEST_STATES, INGEST_FRAME)]
+
+
+@pytest.mark.parametrize("family", [family[0] for family in LOAD_FAMILIES])
+def test_ingest_encodes_each_frame_once_and_keeps_no_rows(monkeypatch, family):
+    frames = ingest_frames(family)
     specification = SPEC_FACTORIES()[family]()
     monitor = Session().monitor(
         {c.name: c.interpreted_formula() for c in specification.clauses}
@@ -350,6 +357,32 @@ def test_ingest_encodes_each_frame_once_and_keeps_no_rows(monkeypatch, family):
     assert absorbed == [INGEST_FRAME] * len(frames)
     assert monitor.prefix_length == INGEST_STATES
     assert grown / (INGEST_STATES - INGEST_FRAME) <= INGEST_BYTES_PER_STATE
+
+
+@pytest.mark.parametrize("family", [family[0] for family in LOAD_FAMILIES])
+def test_serving_builds_no_state(monkeypatch, family):
+    # Served rows reach the column encoder as one window per frame, holding
+    # the decoded dicts themselves: no ``State`` is built, and the rows the
+    # encoder reads are left as they were (``__start__`` is never added).
+    frames = ingest_frames(family)
+    sent = copy.deepcopy(frames)
+    built = []
+    init = State.__init__
+
+    def counted(state, *args, **kwargs):
+        built.append(None)
+        init(state, *args, **kwargs)
+
+    monkeypatch.setattr(State, "__init__", counted)
+    registry = StreamRegistry()
+    registry.handle({"op": "open", "stream": family, "spec": family})
+    for frame in frames:
+        responses = registry.handle({"op": "append", "stream": family, "states": frame})
+        assert responses[-1]["ok"] == "appended", responses[-1]
+    assert len(built) == 0
+    assert registry.stream(family).monitor.prefix_length == INGEST_STATES
+    assert frames == sent
+    assert not any("__start__" in row["values"] for frame in frames for row in frame)
 
 
 # -- history cost ----------------------------------------------------------------

@@ -27,6 +27,7 @@ from repro.serve.protocol import (
     validate_request,
 )
 from repro.serve.shard import DEFAULT_REPLICAS, HashRing
+from repro.serve.streams import StreamRegistry
 
 
 class TestFrameCodec:
@@ -160,11 +161,30 @@ class TestFrameDecoder:
     def test_oversized_tail_after_complete_lines(self):
         decoder = FrameDecoder(max_line=32)
         good = encode_frame({"op": "ping"})
-        with pytest.raises(ProtocolError):
-            decoder.feed(good + b"a" * 64)
+        # The complete line is returned; the tail's error comes after it.
+        line, error = decoder.feed(good + b"a" * 64)
+        assert decode_frame(line) == {"op": "ping"}
+        assert isinstance(error, ProtocolError) and error.code == "line-too-long"
+        assert decoder.poisoned_lines == 1
         # The error poisons only the unterminated tail; a fresh line works.
         (line,) = decoder.feed(b"\n" + good)
         assert decode_frame(line) == {"op": "ping"}
+        assert decoder.resyncs == 1
+
+    def test_oversized_line_between_good_lines(self):
+        decoder = FrameDecoder(max_line=32)
+        entries = decoder.feed(
+            b'{"op":"ping"}\n' + b'{"op":"' + b"x" * 64 + b'"}\n' + b'{"op":"metrics"}\n'
+        )
+        outcomes = []
+        for entry in entries:
+            try:
+                outcomes.append(decode_frame(entry)["op"])
+            except ProtocolError as exc:
+                outcomes.append(exc.code)
+        assert outcomes == ["ping", "line-too-long", "metrics"]
+        assert decoder.poisoned_lines == 1 and decoder.resyncs == 0
+        assert decoder.pending == 0
 
 
 class TestStateRows:
@@ -207,6 +227,22 @@ class TestStateRows:
             row_to_state(row, stream="s")
         assert exc.value.code == "bad-state"
         assert exc.value.stream == "s"
+        # One validator: the same error as the middle row of three...
+        good = {"values": {"p": True}}
+        with pytest.raises(ProtocolError) as middle:
+            rows_to_states([good, row, good], stream="s")
+        assert middle.value.to_frame() == exc.value.to_frame()
+        # ...and through a served append frame, which commits nothing.
+        registry = StreamRegistry()
+        registry.handle({"op": "open", "stream": "s", "formulas": {"safe": "[] p"}})
+        registry.handle({"op": "append", "stream": "s", "states": [good]})
+        counters = ("length", "version", "states_ingested")
+        (before,) = registry.handle({"op": "snapshot", "stream": "s"})
+        assert registry.handle(
+            {"op": "append", "stream": "s", "states": [good, row, good]}
+        ) == [exc.value.to_frame()]
+        (after,) = registry.handle({"op": "snapshot", "stream": "s"})
+        assert [after[key] for key in counters] == [before[key] for key in counters]
 
     def test_trace_round_trips_through_rows(self):
         from repro.gen.cases import SYSTEM_FACTORIES

@@ -313,6 +313,35 @@ class TestAsyncioService:
 
         asyncio.run(scenario())
 
+    def test_oversized_line_answers_in_order_between_good_lines(self):
+        from repro.serve.protocol import MAX_LINE_BYTES, FrameDecoder, decode_frame
+
+        async def scenario():
+            service = MonitorService()
+            host, port = await service.start()
+            try:
+                reader, writer = await asyncio.open_connection(host, port)
+                oversized = b'{"op":"' + b"x" * MAX_LINE_BYTES + b'"}'
+                writer.write(b'{"op":"ping"}\n' + oversized + b'\n{"op":"metrics"}\n')
+                await writer.drain()
+                decoder = FrameDecoder()
+                frames = []
+                while len(frames) < 3:
+                    chunk = await asyncio.wait_for(reader.read(64 * 1024), 30)
+                    assert chunk, "service closed the connection"
+                    frames.extend(decode_frame(l) for l in decoder.feed(chunk))
+                assert frames[0] == {"ok": "pong"}
+                assert frames[1]["error"] == "line-too-long"
+                assert frames[2]["ok"] == "metrics"
+                assert service.framing_poisoned == 1
+                writer.close()
+                await writer.wait_closed()
+            finally:
+                await service.stop()
+                service.close()
+
+        asyncio.run(scenario())
+
     def test_streams_outlive_connections(self):
         from repro.serve.client import ServeClient
 
