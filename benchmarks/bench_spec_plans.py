@@ -5,7 +5,7 @@ specification against families of traces.  This benchmark gates the
 multi-root refactor's payoff in CI: checking the mutex + queue
 specifications clause-set-at-a-time through one shared
 :class:`~repro.compile.specplan.SpecPlanState` (shared subformula memo,
-shared event indexes, whole-term construction memo) must be >= 1.5x faster
+shared kernel change indexes, whole-term construction memo) must be >= 1.5x faster
 than the same campaign driven clause-by-clause through the per-clause
 ``compiled`` engine — with identical verdicts.
 """
@@ -101,8 +101,10 @@ def test_multi_root_conformance_speedup(benchmark):
 
 
 def test_shared_subformula_work_counters(benchmark):
-    """The structural half of the claim, noise-free: a multi-root state
-    builds strictly fewer event indexes than the per-clause states."""
+    """The structural half of the claim, noise-free: on the kernel path
+    (stutter-terminated traces, checked as finished prefixes) a multi-root
+    state builds strictly fewer kernel change indexes than the per-clause
+    states, and neither builds a per-position endpoint index."""
     from repro.compile import compile_formula, compile_specification
 
     def sweep():
@@ -114,16 +116,20 @@ def test_shared_subformula_work_counters(benchmark):
             state = compile_specification(spec).evaluator(trace)
             for clause_name in state.plan.clause_names:
                 state.satisfies(clause_name)
+            inner = state._state
             separate_indexes = 0
+            per_position_indexes = len(inner._shared_indexes)
             for clause in spec.clauses:
                 single = compile_formula(clause.interpreted_formula()).evaluator(trace)
                 single.satisfies()
-                separate_indexes += single.index_count
+                separate_indexes += single._kernel.change_index_count
+                per_position_indexes += len(single._shared_indexes)
             rows.append({
                 "spec": name,
                 "shared_nodes": state.plan.shared_node_count(),
-                "multi_indexes": state.index_count,
+                "multi_indexes": inner._kernel.change_index_count,
                 "per_clause_indexes": separate_indexes,
+                "per_position_indexes": per_position_indexes,
             })
         return rows
 
@@ -132,6 +138,7 @@ def test_shared_subformula_work_counters(benchmark):
     print()
     for row in rows:
         print(row)
+    assert all(row["per_position_indexes"] == 0 for row in rows)
     assert all(row["multi_indexes"] <= row["per_clause_indexes"] for row in rows)
     assert any(row["multi_indexes"] < row["per_clause_indexes"] for row in rows)
     assert all(row["shared_nodes"] > 0 for row in rows)

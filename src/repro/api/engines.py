@@ -6,8 +6,8 @@ Seven engines wrap the underlying subsystems, one per decision style:
 name      wraps                                                  question
 ========  =====================================================  ==========
 trace     :mod:`repro.semantics.evaluator`                       s ⊨ α on one trace
-compiled  :mod:`repro.compile`                                   s ⊨ α via a cached evaluation plan (vectorized)
-stepwise  :mod:`repro.compile`                                   the same plan with the bitset kernel disabled
+compiled  :mod:`repro.compile`                                   s ⊨ α via a cached evaluation plan (finite trace: the monitors' incremental state)
+stepwise  :mod:`repro.compile`                                   the same plan with the bitset kernel disabled, per position
 bounded   :mod:`repro.core.bounded_checker`                      small-scope validity
 tableau   :mod:`repro.ltl.decision` + :mod:`repro.ltl.translation`  exact LTL-fragment validity
 lll       :mod:`repro.lll`                                       Appendix C bounded satisfiability
@@ -179,7 +179,10 @@ class CompiledEngine(Engine):
     :class:`~repro.compile.runtime.PlanState` shares memo tables and
     interval-endpoint indexes across requests, plan nodes dispatch through
     closures bound at state-binding time, and event searches bisect
-    instead of scanning.  This is the **default** path for trace-backed
+    instead of scanning.  A stutter-terminated trace is checked as a
+    finished prefix: the incremental plan state the monitors run, with
+    the bitset kernel reading the trace's columns.  A lasso with a longer
+    cycle runs the per-position path.  This is the **default** path for trace-backed
     requests (``Session(prefer_compiled=True)`` is the default); opt out
     per request with ``compile=False`` or per session with
     ``Session(prefer_compiled=False)``.
@@ -189,7 +192,8 @@ class CompiledEngine(Engine):
     capabilities = EngineCapabilities(needs_trace=True, exact=True)
     #: Bind plan states in the vectorized (bitset-kernel) mode.  The
     #: ``stepwise`` subclass flips this off, giving the differential
-    #: oracle a per-position compiled run to judge against.
+    #: oracle a per-position compiled run, independent of the monitors'
+    #: code, to judge against.
     vectorize = True
 
     def run(self, request: CheckRequest, session) -> CheckResult:

@@ -30,12 +30,12 @@ stage                     paper anchor
                           slots/memo/indexes, replacing the per-call
                           opcode chain
 :mod:`.vector`            the bitset kernel — the vectorized binding mode
-                          over column-major traces and growing prefixes:
-                          state formulas (and ``[]/<>`` directly over
-                          them) evaluate as packed-int bitset operations,
-                          and each profile searched as an event keeps a
-                          window-extended change index that searches
-                          bisect
+                          over growing prefixes and stutter-terminated
+                          traces: state formulas (and ``[]/<>`` directly
+                          over them) evaluate as packed-int bitset
+                          operations, and each profile searched as an
+                          event keeps a window-extended change index that
+                          searches bisect
 :mod:`.runtime`           :class:`PlanState` — the Chapter 3 satisfaction
                           relation over slot-addressed environments, with
                           an interval-endpoint index over state-change
@@ -43,7 +43,9 @@ stage                     paper anchor
                           (Chapter 3) bisects changesets instead of
                           scanning, and incremental plan states absorbing
                           one appended state in amortized O(changed work)
-                          for the finite-computation convention monitors
+                          for the finite-computation convention: monitors,
+                          and one-shot checks of a finite trace read as a
+                          finished prefix
 :mod:`.cache`             :class:`PlanCache` — the session-level
                           digest-keyed bounded LRU (single- and multi-root
                           plans, hit/miss/eviction stats) behind the
@@ -89,7 +91,7 @@ from .specplan import (
     compile_specification,
     spec_digest,
 )
-from .vector import BitsetKernel, bit_positions, changes_from_bits
+from .vector import bit_positions
 
 __all__ = [
     "normalize",
@@ -116,7 +118,5 @@ __all__ = [
     "ValueColumn",
     "ComparisonIndex",
     "UNSET",
-    "BitsetKernel",
     "bit_positions",
-    "changes_from_bits",
 ]

@@ -227,44 +227,6 @@ _FACTORIES = {
 }
 
 
-def _vectorized(state, kernel, node, fallback):
-    """The vectorized binding of ``node``, or ``None`` to keep ``fallback``.
-
-    Two shapes bind to the kernel: a state formula itself (one cached-
-    profile bit test per call) and ``[] / <>`` directly over a state
-    formula (one mask test over the whole context per call).  The kernel
-    answers ``None`` whenever it cannot reproduce the per-position
-    semantics — an unbound logical variable, a variable missing somewhere,
-    an erroring comparison — and the closure then runs ``fallback``, the
-    node's ordinary per-position closure, preserving verdicts *and* error
-    behaviour exactly.
-    """
-    if node.is_state:
-        if not kernel.supports(node.id):
-            return None
-        holds_at = kernel.holds_at
-
-        def run(lo, hi):
-            verdict = holds_at(node, lo)
-            if verdict is None:
-                return fallback(lo, hi)
-            return verdict
-        return run
-    if node.op in (N_ALWAYS, N_EVENTUALLY):
-        child = state._nodes[node.a]
-        if not (child.is_state and kernel.supports(child.id)):
-            return None
-        query = kernel.always if node.op == N_ALWAYS else kernel.eventually
-
-        def run(lo, hi):
-            verdict = query(child, lo, hi)
-            if verdict is None:
-                return fallback(lo, hi)
-            return verdict
-        return run
-    return None
-
-
 def _mask_range(lo: int, hi: int) -> int:
     if lo > hi:
         return 0
@@ -426,11 +388,13 @@ def _compile_term_bits(state, kernel, tid, direction):
 
 
 def _vectorized_incremental(state, kernel, node, fallback):
-    """The tail-kernel binding of ``node`` on a growing prefix, or ``None``.
+    """The tail-kernel binding of ``node``, or ``None`` to keep ``fallback``.
 
-    The two shapes of :func:`_vectorized`, but over profiles that only
-    cover the *concrete* states observed so far, plus ``[I]α`` / ``*I``
-    over a term whose events are all kernel-vectorizable: the fused term
+    Three shapes bind to the kernel, over profiles that cover the
+    *concrete* states observed so far: a state formula itself (one
+    cached-profile bit test per call), ``[] / <>`` directly over a state
+    formula (one mask test over the context per call), and ``[I]α`` /
+    ``*I`` over a term whose events are all kernel-vectorizable: the fused term
     closure (:func:`_compile_term_bits`) builds the interval from change
     indexes, and the node's closure leaves that construction's horizon in
     ``state._horizon`` for the ``[] / <>`` frontier
@@ -542,7 +506,6 @@ def bind_dispatch(state) -> Tuple[Tuple[Callable[[int, object], bool], ...], fro
     at the first evaluation that reaches the node.
     """
     kernel = state._kernel
-    vectorize = _vectorized_incremental if state._incremental else _vectorized
     ops: List[Callable] = []
     vector_ids: List[int] = []
     for node in state._plan.nodes:
@@ -551,7 +514,7 @@ def bind_dispatch(state) -> Tuple[Tuple[Callable[[int, object], bool], ...], fro
             raise CompileError(f"cannot lower plan node: {node!r}")
         closure = factory(state, node)
         if kernel is not None:
-            vectorized = vectorize(state, kernel, node, closure)
+            vectorized = _vectorized_incremental(state, kernel, node, closure)
             if vectorized is not None:
                 closure = vectorized
                 vector_ids.append(node.id)

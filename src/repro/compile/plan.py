@@ -129,18 +129,21 @@ class CompiledPlan:
     ):
         """A :class:`PlanState` bound to a fixed (possibly lasso) trace.
 
-        ``vectorize=False`` disables the bitset kernel and forces the
-        per-position memo path for every node (the ``stepwise`` engine's
-        mode; verdicts are identical either way).  ``forall_unroll_cap``
-        bounds quantifier unrolling (``None`` = runtime default, ``0``
-        disables it).
+        A stutter-terminated trace is checked as a finished prefix: the
+        incremental plan state with the bitset kernel, reading the trace's
+        own columns (:func:`~repro.compile.runtime.reads_as_prefix`).  A
+        lasso with a longer cycle, or ``vectorize=False`` (the ``stepwise``
+        engine's mode), runs the static per-position memo path; verdicts
+        are identical either way.  ``forall_unroll_cap`` bounds quantifier
+        unrolling (``None`` = runtime default, ``0`` disables it).
         """
-        from .runtime import PlanState
+        from .runtime import PlanState, reads_as_prefix
 
         return PlanState(
             self,
             trace,
             domain=domain,
+            incremental=reads_as_prefix(trace, vectorize),
             vectorize=vectorize,
             forall_unroll_cap=forall_unroll_cap,
         )

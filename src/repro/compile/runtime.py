@@ -21,21 +21,30 @@ changes:
 Incremental monitoring
 ----------------------
 
-``PlanState(..., incremental=True)`` evaluates over a
-:class:`GrowingPrefix` — the paper's finite-computation convention on a
-prefix that gains a window of states per :meth:`GrowingPrefix.extend`.  The
-prefix is column-only: each window is encoded once, columnwise, into the
-dictionary-encoded columns the bitset kernel reads, and no ``State`` rows
-are kept (row views are rebuilt from the columns on demand).  During
-evaluation the runtime tracks, per memo entry, whether the verdict
-depended on the *tail* of the computation (a stuttered position beyond the
-last concrete state, the exhaustion of an infinite suffix enumeration, a
-backward event search, or the growing default quantification domain).
-Tail-independent verdicts are frozen forever in a stable memo; tail-
-dependent ones go to a volatile memo cleared by :meth:`PlanState.note_append`.
-Resumable frontier aggregators for ``[] / <>`` on infinite contexts, and
-the incrementally extended endpoint indexes, then make re-evaluation after
-one appended state cost amortized O(changed work) instead of O(prefix).
+``PlanState(..., incremental=True)`` evaluates over a prefix read under the
+paper's finite-computation convention: a :class:`GrowingPrefix`, which
+gains a window of states per :meth:`GrowingPrefix.extend`, or a
+stutter-terminated :class:`~repro.semantics.trace.Trace`, which is a
+prefix that has stopped growing.  Both answer the same position protocol
+(period 1, the last state repeating) and hold their states as the
+dictionary-encoded columns the bitset kernel
+(:class:`~repro.compile.vector.TailKernel`) reads; a trace's columns are
+encoded once, and no ``State`` rows are built unless a per-position
+fallback asks for one.  During evaluation the runtime tracks, per memo
+entry, whether the verdict depended on the *tail* of the computation (a
+stuttered position beyond the last concrete state, the exhaustion of an
+infinite suffix enumeration, a backward event search, or the growing
+default quantification domain).  Tail-independent verdicts are frozen
+forever in a stable memo; tail-dependent ones go to a volatile memo
+cleared by :meth:`PlanState.note_append`.  Resumable frontier aggregators
+for ``[] / <>`` on infinite contexts, and the incrementally extended
+endpoint indexes, then make re-evaluation after one appended state cost
+amortized O(changed work) instead of O(prefix).
+
+A one-shot check binds this mode, kernel on, on a stutter-terminated trace
+(:func:`reads_as_prefix`).  A lasso whose cycle is longer than one state,
+or a check with the kernel off (the ``stepwise`` engine), binds the static
+per-position mode, which has no kernel.
 """
 
 from __future__ import annotations
@@ -47,9 +56,9 @@ from ..errors import EvaluationError, TraceError
 from ..semantics.columns import IncrementalColumnStore
 from ..semantics.construction import BOTTOM, Direction, Interval
 from ..semantics.state import State
-from ..semantics.trace import INFINITY, Trace
+from ..semantics.trace import INFINITY
 from ..syntax.terms import Cmp, Const, LogicalVar, OpAfter, OpAt, OpIn, Var
-from .vector import BitsetKernel, TailKernel, changes_from_bits, search_changes
+from .vector import TailKernel, search_changes
 from .dag import (
     N_AND,
     N_ATOM,
@@ -76,6 +85,7 @@ __all__ = [
     "ComparisonIndex",
     "PlanStats",
     "PlanState",
+    "reads_as_prefix",
 ]
 
 
@@ -91,6 +101,19 @@ UNSET = object()
 DEFAULT_FORALL_UNROLL_CAP = 8
 
 _MISS = object()
+
+
+def reads_as_prefix(trace, vectorize: bool) -> bool:
+    """Whether a check of ``trace`` binds the incremental plan state.
+
+    True for a stutter-terminated trace (period 1: the paper's finite
+    computation, whose last state repeats forever) with the bitset kernel
+    on.  Such a trace is a growing prefix that has stopped growing, so the
+    monitors' incremental mode answers it, reading the trace's own columns
+    as one window.  A lasso with a longer cycle, or ``vectorize=False``,
+    binds the static per-position mode.
+    """
+    return vectorize and trace.period == 1
 
 
 class GrowingPrefix:
@@ -376,27 +399,29 @@ class PlanState:
     plan:
         The compiled plan.
     trace:
-        A :class:`repro.semantics.trace.Trace` (static mode) or a
-        :class:`GrowingPrefix` (incremental mode).
+        The computation: a :class:`repro.semantics.trace.Trace` (any lasso
+        in static mode; stutter-terminated in incremental mode, where it
+        is read as a finished prefix) or a :class:`GrowingPrefix`
+        (incremental mode).
     domain:
         Explicit ``Forall`` quantification domains; variables not mentioned
         quantify over the trace's observed value universe, exactly as in
         the evaluator.
     incremental:
-        Enable tail-dependence tracking and frontier aggregators for
-        monitoring a growing prefix.
+        Evaluate under the finite-computation convention with
+        tail-dependence tracking and frontier aggregators: the mode of a
+        monitored prefix and of a one-shot check on a stutter-terminated
+        trace (:func:`reads_as_prefix`).  Off, the static per-position
+        mode answers any lasso.
     vectorize:
-        Enable the vectorized binding mode: pure state formulas (and
-        ``[] / <>`` directly over them) evaluate as columnwise bitset
-        operations through the bitset kernel — a window-extended
-        :class:`~repro.compile.vector.TailKernel` on an incremental
-        :class:`GrowingPrefix`, its static subclass
-        :class:`~repro.compile.vector.BitsetKernel` on a
-        :class:`~repro.semantics.trace.Trace` — and state-formula events
-        are searched through the profiles' change indexes.  Verdicts
-        and error behaviour are identical either way — the kernel falls
-        back per node whenever it cannot reproduce the per-position
-        semantics bit-for-bit.
+        In incremental mode, enable the bitset kernel
+        (:class:`~repro.compile.vector.TailKernel`): pure state formulas,
+        ``[] / <>`` directly over them and ``[I]α`` / ``*I`` over
+        kernel-searchable events evaluate from columnwise truth profiles
+        and their change indexes.  Verdicts and error behaviour are
+        identical either way — the kernel falls back per node whenever it
+        cannot reproduce the per-position semantics bit-for-bit.  The
+        static mode never binds the kernel.
     forall_unroll_cap:
         ``Forall`` nodes whose variables all carry *explicit* domains with
         at most this many bindings in total unroll at lowering time into a
@@ -430,10 +455,10 @@ class PlanState:
         self._indexes: Dict[Any, EventIndex] = {}
         self._shared_indexes: Dict[Any, EventIndex] = {}
         self._columns: Dict[str, ValueColumn] = {}
-        #: Event-search memo (static traces only): clauses of a multi-root
-        #: plan that share an interval term — the mutex A1 family all
-        #: searching the same ``x(i) <= cs(i)`` events — resolve each
-        #: (event, context, direction) search once.
+        #: Event-search memo: clauses of a multi-root plan that share an
+        #: interval term — the mutex A1 family all searching the same
+        #: ``x(i) <= cs(i)`` events — resolve each (event, context,
+        #: direction) search once.
         self._event_memo: Dict[Any, Any] = {}
         #: Whole-term construction memo, keyed on the term's free-slot
         #: signature: ``[I]α`` and ``[I]β`` nodes sharing ``I`` construct
@@ -452,15 +477,11 @@ class PlanState:
             forall_unroll_cap = DEFAULT_FORALL_UNROLL_CAP
         self._forall_unroll_cap = max(0, int(forall_unroll_cap))
         self.stats = PlanStats()
-        # The bitset kernels evaluate state formulas columnwise: whole-trace
-        # profiles on a static Trace, window-extended profiles on a growing
-        # prefix (the batched tail-window vectorization).
-        self._kernel: Optional[Any] = None
-        if vectorize:
-            if not incremental and isinstance(trace, Trace):
-                self._kernel = BitsetKernel(self, trace)
-            elif incremental and isinstance(trace, GrowingPrefix):
-                self._kernel = TailKernel(self, trace)
+        # The bitset kernel evaluates state formulas columnwise, its
+        # profiles extended over each window the prefix gains.
+        self._kernel: Optional[TailKernel] = (
+            TailKernel(self, trace) if vectorize and incremental else None
+        )
         # Closure-lowered dispatch: one bound closure per plan node, built
         # once per state (see repro.compile.lower).
         from .lower import bind_dispatch
@@ -483,8 +504,12 @@ class PlanState:
 
     @property
     def index_count(self) -> int:
-        """Distinct endpoint indexes built (aliased atoms share one)."""
-        return len(self._shared_indexes)
+        """Distinct event indexes built: the kernel's change indexes plus
+        the per-position endpoint indexes (aliased atoms share one)."""
+        count = len(self._shared_indexes)
+        if self._kernel is not None:
+            count += self._kernel.change_index_count
+        return count
 
     @property
     def vector_node_count(self) -> int:
@@ -586,12 +611,11 @@ class PlanState:
     def _holds(self, nid: int, lo: int, hi: Position) -> bool:
         self.stats.dispatch_calls += 1
         if nid in self._vector_nids:
-            # Vectorized nodes answer from cached bitset profiles: no
-            # context normalization (canonical positions and coverage are
-            # invariant under whole-period shifts; incremental closures
-            # normalize themselves) and no memo table (the profile *is*
-            # the memo).  Incremental closures own their tail-marking, so
-            # the caller's stable/volatile split stays sound.
+            # Kernel-bound nodes answer from cached bitset profiles and
+            # change indexes, with no memo table (the profile *is* the
+            # memo).  Their closures normalize the context and own their
+            # tail-marking, so the caller's stable/volatile split stays
+            # sound.
             return self._ops[nid](lo, hi)
         incremental = self._incremental
         if incremental and lo > self._trace.length:
@@ -1025,30 +1049,6 @@ class PlanState:
                 return ("op", predicate.PHASES, predicate.operation, values)
         return (node.id, envkey)
 
-    def _kernel_index(self, event_nid: int, node) -> Optional[EventIndex]:
-        """An endpoint index whose change positions come from the bitset
-        kernel instead of a per-state truth scan: the stem is the profile's
-        change index (:meth:`~repro.compile.vector.TailKernel.changes`), the
-        lasso cycle one bit test per cycle position
-        (:func:`~repro.compile.vector.changes_from_bits`).  ``None`` when
-        the kernel is absent (``vectorize=False``) or declines the event
-        formula.  Static traces only — on a growing prefix,
-        kernel-supported events bisect the change index directly
-        (:func:`~repro.compile.vector.search_changes`), with no index object
-        at all."""
-        kernel = self._kernel
-        if kernel is None or self._incremental or not kernel.supports(event_nid):
-            return None
-        bits = kernel.profile(node)
-        if bits is None:
-            return None
-        index = EventIndex(state_eval=None)
-        index.stem = kernel.changes(node)
-        index.cycle = changes_from_bits(bits, self._trace)
-        # Fully built for the static trace: ensure() is a no-op from here.
-        index.built_to = self._trace.length
-        return index
-
     def _index_for(self, event_nid: int, node) -> Optional[EventIndex]:
         # Fast path: structural (node, bindings) key, hit on every search
         # after the first.  On a miss the semantic key decides whether an
@@ -1065,8 +1065,6 @@ class PlanState:
                 index = self._shared_indexes.get(shared_key)
             except TypeError:
                 return None
-            if index is None:
-                index = self._kernel_index(event_nid, node)
             if index is None:
                 parts = self._comparison_parts(node)
                 if parts is not None:
@@ -1092,12 +1090,14 @@ class PlanState:
     ):
         """The changeset search of Chapter 3 (first/last False→True event).
 
-        On a static trace the search result is a pure function of the event
-        node, its free-slot bindings, the context and the direction, so it
-        memoizes — sharing searches across the clauses of a multi-root plan
-        and across repeated constructions of a shared interval term.
+        With the kernel bound, a kernel-searchable event bisects its
+        change index directly.  Otherwise the search result is a pure
+        function of the event node, its free-slot bindings, the context and
+        the direction, so it memoizes — sharing searches across the clauses
+        of a multi-root plan and across repeated constructions of a shared
+        interval term.
 
-        On a growing prefix the memo splits by tail-dependence: a search
+        In incremental mode the memo splits by tail-dependence: a search
         decided entirely within the concrete states (a forward event found
         at a concrete change, a finite window that closed) freezes in the
         stable memo, while a search that looked past the last state — an
@@ -1110,21 +1110,20 @@ class PlanState:
             return BOTTOM
         i, j = context.lo, context.hi
         node = self._nodes[event_nid]
-        if self._incremental and node.is_state:
-            kernel = self._kernel
-            if kernel is not None and kernel.supports(event_nid):
-                index = kernel.changes(node)
-                if index is not None:
-                    # Growing prefix, vectorizable event: bisecting the
-                    # change index is cheaper than this memo's key build,
-                    # so answer directly (tail-marking happens inside,
-                    # straight onto the caller's frame).  A dead profile
-                    # falls through to the memoized exact search.
-                    self.stats.event_searches += 1
-                    return search_changes(
-                        index, self._trace.length, i, j,
-                        direction == Direction.FORWARD, self._mark_tail,
-                    )[0]
+        kernel = self._kernel
+        if kernel is not None and node.is_state and kernel.supports(event_nid):
+            index = kernel.changes(node)
+            if index is not None:
+                # Kernel-searchable event: bisecting the change index is
+                # cheaper than this memo's key build, so answer directly
+                # (tail-marking happens inside, straight onto the caller's
+                # frame).  A dead profile falls through to the memoized
+                # exact search.
+                self.stats.event_searches += 1
+                return search_changes(
+                    index, self._trace.length, i, j,
+                    direction == Direction.FORWARD, self._mark_tail,
+                )[0]
         key: Optional[Tuple[Any, ...]] = None
         try:
             envkey = tuple(self._slots[s] for s in node.free_slots)
@@ -1164,10 +1163,10 @@ class PlanState:
         trace = self._trace
         bound = trace.scan_bound(i, j)
         if node.is_state:
-            # Growing-prefix vectorizable events answered directly in
-            # :meth:`_find_event` (the change-index bisection); reaching
-            # here means a static trace, an unsupported shape, or a dead
-            # profile — the index/scan paths decide.
+            # Kernel-searchable events are answered in :meth:`_find_event`
+            # (the change-index bisection); reaching here means the static
+            # mode, an unsupported shape, or a dead profile — the
+            # index/scan paths decide.
             index = self._index_for(event_nid, node)
             if index is not None:
                 return self._find_event_indexed(index, i, j, bound, direction)

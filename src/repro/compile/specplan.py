@@ -187,11 +187,16 @@ class SpecPlan:
         vectorize: bool = True,
         forall_unroll_cap: Optional[int] = None,
     ):
-        """A :class:`SpecPlanState` bound to a fixed (possibly lasso) trace."""
+        """A :class:`SpecPlanState` bound to a fixed (possibly lasso) trace,
+        in the mode :meth:`CompiledPlan.evaluator
+        <repro.compile.plan.CompiledPlan.evaluator>` picks."""
+        from .runtime import reads_as_prefix
+
         return SpecPlanState(
             self,
             trace,
             domain=domain,
+            incremental=reads_as_prefix(trace, vectorize),
             vectorize=vectorize,
             forall_unroll_cap=forall_unroll_cap,
         )

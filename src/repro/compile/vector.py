@@ -2,14 +2,15 @@
 
 A *state formula* (``PlanNode.is_state``) depends only on the first state
 of its context, so its full semantic content is one truth bit per concrete
-position — a **profile**.  That is the same fact over a static lasso trace
-and over a growing prefix (which the paper's finite-computation convention
-extends by repeating its last state), so one kernel computes it for both.
-:class:`TailKernel` keeps one packed-int profile per ``(node, bindings)``
-over the concrete positions seen so far, and extends a profile over the
-positions added since it was last read: on a growing prefix once per
-(batched) append, on a static trace exactly once.  Profiles read the
-trace's dictionary-encoded columns (:mod:`repro.semantics.columns`):
+position — a **profile**.  :class:`TailKernel` keeps one packed-int profile
+per ``(node, bindings)`` over the concrete positions seen so far, and
+extends a profile over the positions added since it was last read.  It is
+bound to an incremental plan state, whose trace is a prefix read under the
+paper's finite-computation convention (the last state repeats forever): a
+monitor's growing prefix, extended once per (batched) append, or a
+stutter-terminated trace checked one-shot, which is a prefix that has
+stopped growing and is extended exactly once.  Profiles read the trace's
+dictionary-encoded columns (:mod:`repro.semantics.columns`):
 
 * boolean variables, comparison atoms (all six operators, against a
   constant or a bound logical variable), operation predicates with
@@ -21,16 +22,11 @@ trace's dictionary-encoded columns (:mod:`repro.semantics.columns`):
   False→True change positions, ascending, in a compact ``array``
   (:meth:`TailKernel.changes`).  It is allocated on the profile's first
   event search and then extended over each appended window only, so an
-  event search on a growing prefix is a bisection
-  (:func:`search_changes`), not a shift of a whole-prefix int; a static
-  trace's :class:`~repro.compile.runtime.EventIndex` takes its stem from
-  the same index (and its lasso cycle from :func:`changes_from_bits`).
+  event search is a bisection (:func:`search_changes`), not a shift of a
+  whole-prefix int.
 
-:class:`BitsetKernel` is that kernel bound to a static trace, plus the
-lasso queries the static lowering asks: a position test over a cached byte
-image, and ``[] φ`` / ``<> φ`` over a state-formula body as one mask test
-against the **coverage bitset** of the context — the canonical positions a
-virtual range ``<lo, hi>`` touches, cycle wrap-around included.
+A lasso whose cycle is longer than one state has no kernel: it runs the
+static per-position mode (:mod:`repro.compile.runtime`).
 
 Exactness is non-negotiable: the kernel never guesses.  Any situation whose
 error or semantics it cannot reproduce bit-for-bit — a variable missing in
@@ -79,10 +75,8 @@ from .dag import (
 )
 
 __all__ = [
-    "BitsetKernel",
     "TailKernel",
     "bit_positions",
-    "changes_from_bits",
     "search_changes",
 ]
 
@@ -119,24 +113,6 @@ def bit_positions(bits: int) -> List[int]:
             for offset in _BYTE_BITS[byte]:
                 out.append(base + offset)
     return out
-
-
-def changes_from_bits(bits: int, trace) -> List[int]:
-    """The False→True change positions of a lasso's repeating cycle.
-
-    Mirrors the ``cycle`` half of
-    :meth:`repro.semantics.trace.Trace.change_positions`: the changes in
-    the first virtual copy of the cycle, positions ``length + 1`` to
-    ``length + period``, one bit test per cycle position.  The ``stem``
-    half is the profile's change index (:meth:`TailKernel.changes`).
-    """
-    n = trace.length
-    return [
-        k
-        for k in range(n + 1, n + trace.period + 1)
-        if (bits >> (trace.canonical(k) - 1)) & 1
-        and not (bits >> (trace.canonical(k - 1) - 1)) & 1
-    ]
 
 
 def search_changes(changes, n: int, i: int, j, forward: bool, mark_tail):
@@ -260,8 +236,9 @@ class TailKernel:
     """Bitset evaluation of one plan state's state-formula nodes.
 
     Bound to the plan state's trace — a
-    :class:`~repro.compile.runtime.GrowingPrefix` here, a static trace in
-    the :class:`BitsetKernel` subclass — it keeps one packed truth profile
+    :class:`~repro.compile.runtime.GrowingPrefix`, or a stutter-terminated
+    :class:`~repro.semantics.trace.Trace` read as a finished prefix — it
+    keeps one packed truth profile
     per ``(node, bindings)`` over the *concrete states observed so far* and
     extends each touched profile in one pass over the positions
     ``[built_to, length)`` — atoms through the trace's dictionary-encoded
@@ -300,6 +277,11 @@ class TailKernel:
             except Exception:  # pragma: no cover - exotic plan objects
                 pass
         self._supported: Dict[int, bool] = supported
+
+    @property
+    def change_index_count(self) -> int:
+        """Change indexes built so far: one per profile searched as an event."""
+        return sum(1 for entry in self._entries.values() if entry.changes is not None)
 
     # -- static shape check ---------------------------------------------------
 
@@ -597,122 +579,14 @@ def _code_bits(column, n: int) -> List[int]:
 
 
 class BitsetKernel(TailKernel):
-    """The kernel bound to a static lasso :class:`~repro.semantics.trace.Trace`.
+    """A name kept for the benchmark's tracing wrappers; never instantiated.
 
-    A static trace is a prefix whose profiles are extended once.  On top of
-    them this adds the lasso queries the static lowering asks, each cached
-    per ``(node, bindings)``: :meth:`holds_at` over a byte image of the
-    profile, and :meth:`always` / :meth:`eventually` as one mask test
-    against the context's :meth:`coverage`.
+    A stutter-terminated trace binds :class:`TailKernel` as a finished
+    prefix and a longer lasso runs the per-position path, so nothing
+    constructs this class.  ``perfbench/tracing.py`` wraps
+    ``BitsetKernel.profile`` by name; ROADMAP item 2(e) deletes this class
+    together with that wrapper.  It is a subclass, not an alias, so the
+    wrapper does not wrap ``TailKernel.profile`` a second time.
     """
 
-    __slots__ = ("_images", "_inv_bounds", "_coverage")
-
-    def __init__(self, plan_state, trace) -> None:
-        super().__init__(plan_state, trace)
-        self._images: Dict[Any, bytes] = {}
-        self._inv_bounds: Dict[Any, int] = {}
-        self._coverage: Dict[Any, int] = {}
-
-    # -- O(1) queries over a profile ------------------------------------------
-
-    def holds_at(self, node, pos: int) -> Optional[bool]:
-        """The node's truth at virtual position ``pos`` (None → fall back).
-
-        Reads a cached little-endian byte image of the profile so that a
-        per-position parent iterating over a vectorized child pays O(1) per
-        query instead of an O(length/64) big-int shift.
-        """
-        try:
-            data = self._images.get(self._key(node))
-        except TypeError:
-            return None  # unhashable binding: the per-position path decides
-        if data is None:
-            bits = self.profile(node)
-            if bits is None:
-                return None
-            data = bits.to_bytes((self._trace.length + 7) >> 3, "little")
-            self._images[self._key(node)] = data
-        c = self._trace.canonical(pos) - 1
-        return bool((data[c >> 3] >> (c & 7)) & 1)
-
-    def eventually(self, node, lo: int, hi) -> Optional[bool]:
-        """``<lo, hi> |= <> node`` for a state-formula body (None → fall back)."""
-        bits = self.profile(node)
-        if bits is None:
-            return None
-        if hi == INFINITY:
-            # Coverage is the suffix [start, n]: one O(1) bound test beats
-            # building a per-lo suffix mask.
-            trace = self._trace
-            start = lo if lo < trace.loop_start else trace.loop_start
-            return bits.bit_length() >= start
-        cov = self.coverage(lo, hi)
-        return (bits & cov) != 0
-
-    def always(self, node, lo: int, hi) -> Optional[bool]:
-        """``<lo, hi> |= [] node`` for a state-formula body (None → fall back)."""
-        bits = self.profile(node)
-        if bits is None:
-            return None
-        if hi == INFINITY:
-            trace = self._trace
-            start = lo if lo < trace.loop_start else trace.loop_start
-            return self._inverse_bound(node, bits) < start
-        cov = self.coverage(lo, hi)
-        return (bits & cov) == cov
-
-    def _inverse_bound(self, node, bits: int) -> int:
-        """Highest position (1-based) where the profile is *false*, cached
-        per (node, bindings); 0 when the profile is all-true."""
-        key = self._key(node)  # hashable: profile() answered for it
-        bound = self._inv_bounds.get(key)
-        if bound is None:
-            mask = (1 << self._trace.length) - 1
-            bound = self._inv_bounds[key] = (~bits & mask).bit_length()
-        return bound
-
-    # -- context coverage ------------------------------------------------------
-
-    def coverage(self, lo: int, hi) -> int:
-        """Bitset of canonical positions the virtual range ``<lo, hi>`` hits.
-
-        ``[] φ`` on the range is ``profile ⊇ coverage``; ``<> φ`` is
-        ``profile ∩ coverage ≠ ∅``.  Correct under the runtime's context
-        normalization: shifts by whole periods never change the canonical
-        position set.
-        """
-        key = (lo, hi)
-        cov = self._coverage.get(key)
-        if cov is None:
-            cov = self._coverage[key] = self._compute_coverage(lo, hi)
-        return cov
-
-    def _compute_coverage(self, lo: int, hi) -> int:
-        trace = self._trace
-        n = trace.length
-        if hi == INFINITY:
-            # Beyond position n the walk wraps through the entire cycle.
-            start = lo if lo < trace.loop_start else trace.loop_start
-            return _mask_range(start, n)
-        hi = int(hi)
-        if hi < lo:
-            return 0
-        cov = 0
-        if lo <= n:
-            cov = _mask_range(lo, min(hi, n))
-        beyond = max(lo, n + 1)
-        if hi >= beyond:
-            if hi - beyond + 1 >= trace.period:
-                cov |= _mask_range(trace.loop_start, n)
-            else:
-                for k in range(beyond, hi + 1):
-                    cov |= 1 << (trace.canonical(k) - 1)
-        return cov
-
-
-def _mask_range(lo: int, hi: int) -> int:
-    """Bits for 1-based positions ``lo..hi`` inclusive (empty when lo > hi)."""
-    if lo > hi:
-        return 0
-    return (1 << hi) - (1 << (lo - 1))
+    __slots__ = ()

@@ -33,6 +33,15 @@ soundness guarantees:
   shared-subformula path conformance campaigns run on); the four
   per-clause verdict vectors must be identical.
 
+How independent the trace engines are: on a finite (stutter-terminated)
+trace, ``compiled`` runs the ``monitor`` engine's incremental plan-state
+code with the bitset kernel, fed the whole trace as one window, so their
+agreement checks the window split, not a second implementation.  The
+independent checks are ``trace`` (the Chapter 3 interpreter) and
+``stepwise`` (the compiled plan with the kernel off, evaluated per
+position).  A lasso whose cycle is longer than one state runs per
+position with the kernel off under ``compiled`` too.
+
 Disagreements are shrunk with :mod:`repro.gen.shrink` to a minimal
 replayable case.
 """

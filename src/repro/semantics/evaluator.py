@@ -194,17 +194,12 @@ class Evaluator:
         if isinstance(formula, Not):
             return not self._holds(formula.operand, lo, hi, env)
         if isinstance(formula, And):
-            return self._holds(formula.left, lo, hi, env) and self._holds(
-                formula.right, lo, hi, env
-            )
+            return self._junction(formula, lo, hi, env, deciding=False)
         if isinstance(formula, Or):
-            return self._holds(formula.left, lo, hi, env) or self._holds(
-                formula.right, lo, hi, env
-            )
+            return self._junction(formula, lo, hi, env, deciding=True)
         if isinstance(formula, Implies):
-            return (not self._holds(formula.left, lo, hi, env)) or self._holds(
-                formula.right, lo, hi, env
-            )
+            # ``a ⊃ b`` is ``¬a ∨ b``.
+            return self._junction(formula, lo, hi, env, deciding=True, negate_left=True)
         if isinstance(formula, Iff):
             return self._holds(formula.left, lo, hi, env) == self._holds(
                 formula.right, lo, hi, env
@@ -228,6 +223,36 @@ class Evaluator:
         if isinstance(formula, NextBinding):
             return self._holds_next_binding(formula, lo, hi, env)
         raise EvaluationError(f"unknown formula node: {formula!r}")
+
+    def _junction(
+        self,
+        formula: Formula,
+        lo: int,
+        hi: Position,
+        env: Mapping[str, Any],
+        deciding: bool,
+        negate_left: bool = False,
+    ) -> bool:
+        """``∧`` (``deciding`` False) / ``∨`` (True) with deferred errors.
+
+        Operands are tried left to right, and the first one whose value is
+        ``deciding`` settles the verdict.  An operand's error surfaces only
+        when the other operand does not decide, so the verdict does not
+        depend on the operand order, exactly as in the compiled runtime.
+        """
+        error: Optional[Exception] = None
+        for operand, negate in ((formula.left, negate_left), (formula.right, False)):
+            try:
+                value = bool(self._holds(operand, lo, hi, env)) != negate
+            except Exception as exc:  # deferred: the other operand may decide
+                if error is None:
+                    error = exc
+                continue
+            if value is deciding:
+                return deciding
+        if error is not None:
+            raise error
+        return not deciding
 
     def _holds_interval_formula(
         self, formula: IntervalFormula, lo: int, hi: Position, env: Mapping[str, Any]

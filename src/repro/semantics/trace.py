@@ -55,10 +55,12 @@ class Trace:
     row-major ``State`` API — :meth:`states`, :meth:`state_at`, iteration —
     is a lazy view: source states are handed back untouched where possible
     and materialized (with ``__start__`` injected) only on first access, so
-    constructing a trace no longer copies every state, and a compiled check
-    that answers through column bitsets never touches most rows at all.
-    Pickling ships the columns, not the per-state dicts — the compact
-    worker handoff ``check_many`` fan-out relies on.
+    constructing a trace copies no state.  A compiled check of a
+    stutter-terminated trace reads it as a finished prefix — the
+    monitors' incremental plan state over these columns — and builds no
+    row at all unless a per-position fallback asks for one.  Pickling
+    ships the columns, not the per-state dicts — the compact worker
+    handoff ``check_many`` fan-out relies on.
     """
 
     __slots__ = ("_source", "_store", "_materialized", "_mark_start", "_loop_start", "_length")
@@ -161,7 +163,9 @@ class Trace:
 
     @property
     def is_stutter_extended(self) -> bool:
-        """True for the paper's finite-computation convention (period 1 on the last state)."""
+        """True for the paper's finite-computation convention (period 1 on
+        the last state): the shape compiled checks read as a finished
+        prefix (:func:`repro.compile.runtime.reads_as_prefix`)."""
         return self._loop_start == self._length
 
     def states(self) -> Tuple[State, ...]:

@@ -98,6 +98,7 @@ ERROR_CODES = (
     "bad-formula",     # open carries unparseable concrete syntax
     "bad-state",       # append carries a malformed state row
     "internal",        # unexpected server-side failure, stream unharmed
+    "worker-lost",     # the stream's shard worker died; the stream is gone
 )
 
 

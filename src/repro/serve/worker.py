@@ -16,6 +16,11 @@ grouped per worker in submission order, which is exactly per-stream order
 Stream-less frames fan out: a service-wide ``snapshot`` queries every
 worker and merges the aggregates, ``metrics`` merges every worker's
 :mod:`repro.obs` registry snapshot; ``ping`` answers in the parent.
+
+A worker whose pipe breaks (the process died) is marked lost for good and
+counted in ``repro_serve_workers_lost_total``: every frame routed to it
+answers a ``worker-lost`` error frame, and the aggregates answer from the
+live workers with a ``lost`` count.  Lost workers are not respawned.
 """
 
 from __future__ import annotations
@@ -26,6 +31,8 @@ import threading
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence
 
+from ..obs import MetricsRegistry, merge_snapshots
+from .protocol import ProtocolError
 from .shard import DEFAULT_REPLICAS, HashRing
 
 __all__ = ["WorkerConfig", "ShardPool", "shard_worker_main"]
@@ -79,10 +86,15 @@ def shard_worker_main(conn, config: WorkerConfig) -> None:
     conn.close()
 
 
+#: What a round-trip raises once the worker at the other end of the pipe
+#: has died (``BrokenPipeError`` is an ``OSError``).
+_PIPE_ERRORS = (EOFError, OSError)
+
+
 class _Worker:
     """Parent-side handle: process + pipe + a lock serializing round-trips."""
 
-    __slots__ = ("id", "process", "conn", "lock")
+    __slots__ = ("id", "process", "conn", "lock", "lost")
 
     def __init__(self, worker_id: int, process, conn) -> None:
         self.id = worker_id
@@ -91,6 +103,8 @@ class _Worker:
         # The asyncio front end may drive round-trips from worker threads
         # (``asyncio.to_thread``); one lock per pipe keeps send/recv paired.
         self.lock = threading.Lock()
+        #: Set once a round-trip failed on a broken pipe; never cleared.
+        self.lost = False
 
     def request(self, frames: Sequence[Dict[str, Any]]) -> List[Dict[str, Any]]:
         # Encode before taking the lock: pickling is the expensive half of
@@ -142,6 +156,12 @@ class ShardPool:
         self._route_cache: Dict[str, int] = {}
         self._workers: List[_Worker] = []
         self._closed = False
+        # Pool-level series, merged into :meth:`aggregate_metrics`.
+        self._metrics = MetricsRegistry()
+        self._m_lost = self._metrics.counter(
+            "repro_serve_workers_lost_total",
+            "Shard workers lost to a broken pipe (never respawned).",
+        )
         for worker_id in range(shards):
             parent_conn, child_conn = ctx.Pipe()
             config = WorkerConfig(worker_id=worker_id, stat_window=stat_window)
@@ -197,11 +217,16 @@ class ShardPool:
                 # Shape errors for stream-less frames: any worker answers
                 # identically; use worker 0 to keep one error discipline.
                 groups.setdefault(self.ring.workers[0], []).append(frame)
-        responses: List[Dict[str, Any]] = []
         involved = [w for w in self._workers if groups.get(w.id)]
-        if len(involved) == 1:
-            responses.extend(involved[0].request(groups[involved[0].id]))
-        elif involved:
+        live = [w for w in involved if not w.lost]
+        answers: Dict[int, List[Dict[str, Any]]] = {}
+        if len(live) == 1:
+            worker = live[0]
+            try:
+                answers[worker.id] = worker.request(groups[worker.id])
+            except _PIPE_ERRORS:
+                self._lose(worker)
+        elif live:
             # Ship every worker its batch *before* collecting any reply —
             # the whole point of sharding is that workers grind
             # concurrently, and a send-recv-send-recv loop would serialize
@@ -212,21 +237,51 @@ class ShardPool:
             # dispatchers cannot deadlock.
             encoded = {
                 worker.id: _encode_shipment(groups[worker.id])
-                for worker in involved
+                for worker in live
             }
-            for worker in involved:
+            for worker in live:
                 worker.lock.acquire()
             try:
-                for worker in involved:
-                    worker.conn.send_bytes(encoded[worker.id])
-                for worker in involved:
-                    _, payload = worker.conn.recv()
-                    responses.extend(payload)
+                sent = []
+                for worker in live:
+                    try:
+                        worker.conn.send_bytes(encoded[worker.id])
+                    except _PIPE_ERRORS:
+                        self._lose(worker)
+                    else:
+                        sent.append(worker)
+                for worker in sent:
+                    try:
+                        answers[worker.id] = worker.conn.recv()[1]
+                    except _PIPE_ERRORS:
+                        self._lose(worker)
             finally:
-                for worker in involved:
+                for worker in live:
                     worker.lock.release()
+        responses: List[Dict[str, Any]] = []
+        for worker in involved:
+            if worker.id in answers:
+                responses.extend(answers[worker.id])
+            else:
+                responses.extend(_lost_frame(worker, f) for f in groups[worker.id])
         responses.extend(passthrough)
         return responses
+
+    def _lose(self, worker: _Worker) -> None:
+        if not worker.lost:
+            worker.lost = True
+            self._m_lost.child().inc()
+
+    def _ask(self, worker: _Worker, frame: Dict[str, Any]) -> Optional[Dict[str, Any]]:
+        """A live worker's answer to one stream-less frame; ``None`` once
+        the worker is lost."""
+        if not worker.lost:
+            try:
+                (response,) = worker.request([frame])
+                return response
+            except _PIPE_ERRORS:
+                self._lose(worker)
+        return None
 
     def aggregate_snapshot(self) -> Dict[str, Any]:
         """Service-wide totals merged over every worker's aggregate."""
@@ -244,33 +299,41 @@ class ShardPool:
             "workers": [],
         }
         for worker in self._workers:
-            (snapshot,) = worker.request([{"op": "snapshot"}])
+            snapshot = self._ask(worker, {"op": "snapshot"})
+            if snapshot is None:
+                continue
             for key in ("streams", "opened", "closed", "states_ingested",
                         "alerts", "errors"):
                 merged[key] += snapshot.get(key, 0)
             merged["failing_streams"].extend(snapshot.get("failing_streams", []))
             merged["workers"].append(snapshot)
         merged["failing_streams"].sort()
+        merged["lost"] = self.lost_count
         return merged
 
     def aggregate_metrics(self) -> Dict[str, Any]:
-        """The fleet's :mod:`repro.obs` snapshot: every worker's registry
-        queried with a ``metrics`` frame and summed series-by-series
-        (counter/histogram addition is associative, so the merge is
-        deterministic whatever order workers answer in)."""
+        """The fleet's :mod:`repro.obs` snapshot: every live worker's
+        registry queried with a ``metrics`` frame and summed
+        series-by-series with the pool's own series (counter/histogram
+        addition is associative, so the merge is deterministic whatever
+        order workers answer in)."""
         self._check_open()
-        from ..obs import merge_snapshots
-
-        snapshots = []
+        snapshots = [self._metrics.snapshot()]
         for worker in self._workers:
-            (response,) = worker.request([{"op": "metrics"}])
-            if response.get("ok") == "metrics":
+            response = self._ask(worker, {"op": "metrics"})
+            if response is not None and response.get("ok") == "metrics":
                 snapshots.append(response.get("metrics", {}))
         return {
             "ok": "metrics",
             "shards": len(self._workers),
+            "lost": self.lost_count,
             "metrics": merge_snapshots(*snapshots),
         }
+
+    @property
+    def lost_count(self) -> int:
+        """Workers lost so far."""
+        return sum(1 for worker in self._workers if worker.lost)
 
     # -- lifecycle -------------------------------------------------------------
 
@@ -295,3 +358,13 @@ class ShardPool:
 
     def __exit__(self, *exc_info) -> None:
         self.close()
+
+
+def _lost_frame(worker: _Worker, frame: Dict[str, Any]) -> Dict[str, Any]:
+    """The ``worker-lost`` error answering a frame routed to a lost worker."""
+    stream = frame.get("stream")
+    return ProtocolError(
+        "worker-lost",
+        f"shard worker {worker.id} is lost; its streams are gone",
+        stream=stream if isinstance(stream, str) else None,
+    ).to_frame()

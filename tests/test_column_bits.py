@@ -2,8 +2,9 @@
 
 One window encoder fills the columns of static traces and growing prefixes,
 one builder (``Column.code_bits``) derives their bitsets, and one kernel
-(``TailKernel``, with ``BitsetKernel`` as its static subclass) evaluates
-state formulas over them.  Two properties pin the pair down:
+(``TailKernel``) evaluates state formulas over them — on a growing prefix,
+and on a stutter-terminated trace checked as a finished prefix.  Two
+properties pin the pair down:
 
 * **window splits** — any split of a state sequence into append frames
   leaves a growing store with the same columns, codes and per-value bitsets
@@ -18,9 +19,10 @@ state formulas over them.  Two properties pin the pair down:
   path instead of growing, and verdicts match the ``stepwise`` and
   ``trace`` engines.
 
-Beside them, three cost checks on deterministic counters: each appended
+Beside them, four cost checks on deterministic counters: each appended
 frame is encoded once and no rows are kept, serving wire rows builds no
-``State`` at all, and a stream repeating one segment keeps its dispatch
+``State`` at all, one-shot checks encode a trace once and build no
+``State`` either, and a stream repeating one segment keeps its dispatch
 calls per state flat as its history grows.
 """
 
@@ -383,6 +385,41 @@ def test_serving_builds_no_state(monkeypatch, family):
     assert registry.stream(family).monitor.prefix_length == INGEST_STATES
     assert frames == sent
     assert not any("__start__" in row["values"] for frame in frames for row in frame)
+
+
+@pytest.mark.parametrize("family", [family[0] for family in LOAD_FAMILIES])
+def test_one_shot_checks_encode_the_trace_once_and_build_no_state(monkeypatch, family):
+    # A stutter-terminated trace is checked as a finished prefix: the first
+    # check encodes its columns, every later check reads the same columns,
+    # and no ``State`` row is built — a path that fed ``trace.states()``
+    # to a prefix would build one per position.
+    scripts = generate_stream_scripts(len(LOAD_FAMILIES) * 2, seed=3, fault_rate=0.0)
+    index = [f[0] for f in LOAD_FAMILIES].index(family)
+    rows = [row for script in scripts[index::len(LOAD_FAMILIES)] for row in script.rows()]
+    trace = Trace(rows_to_states(rows))
+    specification = SPEC_FACTORIES()[family]()
+    reversed_spec = Specification(f"{specification.name}, clauses reversed")
+    for clause in reversed(specification.clauses):
+        add = reversed_spec.add_init if clause.kind == "init" else reversed_spec.add_axiom
+        add(clause.name, clause.formula)
+    built, encoded = [], []
+    init, build = State.__init__, ColumnStore._build
+
+    def counted_init(state, *args, **kwargs):
+        built.append(None)
+        init(state, *args, **kwargs)
+
+    def counted_build(store, states):
+        encoded.append(len(states))
+        build(store, states)
+
+    monkeypatch.setattr(State, "__init__", counted_init)
+    monkeypatch.setattr(ColumnStore, "_build", counted_build)
+    session = Session()
+    first = one_shot(session, specification, trace, compiled=True)
+    second = one_shot(session, reversed_spec, trace, compiled=True)
+    assert (len(built), encoded) == (0, [len(rows)])
+    assert first == second
 
 
 # -- history cost ----------------------------------------------------------------

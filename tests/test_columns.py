@@ -19,7 +19,7 @@ import pytest
 
 from repro.checking.monitor import Monitor
 from repro.compile import compile_formula
-from repro.compile.vector import BitsetKernel, bit_positions, changes_from_bits
+from repro.compile.vector import bit_positions
 from repro.gen.generators import ScenarioProfile, gen_formula, gen_trace
 from repro.semantics.columns import ABSENT, ColumnStore
 from repro.semantics.evaluator import Evaluator
@@ -148,20 +148,6 @@ class TestBitsetKernel:
     def test_bit_positions_round_trip(self):
         bits = 0b1010010001
         assert bit_positions(bits) == [0, 4, 7, 9]
-
-    def test_changes_from_bits_matches_change_positions(self):
-        trace = boolean_trace(["p"], [[0], [1], [1], [0], [1]], loop_start=2)
-        profile = [bool(s["p"]) for s in trace.states()]
-        plan = compile_formula(parse_formula("p"))
-        state = plan.evaluator(trace)
-        kernel = BitsetKernel(state, trace)
-        node = next(n for n in state._nodes if n.predicate is not None)
-        bits = kernel.profile(node)
-        assert bits is not None
-        # The change index is the stem; the lasso cycle comes from the bits.
-        assert (list(kernel.changes(node)), changes_from_bits(bits, trace)) == (
-            trace.change_positions(profile)
-        )
 
     @pytest.mark.parametrize("formula_text", [
         "p", "~p", "p /\\ q", "p \\/ ~q", "x == 2", "x != 2", "x < 3",

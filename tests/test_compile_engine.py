@@ -173,6 +173,22 @@ class TestCompiledAgreesWithTrace:
             )
             assert compiled.verdict == interpreted.verdict, case.to_line()
 
+    @pytest.mark.parametrize("text", [
+        "[] (x < 3 \\/ p)", "[] (p \\/ x < 3)",
+        "[] ~(x >= 3 /\\ ~p)", "[] ~(~p /\\ x >= 3)",
+        "[] (x >= 3 -> p)", "[] (~p -> x < 3)",
+    ])
+    def test_an_operand_error_waits_for_the_other_operand(self, text):
+        # The middle state lacks x: wherever p decides the junction there,
+        # every engine answers, whichever side the comparison is on.
+        trace = make_trace([{"x": 1, "p": False}, {"p": True}, {"x": 2, "p": False}])
+        session = Session()
+        verdicts = {
+            mode: session.check(text, trace=trace, mode=mode).verdict
+            for mode in ("trace", "compiled", "stepwise", "monitor")
+        }
+        assert set(verdicts.values()) == {True}, verdicts
+
     def test_env_bindings_match(self):
         trace = make_trace(ROWS)
         formula = parse_formula("<> x == ?a")

@@ -16,6 +16,8 @@ Covers the serving tentpole's acceptance behaviours end to end:
 """
 
 import asyncio
+import os
+import signal
 
 import pytest
 
@@ -410,6 +412,61 @@ class TestShardPool:
             assert len(aggregate["workers"]) == 2
         with pytest.raises(RuntimeError):
             pool.handle({"op": "ping"})
+
+    def test_a_killed_worker_is_lost_and_the_others_keep_serving(self):
+        from repro.serve.worker import ShardPool
+
+        scripts = generate_stream_scripts(8, seed=3, fault_rate=0.5)
+        pool = ShardPool(2)
+        try:
+            for script in scripts:
+                (opened,) = pool.handle(
+                    {"op": "open", "stream": script.stream, "spec": script.spec}
+                )
+                assert opened.get("ok") == "opened", opened
+            dead = pool._workers[0].process
+            os.kill(dead.pid, signal.SIGKILL)
+            dead.join(timeout=10)
+            assert not dead.is_alive()
+            session = Session()
+            frames, expected = [], {}
+            for script in scripts:
+                trace = script.build_trace()
+                frames.append({"op": "append", "stream": script.stream,
+                               "states": trace_to_rows(trace)})
+                result = session.check_spec(SPEC_FACTORIES()[script.spec](), trace)
+                expected[script.stream] = {
+                    v.clause.name: (None if v.error else v.holds)
+                    for v in result.verdicts
+                }
+            lost = {s.stream for s in scripts if pool.worker_for(s.stream) == 0}
+            assert lost and len(lost) < len(scripts)
+            answered = {
+                response["stream"]: response
+                for response in pool.handle_batch(frames)
+                if response.get("event") != "alert"
+            }
+            for stream, response in answered.items():
+                if stream in lost:
+                    assert response["error"] == "worker-lost", response
+                else:
+                    assert response["verdicts"] == expected[stream], stream
+            assert set(answered) == {s.stream for s in scripts}
+            (snapshot,) = pool.handle({"op": "snapshot", "stream": sorted(lost)[0]})
+            assert snapshot["error"] == "worker-lost"
+            aggregate = pool.aggregate_snapshot()
+            assert (aggregate["lost"], aggregate["streams"]) == (
+                1, len(scripts) - len(lost)
+            )
+            (metrics,) = pool.handle({"op": "metrics"})
+            assert metrics["lost"] == 1
+            series = metrics["metrics"]["repro_serve_workers_lost_total"]["series"]
+            assert [row["value"] for row in series] == [1]
+        finally:
+            pool.close()
+            for worker in pool._workers:
+                worker.process.join(timeout=10)
+                assert not worker.process.is_alive()
 
     def test_mixed_batch_routes_by_stream(self):
         from repro.serve.worker import ShardPool

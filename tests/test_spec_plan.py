@@ -91,18 +91,25 @@ class TestSpecPlanSharing:
         )
 
     def test_shared_event_indexes_across_clauses(self):
-        """The A1 clause family shares its interval-term event indexes."""
+        """The A1 clause family shares its interval-term event indexes: on
+        the kernel path the multi-root state builds fewer change indexes
+        than the per-clause states together, and no per-position index."""
         spec = mutex_spec(3)
         trace = mutex_trace(3, entries=4, seed=1)
         state = compile_specification(spec).evaluator(trace)
         for name in state.plan.clause_names:
             state.satisfies(name)
+        inner = state._state
+        assert not inner._shared_indexes
+        shared = inner._kernel.change_index_count
         separate = 0
         for clause in spec.clauses:
             single = compile_formula(clause.interpreted_formula()).evaluator(trace)
             single.satisfies()
-            separate += single.index_count
-        assert state.index_count < separate
+            assert not single._shared_indexes
+            separate += single._kernel.change_index_count
+        assert 0 < shared < separate
+        assert state.index_count == shared
 
     def test_duplicate_clause_names_rejected(self):
         with pytest.raises(ValueError, match="unique"):
@@ -333,8 +340,10 @@ class TestComparisonIndex:
                    for ix in inner._shared_indexes.values())
 
     def test_vectorized_comparisons_skip_the_value_column(self):
-        # The same spec through the default (vectorized) binding answers
-        # identically but feeds its indexes from column bitsets.
+        # The same spec through the default binding (a stutter-terminated
+        # trace read as a finished prefix) answers identically, but each
+        # comparison event is searched through one kernel change index
+        # built from column bitsets: no ValueColumn, no ComparisonIndex.
         rows = [{"x": i % 5, "p": True} for i in range(40)]
         trace = make_trace(rows)
         items = [(f"c{c}", parse_formula(f"[] ([x == {c}] p)")) for c in range(5)]
@@ -343,10 +352,8 @@ class TestComparisonIndex:
         for (name, formula) in items:
             assert state.satisfies(name) == evaluator.satisfies(formula), name
         inner = state._state
-        assert not inner._columns
-        assert inner._shared_indexes and not any(
-            isinstance(ix, ComparisonIndex) for ix in inner._shared_indexes.values()
-        )
+        assert not inner._columns and not inner._shared_indexes
+        assert inner._kernel.change_index_count == len(items)
 
     def test_inequality_and_flipped_orientation(self):
         trace = make_trace([{"x": i % 3} for i in range(12)])
