@@ -118,12 +118,12 @@ def test_shared_subformula_work_counters(benchmark):
                 state.satisfies(clause_name)
             inner = state._state
             separate_indexes = 0
-            per_position_indexes = len(inner._shared_indexes)
+            per_position_indexes = len(inner._indexes)
             for clause in spec.clauses:
                 single = compile_formula(clause.interpreted_formula()).evaluator(trace)
                 single.satisfies()
                 separate_indexes += single._kernel.change_index_count
-                per_position_indexes += len(single._shared_indexes)
+                per_position_indexes += len(single._indexes)
             rows.append({
                 "spec": name,
                 "shared_nodes": state.plan.shared_node_count(),

@@ -407,10 +407,17 @@ class Monitor:
         return dict(self._verdicts)
 
     def observe_trace(self, trace: Trace) -> Dict[str, MonitorVerdict]:
-        """Feed every state of an existing trace through the monitor."""
+        """Feed every state of an existing trace through the monitor.
+
+        One observation per state, so verdict histories see every prefix,
+        each a one-state slice of one window over the trace's own rows
+        (:meth:`~repro.semantics.trace.Trace.window`): no ``State`` is
+        built.
+        """
         result: Dict[str, MonitorVerdict] = dict(self._verdicts)
-        for state in trace.states():
-            result = self.observe(state)
+        rows = trace.window()
+        for index in range(len(rows)):
+            result = self.observe_batch(rows[index:index + 1])
         return result
 
     @property

@@ -21,8 +21,9 @@ stage                     paper anchor
                           artifact, digest-addressed for caching
 :mod:`.specplan`          :class:`SpecPlan` — a whole specification's
                           clauses interned into *one* multi-root DAG
-                          (shared memo tables, shared event indexes,
-                          per-clause root verdicts), the unit the
+                          (shared memo tables, shared kernel profiles and
+                          event indexes, per-clause root verdicts), the
+                          unit the
                           Chapter 5–8 conformance experiments actually
                           check
 :mod:`.lower`             closure lowering of plan-node dispatch: each DAG
@@ -31,21 +32,25 @@ stage                     paper anchor
                           opcode chain
 :mod:`.vector`            the bitset kernel — the vectorized binding mode
                           over growing prefixes and stutter-terminated
-                          traces: state formulas (and ``[]/<>`` directly
-                          over them) evaluate as packed-int bitset
-                          operations, and each profile searched as an
-                          event keeps a window-extended change index that
-                          searches bisect
+                          traces: every state formula (and ``[]/<>``
+                          directly over one) evaluates as packed-int
+                          bitset operations over a truth profile, column
+                          atoms per distinct value and other atoms per
+                          appended position, and each profile searched as
+                          an event keeps a window-extended change index
+                          that searches bisect
 :mod:`.runtime`           :class:`PlanState` — the Chapter 3 satisfaction
                           relation over slot-addressed environments, with
-                          an interval-endpoint index over state-change
-                          events so the construction function ``F``
-                          (Chapter 3) bisects changesets instead of
-                          scanning, and incremental plan states absorbing
-                          one appended state in amortized O(changed work)
-                          for the finite-computation convention: monitors,
-                          and one-shot checks of a finite trace read as a
-                          finished prefix
+                          one interval-endpoint index per mode over
+                          state-change events (the kernel's change index
+                          incrementally, an :class:`EventIndex` over a
+                          fixed lasso statically) so the construction
+                          function ``F`` (Chapter 3) bisects changesets
+                          instead of scanning, and incremental plan
+                          states absorbing one appended state in amortized
+                          O(changed work) for the finite-computation
+                          convention: monitors, and one-shot checks of a
+                          finite trace read as a finished prefix
 :mod:`.cache`             :class:`PlanCache` — the session-level
                           digest-keyed bounded LRU (single- and multi-root
                           plans, hit/miss/eviction stats) behind the
@@ -77,12 +82,10 @@ from .normalize import normalize, structural_key
 from .plan import CompiledPlan, compile_formula, formula_digest
 from .runtime import (
     UNSET,
-    ComparisonIndex,
     EventIndex,
     GrowingPrefix,
     PlanState,
     PlanStats,
-    ValueColumn,
 )
 from .specplan import (
     ClauseOutcome,
@@ -115,8 +118,6 @@ __all__ = [
     "PlanStats",
     "GrowingPrefix",
     "EventIndex",
-    "ValueColumn",
-    "ComparisonIndex",
     "UNSET",
     "bit_positions",
 ]

@@ -56,7 +56,7 @@ __all__ = [
     # formula opcodes
     "N_ATOM", "N_TRUE", "N_FALSE", "N_NOT", "N_AND", "N_OR", "N_IMPLIES",
     "N_IFF", "N_ALWAYS", "N_EVENTUALLY", "N_INTERVAL", "N_OCCURS",
-    "N_FORALL", "N_BINDNEXT", "STATE_NODE_OPS",
+    "N_FORALL", "N_BINDNEXT",
     # term opcodes
     "T_EVENT", "T_BEGIN", "T_END", "T_FORWARD", "T_BACKWARD",
 ]
@@ -73,13 +73,6 @@ N_ALWAYS, N_EVENTUALLY, N_INTERVAL, N_OCCURS, N_FORALL, N_BINDNEXT = range(8, 14
 # Interval-term opcodes.
 T_EVENT, T_BEGIN, T_END, T_FORWARD, T_BACKWARD = range(5)
 
-#: Opcodes that can appear inside a state formula (``PlanNode.is_state``
-#: subtrees are built from exactly these).  The vectorized binding mode
-#: (:mod:`repro.compile.vector`) recurses over this set when deciding
-#: whether a node evaluates as whole-column bitset operations.
-STATE_NODE_OPS = frozenset(
-    {N_ATOM, N_TRUE, N_FALSE, N_NOT, N_AND, N_OR, N_IMPLIES, N_IFF}
-)
 
 @dataclass(frozen=True)
 class PlanNode:

@@ -247,11 +247,11 @@ def _compile_term_bits(state, kernel, tid, direction):
     ``_construct`` → ``_find_event`` recursion collapsed to bisections at
     lowering time, with the direction of every event search resolved
     statically (it only depends on the term's shape).  Returns ``None``
-    when some event leaf is not kernel-vectorizable; raises
+    when some event leaf is not a state formula; raises
     :class:`_ExactConstruct` at *call* time when a profile has died
-    (unusable column, erroring comparison), so the caller falls back to the
-    generic exact path whose lazy per-position errors the fused path cannot
-    reproduce.
+    (a missing variable, a raising position), so the caller falls back to
+    the generic exact path whose lazy per-position errors the fused path
+    cannot reproduce.
 
     ``horizon`` is the last start ``i' >= i`` up to which ``F(term, <i',
     j>)`` gives the same result with the same tail marking.  F depends on
@@ -272,7 +272,7 @@ def _compile_term_bits(state, kernel, tid, direction):
     if op == T_EVENT:
         nid = term.event
         node = state._nodes[nid]
-        if not (node.is_state and kernel.supports(nid)):
+        if not node.is_state:
             return None
         changes = kernel.changes
         trace = state._trace
@@ -394,7 +394,7 @@ def _vectorized_incremental(state, kernel, node, fallback):
     *concrete* states observed so far: a state formula itself (one
     cached-profile bit test per call), ``[] / <>`` directly over a state
     formula (one mask test over the context per call), and ``[I]α`` /
-    ``*I`` over a term whose events are all kernel-vectorizable: the fused term
+    ``*I`` over a term whose events are all state formulas: the fused term
     closure (:func:`_compile_term_bits`) builds the interval from change
     indexes, and the node's closure leaves that construction's horizon in
     ``state._horizon`` for the ``[] / <>`` frontier
@@ -419,8 +419,6 @@ def _vectorized_incremental(state, kernel, node, fallback):
     normalize = state._normalize_ctx
     mark_tail = state._mark_tail
     if node.is_state:
-        if not kernel.supports(node.id):
-            return None
         holds_at = kernel.holds_at
 
         def run(lo, hi):
@@ -434,7 +432,7 @@ def _vectorized_incremental(state, kernel, node, fallback):
         return run
     if node.op in (N_ALWAYS, N_EVENTUALLY):
         child = state._nodes[node.a]
-        if not (child.is_state and kernel.supports(child.id)):
+        if not child.is_state:
             return None
         profile = kernel.profile
         want = node.op == N_EVENTUALLY

@@ -144,7 +144,6 @@ class CompiledPlan:
             trace,
             domain=domain,
             incremental=reads_as_prefix(trace, vectorize),
-            vectorize=vectorize,
             forall_unroll_cap=forall_unroll_cap,
         )
 

@@ -14,9 +14,13 @@ changes:
   *state formulas* (truth determined by the first state of the context)
   share one entry per canonical position across every context;
 * **interval-endpoint indexes** — for events defined by state formulas,
-  the per-state truth profile and its False→True change positions are
-  computed once (per environment signature) and event searches bisect the
-  change list instead of re-scanning the trace.
+  the False→True change positions are computed once per environment
+  signature and event searches bisect them instead of re-scanning the
+  trace.  Each mode has one such index: the bitset kernel's change index
+  in incremental mode, an :class:`EventIndex` built once over the fixed
+  lasso in static mode.  A search over a non-state event, or one the
+  index cannot answer exactly (a dead kernel profile, an unhashable
+  binding, an event that raises at some position), is the memoized scan.
 
 Incremental monitoring
 ----------------------
@@ -29,7 +33,7 @@ prefix that has stopped growing.  Both answer the same position protocol
 (period 1, the last state repeating) and hold their states as the
 dictionary-encoded columns the bitset kernel
 (:class:`~repro.compile.vector.TailKernel`) reads; a trace's columns are
-encoded once, and no ``State`` rows are built unless a per-position
+encoded once, and no ``State`` row is cached unless a per-position
 fallback asks for one.  During evaluation the runtime tracks, per memo
 entry, whether the verdict depended on the *tail* of the computation (a
 stuttered position beyond the last concrete state, the exhaustion of an
@@ -37,9 +41,9 @@ infinite suffix enumeration, a backward event search, or the growing
 default quantification domain).  Tail-independent verdicts are frozen
 forever in a stable memo; tail-dependent ones go to a volatile memo
 cleared by :meth:`PlanState.note_append`.  Resumable frontier aggregators
-for ``[] / <>`` on infinite contexts, and the incrementally extended
-endpoint indexes, then make re-evaluation after one appended state cost
-amortized O(changed work) instead of O(prefix).
+for ``[] / <>`` on infinite contexts, and the kernel's window-extended
+profiles and change indexes, then make re-evaluation after one appended
+state cost amortized O(changed work) instead of O(prefix).
 
 A one-shot check binds this mode, kernel on, on a stutter-terminated trace
 (:func:`reads_as_prefix`).  A lasso whose cycle is longer than one state,
@@ -57,19 +61,10 @@ from ..semantics.columns import IncrementalColumnStore
 from ..semantics.construction import BOTTOM, Direction, Interval
 from ..semantics.state import State
 from ..semantics.trace import INFINITY
-from ..syntax.terms import Cmp, Const, LogicalVar, OpAfter, OpAt, OpIn, Var
 from .vector import TailKernel, search_changes
 from .dag import (
-    N_AND,
-    N_ATOM,
-    N_FALSE,
-    N_IFF,
-    N_IMPLIES,
     N_INTERVAL,
-    N_NOT,
     N_OCCURS,
-    N_OR,
-    N_TRUE,
     T_BEGIN,
     T_END,
     T_EVENT,
@@ -81,8 +76,6 @@ __all__ = [
     "DEFAULT_FORALL_UNROLL_CAP",
     "GrowingPrefix",
     "EventIndex",
-    "ValueColumn",
-    "ComparisonIndex",
     "PlanStats",
     "PlanState",
     "reads_as_prefix",
@@ -215,62 +208,30 @@ class GrowingPrefix:
 
 
 class EventIndex:
-    """Per-state truth profile and change positions of one state-formula event.
+    """Change positions of one state-formula event over a fixed lasso.
 
-    ``profile[c]`` is the event formula's truth in concrete state ``c + 1``;
-    ``stem`` holds the virtual positions ``k`` in ``[2, length]`` where the
-    formula changes False→True between adjacent concrete states, and
-    ``cycle`` the change positions in the first virtual copy of a lasso's
-    repeating cycle (every later change beyond the concrete states is
-    ``cycle[i] + t·period``).  Queries bisect instead of scanning.
+    The static mode's event index, built once per ``(event, bindings)``
+    from the event's truth in every concrete state (``truth(pos)`` for
+    ``pos`` in ``1..length``; a raising position propagates, and the
+    caller scans instead).  ``stem`` holds the virtual positions ``k`` in
+    ``[2, length]`` where the formula changes False→True between adjacent
+    concrete states, and ``cycle`` the change positions in the first
+    virtual copy of the lasso's repeating cycle (every later change beyond
+    the concrete states is ``cycle[i] + t·period``).  Queries bisect
+    instead of scanning.
     """
 
-    __slots__ = ("_eval", "profile", "stem", "cycle", "built_to", "unusable")
+    __slots__ = ("stem", "cycle", "length")
 
-    def __init__(self, state_eval: Callable[[State], bool]) -> None:
-        self._eval = state_eval
-        self.profile: List[bool] = []
-        self.stem: List[int] = []
-        self.cycle: List[int] = []
-        self.built_to = 0
-        self.unusable = False
-
-    def _truth_range(self, trace, start: int, stop: int) -> List[bool]:
-        """The event's truth in concrete states ``start..stop`` (1-based)."""
-        return [bool(self._eval(trace.state_at(pos))) for pos in range(start, stop + 1)]
-
-    def ensure(self, trace, growing: bool) -> bool:
-        """Extend the profile to the trace's current length.
-
-        Returns ``False`` (permanently) when profiling raised — the event
-        formula errors on some state the lazy scan might never have
-        visited, so the caller must fall back to the generic scan to keep
-        error behaviour identical to the evaluator's.
-        """
-        if self.unusable:
-            return False
-        n = trace.length
-        if self.built_to >= n:
-            return True
-        try:
-            self.profile.extend(self._truth_range(trace, self.built_to + 1, n))
-        except Exception:
-            self.unusable = True
-            return False
-        if growing:
-            # A stutter tail repeats the last state: no change positions
-            # beyond the concrete states, and the stem extends in place.
-            for pos in range(max(2, self.built_to + 1), n + 1):
-                if self.profile[pos - 1] and not self.profile[pos - 2]:
-                    self.stem.append(pos)
-        else:
-            self.stem, self.cycle = trace.change_positions(self.profile)
-        self.built_to = n
-        return True
+    def __init__(self, trace, truth: Callable[[int], bool]) -> None:
+        self.length = trace.length
+        self.stem, self.cycle = trace.change_positions(
+            [truth(pos) for pos in range(1, self.length + 1)]
+        )
 
     def first_change(self, start: int, bound: int, period: int) -> Optional[int]:
         """The least change position in ``[start, bound]``, or ``None``."""
-        n = self.built_to
+        n = self.length
         best: Optional[int] = None
         if start <= n:
             idx = bisect_left(self.stem, start)
@@ -291,7 +252,7 @@ class EventIndex:
 
     def last_change(self, start: int, bound: int, period: int) -> Optional[int]:
         """The greatest change position in ``[start, bound]``, or ``None``."""
-        n = self.built_to
+        n = self.length
         best: Optional[int] = None
         if self.cycle and bound >= n + 1:
             anchor = max(start, n + 1)
@@ -308,64 +269,6 @@ class EventIndex:
         if idx > 0 and self.stem[idx - 1] >= start:
             return self.stem[idx - 1]
         return None
-
-
-class ValueColumn:
-    """Per-position values of one state variable, shared by comparison atoms.
-
-    Every ``x == c`` / ``x != c`` event over the same variable ``x`` derives
-    its truth profile from one column of ``x``'s values, so a specification
-    comparing ``x`` against many constants reads each state exactly once
-    instead of once per constant.  The column extends incrementally with the
-    trace, like the indexes built on top of it.
-    """
-
-    __slots__ = ("name", "values", "built_to")
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self.values: List[Any] = []
-        self.built_to = 0
-
-    def ensure(self, trace) -> None:
-        """Extend the column to the trace's length (exceptions propagate:
-        the owning index turns them into its permanent scan fallback).
-
-        ``built_to`` advances one position at a time so a raising state
-        leaves the column consistent for the other indexes sharing it.
-        """
-        n = trace.length
-        name = self.name
-        while self.built_to < n:
-            value = trace.state_at(self.built_to + 1)[name]
-            self.values.append(value)
-            self.built_to += 1
-
-
-class ComparisonIndex(EventIndex):
-    """An endpoint index for ``x == c`` / ``x != c`` comparison atoms.
-
-    Same bisectable stem/cycle change lists as :class:`EventIndex`, but the
-    truth profile is derived from a shared :class:`ValueColumn` instead of
-    re-evaluating the comparison predicate (state lookup, expression
-    evaluation, operator dispatch) per state per constant.
-    """
-
-    __slots__ = ("_column", "_cmp_op", "_constant")
-
-    def __init__(self, column: ValueColumn, cmp_op: str, constant: Any) -> None:
-        super().__init__(state_eval=None)
-        self._column = column
-        self._cmp_op = cmp_op
-        self._constant = constant
-
-    def _truth_range(self, trace, start: int, stop: int) -> List[bool]:
-        self._column.ensure(trace)
-        values = self._column.values
-        constant = self._constant
-        if self._cmp_op == "==":
-            return [bool(values[pos - 1] == constant) for pos in range(start, stop + 1)]
-        return [bool(values[pos - 1] != constant) for pos in range(start, stop + 1)]
 
 
 class PlanStats:
@@ -411,17 +314,15 @@ class PlanState:
         Evaluate under the finite-computation convention with
         tail-dependence tracking and frontier aggregators: the mode of a
         monitored prefix and of a one-shot check on a stutter-terminated
-        trace (:func:`reads_as_prefix`).  Off, the static per-position
-        mode answers any lasso.
-    vectorize:
-        In incremental mode, enable the bitset kernel
-        (:class:`~repro.compile.vector.TailKernel`): pure state formulas,
-        ``[] / <>`` directly over them and ``[I]α`` / ``*I`` over
-        kernel-searchable events evaluate from columnwise truth profiles
-        and their change indexes.  Verdicts and error behaviour are
-        identical either way — the kernel falls back per node whenever it
-        cannot reproduce the per-position semantics bit-for-bit.  The
-        static mode never binds the kernel.
+        trace (:func:`reads_as_prefix`).  This mode binds the bitset
+        kernel (:class:`~repro.compile.vector.TailKernel`): state
+        formulas, ``[] / <>`` directly over them and ``[I]α`` / ``*I``
+        over state-formula events evaluate from truth profiles, and every
+        state-formula event search bisects its profile's change index; a
+        dead profile falls back per node to the per-position path, with
+        identical verdicts and errors.  Off, the static per-position mode
+        answers any lasso, with no kernel: each state-formula event is
+        indexed once over the fixed lasso (:class:`EventIndex`).
     forall_unroll_cap:
         ``Forall`` nodes whose variables all carry *explicit* domains with
         at most this many bindings in total unroll at lowering time into a
@@ -438,7 +339,6 @@ class PlanState:
         trace,
         domain: Optional[Mapping[str, Iterable[Any]]] = None,
         incremental: bool = False,
-        vectorize: bool = True,
         forall_unroll_cap: Optional[int] = None,
     ) -> None:
         self._plan = plan
@@ -452,9 +352,9 @@ class PlanState:
         self._stable: Dict[Any, bool] = {}
         self._volatile: Dict[Any, bool] = {}
         self._agg: Dict[Any, int] = {}
-        self._indexes: Dict[Any, EventIndex] = {}
-        self._shared_indexes: Dict[Any, EventIndex] = {}
-        self._columns: Dict[str, ValueColumn] = {}
+        #: The static mode's event indexes per ``(event, bindings)``;
+        #: ``None`` marks an event whose profiling raised (it scans).
+        self._indexes: Dict[Any, Optional[EventIndex]] = {}
         #: Event-search memo: clauses of a multi-root plan that share an
         #: interval term — the mutex A1 family all searching the same
         #: ``x(i) <= cs(i)`` events — resolve each (event, context,
@@ -480,7 +380,7 @@ class PlanState:
         # The bitset kernel evaluates state formulas columnwise, its
         # profiles extended over each window the prefix gains.
         self._kernel: Optional[TailKernel] = (
-            TailKernel(self, trace) if vectorize and incremental else None
+            TailKernel(self, trace) if incremental else None
         )
         # Closure-lowered dispatch: one bound closure per plan node, built
         # once per state (see repro.compile.lower).
@@ -504,9 +404,9 @@ class PlanState:
 
     @property
     def index_count(self) -> int:
-        """Distinct event indexes built: the kernel's change indexes plus
-        the per-position endpoint indexes (aliased atoms share one)."""
-        count = len(self._shared_indexes)
+        """Event indexes built: the kernel's change indexes plus the static
+        mode's :class:`EventIndex` es."""
+        count = sum(1 for index in self._indexes.values() if index is not None)
         if self._kernel is not None:
             count += self._kernel.change_index_count
         return count
@@ -950,139 +850,29 @@ class PlanState:
 
     # -- event search --------------------------------------------------------
 
-    def _state_truth(self, nid: int, state: State, env: Mapping[str, Any]) -> bool:
-        node = self._nodes[nid]
-        op = node.op
-        if op == N_ATOM:
-            return node.predicate.holds(state, env)
-        if op == N_TRUE:
-            return True
-        if op == N_FALSE:
-            return False
-        if op == N_NOT:
-            return not self._state_truth(node.a, state, env)
-        if op == N_AND:
-            return self._state_junction(node, state, env, deciding=False)
-        if op == N_OR:
-            return self._state_junction(node, state, env, deciding=True)
-        if op == N_IMPLIES:
-            return (not self._state_truth(node.a, state, env)) or self._state_truth(
-                node.b, state, env
-            )
-        if op == N_IFF:
-            return self._state_truth(node.a, state, env) == self._state_truth(
-                node.b, state, env
-            )
-        raise EvaluationError(f"not a state formula node: {node!r}")
-
-    def _state_junction(
-        self, node, state: State, env: Mapping[str, Any], deciding: bool
-    ) -> bool:
-        # Same deferred-error rule as _junction, on the state-level evaluator.
-        error: Optional[Exception] = None
-        for child in (node.a, node.b):
-            try:
-                if self._state_truth(child, state, env) is deciding:
-                    return deciding
-            except Exception as exc:
-                if error is None:
-                    error = exc
-        if error is not None:
-            raise error
-        return not deciding
-
-    def _comparison_parts(self, node) -> Optional[Tuple[str, str, Any]]:
-        """``(variable, op, constant)`` for an indexable comparison atom.
-
-        Recognizes ``x == c`` / ``x != c`` (either orientation) where one
-        side is a state variable and the other a literal constant or a
-        *bound* logical variable; anything else falls back to the generic
-        event index.
-        """
-        if node.op != N_ATOM:
-            return None
-        predicate = node.predicate
-        if not isinstance(predicate, Cmp) or predicate.op not in ("==", "!="):
-            return None
-        left, right = predicate.left, predicate.right
-        if isinstance(left, Var):
-            variable, other = left, right
-        elif isinstance(right, Var):
-            variable, other = right, left
-        else:
-            return None
-        if isinstance(other, Const):
-            return variable.name, predicate.op, other.value
-        if isinstance(other, LogicalVar):
-            slot = self._plan.slot_of.get(other.name)
-            if slot is not None:
-                value = self._slots[slot]
-                if value is not UNSET:
-                    return variable.name, predicate.op, value
-        return None
-
-    def _index_key(self, node, envkey: Tuple[Any, ...]) -> Tuple[Any, ...]:
-        """The event-index cache key — *semantic* where cheaply possible.
-
-        Distinct atom nodes that ground to the same predicate under the
-        current bindings share one index: ``at Enq(?a)`` with ``a = v`` and
-        ``at Enq(?b)`` with ``b = v`` profile identically, as do ``x == ?a``
-        and ``x == ?b`` — the pattern of every quantified specification
-        clause family.  Non-atom events fall back to structural identity
-        (hash-consing already unifies those).
-        """
-        if node.op == N_ATOM:
-            parts = self._comparison_parts(node)
-            if parts is not None:
-                return ("cmp",) + parts
-            predicate = node.predicate
-            if (
-                isinstance(predicate, (OpAt, OpIn, OpAfter))
-                and predicate.args
-                and not any(arg.state_vars() for arg in predicate.args)
-            ):
-                env = self._env_view(node)
-                try:
-                    values = tuple(arg.evaluate({}, env) for arg in predicate.args)
-                except Exception:
-                    return (node.id, envkey)
-                return ("op", predicate.PHASES, predicate.operation, values)
-        return (node.id, envkey)
-
     def _index_for(self, event_nid: int, node) -> Optional[EventIndex]:
-        # Fast path: structural (node, bindings) key, hit on every search
-        # after the first.  On a miss the semantic key decides whether an
-        # equivalent index already exists before building a new one.
+        """The static mode's index of a state-formula event under the
+        current bindings, built on first use; ``None`` means scan.
+
+        Positions are evaluated through :meth:`_holds`, so the index sees
+        the lowered closures' verdicts and ``_junction``'s deferred-error
+        rule.  An unhashable binding, or an event that raises at some
+        position, is scanned: only the lazy scan raises exactly where the
+        evaluator would.
+        """
         try:
-            envkey = tuple(self._slots[s] for s in node.free_slots)
-            fast_key = (event_nid, envkey)
-            index = self._indexes.get(fast_key)
+            key = (event_nid,) + tuple(self._slots[s] for s in node.free_slots)
+            index = self._indexes.get(key, _MISS)
         except TypeError:
             return None
-        if index is None:
+        if index is _MISS:
             try:
-                shared_key = self._index_key(node, envkey)
-                index = self._shared_indexes.get(shared_key)
-            except TypeError:
-                return None
-            if index is None:
-                parts = self._comparison_parts(node)
-                if parts is not None:
-                    variable, cmp_op, constant = parts
-                    column = self._columns.get(variable)
-                    if column is None:
-                        column = ValueColumn(variable)
-                        self._columns[variable] = column
-                    index = ComparisonIndex(column, cmp_op, constant)
-                else:
-                    env = self._env_view(node)
-                    index = EventIndex(
-                        lambda state: self._state_truth(event_nid, state, env)
-                    )
-            self._shared_indexes[shared_key] = index
-            self._indexes[fast_key] = index
-        if not index.ensure(self._trace, self._incremental):
-            return None
+                index = EventIndex(
+                    self._trace, lambda pos: self._holds(event_nid, pos, pos)
+                )
+            except Exception:  # the scan surfaces the error where it must
+                index = None
+            self._indexes[key] = index
         return index
 
     def _find_event(
@@ -1090,8 +880,8 @@ class PlanState:
     ):
         """The changeset search of Chapter 3 (first/last False→True event).
 
-        With the kernel bound, a kernel-searchable event bisects its
-        change index directly.  Otherwise the search result is a pure
+        With the kernel bound, a state-formula event bisects its change
+        index directly.  Otherwise the search result is a pure
         function of the event node, its free-slot bindings, the context and
         the direction, so it memoizes — sharing searches across the clauses
         of a multi-root plan and across repeated constructions of a shared
@@ -1111,14 +901,14 @@ class PlanState:
         i, j = context.lo, context.hi
         node = self._nodes[event_nid]
         kernel = self._kernel
-        if kernel is not None and node.is_state and kernel.supports(event_nid):
+        if kernel is not None and node.is_state:
             index = kernel.changes(node)
             if index is not None:
-                # Kernel-searchable event: bisecting the change index is
-                # cheaper than this memo's key build, so answer directly
-                # (tail-marking happens inside, straight onto the caller's
-                # frame).  A dead profile falls through to the memoized
-                # exact search.
+                # Bisecting the change index is cheaper than this memo's
+                # key build, so answer directly (tail-marking happens
+                # inside, straight onto the caller's frame).  A dead
+                # profile or an unhashable binding falls through to the
+                # memoized scan.
                 self.stats.event_searches += 1
                 return search_changes(
                     index, self._trace.length, i, j,
@@ -1162,11 +952,10 @@ class PlanState:
         self.stats.event_searches += 1
         trace = self._trace
         bound = trace.scan_bound(i, j)
-        if node.is_state:
-            # Kernel-searchable events are answered in :meth:`_find_event`
-            # (the change-index bisection); reaching here means the static
-            # mode, an unsupported shape, or a dead profile — the
-            # index/scan paths decide.
+        if node.is_state and not self._incremental:
+            # The incremental mode answers state-formula events from the
+            # kernel in :meth:`_find_event`; reaching here there means a
+            # dead profile or an unhashable binding, which scan.
             index = self._index_for(event_nid, node)
             if index is not None:
                 return self._find_event_indexed(index, i, j, bound, direction)
@@ -1176,22 +965,10 @@ class PlanState:
         self, index: EventIndex, i: int, j: Position, bound: int, direction: str
     ):
         trace = self._trace
-        n = trace.length
         period = trace.period
         if direction == Direction.FORWARD:
             k = index.first_change(i + 1, bound, period)
-            if k is None:
-                if bound > n:
-                    self._mark_tail()  # no event yet; one may still appear
-                return BOTTOM
-            if k > n:
-                self._mark_tail()
-            return Interval(k - 1, k)
-        if j == INFINITY:
-            # The maximum of the changeset can move (or become ⊥) as the
-            # computation grows, so backward results over infinite contexts
-            # are never frozen.
-            self._mark_tail()
+        elif j == INFINITY:
             threshold = trace.loop_start + 1
             if bound >= threshold and index.first_change(
                 max(i + 1, threshold), bound, period
@@ -1201,8 +978,6 @@ class PlanState:
                 return BOTTOM
             k = index.last_change(i + 1, min(bound, threshold - 1), period)
         else:
-            if bound > n:
-                self._mark_tail()
             k = index.last_change(i + 1, bound, period)
         if k is None:
             return BOTTOM

@@ -197,7 +197,6 @@ class SpecPlan:
             trace,
             domain=domain,
             incremental=reads_as_prefix(trace, vectorize),
-            vectorize=vectorize,
             forall_unroll_cap=forall_unroll_cap,
         )
 
@@ -247,7 +246,6 @@ class SpecPlanState:
         trace,
         domain: Optional[Mapping[str, Iterable[Any]]] = None,
         incremental: bool = False,
-        vectorize: bool = True,
         forall_unroll_cap: Optional[int] = None,
     ) -> None:
         from .runtime import PlanState
@@ -258,7 +256,6 @@ class SpecPlanState:
             trace,
             domain=domain,
             incremental=incremental,
-            vectorize=vectorize,
             forall_unroll_cap=forall_unroll_cap,
         )
 

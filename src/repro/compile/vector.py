@@ -9,14 +9,21 @@ bound to an incremental plan state, whose trace is a prefix read under the
 paper's finite-computation convention (the last state repeats forever): a
 monitor's growing prefix, extended once per (batched) append, or a
 stutter-terminated trace checked one-shot, which is a prefix that has
-stopped growing and is extended exactly once.  Profiles read the trace's
-dictionary-encoded columns (:mod:`repro.semantics.columns`):
+stopped growing and is extended exactly once.  Every state formula has a
+profile:
 
-* boolean variables, comparison atoms (all six operators, against a
-  constant or a bound logical variable), operation predicates with
-  state-independent arguments, and the ``start`` predicate each read one
-  column and answer per *distinct value*, not per state — the OR of the
-  passing codes' position bitsets (``Column.code_bits``);
+* boolean variables, comparisons of a state variable against a constant
+  or a bound logical variable (all six operators), operation predicates
+  with state-independent arguments, and the ``start`` predicate each read
+  one of the trace's dictionary-encoded columns
+  (:mod:`repro.semantics.columns`) and answer per *distinct value*, not
+  per state — the OR of the passing codes' position bitsets
+  (``Column.code_bits``);
+* any other atom — two state variables, an arithmetic term, an operation
+  argument that reads state, a ``Prop`` / ``Cmp`` subclass — and a column
+  atom whose column is past the per-code bitset cap are evaluated per
+  position, over the positions appended since the profile was last read,
+  on rows rebuilt from the columns and not cached;
 * ``¬ / ∧ / ∨ / ⊃ / ≡`` combine child profiles with single big-int ops;
 * a profile that serves as an event keeps a **change index**: its
   False→True change positions, ascending, in a compact ``array``
@@ -29,15 +36,14 @@ A lasso whose cycle is longer than one state has no kernel: it runs the
 static per-position mode (:mod:`repro.compile.runtime`).
 
 Exactness is non-negotiable: the kernel never guesses.  Any situation whose
-error or semantics it cannot reproduce bit-for-bit — a variable missing in
-some state (the per-position path raises there *lazily*), an unbound
-logical variable, an unhashable binding, a comparison between incomparable
-values, a column past the per-code bitset cap — makes
-:meth:`TailKernel.profile` return ``None`` and the caller falls back to the
-per-position memo path, which preserves the evaluator's (deferred-)error
-behaviour exactly.  Such a profile is dead for good; on a growing prefix
-its earlier answers stay valid, because they were bit-for-bit the
-per-position verdicts of the shorter prefix.
+error it cannot reproduce bit-for-bit — a variable missing in some state
+(the per-position path raises there *lazily*), an unbound logical
+variable, an unhashable binding, a position whose evaluation raises —
+makes :meth:`TailKernel.profile` return ``None`` and the caller falls back
+to the per-position memo path, which preserves the evaluator's
+(deferred-)error behaviour exactly.  Such a profile is dead for good; on a
+growing prefix its earlier answers stay valid, because they were
+bit-for-bit the per-position verdicts of the shorter prefix.
 """
 
 from __future__ import annotations
@@ -48,6 +54,7 @@ from bisect import bisect_right
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..semantics.construction import BOTTOM, Interval
+from ..semantics.state import State
 from ..semantics.trace import INFINITY
 from ..syntax.terms import (
     Cmp,
@@ -71,7 +78,6 @@ from .dag import (
     N_NOT,
     N_OR,
     N_TRUE,
-    STATE_NODE_OPS,
 )
 
 __all__ = [
@@ -160,24 +166,6 @@ def search_changes(changes, n: int, i: int, j, forward: bool, mark_tail):
     return BOTTOM, INFINITY
 
 
-def _atom_supported(predicate) -> bool:
-    # Exact types only: a Prop/Cmp *subclass* may override ``holds``
-    # with semantics the column read would silently disagree with.
-    kind = type(predicate)
-    if kind in (Prop, TruePredicate, FalsePredicate, StartPredicate):
-        return True
-    if kind is Cmp:
-        left, right = predicate.left, predicate.right
-        if type(left) is Var and type(right) in (Const, LogicalVar):
-            return True
-        if type(right) is Var and type(left) in (Const, LogicalVar):
-            return True
-        return False
-    if kind in (OpAt, OpIn, OpAfter):
-        return not any(arg.state_vars() for arg in predicate.args)
-    return False
-
-
 def _record_test(phases, arg_values) -> Callable[[Any], bool]:
     """Operation-record match with the elementwise ``!=`` convention of
     :func:`repro.syntax.terms._args_match`."""
@@ -199,8 +187,8 @@ class _Profile:
     """One (node, bindings) profile of a :class:`TailKernel`.
 
     ``bits`` covers concrete positions ``1..built_to``; ``passes`` caches
-    the atom test's verdict per dictionary code (the test runs once per
-    *distinct value*, across every extension).  ``dead`` is the permanent
+    a column atom's test verdict per dictionary code (the test runs once
+    per *distinct value*, across every extension).  ``dead`` is the permanent
     exact-fallback flag.  ``changes`` is the change index over positions
     ``1..changes_to``, ``None`` until the profile's first event search.
     """
@@ -241,69 +229,34 @@ class TailKernel:
     keeps one packed truth profile
     per ``(node, bindings)`` over the *concrete states observed so far* and
     extends each touched profile in one pass over the positions
-    ``[built_to, length)`` — atoms through the trace's dictionary-encoded
-    columns (the test runs once per distinct value, cached across
-    extensions), connectives by recombining child bits.  A multi-state
-    append is thus absorbed as one vectorized window pass instead of N
+    ``[built_to, length)`` — column atoms through the trace's
+    dictionary-encoded columns (the test runs once per distinct value,
+    cached across extensions), other atoms one rebuilt row per new
+    position, connectives by recombining child bits.  A multi-state
+    append is thus absorbed as one window pass instead of N
     per-position re-evaluations.  A profile searched as an event also
     keeps its change index (:meth:`changes`), extended the same way.
 
-    A column that becomes unusable mid-stream (a variable missing from
-    some appended state, a comparison raising on a fresh value, the column
-    crossing the bitset cap) kills the profile *permanently* and the
-    per-position path takes over.  Profiles never look past the concrete
-    states; on a growing prefix the tail positions (and the tail-marking
-    that keeps the stable/volatile memo split sound) are the caller's
-    responsibility (:mod:`repro.compile.lower`).
+    A profile that becomes unusable mid-stream (a variable missing from
+    some appended state, a position whose evaluation raises) dies
+    *permanently* and the per-position path takes over.  Profiles never
+    look past the concrete states; on a growing prefix the tail positions
+    (and the tail-marking that keeps the stable/volatile memo split sound)
+    are the caller's responsibility (:mod:`repro.compile.lower`).
     """
 
-    __slots__ = ("_state", "_trace", "_entries", "_supported", "_calls")
+    __slots__ = ("_state", "_trace", "_entries", "_calls")
 
     def __init__(self, plan_state, trace) -> None:
         self._state = plan_state
         self._trace = trace
         self._entries: Dict[Any, _Profile] = {}
         self._calls: Dict[Any, _CallTrack] = {}
-        # The support verdicts depend only on the plan's node shapes, so
-        # every kernel bound to the same plan (each stream of a serve
-        # fleet, each trace of a campaign) shares one table and the shape
-        # walk runs once per plan.
-        plan = plan_state._plan
-        supported = getattr(plan, "_vector_supported", None)
-        if supported is None:
-            supported = {}
-            try:
-                plan._vector_supported = supported
-            except Exception:  # pragma: no cover - exotic plan objects
-                pass
-        self._supported: Dict[int, bool] = supported
 
     @property
     def change_index_count(self) -> int:
         """Change indexes built so far: one per profile searched as an event."""
         return sum(1 for entry in self._entries.values() if entry.changes is not None)
-
-    # -- static shape check ---------------------------------------------------
-
-    def supports(self, nid: int) -> bool:
-        """Whether the node's *shape* is vectorizable (bindings checked later)."""
-        cached = self._supported.get(nid)
-        if cached is not None:
-            return cached
-        node = self._state._nodes[nid]
-        op = node.op
-        if op not in STATE_NODE_OPS:
-            ok = False
-        elif op in (N_TRUE, N_FALSE):
-            ok = True
-        elif op == N_NOT:
-            ok = self.supports(node.a)
-        elif op == N_ATOM:
-            ok = _atom_supported(node.predicate)
-        else:  # and / or / implies / iff
-            ok = self.supports(node.a) and self.supports(node.b)
-        self._supported[nid] = ok
-        return ok
 
     # -- profiles -------------------------------------------------------------
 
@@ -438,33 +391,50 @@ class TailKernel:
         raise _Fallback(expr)
 
     def _atom_bits(self, node, entry: _Profile, n: int) -> int:
-        """Bits for positions ``1..n`` (bit 0 = position 1)."""
+        """Bits for positions ``1..n`` (bit 0 = position 1): from a column
+        where the atom reads one, else the new positions one row each."""
+        bits = self._column_bits(node, entry, n)
+        if bits is None:
+            bits = entry.bits | self._row_bits(node, entry.built_to, n)
+        return bits
+
+    def _column_bits(self, node, entry: _Profile, n: int) -> Optional[int]:
+        """The atom's bits over ``1..n`` without evaluating a row — a
+        constant, or one column answered per distinct value — or ``None``
+        when it reads no single column or its column is past the bitset
+        cap.
+
+        Exact types only: a ``Prop`` / ``Cmp`` *subclass* may override
+        ``holds`` with semantics the column read would silently disagree
+        with.
+        """
         predicate = node.predicate
-        if isinstance(predicate, TruePredicate):
+        kind = type(predicate)
+        if kind is TruePredicate:
             return (1 << n) - 1
-        if isinstance(predicate, FalsePredicate):
+        if kind is FalsePredicate:
             return 0
         store = self._trace.columns
-        if isinstance(predicate, StartPredicate):
+        if kind is StartPredicate:
             # Missing ``__start__`` is False, not an error — no presence
             # requirement; positions outside the column contribute 0.
             column = store.column("__start__")
             return self._value_bits(column, entry, n, bool)
-        if isinstance(predicate, Prop):
+        if kind is Prop:
             column = store.column(predicate.name)
             if column is None or column.missing:
                 # The per-position path raises UnknownStateVariableError at
                 # the position it touches; only it can do that lazily.
                 raise _Fallback(predicate.name)
             return self._value_bits(column, entry, n, bool)
-        if isinstance(predicate, Cmp):
+        if kind is Cmp:
             left, right = predicate.left, predicate.right
-            if isinstance(left, Var) and isinstance(right, (Const, LogicalVar)):
+            if type(left) is Var and type(right) in (Const, LogicalVar):
                 name, constant, flipped = left.name, self._resolve(right), False
-            elif isinstance(right, Var) and isinstance(left, (Const, LogicalVar)):
+            elif type(right) is Var and type(left) in (Const, LogicalVar):
                 name, constant, flipped = right.name, self._resolve(left), True
             else:
-                raise _Fallback(predicate)
+                return None
             column = store.column(name)
             if column is None or column.missing:
                 raise _Fallback(name)
@@ -476,10 +446,12 @@ class TailKernel:
             # A TypeError inside `compare` kills the profile: the
             # per-position path raises at the position it touches.
             return self._value_bits(column, entry, n, test)
-        if isinstance(predicate, (OpAt, OpIn, OpAfter)):
+        if kind in (OpAt, OpIn, OpAfter) and not any(
+            arg.state_vars() for arg in predicate.args
+        ):
             env = self._state._env_view(node)
-            # Arguments are state-independent (checked by supports); an
-            # evaluation error falls back to surface per position.
+            # The arguments read no state; an evaluation error falls back
+            # to surface per position.
             arg_values = tuple(arg.evaluate({}, env) for arg in predicate.args)
             column = store.op_column(predicate.operation)
             # No column = the operation is idle in every state so far (on a
@@ -491,16 +463,36 @@ class TailKernel:
                 bits = self._args_bits(predicate.operation, phases, arg_values, column, n)
                 if bits is not None:
                     return bits
-                # Unhashable somewhere: the per-code test sweep.
+                # Unhashable somewhere, or past the cap: the per-code test
+                # sweep, which answers ``None`` past the cap too.
                 test = _record_test(phases, arg_values)
             else:
                 test = lambda record: record.phase in phases
             return self._value_bits(column, entry, n, test)
-        raise _Fallback(predicate)
+        return None
+
+    def _row_bits(self, node, built: int, n: int) -> int:
+        """Bits of positions ``built + 1..n``, each evaluated on its row.
+
+        A row is rebuilt from the trace's columns and dropped: neither a
+        prefix nor a trace caches it.  A raising position propagates and
+        kills the profile.
+        """
+        holds = node.predicate.holds
+        env = self._state._env_view(node)
+        store = self._trace.columns
+        values, operations = store.state_values, store.state_operations
+        digits = [
+            "1" if holds(State(values(index), operations(index)), env) else "0"
+            for index in range(built, n)
+        ]
+        digits.reverse()
+        return int("".join(digits), 2) << built
 
     def _args_bits(self, operation, phases, arg_values, column, n):
         """Positions whose record matches ``(phases, arg_values)`` via an
-        args-indexed call track, or ``None`` to fall back to the test sweep.
+        args-indexed call track, or ``None`` to fall back to the test sweep
+        (or, past the bitset cap, to the rows).
 
         The track groups the column's codes by ``record.args`` once per
         (operation, phase set) — each quantifier binding's profile is then
@@ -540,14 +532,17 @@ class TailKernel:
             return None
         if not codes:
             return 0
-        bitsets = _code_bits(column, n)
+        bitsets = column.code_bits(n)
+        if bitsets is None:
+            return None
         out = 0
         for code in codes:
             out |= bitsets[code]
         return out
 
-    def _value_bits(self, column, entry: _Profile, n: int, test) -> int:
-        """OR of the column's per-code bitsets whose value passes ``test``.
+    def _value_bits(self, column, entry: _Profile, n: int, test) -> Optional[int]:
+        """OR of the column's per-code bitsets whose value passes ``test``,
+        or ``None`` past the bitset cap.
 
         Each profile keeps its own per-code verdict cache, so an extension
         costs O(distinct codes), not O(window).  ``ABSENT`` positions are
@@ -556,10 +551,13 @@ class TailKernel:
         """
         if column is None:
             return 0
+        bitsets = column.code_bits(n)
+        if bitsets is None:
+            return None
         values = column.values
         passes = entry.passes
         out = 0
-        for code, cbits in enumerate(_code_bits(column, n)):
+        for code, cbits in enumerate(bitsets):
             if not cbits:
                 continue
             truth = passes.get(code)
@@ -568,14 +566,6 @@ class TailKernel:
             if truth:
                 out |= cbits
         return out
-
-
-def _code_bits(column, n: int) -> List[int]:
-    """The column's per-code bitsets over ``1..n``; past the cap, fall back."""
-    bitsets = column.code_bits(n)
-    if bitsets is None:
-        raise _Fallback("cardinality cap")
-    return bitsets
 
 
 class BitsetKernel(TailKernel):

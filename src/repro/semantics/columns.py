@@ -70,10 +70,9 @@ _NEW = -2
 
 #: Columns with more distinct values than this, or whose per-code bitsets
 #: would take more bytes (codes · n/8), keep no bitsets: the memory stops
-#: paying for itself, and a comparison against a high-cardinality column is
-#: better served by the per-position endpoint indexes.  A column only gains
-#: codes and positions, so once past a cap it stays there; the kernel then
-#: falls back to the per-position path.
+#: paying for itself.  A column only gains codes and positions, so once
+#: past a cap it stays there; the kernel then profiles the atoms over it
+#: one row per appended position.
 _MAX_BITSET_CODES = 1024
 _MAX_BITSET_BYTES = 8_000_000
 

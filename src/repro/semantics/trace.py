@@ -22,7 +22,7 @@ import math
 from typing import Any, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
 from ..errors import TraceError
-from .columns import ColumnStore
+from .columns import ColumnStore, Window
 from .state import State
 
 __all__ = ["INFINITY", "Trace", "make_trace", "boolean_trace"]
@@ -174,6 +174,24 @@ class Trace:
         return tuple(
             state if state is not None else self._materialize(index)
             for index, state in enumerate(materialized)
+        )
+
+    def window(self) -> Window:
+        """The concrete states as one :class:`~repro.semantics.columns.Window`
+        over the trace's own rows, building no ``State``.
+
+        The rows are the source states' maps as given (``__start__`` is not
+        injected: the window encoder marks it the same way), or, for a
+        trace shipped as columns, maps rebuilt from them.
+        """
+        source = self._source
+        if source is not None:
+            return Window.of(source)
+        store = self.columns
+        indexes = range(self._length)
+        return Window(
+            [store.state_values(i) for i in indexes],
+            [store.state_operations(i) for i in indexes],
         )
 
     def __len__(self) -> int:

@@ -15,28 +15,31 @@ properties pin the pair down:
   after every frame, as a one-shot check of the prefix so far;
 * **the bitset cap** — a column past ``_MAX_BITSET_CODES`` /
   ``_MAX_BITSET_BYTES`` keeps no bitsets, whether it got there mid-stream
-  or was built past it; the profiles over it fall back to the per-position
-  path instead of growing, and verdicts match the ``stepwise`` and
-  ``trace`` engines.
+  or was built past it; the profiles over it go on per position, alive
+  and bit-for-bit the per-position verdicts, and verdicts match the
+  ``stepwise`` and ``trace`` engines.
 
-Beside them, four cost checks on deterministic counters: each appended
+Beside them, five cost checks on deterministic counters: each appended
 frame is encoded once and no rows are kept, serving wire rows builds no
 ``State`` at all, one-shot checks encode a trace once and build no
-``State`` either, and a stream repeating one segment keeps its dispatch
-calls per state flat as its history grows.
+``State`` either, and a stream repeating one segment, like a stream of
+atoms profiled per position, keeps its dispatch calls per state flat as
+its history grows.
 """
 
 import copy
 import gc
 import os
+import pickle
 import tracemalloc
+from dataclasses import dataclass
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.api import Session
 from repro.checking.monitor import Monitor
-from repro.compile import GrowingPrefix, compile_formula
+from repro.compile import GrowingPrefix, PlanState, compile_formula
 from repro.core.specification import Specification
 from repro.errors import TraceError
 from repro.gen.loadgen import LOAD_FAMILIES, generate_stream_scripts
@@ -46,7 +49,9 @@ from repro.semantics.state import OperationRecord, State
 from repro.semantics.trace import Trace, make_trace
 from repro.serve.protocol import rows_to_states
 from repro.serve.streams import SPEC_FACTORIES, StreamRegistry
+from repro.syntax.builder import always, atom, eventually, event, forward, interval, lor
 from repro.syntax.parser import parse_formula
+from repro.syntax.terms import Prop
 
 #: ``l`` holds unhashable values (lists); ``m`` mixes booleans with the
 #: numbers equal to them.
@@ -92,6 +97,43 @@ for _shape, _term in TERM_SHAPES.items():
         f"always-occurs-{_shape}": f"[] *({_term})",
         f"eventually-occurs-{_shape}": f"<> *({_term})",
     })
+
+#: Atoms that read no single column — two state variables, an arithmetic
+#: term, an operation argument that reads state — which the kernel
+#: profiles one row per appended position: as ``[] / <>`` bodies and as
+#: interval events.
+ROW_ATOMS = {
+    "two-vars": "x < m",
+    "arithmetic": "x + 4 == s",
+    "op-reads-state": "at Send(x)",
+}
+for _shape, _atom in ROW_ATOMS.items():
+    CLAUSES.update({
+        f"always-{_shape}": f"[] ({_atom} \\/ p)",
+        f"eventually-{_shape}": f"<> ({_atom} /\\ ~p)",
+        f"interval-{_shape}": f"[] [({_atom}) => p] <> ({_atom})",
+        f"occurs-{_shape}": f"<> *(p => ({_atom}))",
+    })
+
+
+@dataclass(frozen=True)
+class InvertedProp(Prop):
+    """``p`` read inverted: a ``Prop`` subclass whose ``holds`` a column
+    read of ``p`` would silently get wrong."""
+
+    def holds(self, state, env):
+        return not super().holds(state, env)
+
+
+#: The subclass as a ``[] / <>`` body and as an interval event.
+_inverted = atom(InvertedProp("p"))
+SUBCLASS_CLAUSES = {
+    "always-subclass": always(lor(_inverted, parse_formula("x < 2"))),
+    "eventually-subclass": eventually(interval(
+        forward(event(_inverted), event(parse_formula("x == 1"))),
+        parse_formula("<> p"),
+    )),
+}
 
 _records = st.builds(
     OperationRecord,
@@ -221,6 +263,7 @@ class TestWindowSplits:
         # Verdicts are compared after every frame: starts left pending
         # across frames are where a wrong horizon would show.
         formulas = {name: parse_formula(text) for name, text in CLAUSES.items()}
+        formulas.update(SUBCLASS_CLAUSES)
         monitor = Monitor(formulas, capture_errors=True)
         spec = Specification("window splits")
         for name, formula in formulas.items():
@@ -422,6 +465,42 @@ def test_one_shot_checks_encode_the_trace_once_and_build_no_state(monkeypatch, f
     assert first == second
 
 
+def test_monitor_engine_reads_the_trace_rows_and_builds_no_state(monkeypatch):
+    # The ``monitor`` engine observes a trace one state at a time (its
+    # verdict history has one entry per prefix), each state a one-state
+    # window over the trace's own rows: one absorb per state and no
+    # ``State`` built, where feeding ``trace.states()`` builds one per
+    # position.
+    rows = [row for frame in ingest_frames("mutex") for row in frame][:1000]
+    trace = Trace(rows_to_states(rows))
+    specification = SPEC_FACTORIES()["mutex"]()
+    formula = next(c for c in specification.clauses if c.name == "A1/12").interpreted_formula()
+    expected = Session().check(formula, mode="compiled", trace=trace).verdict
+    built, absorbed = [], []
+    init, absorb = State.__init__, IncrementalColumnStore.absorb
+
+    def counted_init(state, *args, **kwargs):
+        built.append(None)
+        init(state, *args, **kwargs)
+
+    def counted_absorb(store, window):
+        absorbed.append(len(window))
+        absorb(store, window)
+
+    monkeypatch.setattr(State, "__init__", counted_init)
+    monkeypatch.setattr(IncrementalColumnStore, "absorb", counted_absorb)
+    result = Session().check(formula, mode="monitor", trace=trace)
+    assert (len(built), absorbed) == (0, [1] * len(rows))
+    assert result.verdict is expected
+    assert len(result.statistics["history"]) == len(rows)
+    # A trace shipped as columns (as fan-out workers receive it) has no
+    # source rows: its window is rebuilt from the columns.
+    shipped = pickle.loads(pickle.dumps(trace))
+    again = Session().check(formula, mode="monitor", trace=shipped)
+    assert (len(built), absorbed) == (0, [1] * 2 * len(rows))
+    assert again.statistics["history"] == result.statistics["history"]
+
+
 # -- history cost ----------------------------------------------------------------
 
 #: States of the repeated-segment stream (``HISTORY_COST_STATES`` raises it:
@@ -498,6 +577,71 @@ def test_repeated_segment_dispatch_stays_flat(clause, repeated_segment_one_shot)
     assert last <= HISTORY_GROWTH * first, (first, last)
 
 
+#: Formulas whose atoms no column answers — an arithmetic comparison, and
+#: ``x == 5`` once ``x``'s column is past the bitset cap (``x`` takes a new
+#: value in every state) — so the kernel profiles them one row per
+#: appended position.  Both events occur once, at position 6, so every
+#: later start waits on a change that never comes: ``[] / <>`` over an
+#: interval formula whose event the kernel does not profile evaluates each
+#: pending start on its own, work per frame linear in the prefix.
+PER_POSITION_FORMULAS = {
+    "arithmetic": "[] ([x + 1 < y] p)",
+    "past-the-cap": "[] ([x == 5] p)",
+}
+
+
+def per_position_rows():
+    """Wire rows: ``x`` distinct in every state, ``x + 1 < y`` exactly
+    where ``x == 5``."""
+    return [
+        {"values": {"x": i, "y": i + 1 + (i == 5), "p": True}}
+        for i in range(HISTORY_STATES)
+    ]
+
+
+@pytest.mark.parametrize("text", list(PER_POSITION_FORMULAS.values()),
+                         ids=list(PER_POSITION_FORMULAS))
+def test_per_position_profiles_keep_dispatch_flat(monkeypatch, text):
+    rows = per_position_rows()
+    formula = parse_formula(text)
+    session = Session()
+    checkpoints = [length for length in HISTORY_CHECKPOINTS if length <= len(rows)]
+    reference = {
+        length: session.check(formula, trace=Trace(rows_to_states(rows[:length]))).verdict
+        for length in checkpoints
+    }
+    scans = []
+    scan = PlanState._find_event_scan
+
+    def counted(state, *args):
+        scans.append(args)
+        return scan(state, *args)
+
+    monkeypatch.setattr(PlanState, "_find_event_scan", counted)
+    monitor = Session().monitor({"clause": formula})
+    stats = monitor.plan_state.stats
+    bounds = sorted(set(range(HISTORY_FRAME, len(rows), HISTORY_FRAME))
+                    | set(checkpoints) | {len(rows)})
+    batches = []
+    start = 0
+    for stop in bounds:
+        before = stats.dispatch_calls
+        monitor.observe_batch(rows_to_states(rows[start:stop]))
+        batches.append((stop - start, stats.dispatch_calls - before))
+        start = stop
+        if stop in reference:
+            assert monitor.verdicts["clause"].holds is reference[stop], stop
+
+    def per_state(part):
+        return sum(d for _, d in part) / sum(n for n, _ in part)
+
+    tenth = max(1, len(batches) // 10)
+    first, last = per_state(batches[:tenth]), per_state(batches[-tenth:])
+    assert last <= HISTORY_GROWTH * first, (first, last)
+    assert not scans
+    assert monitor.plan_state.trace._rows == {}
+
+
 # -- the bitset cap --------------------------------------------------------------
 
 CAP_CLAUSES = {
@@ -533,8 +677,28 @@ def engine_verdicts(session, formula, rows):
     )
 
 
+def row_bits(node, rows):
+    """The atom's per-position verdicts over ``rows``, as profile bits."""
+    return sum(
+        1 << i for i, row in enumerate(rows) if node.predicate.holds(State(row), {})
+    )
+
+
+def assert_profiled_per_position(kernel, node, rows):
+    """Past the cap the profile is alive, built to the trace's length and
+    bit-for-bit the per-position verdicts."""
+    bits = kernel.profile(node)
+    entry = kernel._entries[node.id]
+    assert not entry.dead and entry.built_to == len(rows)
+    assert bits == row_bits(node, rows)
+
+
+#: The ``x`` atoms of ``CAP_CLAUSES``.
+CAP_ATOMS = ("x < 9", "x == 6", "x >= 2", "x == 3", "x == 1")
+
+
 @pytest.mark.parametrize("cap, value", CAPS)
-def test_stream_crossing_the_cap_falls_back(monkeypatch, cap, value):
+def test_stream_crossing_the_cap_keeps_profiling_per_position(monkeypatch, cap, value):
     monkeypatch.setattr(columns, cap, value)
     session = Session()
     formulas = {name: parse_formula(text) for name, text in CAP_CLAUSES.items()}
@@ -553,15 +717,14 @@ def test_stream_crossing_the_cap_falls_back(monkeypatch, cap, value):
     store = state.trace.columns
     assert store.column("x").code_bits(store.length) is None
     assert store.column("p").code_bits(store.length) is not None
-    # The profile died where the column crossed: it answers None (the
-    # per-position path) instead of growing with the prefix.
-    assert kernel.profile(node) is None
-    entry = kernel._entries[node.id]
-    assert entry.dead and entry.built_to < store.length
+    # The profiles over x went on where the column crossed: one row per
+    # appended position, instead of dying into the per-position path.
+    for text in CAP_ATOMS:
+        assert_profiled_per_position(kernel, atom_node(state, text), CAP_ROWS)
 
 
 @pytest.mark.parametrize("cap, value", CAPS)
-def test_static_trace_past_the_cap_falls_back(monkeypatch, cap, value):
+def test_static_trace_past_the_cap_is_profiled_per_position(monkeypatch, cap, value):
     monkeypatch.setattr(columns, cap, value)
     session = Session()
     trace = make_trace(CAP_ROWS)
@@ -570,5 +733,6 @@ def test_static_trace_past_the_cap_falls_back(monkeypatch, cap, value):
         vectorized = session.check(formula, mode="compiled", trace=trace).verdict
         assert (vectorized,) * 2 == engine_verdicts(session, formula, CAP_ROWS), text
     assert trace.columns.column("x").code_bits(trace.length) is None
-    state = compile_formula(parse_formula("[] (x < 9)")).evaluator(trace)
-    assert state._kernel.profile(atom_node(state, "x < 9")) is None
+    for text in CAP_ATOMS:
+        state = compile_formula(parse_formula(f"<> ({text})")).evaluator(trace)
+        assert_profiled_per_position(state._kernel, atom_node(state, text), CAP_ROWS)

@@ -15,6 +15,7 @@ import random
 
 import pytest
 
+from repro.api import Session
 from repro.compile import compile_formula, normalize, structural_key
 from repro.compile.dag import CompileError, DagBuilder
 from repro.compile.runtime import EventIndex
@@ -210,11 +211,11 @@ class TestEventIndexAgainstTheScan:
             loop_start = rng.randint(1, length)
             trace = boolean_trace(["p"], rows, loop_start=loop_start)
             profile = [bool(r[0]) for r in rows]
-            index = EventIndex(lambda state: bool(state["p"]))
-            assert index.ensure(trace, growing=False)
 
             def truth_at(k):
                 return profile[trace.canonical(k) - 1]
+
+            index = EventIndex(trace, truth_at)
 
             for _ in range(12):
                 i = rng.randint(1, length + 4)
@@ -242,11 +243,37 @@ class TestEventIndexAgainstTheScan:
                         got = BOTTOM if k is None else Interval(k - 1, k)
                 assert got == expected, (rows, loop_start, i, j, direction)
 
+    @pytest.mark.parametrize("mode", ["compiled", "stepwise"])
+    def test_a_static_lasso_indexes_each_event_once(self, mode):
+        # A lasso with a longer cycle runs the static mode on both engines.
+        # Every start's search for an event that never occurs spans the
+        # rest of the lasso: the index answers each by bisection, after
+        # one evaluation per concrete state, where scanning would take
+        # work quadratic in the trace.
+        n = 3000
+        trace = make_trace([{"x": i % 7, "p": True} for i in range(n)], loop_start=n - 1)
+        assert trace.period == 2
+        result = Session().check(parse_formula("[] ([x == 99] p)"), mode=mode, trace=trace)
+        assert result.verdict is True
+        assert result.statistics["event_indexes"] == 1
+        assert result.statistics["dispatch_calls"] <= 3 * n
+
     def test_erroring_event_formula_disables_the_index(self):
-        trace = make_trace([{"p": True}, {"q": True}])  # state 2 lacks p
-        index = EventIndex(lambda state: bool(state["p"]))
-        assert not index.ensure(trace, growing=False)
-        assert index.unusable
+        # State 2 lacks p: the index cannot be built, the static plan state
+        # records the event as unindexed, and its scan raises the
+        # evaluator's exact error.
+        trace = make_trace([{"p": True}, {"q": True}])
+        with pytest.raises(KeyError):
+            EventIndex(trace, lambda pos: bool(trace.state_at(pos)["p"]))
+        formula = parse_formula("<> ([p] q)")
+        state = compile_formula(formula).evaluator(trace, vectorize=False)
+        with pytest.raises(Exception) as compiled_exc:
+            state.satisfies()
+        with pytest.raises(Exception) as interp_exc:
+            Evaluator(trace).satisfies(formula)
+        assert type(compiled_exc.value) is type(interp_exc.value)
+        assert list(state._indexes.values()) == [None]
+        assert state.index_count == 0
 
 
 class TestIntervalEndpointEdgeCases:

@@ -4,8 +4,9 @@ Covers the multi-layer refactor's acceptance criteria: clauses sharing a
 subformula evaluate it once per position in a ``SpecPlanState`` (asserted
 through evaluation counters), spec-plan verdicts match the per-clause
 compiled engine over the full ``tests/corpus/`` families, the bounded LRU
-plan cache evicts with statistics, comparison atoms index through shared
-value columns, and the session-level fallbacks audit themselves on
+plan cache evicts with statistics, comparison atoms are indexed once per
+event and binding (and, on the kernel path, tested once per distinct
+value), and the session-level fallbacks audit themselves on
 ``engine_reason``.
 """
 
@@ -19,8 +20,8 @@ from repro.api import CheckRequest, Session
 from repro.checking import ConformanceCase, run_conformance
 from repro.checking.monitor import Monitor, SpecificationMonitor
 from repro.compile import (
-    ComparisonIndex,
     CompileError,
+    EventIndex,
     PlanCache,
     SpecPlan,
     compile_formula,
@@ -100,13 +101,13 @@ class TestSpecPlanSharing:
         for name in state.plan.clause_names:
             state.satisfies(name)
         inner = state._state
-        assert not inner._shared_indexes
+        assert not inner._indexes
         shared = inner._kernel.change_index_count
         separate = 0
         for clause in spec.clauses:
             single = compile_formula(clause.interpreted_formula()).evaluator(trace)
             single.satisfies()
-            assert not single._shared_indexes
+            assert not single._indexes
             separate += single._kernel.change_index_count
         assert 0 < shared < separate
         assert state.index_count == shared
@@ -321,11 +322,10 @@ class TestLRUPlanCache:
         assert plan.digest == spec_digest(items)
 
 
-class TestComparisonIndex:
-    def test_constant_comparisons_share_a_value_column(self):
-        # vectorize=False pins the per-position machinery this test is
-        # about; the default path derives these indexes from the bitset
-        # kernel and never builds a ValueColumn.
+class TestComparisonEvents:
+    def test_constant_comparisons_index_each_event_once(self):
+        # vectorize=False binds the static per-position mode this test is
+        # about: one EventIndex per comparison event, built once.
         rows = [{"x": i % 5, "p": True} for i in range(40)]
         trace = make_trace(rows)
         items = [(f"c{c}", parse_formula(f"[] ([x == {c}] p)")) for c in range(5)]
@@ -334,16 +334,17 @@ class TestComparisonIndex:
         for (name, formula) in items:
             assert state.satisfies(name) == evaluator.satisfies(formula), name
         inner = state._state
-        assert len(inner._columns) == 1            # one shared column for x
-        assert inner._columns["x"].built_to == trace.length
-        assert any(isinstance(ix, ComparisonIndex)
-                   for ix in inner._shared_indexes.values())
+        assert inner._kernel is None
+        assert len(inner._indexes) == len(items)
+        assert all(isinstance(ix, EventIndex) for ix in inner._indexes.values())
+        assert state.index_count == len(items)
 
-    def test_vectorized_comparisons_skip_the_value_column(self):
+    def test_kernel_comparisons_test_each_distinct_value_once(self):
         # The same spec through the default binding (a stutter-terminated
-        # trace read as a finished prefix) answers identically, but each
+        # trace read as a finished prefix) answers identically, and each
         # comparison event is searched through one kernel change index
-        # built from column bitsets: no ValueColumn, no ComparisonIndex.
+        # whose profile tested each distinct value of x once: no static
+        # index.
         rows = [{"x": i % 5, "p": True} for i in range(40)]
         trace = make_trace(rows)
         items = [(f"c{c}", parse_formula(f"[] ([x == {c}] p)")) for c in range(5)]
@@ -352,8 +353,15 @@ class TestComparisonIndex:
         for (name, formula) in items:
             assert state.satisfies(name) == evaluator.satisfies(formula), name
         inner = state._state
-        assert not inner._columns and not inner._shared_indexes
-        assert inner._kernel.change_index_count == len(items)
+        assert not inner._indexes
+        kernel = inner._kernel
+        assert kernel.change_index_count == len(items)
+        comparisons = [
+            node for node in inner._nodes
+            if node.predicate is not None and str(node.predicate).startswith("x ==")
+        ]
+        assert len(comparisons) == len(items)
+        assert all(len(kernel._entries[node.id].passes) == 5 for node in comparisons)
 
     def test_inequality_and_flipped_orientation(self):
         trace = make_trace([{"x": i % 3} for i in range(12)])
@@ -368,14 +376,13 @@ class TestComparisonIndex:
         formula = parse_formula("forall a . <> ([x == ?a] true)")
         state = compile_formula(formula).evaluator(trace, vectorize=False)
         assert state.satisfies() == Evaluator(trace).satisfies(formula)
-        # One column, one comparison index per binding.
-        assert len(state._columns) == 1
-        assert sum(isinstance(ix, ComparisonIndex)
-                   for ix in state._shared_indexes.values()) >= 2
+        # One EventIndex per binding of a, over the value universe 0..3.
+        assert sorted(key[1:] for key in state._indexes) == [(0,), (1,), (2,), (3,)]
+        assert all(isinstance(ix, EventIndex) for ix in state._indexes.values())
 
     def test_missing_variable_error_behaviour_unchanged(self):
-        # A state without x: the index goes unusable and the generic scan
-        # must reproduce the evaluator's exact error.
+        # A state without x: the kernel profile dies and the scan must
+        # reproduce the evaluator's exact error.
         trace = make_trace([{"x": 1, "p": True}, {"p": True}, {"x": 2, "p": True}])
         formula = parse_formula("<> ([x == 2] p)")
         with pytest.raises(Exception) as compiled_exc:
