@@ -1,4 +1,5 @@
-"""Trajectory gate: the bitset kernel answers columnar checks in one dispatch.
+"""Trajectory gates: the bitset kernel answers columnar checks in one dispatch,
+and the column encoder interns each distinct value once per column.
 
 The columnar refactor's whole point is that state formulas over a long
 trace answer as whole-column bitset operations instead of per-position
@@ -24,14 +25,27 @@ on a shared 2-core runner the same code measures anywhere from under 2x to
 over 3x.  The file is the first series of the ROADMAP's
 benchmark-trajectory convention, one committed entry per PR that moves the
 number.
+
+A second gate sweeps the column encoder: one 16,384-state column at 2, 12,
+200 and 1,024 codes and with every value distinct, built static (one
+window) and in 16- and 64-state windows.  It gates on a count: the
+cell-by-cell intern step (``_ColumnBase._intern``) runs at most once per
+distinct value per column, where a per-cell interner runs it once per cell
+of every window that brings a new value.  The nanoseconds per cell of each
+build are recorded under their own label, with the machine stamp, and not
+asserted.
 """
 
 import json
 import os
 import platform
+import random
 import time
+from collections import Counter
 
 from repro.compile import compile_formula
+from repro.semantics import columns
+from repro.semantics.columns import ColumnStore, IncrementalColumnStore, Window
 from repro.semantics.state import State
 from repro.semantics.trace import Trace
 from repro.syntax.parser import parse_formula
@@ -59,6 +73,15 @@ KERNEL_DISPATCH_CALLS = 1
 SERIES_PATH = os.path.join(os.path.dirname(__file__), "..", "BENCH_columnar.json")
 SERIES_LABEL = "columnar-v2"
 
+#: The encoder sweep: states of the synthetic column, window sizes (None:
+#: one static window), cardinalities (None: every value distinct), timed
+#: repetitions per build (the best is kept), and the series label.
+ENCODER_STATES = 16_384
+ENCODER_FRAMES = (None, 16, 64)
+ENCODER_CODES = (2, 12, 200, 1024, None)
+ENCODER_REPS = 5
+ENCODER_LABEL = "encoder-v1"
+
 
 def build_trace(states):
     """A deterministic stutter-terminated trace of ``states`` states over
@@ -70,15 +93,24 @@ def build_trace(states):
     return Trace(rows)
 
 
-def record_point(row):
-    """Append/refresh this gate's entry in the committed trajectory series."""
+def machine():
+    """The stamp a timed figure means nothing without."""
+    return {
+        "nproc": os.cpu_count(),
+        "python": platform.python_version(),
+        "platform": platform.platform(),
+    }
+
+
+def record_point(row, label=SERIES_LABEL):
+    """Append/refresh one gate's entry in the committed trajectory series."""
     series = []
     if os.path.exists(SERIES_PATH):
         with open(SERIES_PATH) as handle:
             series = json.load(handle)
-    entry = {"label": SERIES_LABEL, **row}
+    entry = {"label": label, **row}
     for index, existing in enumerate(series):
-        if existing.get("label") == SERIES_LABEL:
+        if existing.get("label") == label:
             series[index] = entry
             break
     else:
@@ -151,14 +183,75 @@ def test_kernel_answers_each_formula_in_one_dispatch(benchmark):
         "vectorized_ms": round(vectorized_s * 1000.0, 3),
         "per_position_ms": round(per_position_s * 1000.0, 3),
         "speedup": round(per_position_s / vectorized_s, 2),
-        # A timed ratio means nothing without the machine that produced it.
-        "machine": {
-            "nproc": os.cpu_count(),
-            "python": platform.python_version(),
-            "platform": platform.platform(),
-        },
+        "machine": machine(),
     }
     benchmark.extra_info["row"] = point
     print()
     print(point)
     record_point(point)
+
+
+def encoder_window(codes):
+    """``ENCODER_STATES`` states of one column ``x``: ``codes`` distinct
+    values, each taken equally often in a seeded shuffle, or all distinct."""
+    if codes is None:
+        values = list(range(ENCODER_STATES))
+    else:
+        values = [i % codes for i in range(ENCODER_STATES)]
+        random.Random(codes).shuffle(values)
+    return Window([{"x": value} for value in values], [{}] * ENCODER_STATES)
+
+
+def encoder_build(window, frame):
+    """The store of ``window``: static, or absorbed ``frame`` states at a time."""
+    if frame is None:
+        return ColumnStore(window, mark_start=False)
+    store = IncrementalColumnStore()
+    for start in range(0, len(window), frame):
+        store.absorb(window[start:start + frame])
+    return store
+
+
+def encoder_sweep():
+    """Nanoseconds per cell of every build in the sweep (best of
+    ``ENCODER_REPS``), keyed by window size, then cardinality."""
+    sweep = {}
+    for frame in ENCODER_FRAMES:
+        row = sweep[str(frame or "static")] = {}
+        for codes in ENCODER_CODES:
+            window = encoder_window(codes)
+            best = float("inf")
+            for _ in range(ENCODER_REPS):
+                started = time.perf_counter()
+                encoder_build(window, frame)
+                best = min(best, time.perf_counter() - started)
+            row[str(codes or "all")] = round(best * 1e9 / ENCODER_STATES, 1)
+    return sweep
+
+
+def test_encoder_interns_each_distinct_value_once(monkeypatch):
+    """Encoder sweep: the intern step runs once per distinct value; ns/cell recorded."""
+    interned = Counter()
+    intern = columns._ColumnBase._intern
+
+    def counted(column, value):
+        interned[column] += 1
+        return intern(column, value)
+
+    monkeypatch.setattr(columns._ColumnBase, "_intern", counted)
+    for frame in ENCODER_FRAMES:
+        for codes in ENCODER_CODES:
+            interned.clear()
+            column = encoder_build(encoder_window(codes), frame).column("x")
+            assert len(column.values) == (codes or ENCODER_STATES)
+            assert interned[column] <= len(column.values), (frame, codes, interned[column])
+    monkeypatch.undo()
+
+    point = {
+        "states": ENCODER_STATES,
+        "ns_per_cell": encoder_sweep(),
+        "machine": machine(),
+    }
+    print()
+    print(point)
+    record_point(point, ENCODER_LABEL)

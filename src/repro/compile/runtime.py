@@ -120,8 +120,9 @@ class GrowingPrefix:
     encoded once, column by column, into an
     :class:`~repro.semantics.columns.IncrementalColumnStore` (``__start__``
     marked there), and then dropped.  :meth:`state_at` and :meth:`states`
-    answer with row views rebuilt from the columns and cached per position,
-    as ``Trace`` does.
+    answer with row views rebuilt from the columns and cached per position
+    until the next append: a stream whose atoms are read row by row keeps
+    only the rows read since its last append.
     """
 
     __slots__ = ("columns", "_rows")
@@ -145,6 +146,7 @@ class GrowingPrefix:
         the window is encoded.
         """
         self.columns.absorb(states)
+        self._rows.clear()
 
     # -- Trace position protocol --------------------------------------------
 

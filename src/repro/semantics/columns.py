@@ -13,9 +13,12 @@ straight from validated wire rows, so a served state is never built as a
 ``State``; a sequence of ``State`` s becomes one by reading their maps.
 The window is the only input of the one window encoder
 (:meth:`_Store._encode`), which turns it column-major, one column at a
-time: each column's codes come from one list comprehension of dictionary
-lookups, and only values the column has not interned yet (or cannot hash)
-are interned one by one.  The same call pads the columns the window does
+time.  A column meets each value new to it once per window: the window's
+distinct values are collected in one pass, the ones the column lacks are
+interned in first-occurrence order, and every cell is then coded by one
+pass of dictionary lookups — the only pass a window of known values takes.
+Values that cannot be hashed, and windows mixing booleans with numbers,
+are interned cell by cell.  The same call pads the columns the window does
 not bind, marks the ``__start__`` column of the Init-clause ``start``
 predicate (True at position 1, False where a state lacks it) and extends
 the observed value universe; it only reads the window's maps.  Two stores
@@ -46,7 +49,7 @@ from __future__ import annotations
 
 from array import array
 from collections.abc import Sequence as SequenceABC
-from itertools import chain
+from itertools import chain, filterfalse
 from typing import Any, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Set, Tuple, Type
 
 from ..errors import TraceError
@@ -64,9 +67,6 @@ __all__ = [
 
 #: Code marking "this state does not bind the column's variable / operation".
 ABSENT = -1
-
-#: The fast lookup's answer for a value its column has not interned yet.
-_NEW = -2
 
 #: Columns with more distinct values than this, or whose per-code bitsets
 #: would take more bytes (codes · n/8), keep no bitsets: the memory stops
@@ -243,32 +243,65 @@ class _ColumnBase:
     def encode(self, values: List[Any], new_at: Set[int]) -> None:
         """Append the codes of a window's ``values`` (``_MISSING`` = absent).
 
-        One list comprehension of dictionary lookups, into the boolean
-        table when the window's values are all booleans and into the other
-        one when none is; values new to the column, unhashable ones and
-        windows mixing booleans with other values are interned one by one.
+        The window is read through the boolean intern table when its values
+        are all booleans and through the other one when none is.  A column
+        that knows every value of the window codes it in one lookup pass.
+        Otherwise each value new to the column is interned once
+        (:meth:`_intern_distinct`) and the lookup pass runs after that.
+        Windows mixing booleans with other values, and values that cannot
+        be hashed or whose hash or ``==`` raises, are interned cell by cell.
         Window indexes that interned a new value are added to ``new_at``.
         """
         kinds = set(map(type, values))
         if _Missing in kinds:
             self.missing = True
             kinds.discard(_Missing)
-        codes: Optional[List[int]] = None
         if bool not in kinds or len(kinds) == 1:
-            get = (self._bools if bool in kinds else self._hashed).get
+            table = self._bools if bool in kinds else self._hashed
             try:
-                codes = [get(value, _NEW) for value in values]
-            except Exception:  # unhashable, or a raising hash: one by one
-                pass
-        if codes is None:
-            codes = [_NEW] * len(values)
-        if _NEW in codes:
-            for j, code in enumerate(codes):
-                if code == _NEW:
-                    codes[j], new = self._intern(values[j])
-                    if new:
-                        new_at.add(j)
+                codes = list(map(table.__getitem__, values))
+            except Exception:  # a value new to the column, or one that raised
+                codes = self._intern_distinct(table, values, new_at)
+            if codes is not None:
+                self.codes.fromlist(codes)
+                return
+        codes = []
+        for j, value in enumerate(values):
+            code, new = self._intern(value)
+            codes.append(code)
+            if new:
+                new_at.add(j)
         self.codes.fromlist(codes)
+
+    def _intern_distinct(
+        self, table: Dict[Any, int], values: List[Any], new_at: Set[int]
+    ) -> Optional[List[int]]:
+        """The window's codes, interning each value ``table`` lacks once.
+
+        The window's distinct values are collected in first-occurrence order
+        (``dict.fromkeys`` keeps the first occurrence's object), so new
+        codes follow scan order and each new value's representative is the
+        object a cell-by-cell scan would have interned.  ``None``, with
+        nothing interned, if hashing or comparing a value raised.
+        """
+        try:
+            new = list(filterfalse(table.__contains__, dict.fromkeys(values)))
+        except Exception:  # unhashable, or a __hash__ / __eq__ that raises
+            return None
+        first = len(self.values)
+        self.values += new
+        table.update(zip(new, range(first, len(self.values))))
+        if len(new) == len(values):  # every cell holds a value of its own
+            new_at.update(range(len(values)))
+            return list(range(first, len(self.values)))
+        codes = list(map(table.__getitem__, values))
+        # Each new code's first cell, found left to right, is where a
+        # cell-by-cell scan would have interned it.
+        at = 0
+        for code in range(first, len(self.values)):
+            at = codes.index(code, at)
+            new_at.add(at)
+        return codes
 
     def _intern(self, value: Any) -> Tuple[int, bool]:
         """``(code, new)`` of ``value``, appending it to ``values`` if new."""

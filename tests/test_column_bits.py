@@ -19,20 +19,30 @@ properties pin the pair down:
   and bit-for-bit the per-position verdicts, and verdicts match the
   ``stepwise`` and ``trace`` engines.
 
-Beside them, five cost checks on deterministic counters: each appended
-frame is encoded once and no rows are kept, serving wire rows builds no
-``State`` at all, one-shot checks encode a trace once and build no
-``State`` either, and a stream repeating one segment, like a stream of
-atoms profiled per position, keeps its dispatch calls per state flat as
-its history grows.
+A third property pins the encoder itself: **per-value interning** codes
+every window, static or split, exactly as a cell-by-cell interner does —
+codes, representatives (type and identity), the missing flag and the value
+universe — over booleans beside equal numbers, NaNs, unhashable values and
+values whose hash or ``==`` raises.
+
+Beside them, seven cost checks on deterministic counters: a column build
+interns each distinct value once, each appended frame is encoded once and
+no rows are kept, serving wire rows builds no ``State`` at all, one-shot
+checks encode a trace once and build no ``State`` either, a stream
+repeating one segment, like a stream of atoms profiled per position, keeps
+its dispatch calls per state flat as its history grows, and a stream whose
+atoms are read row by row keeps only the rows read since its last append.
 """
 
 import copy
 import gc
 import os
 import pickle
+import random
 import tracemalloc
+from collections import Counter
 from dataclasses import dataclass
+from functools import partial
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -44,7 +54,7 @@ from repro.core.specification import Specification
 from repro.errors import TraceError
 from repro.gen.loadgen import LOAD_FAMILIES, generate_stream_scripts
 from repro.semantics import columns
-from repro.semantics.columns import ColumnStore, IncrementalColumnStore
+from repro.semantics.columns import ColumnStore, IncrementalColumnStore, Window
 from repro.semantics.state import OperationRecord, State
 from repro.semantics.trace import Trace, make_trace
 from repro.serve.protocol import rows_to_states
@@ -343,6 +353,181 @@ def test_extend_rejects_a_window_before_encoding_any_of_it():
     assert len(prefix.columns.column("p")) == 1
 
 
+# -- per-value interning ---------------------------------------------------------
+
+
+class _RaisingHash:
+    """A value whose ``hash`` raises."""
+
+    def __hash__(self):
+        raise ValueError("unhashable by choice")
+
+
+class _RaisingEq:
+    """Values that all hash alike and whose ``==`` raises against anything
+    but themselves."""
+
+    def __hash__(self):
+        return 7
+
+    def __eq__(self, other):
+        if other is self:
+            return True
+        raise ValueError("incomparable")
+
+
+class CellByCellColumn:
+    """The reference interner: one lookup pass through the column's table,
+    then every cell it missed interned on its own, in cell order."""
+
+    NEW = object()
+
+    def __init__(self):
+        self.codes, self.values, self.missing = [], [], False
+        self.hashed = {columns._MISSING: columns.ABSENT}
+        self.bools = {columns._MISSING: columns.ABSENT}
+        self.unhashable = []
+
+    def encode(self, values, new_at):
+        kinds = set(map(type, values))
+        if columns._Missing in kinds:
+            self.missing = True
+            kinds.discard(columns._Missing)
+        codes = None
+        if bool not in kinds or len(kinds) == 1:
+            get = (self.bools if bool in kinds else self.hashed).get
+            try:
+                codes = [get(value, self.NEW) for value in values]
+            except Exception:
+                pass
+        if codes is None:
+            codes = [self.NEW] * len(values)
+        for j, code in enumerate(codes):
+            if code is self.NEW:
+                codes[j], new = self.intern(values[j])
+                if new:
+                    new_at.add(j)
+        self.codes += codes
+
+    def intern(self, value):
+        table = self.bools if type(value) is bool else self.hashed
+        try:
+            code = table.get(value)
+        except Exception:
+            table = None
+            for known in self.unhashable:
+                try:
+                    if self.values[known] is value or self.values[known] == value:
+                        return known, False
+                except Exception:
+                    continue
+            code = None
+        if code is not None:
+            return code, False
+        code = len(self.values)
+        self.values.append(value)
+        if table is None:
+            self.unhashable.append(code)
+        else:
+            table[value] = code
+        return code, True
+
+
+def _twice(make):
+    """Two equal objects that are not the same object."""
+    return [make(), make()]
+
+
+_NAN = float("nan")
+
+#: Cell values, each a fixed object so that a representative's identity
+#: can be checked: booleans beside the numbers equal to them, an int and
+#: an equal float, two distinct NaNs and one repeated, equal strings,
+#: tuples and big ints that are different objects, unhashable lists
+#: (one whose ``==`` raises), values whose hash or ``==`` raises, and
+#: ``_MISSING`` gaps.
+INTERN_POOL = [
+    True, 1, 1.0, False, 0, 0.0, 2, 2.0,
+    _NAN, _NAN, float("nan"), float("nan"),
+    *_twice(lambda: "".join(["a", "b"])), "c",
+    *_twice(lambda: tuple([1, "a"])), (2,),
+    *_twice(lambda: 10 ** 20),
+    [0], [0], [1], _Incomparable([0]),
+    _RaisingHash(), _RaisingEq(), _RaisingEq(),
+    columns._MISSING, columns._MISSING,
+]
+
+#: The same pool without values that mix booleans with numbers or cannot
+#: be interned by a lookup, so that windows of it take the per-value path.
+PLAIN_POOL = [
+    1, 1.0, 2, 2.0, _NAN, float("nan"), *_twice(lambda: "".join(["a", "b"])),
+    *_twice(lambda: tuple([1, "a"])), *_twice(lambda: 10 ** 20), columns._MISSING,
+]
+
+
+def _outcome(read):
+    """``read()``'s values, typed, or the type and message it raised."""
+    try:
+        return [typed(v) for v in read()], None
+    except Exception as exc:
+        return None, (type(exc), str(exc))
+
+
+@st.composite
+def intern_windows(draw):
+    """Cells of two variables from one pool, and cut points splitting them
+    into windows."""
+    pool = draw(st.sampled_from([INTERN_POOL, PLAIN_POOL]))
+    # Indexes, not the values: drawing a value would hash it.
+    index = st.integers(0, len(pool) - 1)
+    a = draw(st.lists(index, min_size=1, max_size=40))
+    b = draw(st.lists(index, min_size=len(a), max_size=len(a)))
+    cuts = draw(st.lists(st.integers(1, 39), max_size=6))
+    return [pool[i] for i in a], [pool[i] for i in b], cuts
+
+
+class TestPerValueInterning:
+    @settings(max_examples=200, deadline=None)
+    @given(intern_windows())
+    def test_encoder_matches_the_cell_by_cell_interner(self, drawn):
+        a, b, cuts = drawn
+        cells = {"a": a, "b": b}
+        rows = [
+            {name: value for name, value in (("a", va), ("b", vb))
+             if value is not columns._MISSING}
+            for va, vb in zip(a, b)
+        ]
+        # A static store is one window; a growing one takes the splits.
+        for static in (True, False):
+            frames = [rows] if static else list(frames_of(rows, cuts))
+            store = None if static else IncrementalColumnStore()
+            reference = {name: CellByCellColumn() for name in cells}
+            universe = columns._Universe()
+            offset = 0
+            for frame in frames:
+                window = Window(frame, [{}] * len(frame))
+                if static:
+                    store = ColumnStore(window, mark_start=False)
+                else:
+                    store.absorb(window)
+                new_at = set()
+                for name, column in reference.items():
+                    column.encode(cells[name][offset:offset + len(frame)], new_at)
+                universe.observe(window, sorted(new_at))
+                offset += len(frame)
+            for name, expected in reference.items():
+                column = store.column(name)
+                if not any(name in row for row in rows):
+                    assert column is None
+                    continue
+                assert list(column.codes) == expected.codes
+                assert column.missing == expected.missing
+                assert len(column.values) == len(expected.values)
+                for got, want in zip(column.values, expected.values):
+                    assert got is want, (name, got, want)
+            assert _outcome(store.value_universe) == _outcome(universe.values)
+
+
 def one_shot(session, spec, trace, compiled):
     result = session.check_spec(spec, trace, compiled=compiled)
     return {v.clause.name: (None if v.error else v.holds) for v in result.verdicts}
@@ -501,6 +686,90 @@ def test_monitor_engine_reads_the_trace_rows_and_builds_no_state(monkeypatch):
     assert again.statistics["history"] == result.statistics["history"]
 
 
+#: States of each one-shot trace and synthetic column in the intern count
+#: gate, the cardinalities of the synthetic columns (``None``: every value
+#: distinct), and the window size of the growing builds.
+INTERN_STATES = 4096
+INTERN_CODES = (2, 200, 1024, None)
+INTERN_FRAME = 16
+
+
+def counted_interns(monkeypatch):
+    """Patch the per-value intern step (``_intern``, the cell-by-cell path)
+    to count its calls per column."""
+    interned = Counter()
+    intern = columns._ColumnBase._intern
+
+    def counted(column, value):
+        interned[column] += 1
+        return intern(column, value)
+
+    monkeypatch.setattr(columns._ColumnBase, "_intern", counted)
+    return interned
+
+
+def store_columns(store):
+    return list(store._columns.values()) + list(store._op_columns.values())
+
+
+def assert_each_value_interned_once(interned, store):
+    assert any(column.values for column in store_columns(store))
+    for column in store_columns(store):
+        assert interned[column] <= len(column.values), (column.name, interned[column])
+
+
+def synthetic_rows(codes):
+    """``INTERN_STATES`` rows over one column of ``codes`` distinct values
+    (each taken equally often, in a seeded shuffle) or of all-distinct ones."""
+    if codes is None:
+        values = list(range(INTERN_STATES))
+    else:
+        values = [i % codes for i in range(INTERN_STATES)]
+        random.Random(codes).shuffle(values)
+    return [{"x": value, "s": f"v{value % 12}"} for value in values]
+
+
+def one_shot_build(family):
+    """A one-shot ``check_spec`` of the family's spec on its generated
+    trace: the store it builds is the trace's, one window."""
+    rows = [row for frame in ingest_frames(family) for row in frame][:INTERN_STATES]
+    trace = Trace(rows_to_states(rows))
+    assert Session().check_spec(SPEC_FACTORIES()[family](), trace).verdicts
+    return trace.columns
+
+
+def synthetic_build(codes, frame):
+    """A synthetic column built static (``frame`` None) or in windows."""
+    rows = synthetic_rows(codes)
+    window = Window(rows, [{}] * len(rows))
+    if frame is None:
+        return ColumnStore(window, mark_start=False)
+    store = IncrementalColumnStore()
+    for start in range(0, len(rows), frame):
+        store.absorb(window[start:start + frame])
+    assert list(store.column("x").values) == list(dict.fromkeys(row["x"] for row in rows))
+    return store
+
+
+INTERN_BUILDS = {
+    **{f"check-spec-{family[0]}": partial(one_shot_build, family[0]) for family in LOAD_FAMILIES},
+    **{
+        f"{kind}-{codes or 'all'}-codes": partial(synthetic_build, codes, frame)
+        for kind, frame in (("static", None), ("windows", INTERN_FRAME))
+        for codes in INTERN_CODES
+    },
+}
+
+
+@pytest.mark.parametrize("build", list(INTERN_BUILDS.values()), ids=list(INTERN_BUILDS))
+def test_column_build_interns_each_distinct_value_once(monkeypatch, build):
+    # A column meets each value new to it once per window; a per-cell
+    # interner calls the step once per cell of every window that brings a
+    # new value, which on a static trace is every cell.
+    interned = counted_interns(monkeypatch)
+    assert_each_value_interned_once(interned, build())
+
+
 # -- history cost ----------------------------------------------------------------
 
 #: States of the repeated-segment stream (``HISTORY_COST_STATES`` raises it:
@@ -640,6 +909,56 @@ def test_per_position_profiles_keep_dispatch_flat(monkeypatch, text):
     assert last <= HISTORY_GROWTH * first, (first, last)
     assert not scans
     assert monitor.plan_state.trace._rows == {}
+
+
+def dead_profile_rows():
+    """Wire rows with ``x`` missing wherever ``p`` holds (every even state),
+    so the kernel's profile of ``p \\/ x == 2`` dies on the first state and
+    the event is evaluated on rows rebuilt from the columns.  ``q`` fails
+    once, just before ``p`` returns near the end, so a late verdict flips."""
+    failing = (HISTORY_STATES - 100) | 1
+    return [
+        {"values": {"p": True, "q": True} if i % 2 == 0
+         else {"p": False, "x": 0, "q": i != failing}}
+        for i in range(HISTORY_STATES)
+    ]
+
+
+def test_rows_read_after_a_dead_profile_live_until_the_next_append():
+    rows = dead_profile_rows()
+    formula = parse_formula("[] ([(p \\/ x == 2)] q)")
+    session = Session()
+    checkpoints = [length for length in HISTORY_CHECKPOINTS if length <= len(rows)]
+    checkpoints.append(len(rows))
+    reference = {
+        length: session.check(formula, trace=Trace(rows_to_states(rows[:length]))).verdict
+        for length in checkpoints
+    }
+    assert reference[len(rows)] is False
+    monitor = Session().monitor({"clause": formula})
+    stats = monitor.plan_state.stats
+    prefix = monitor.plan_state.trace
+    bounds = sorted(set(range(HISTORY_FRAME, len(rows), HISTORY_FRAME))
+                    | set(checkpoints))
+    batches = []
+    kept = 0
+    start = 0
+    for stop in bounds:
+        before = stats.dispatch_calls
+        monitor.observe_batch(rows_to_states(rows[start:stop]))
+        batches.append((stop - start, stats.dispatch_calls - before))
+        kept = max(kept, len(prefix._rows))
+        start = stop
+        if stop in reference:
+            assert monitor.verdicts["clause"].holds is reference[stop], stop
+    assert 0 < kept <= HISTORY_FRAME
+
+    def per_state(part):
+        return sum(d for _, d in part) / sum(n for n, _ in part)
+
+    tenth = max(1, len(batches) // 10)
+    first, last = per_state(batches[:tenth]), per_state(batches[-tenth:])
+    assert last <= HISTORY_GROWTH * first, (first, last)
 
 
 # -- the bitset cap --------------------------------------------------------------
