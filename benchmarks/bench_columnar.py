@@ -1,5 +1,6 @@
 """Trajectory gates: the bitset kernel answers columnar checks in one dispatch,
-and the column encoder interns each distinct value once per column.
+the column encoder interns each distinct value once per column, and the
+bit-plane bitset builder gives the per-cell builder's bitsets.
 
 The columnar refactor's whole point is that state formulas over a long
 trace answer as whole-column bitset operations instead of per-position
@@ -34,6 +35,15 @@ distinct value per column, where a per-cell interner runs it once per cell
 of every window that brings a new value.  The nanoseconds per cell of each
 build are recorded under their own label, with the machine stamp, and not
 asserted.
+
+A third gate sweeps the per-code bitset builder (``Column.code_bits``)
+over the same columns at 2, 12, 200 and 1,024 codes (the all-distinct
+column is past the bitset cap), extended once (static) or window by window
+at 16 and 64 states, as the kernel extends them per append.  It gates on
+the bitsets only: at every point they equal those of a per-cell reference
+builder kept here (one interpreted step per cell, the builder the bit-plane
+split replaced).  Both builders' nanoseconds per cell are recorded under
+their own label, with the machine stamp, and not asserted.
 """
 
 import json
@@ -45,7 +55,7 @@ from collections import Counter
 
 from repro.compile import compile_formula
 from repro.semantics import columns
-from repro.semantics.columns import ColumnStore, IncrementalColumnStore, Window
+from repro.semantics.columns import Column, ColumnStore, IncrementalColumnStore, Window
 from repro.semantics.state import State
 from repro.semantics.trace import Trace
 from repro.syntax.parser import parse_formula
@@ -81,6 +91,12 @@ ENCODER_FRAMES = (None, 16, 64)
 ENCODER_CODES = (2, 12, 200, 1024, None)
 ENCODER_REPS = 5
 ENCODER_LABEL = "encoder-v1"
+
+#: The bitset-builder sweep: cardinalities (all at or under the bitset
+#: cap) and the series label; states, window sizes and repetitions are the
+#: encoder sweep's.
+CODE_BITS_CODES = (2, 12, 200, 1024)
+CODE_BITS_LABEL = "code-bits-v1"
 
 
 def build_trace(states):
@@ -255,3 +271,70 @@ def test_encoder_interns_each_distinct_value_once(monkeypatch):
     print()
     print(point)
     record_point(point, ENCODER_LABEL)
+
+
+def per_cell_code_bits(column, n):
+    """The reference builder: ``column``'s bitsets extended to ``n`` with
+    one interpreted step per cell — a ``bytearray`` per code over the new
+    positions, then one shift-or per code (the bitset cap is not checked)."""
+    bits, built = column._bits, column._bits_to
+    if built >= n:
+        return bits
+    count = len(column.values)
+    bits.extend([0] * (count - len(bits)))
+    width = (n - built + 7) >> 3
+    buffers = [None] * count
+    for j, code in enumerate(column.codes[built:n]):
+        if code >= 0:
+            buffer = buffers[code]
+            if buffer is None:
+                buffer = buffers[code] = bytearray(width)
+            buffer[j >> 3] |= 1 << (j & 7)
+    for code, buffer in enumerate(buffers):
+        if buffer is not None:
+            bits[code] |= int.from_bytes(buffer, "little") << built
+    column._bits_to = n
+    return bits
+
+
+def code_bits_build(column, frame, builder):
+    """``column``'s bitsets built afresh by ``builder``: extended once over
+    the whole column, or ``frame`` positions at a time."""
+    column._bits, column._bits_to = [], 0
+    stops = [len(column)] if frame is None else range(frame, len(column) + 1, frame)
+    for stop in stops:
+        bits = builder(column, stop)
+    return bits
+
+
+def test_code_bits_match_the_per_cell_builder():
+    """Bitset sweep: bit-plane bitsets equal the per-cell builder's; ns/cell recorded."""
+    builders = {"bit_planes": Column.code_bits, "per_cell": per_cell_code_bits}
+    sweep = {name: {} for name in builders}
+    for frame in ENCODER_FRAMES:
+        for name in builders:
+            sweep[name][str(frame or "static")] = {}
+        for codes in CODE_BITS_CODES:
+            column = encoder_build(encoder_window(codes), None).column("x")
+            assert len(column.values) == codes
+            expected = code_bits_build(column, frame, per_cell_code_bits)
+            assert code_bits_build(column, frame, Column.code_bits) == expected, (frame, codes)
+            best = dict.fromkeys(builders, float("inf"))
+            for _ in range(ENCODER_REPS):
+                for name, builder in builders.items():
+                    started = time.perf_counter()
+                    code_bits_build(column, frame, builder)
+                    best[name] = min(best[name], time.perf_counter() - started)
+            for name, seconds in best.items():
+                sweep[name][str(frame or "static")][str(codes)] = round(
+                    seconds * 1e9 / ENCODER_STATES, 1
+                )
+
+    point = {
+        "states": ENCODER_STATES,
+        "ns_per_cell": sweep,
+        "machine": machine(),
+    }
+    print()
+    print(point)
+    record_point(point, CODE_BITS_LABEL)

@@ -391,8 +391,12 @@ class Session:
         """A no-op kept for callers of the former plan-state pool.
 
         Always returns ``False``: nothing is parked or reset, and the
-        monitor stays usable.  Dropping the last reference to a monitor
-        frees its plan state.
+        monitor stays usable.  A bound monitor's plan state holds reference
+        cycles (its lowered closures and kernel point back at it), so
+        dropping the last reference to a monitor leaves its plan state to
+        the cycle collector; :meth:`Monitor.close
+        <repro.checking.monitor.Monitor.close>` breaks those cycles, after
+        which reference counting frees both.
         """
         return False
 

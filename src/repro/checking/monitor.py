@@ -446,6 +446,16 @@ class Monitor:
             verdict.history.reset()
         return self
 
+    def close(self) -> None:
+        """Release the monitor: drop its ``on_change`` hook and break its
+        plan state's reference cycles, so that reference counting frees
+        both with the monitor's last holder.  Its verdicts stay readable;
+        it observes no further state.
+        """
+        self._on_change = None
+        if self._state is not None:
+            self._state.close()
+
     def failing(self) -> List[str]:
         """Names of formulas currently evaluating to False."""
         return [name for name, v in self._verdicts.items() if v.holds is False]

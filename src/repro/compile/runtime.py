@@ -469,6 +469,17 @@ class PlanState:
         finally:
             self._slots[:] = saved
 
+    def close(self) -> None:
+        """Break the reference cycles that tie this state to itself.
+
+        The lowered dispatch closures hold bound methods of the state, and
+        the kernel holds the state; once both are dropped, reference
+        counting frees the state with its last holder instead of leaving it
+        to the cycle collector.  The state answers nothing afterwards.
+        """
+        self._ops = ()
+        self._kernel = None
+
     def note_append(self, count: int = 1) -> None:
         """Absorb ``count`` appended states: drop only tail-dependent verdicts.
 
@@ -676,27 +687,26 @@ class PlanState:
             return self._domain[name]
         return self._default_universe()
 
-    def _holds_forall(self, node, lo: int, hi: Position) -> bool:
-        names = node.var_names
-        var_slots = node.var_slots
+    def _holds_forall(self, node, lo: int, hi: Position, index: int = 0) -> bool:
+        """``Forall`` over the bound variables from ``index`` on.
+
+        A method, not a recursive closure: a closure that calls itself is
+        a reference cycle, left to the cycle collector on every call and
+        holding this state until it runs.
+        """
+        if index == len(node.var_slots):
+            return self._holds(node.a, lo, hi)
+        slot = node.var_slots[index]
         slots = self._slots
-        count = len(names)
-
-        def recurse(index: int) -> bool:
-            if index == count:
-                return self._holds(node.a, lo, hi)
-            slot = var_slots[index]
-            saved = slots[slot]
-            try:
-                for value in self._domain_for(names[index]):
-                    slots[slot] = value
-                    if not recurse(index + 1):
-                        return False
-                return True
-            finally:
-                slots[slot] = saved
-
-        return recurse(0)
+        saved = slots[slot]
+        try:
+            for value in self._domain_for(node.var_names[index]):
+                slots[slot] = value
+                if not self._holds_forall(node, lo, hi, index + 1):
+                    return False
+            return True
+        finally:
+            slots[slot] = saved
 
     def _holds_bindnext(self, node, lo: int, hi: Position) -> bool:
         found = self._find_event(node.event, Interval(lo, hi), Direction.FORWARD)

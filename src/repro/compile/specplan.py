@@ -324,6 +324,12 @@ class SpecPlanState:
                 )
         return outcomes
 
+    def close(self) -> None:
+        """Break the shared plan state's reference cycles
+        (:meth:`~repro.compile.runtime.PlanState.close`); it answers nothing
+        afterwards."""
+        self._state.close()
+
     # -- incremental protocol --------------------------------------------------
 
     def append(self, state) -> None:

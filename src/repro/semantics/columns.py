@@ -39,14 +39,19 @@ Every column builds its own per-code **position bitsets** (bit ``i`` of
 code ``c``'s int set iff position ``i + 1`` holds value ``c``), which is
 what :mod:`repro.compile.vector` evaluates whole state formulas on.
 :meth:`_ColumnBase.code_bits` extends them lazily over the positions not
-built yet — a ``bytearray`` per code over the new positions, then one
-shift-or per code — so a static column is built in one pass, and a growing
-column pays per append for the appended window and one shift-or per code
-the window holds, never a rebuild.
+built yet, by a bit-sliced split of their codes (:func:`_or_code_positions`;
+O'Neil & Quass's bit-sliced index): one C-level pass over the new
+positions per code bit reads a byte plane of the codes as a position int,
+the positions holding a code are split by those ints from the top code bit
+down, and each code's positions are shift-ored in once.  A static column
+is built in one split; a growing column pays per append for O(log codes)
+passes over the appended window and one shift-or per code the window
+holds, never a rebuild.
 """
 
 from __future__ import annotations
 
+import sys
 from array import array
 from collections.abc import Sequence as SequenceABC
 from itertools import chain, filterfalse
@@ -75,6 +80,78 @@ ABSENT = -1
 #: one row per appended position.
 _MAX_BITSET_CODES = 1024
 _MAX_BITSET_BYTES = 8_000_000
+
+
+#: ``bytes.translate`` tables writing one binary digit per position:
+#: ``_BIT_DIGITS[b]`` writes ``1`` for a byte whose bit ``b`` is set, and
+#: ``_PRESENT_DIGITS`` for a byte whose sign bit is clear — the top byte of
+#: every code but ``ABSENT``.
+_BIT_DIGITS = tuple(bytes(b"01"[byte >> bit & 1] for byte in range(256)) for bit in range(8))
+_PRESENT_DIGITS = b"1" * 128 + b"0" * 128
+
+
+def _or_code_positions(
+    bits: List[int], built: int, raw: bytes, itemsize: int, byteorder: str, depth: int
+) -> None:
+    """OR into ``bits[c]``, shifted left by ``built``, the positions of one
+    window of column codes that hold code ``c``.
+
+    ``raw`` holds the window as ``array.tobytes()`` gives it: ``itemsize``
+    bytes per position in ``byteorder``, each ``ABSENT`` or a code below
+    ``1 << depth`` (at most 16 bits).  Bit ``j`` of the positions of ``c``
+    is set iff position ``j`` holds ``c``; ``ABSENT`` positions are in none.
+
+    This is a bit-sliced split.  A byte plane — one byte of every position,
+    last position first, so that ``int(..., 2)`` puts position 0 in bit 0 —
+    is a strided slice of ``raw``, and one ``bytes.translate`` to binary
+    digits plus one ``int(..., 2)`` turn it into a position int: from the
+    top byte's sign bit, the positions holding a code; from a low byte, the
+    positions whose code has one bit set.  The present positions are split
+    from the top code bit down, one AND per code prefix met so far; a bit
+    no present position has splits nothing and is skipped.  The last bit's
+    split goes straight into ``bits``.
+    """
+    # Where the last position's top, low and second bytes sit; stepping
+    # back one item at a time reads that byte of every position.
+    step = -itemsize
+    last = len(raw) - itemsize
+    if byteorder == "little":
+        top_at, low_at, second_at = last + itemsize - 1, last, last + 1
+    else:
+        top_at, low_at, second_at = last, last + itemsize - 1, last + itemsize - 2
+    present = int(raw[top_at::step].translate(_PRESENT_DIGITS), 2)
+    if not present:
+        return
+    digits = _BIT_DIGITS
+    low = raw[low_at::step]
+    second = raw[second_at::step] if depth > 8 else b""
+    parts = [(0, present)]
+    for bit in range(depth - 1, 0, -1):
+        ones = int((second if bit > 7 else low).translate(digits[bit & 7]), 2) & present
+        if not ones:
+            continue
+        flag = 1 << bit
+        split: List[Tuple[int, int]] = []
+        append = split.append
+        for code, positions in parts:
+            high = positions & ones
+            if high:
+                if high == positions:
+                    append((code | flag, positions))
+                    continue
+                append((code | flag, high))
+                positions ^= high
+            append((code, positions))
+        parts = split
+    ones = int(low.translate(digits[0]), 2) & present if depth else 0
+    for code, positions in parts:
+        high = positions & ones
+        if high:
+            bits[code | 1] |= high << built
+            positions ^= high
+            if not positions:
+                continue
+        bits[code] |= positions << built
 
 
 class _Missing:
@@ -333,10 +410,13 @@ class _ColumnBase:
 
         Entry ``c`` has bit ``i`` set iff ``codes[i] == c``; ``ABSENT``
         positions are in no entry.  The bitsets extend from where the last
-        call stopped: a ``bytearray`` per code over the new positions, then
-        one shift-or per code, so extending costs O(new positions) plus one
-        shift-or per code they hold.  ``None`` past the cardinality / byte
-        cap, for good (the bitsets are dropped).
+        call stopped: the new positions are split by their codes' bit
+        planes (:func:`_or_code_positions`, with as many code bits as the
+        column's code count needs), and each code's positions are
+        shift-ored in at once.  Extending costs one C-level pass over the
+        new positions per code bit, plus O(codes) big-int operations, and
+        no interpreted step per position.  ``None`` past the cardinality /
+        byte cap, for good (the bitsets are dropped).
         """
         bits = self._bits
         built = self._bits_to
@@ -347,17 +427,12 @@ class _ColumnBase:
             self._bits = None
             return None
         bits.extend([0] * (count - len(bits)))
-        width = (n - built + 7) >> 3
-        buffers: List[Optional[bytearray]] = [None] * count
-        for j, code in enumerate(self.codes[built:n]):
-            if code >= 0:
-                buffer = buffers[code]
-                if buffer is None:
-                    buffer = buffers[code] = bytearray(width)
-                buffer[j >> 3] |= 1 << (j & 7)
-        for code, buffer in enumerate(buffers):
-            if buffer is not None:
-                bits[code] |= int.from_bytes(buffer, "little") << built
+        window = self.codes[built:n]
+        if window:
+            _or_code_positions(
+                bits, built, window.tobytes(), window.itemsize, sys.byteorder,
+                (count - 1).bit_length(),
+            )
         self._bits_to = n
         return bits
 

@@ -264,6 +264,7 @@ class StreamHandle:
                      {name: v.holds for name, v in monitor.verdicts.items()})
                 )
         monitor.on_change = self._on_change
+        self.monitor.close()
         self.monitor = monitor
         self._pending_alerts = []
         return pairs
@@ -706,10 +707,14 @@ class StreamRegistry:
         self.closed += 1
         self._m_closed.child(handle.family).inc()
         self._m_open_streams.child().set(len(self._streams))
-        return {
+        closed = {
             "ok": "closed",
             "stream": name,
             "length": handle.monitor.prefix_length,
             "version": handle.version,
             "verdicts": handle.verdict_map(),
         }
+        # The monitor's alert hook points back at the handle, and its plan
+        # state at itself: break both so the stream is freed right here.
+        handle.monitor.close()
+        return closed

@@ -23,7 +23,10 @@ A third property pins the encoder itself: **per-value interning** codes
 every window, static or split, exactly as a cell-by-cell interner does —
 codes, representatives (type and identity), the missing flag and the value
 universe — over booleans beside equal numbers, NaNs, unhashable values and
-values whose hash or ``==`` raises.
+values whose hash or ``==`` raises.  A fourth pins the bitset builder:
+**bit-plane splits** give the per-code bitsets a cell-by-cell builder
+gives, at 1 to 1,024 codes (so over one and two byte planes), over
+``ABSENT`` cells, at any extension points and in either byte order.
 
 Beside them, seven cost checks on deterministic counters: a column build
 interns each distinct value once, each appended frame is encoded once and
@@ -39,7 +42,9 @@ import gc
 import os
 import pickle
 import random
+import sys
 import tracemalloc
+from array import array
 from collections import Counter
 from dataclasses import dataclass
 from functools import partial
@@ -54,7 +59,7 @@ from repro.core.specification import Specification
 from repro.errors import TraceError
 from repro.gen.loadgen import LOAD_FAMILIES, generate_stream_scripts
 from repro.semantics import columns
-from repro.semantics.columns import ColumnStore, IncrementalColumnStore, Window
+from repro.semantics.columns import ABSENT, Column, ColumnStore, IncrementalColumnStore, Window
 from repro.semantics.state import OperationRecord, State
 from repro.semantics.trace import Trace, make_trace
 from repro.serve.protocol import rows_to_states
@@ -526,6 +531,101 @@ class TestPerValueInterning:
                 for got, want in zip(column.values, expected.values):
                     assert got is want, (name, got, want)
             assert _outcome(store.value_universe) == _outcome(universe.values)
+
+
+def per_cell_code_bits(codes, count, n, bits=None, built=0):
+    """The reference bitset builder: one interpreted step per cell of
+    ``codes[built:n]``, a ``bytearray`` per code, then one shift-or per
+    code into ``bits`` (extended to ``count`` entries)."""
+    bits = list(bits or [])
+    bits.extend([0] * (count - len(bits)))
+    width = (n - built + 7) >> 3
+    buffers = [None] * count
+    for j, code in enumerate(codes[built:n]):
+        if code >= 0:
+            buffer = buffers[code]
+            if buffer is None:
+                buffer = buffers[code] = bytearray(width)
+            buffer[j >> 3] |= 1 << (j & 7)
+    for code, buffer in enumerate(buffers):
+        if buffer is not None:
+            bits[code] |= int.from_bytes(buffer, "little") << built
+    return bits
+
+
+#: Code counts worth hitting: one code, one and two low-byte bits, both
+#: sides of the second byte plane (past 256 codes) and of the 1,024-code
+#: bitset cap.
+CODE_COUNTS = (1, 2, 3, 12, 200, 255, 256, 257, 300, 1000, 1024, 1025)
+
+
+@st.composite
+def code_windows(draw, count):
+    """One window of codes below ``count``: random, all ``ABSENT``, or one
+    code (the column's last, so past 255 where the column is) repeated."""
+    size = draw(st.integers(0, 80))
+    kind = draw(st.sampled_from(("random", "random", "absent", "one")))
+    if kind == "absent":
+        return [ABSENT] * size
+    if kind == "one":
+        return [count - 1] * size
+    cell = st.one_of(
+        st.just(ABSENT), st.integers(0, count - 1), st.integers(max(0, count - 8), count - 1)
+    )
+    return draw(st.lists(cell, min_size=size, max_size=size))
+
+
+class TestBitPlaneSplit:
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_code_bits_match_the_per_cell_builder(self, data):
+        # A column grows window by window, its code count rising with it
+        # (across 256 codes and the bitset cap, mid-stream), and its
+        # bitsets are read at random extension points — one read may span
+        # several windows, or stop inside one.
+        column = Column("x")
+        count = built = 0
+        reference = []
+        for _ in range(data.draw(st.integers(1, 6))):
+            drawn = data.draw(st.one_of(st.sampled_from(CODE_COUNTS), st.integers(1, 1100)))
+            count = max(count, drawn)
+            column.values.extend(range(len(column.values), count))
+            column.codes.extend(array("i", data.draw(code_windows(count))))
+            if not data.draw(st.booleans()):
+                continue
+            stop = data.draw(st.integers(built, len(column)))
+            bits = column.code_bits(stop)
+            if reference is None or (stop > built and count > columns._MAX_BITSET_CODES):
+                # Past the cap the bitsets are gone for good.
+                assert bits is None
+                reference = None
+                continue
+            if stop > built:
+                reference = per_cell_code_bits(column.codes, count, stop, reference, built)
+                assert reference == per_cell_code_bits(column.codes, count, stop)
+                built = stop
+            assert bits == reference, (count, built)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data(), st.sampled_from("hiq"), st.integers(0, 70))
+    def test_planes_read_either_byte_order(self, data, typecode, built):
+        # The planes' byte offsets follow the byte order and item size
+        # given, so a byte-swapped window read as the other order — in
+        # 2-, 4- and 8-byte items — splits exactly as the native one.
+        count = data.draw(st.sampled_from(CODE_COUNTS[:-1]))
+        codes = data.draw(code_windows(count).filter(bool))
+        depth = (count - 1).bit_length()
+        native = array(typecode, codes)
+        swapped = array(typecode, codes)
+        swapped.byteswap()
+        other = "big" if sys.byteorder == "little" else "little"
+        expected = [bits << built for bits in per_cell_code_bits(codes, count, len(codes))]
+        for window, byteorder in ((native, sys.byteorder), (swapped, other)):
+            bits = [0] * count
+            columns._or_code_positions(
+                bits, built, window.tobytes(), window.itemsize, byteorder, depth
+            )
+            assert bits == expected, (byteorder, window.itemsize)
 
 
 def one_shot(session, spec, trace, compiled):

@@ -12,10 +12,13 @@ Covers the serving tentpole's acceptance behaviours end to end:
 - streams on one specification sharing one compiled plan;
 - bounded monitor statistics (the :class:`StatWindow` regression) and
   batched absorption parity;
+- a closed stream freed by reference counting alone, with no reference
+  cycle left for the garbage collector;
 - the asyncio socket front end and the consistent-hash shard pool.
 """
 
 import asyncio
+import gc
 import os
 import signal
 
@@ -24,7 +27,7 @@ import pytest
 from repro.api import Session
 from repro.checking.monitor import DEFAULT_STAT_WINDOW, Monitor, StatWindow
 from repro.gen.cases import SYSTEM_FACTORIES
-from repro.gen.loadgen import generate_stream_scripts
+from repro.gen.loadgen import LOAD_FAMILIES, generate_stream_scripts
 from repro.serve.protocol import trace_to_rows
 from repro.serve.replay import replay_corpus
 from repro.serve.service import MonitorService
@@ -64,6 +67,53 @@ class TestRegistrySemantics:
                 for v in result.verdicts
             }
             assert closed["verdicts"] == expected, script.stream
+
+    def test_closed_streams_are_freed_by_reference_counting(self):
+        # A stream's monitor holds an alert hook bound to its handle, and its
+        # plan state holds lowered closures and a kernel that point back at
+        # it.  Closing the stream breaks those cycles, so with the collector
+        # off nothing of a closed stream is left for it to find — faulty
+        # streams included, whose coalesced flips replace the monitor.
+        scripts = generate_stream_scripts(len(LOAD_FAMILIES) * 2, seed=5, fault_rate=0.5)
+        assert {script.spec for script in scripts} == {f[0] for f in LOAD_FAMILIES}
+        assert any(script.faulty for script in scripts)
+        kinds = (
+            "StreamHandle", "Monitor", "MonitorVerdict", "SpecPlanState", "PlanState",
+            "TailKernel", "_Profile", "GrowingPrefix", "IncrementalColumnStore",
+            "Column", "OperationColumn",
+        )
+        registry = StreamRegistry()
+        gc.collect()
+        gc.disable()
+        try:
+            for script in scripts:
+                open_ok(registry, script.stream, spec=script.spec)
+            open_ok(registry, "adhoc", formulas={"safe": "[] p", "ev": "<> p"})
+            frames = [
+                {"op": "append", "stream": script.stream, "states": rows[start:start + 4]}
+                for script in scripts
+                for rows in [trace_to_rows(script.build_trace())]
+                for start in range(0, len(rows), 4)
+            ]
+            frames += [
+                {"op": "append", "stream": "adhoc", "states": [{"values": {"p": p}}]}
+                for p in (True, True, False)
+            ]
+            responses = registry.handle_batch(frames)
+            assert not [r for r in responses if "error" in r]
+            assert [r for r in responses if r.get("event") == "alert"]
+            for name in [script.stream for script in scripts] + ["adhoc"]:
+                (closed,) = registry.handle({"op": "close", "stream": name})
+                assert closed["ok"] == "closed", closed
+            assert registry.stream_count == 0
+            gc.set_debug(gc.DEBUG_SAVEALL)
+            gc.collect()
+            left = [type(obj).__name__ for obj in gc.garbage]
+        finally:
+            gc.set_debug(0)
+            del gc.garbage[:]
+            gc.enable()
+        assert [kind for kind in left if kind in kinds] == [], sorted(set(left))
 
     def test_open_with_formulas_and_domain(self):
         registry = StreamRegistry()
