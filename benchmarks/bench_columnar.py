@@ -1,6 +1,7 @@
 """Trajectory gates: the bitset kernel answers columnar checks in one dispatch,
-the column encoder interns each distinct value once per column, and the
-bit-plane bitset builder gives the per-cell builder's bitsets.
+the column encoder gives a per-cell interner's codes and interns each
+distinct value once per column, and the bit-plane bitset builder gives the
+per-cell builder's bitsets.
 
 The columnar refactor's whole point is that state formulas over a long
 trace answer as whole-column bitset operations instead of per-position
@@ -27,14 +28,18 @@ over 3x.  The file is the first series of the ROADMAP's
 benchmark-trajectory convention, one committed entry per PR that moves the
 number.
 
-A second gate sweeps the column encoder: one 16,384-state column at 2, 12,
-200 and 1,024 codes and with every value distinct, built static (one
-window) and in 16- and 64-state windows.  It gates on a count: the
-cell-by-cell intern step (``_ColumnBase._intern``) runs at most once per
-distinct value per column, where a per-cell interner runs it once per cell
-of every window that brings a new value.  The nanoseconds per cell of each
-build are recorded under their own label, with the machine stamp, and not
-asserted.
+A second gate sweeps the column encoder: one 16,384-state column of
+booleans, at 2, 12, 200 and 1,024 int codes and with every value distinct,
+built static (one window) and in 6-, 16- and 64-state windows (a fleet
+frame's last tenth averages 5.6 states).  Boolean windows and windows of
+ints in 0–255 that bring a new value are coded by byte translation; the
+others by one lookup pass, after interning what is new.  It gates on the
+codes, which at every point equal a per-cell reference interner's (one
+dictionary step per cell), and on a count: the cell-by-cell intern step
+(``_ColumnBase._intern``) runs at most once per distinct value per column,
+where a per-cell interner runs it once per cell of every window that
+brings a new value.  The nanoseconds per cell of each build are recorded
+under their own label, with the machine stamp, and not asserted.
 
 A third gate sweeps the per-code bitset builder (``Column.code_bits``)
 over the same columns at 2, 12, 200 and 1,024 codes (the all-distinct
@@ -84,17 +89,19 @@ SERIES_PATH = os.path.join(os.path.dirname(__file__), "..", "BENCH_columnar.json
 SERIES_LABEL = "columnar-v2"
 
 #: The encoder sweep: states of the synthetic column, window sizes (None:
-#: one static window), cardinalities (None: every value distinct), timed
-#: repetitions per build (the best is kept), and the series label.
+#: one static window), cardinalities ("bool": booleans, None: every value
+#: distinct), timed repetitions per build (the best is kept), and the
+#: series label.
 ENCODER_STATES = 16_384
-ENCODER_FRAMES = (None, 16, 64)
-ENCODER_CODES = (2, 12, 200, 1024, None)
+ENCODER_FRAMES = (None, 6, 16, 64)
+ENCODER_CODES = ("bool", 2, 12, 200, 1024, None)
 ENCODER_REPS = 5
-ENCODER_LABEL = "encoder-v1"
+ENCODER_LABEL = "encoder-v2"
 
-#: The bitset-builder sweep: cardinalities (all at or under the bitset
-#: cap) and the series label; states, window sizes and repetitions are the
+#: The bitset-builder sweep: window sizes, cardinalities (all at or under
+#: the bitset cap) and the series label; states and repetitions are the
 #: encoder sweep's.
+CODE_BITS_FRAMES = (None, 16, 64)
 CODE_BITS_CODES = (2, 12, 200, 1024)
 CODE_BITS_LABEL = "code-bits-v1"
 
@@ -209,13 +216,25 @@ def test_kernel_answers_each_formula_in_one_dispatch(benchmark):
 
 def encoder_window(codes):
     """``ENCODER_STATES`` states of one column ``x``: ``codes`` distinct
-    values, each taken equally often in a seeded shuffle, or all distinct."""
+    ints (or, for "bool", the two booleans), each taken equally often in a
+    seeded shuffle, or all distinct."""
     if codes is None:
         values = list(range(ENCODER_STATES))
+    elif codes == "bool":
+        values = [i % 2 == 0 for i in range(ENCODER_STATES)]
+        random.Random(2).shuffle(values)
     else:
         values = [i % codes for i in range(ENCODER_STATES)]
         random.Random(codes).shuffle(values)
     return Window([{"x": value} for value in values], [{}] * ENCODER_STATES)
+
+
+def per_cell_codes(window):
+    """The reference interner: column ``x``'s codes by one dictionary step
+    per cell, in cell order.  A sweep column holds only booleans or only
+    ints, so one table keeps the encoder's interning rule."""
+    table = {}
+    return [table.setdefault(row["x"], len(table)) for row in window.values]
 
 
 def encoder_build(window, frame):
@@ -246,7 +265,8 @@ def encoder_sweep():
 
 
 def test_encoder_interns_each_distinct_value_once(monkeypatch):
-    """Encoder sweep: the intern step runs once per distinct value; ns/cell recorded."""
+    """Encoder sweep: codes equal the per-cell interner's, the intern step
+    runs at most once per distinct value; ns/cell recorded."""
     interned = Counter()
     intern = columns._ColumnBase._intern
 
@@ -255,11 +275,14 @@ def test_encoder_interns_each_distinct_value_once(monkeypatch):
         return intern(column, value)
 
     monkeypatch.setattr(columns._ColumnBase, "_intern", counted)
-    for frame in ENCODER_FRAMES:
-        for codes in ENCODER_CODES:
+    for codes in ENCODER_CODES:
+        window = encoder_window(codes)
+        expected = per_cell_codes(window)
+        for frame in ENCODER_FRAMES:
             interned.clear()
-            column = encoder_build(encoder_window(codes), frame).column("x")
-            assert len(column.values) == (codes or ENCODER_STATES)
+            column = encoder_build(window, frame).column("x")
+            assert list(column.codes) == expected, (frame, codes)
+            assert len(column.values) == max(expected) + 1, (frame, codes)
             assert interned[column] <= len(column.values), (frame, codes, interned[column])
     monkeypatch.undo()
 
@@ -311,7 +334,7 @@ def test_code_bits_match_the_per_cell_builder():
     """Bitset sweep: bit-plane bitsets equal the per-cell builder's; ns/cell recorded."""
     builders = {"bit_planes": Column.code_bits, "per_cell": per_cell_code_bits}
     sweep = {name: {} for name in builders}
-    for frame in ENCODER_FRAMES:
+    for frame in CODE_BITS_FRAMES:
         for name in builders:
             sweep[name][str(frame or "static")] = {}
         for codes in CODE_BITS_CODES:

@@ -10,17 +10,24 @@ position — makes each of those questions an O(n) Python-object walk.
 A run of states travels as a :class:`Window`: two parallel lists, each
 state's value map and its operation map.  The serve layer fills one
 straight from validated wire rows, so a served state is never built as a
-``State``; a sequence of ``State`` s becomes one by reading their maps.
-The window is the only input of the one window encoder
+``State``; a list of ``State`` s becomes one by reading their maps in two
+C-level passes.  The window is the only input of the one window encoder
 (:meth:`_Store._encode`), which turns it column-major, one column at a
-time.  A column meets each value new to it once per window: the window's
-distinct values are collected in one pass, the ones the column lacks are
-interned in first-occurrence order, and every cell is then coded by one
-pass of dictionary lookups — the only pass a window of known values takes.
-Values that cannot be hashed, and windows mixing booleans with numbers,
-are interned cell by cell.  The same call pads the columns the window does
-not bind, marks the ``__start__`` column of the Init-clause ``start``
-predicate (True at position 1, False where a state lacks it) and extends
+time, each column's cells read in one ``itemgetter`` pass.  A window of
+values its column knows is coded by one pass of dictionary lookups.  A
+window that brings a new value is coded in C-level passes too: when its
+values are all booleans, or all ints in 0–255, ``bytes()`` of them is the
+code array up to a byte translation (dictionary encoding into byte-sized
+codes, as in Abadi, Madden & Ferreira's compressed column stores), so each
+distinct byte is looked up or interned once, in first-occurrence order,
+one ``bytes.translate`` codes every cell and one strided slice widens the
+codes; any other window has its distinct values collected in one pass, the
+ones the column lacks interned in first-occurrence order, and then takes
+the lookup pass.  Values that cannot be hashed, and windows mixing
+booleans with numbers, are interned cell by cell.  The same call pads the
+columns the window does not bind, marks the ``__start__`` column of the
+Init-clause ``start`` predicate (True at position 1, False where a state
+lacks it; built from that definition when no state binds it) and extends
 the observed value universe; it only reads the window's maps.  Two stores
 share it:
 
@@ -55,6 +62,7 @@ import sys
 from array import array
 from collections.abc import Sequence as SequenceABC
 from itertools import chain, filterfalse
+from operator import attrgetter, itemgetter
 from typing import Any, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Set, Tuple, Type
 
 from ..errors import TraceError
@@ -154,6 +162,15 @@ def _or_code_positions(
         bits[code] |= positions << built
 
 
+def _widen(coded: bytes, itemsize: int, byteorder: str) -> bytearray:
+    """``coded`` as the raw bytes of ``itemsize``-byte codes in
+    ``byteorder``: each byte becomes the low byte of its code, the other
+    bytes are zero.  One strided slice assignment, no step per code."""
+    raw = bytearray(len(coded) * itemsize)
+    raw[0 if byteorder == "little" else itemsize - 1::itemsize] = coded
+    return raw
+
+
 class _Missing:
     __slots__ = ()
 
@@ -161,6 +178,11 @@ class _Missing:
 #: What a window reads for a variable (operation) a state does not bind;
 #: every intern table maps it to ``ABSENT``.
 _MISSING = _Missing()
+
+#: A ``State``'s two maps, read from the slots behind its ``raw_values``
+#: and ``raw_operations`` properties without a Python-level call.
+_state_values = attrgetter("_values")
+_state_operations = attrgetter("_operations")
 
 
 class Window(SequenceABC):
@@ -190,10 +212,13 @@ class Window(SequenceABC):
 
         An element that is not a ``State`` raises :class:`TraceError`
         (naming it as trace element ``first`` + its index) before anything
-        is encoded — or, with ``coerce``, becomes ``State(element)``.
+        is encoded — or, with ``coerce``, becomes ``State(element)``.  A
+        list or tuple of exact ``State`` s is read in C-level passes.
         """
         if isinstance(states, Window):
             return states
+        if type(states) in (list, tuple) and set(map(type, states)) == {State}:
+            return cls(list(map(_state_values, states)), list(map(_state_operations, states)))
         values: List[Mapping[str, Any]] = []
         operations: List[Mapping[str, OperationRecord]] = []
         for state in states:
@@ -323,14 +348,18 @@ class _ColumnBase:
         The window is read through the boolean intern table when its values
         are all booleans and through the other one when none is.  A column
         that knows every value of the window codes it in one lookup pass.
-        Otherwise each value new to the column is interned once
-        (:meth:`_intern_distinct`) and the lookup pass runs after that.
-        Windows mixing booleans with other values, and values that cannot
-        be hashed or whose hash or ``==`` raises, are interned cell by cell.
-        Window indexes that interned a new value are added to ``new_at``.
+        Otherwise a window with no absent cell whose values are all
+        booleans, or all ints in 0–255, is coded by byte translation while
+        the column's codes fit in a byte (:meth:`_encode_bytes`); any other
+        window has each value new to the column interned once
+        (:meth:`_intern_distinct`) and the lookup pass run after that.  Windows mixing booleans with other values, and
+        values that cannot be hashed or whose hash or ``==`` raises, are
+        interned cell by cell.  Window indexes that interned a new value
+        are added to ``new_at``.
         """
         kinds = set(map(type, values))
-        if _Missing in kinds:
+        complete = _Missing not in kinds
+        if not complete:
             self.missing = True
             kinds.discard(_Missing)
         if bool not in kinds or len(kinds) == 1:
@@ -338,6 +367,9 @@ class _ColumnBase:
             try:
                 codes = list(map(table.__getitem__, values))
             except Exception:  # a value new to the column, or one that raised
+                if complete and kinds in ({bool}, {int}):
+                    if self._encode_bytes(table, values, new_at):
+                        return
                 codes = self._intern_distinct(table, values, new_at)
             if codes is not None:
                 self.codes.fromlist(codes)
@@ -349,6 +381,45 @@ class _ColumnBase:
             if new:
                 new_at.add(j)
         self.codes.fromlist(codes)
+
+    def _encode_bytes(self, table: Dict[Any, int], values: List[Any], new_at: Set[int]) -> bool:
+        """Append the codes of a window of booleans, or of ints, by byte
+        translation; ``False``, with nothing changed, unless every value and
+        every code fits in a byte.
+
+        ``bytes(values)`` is the window up to a byte translation.  Its
+        distinct bytes are taken in first-occurrence order, and each one's
+        first cell is looked up in ``table`` as the lookup pass would look
+        it up (``1`` finds an interned ``1.0``); a value the table lacks is
+        interned from that cell, the object a cell-by-cell scan would have
+        interned.  One ``bytes.translate`` then codes every cell, and one
+        strided slice assignment (:func:`_widen`) widens the codes into the
+        code array.
+        """
+        try:
+            raw = bytes(values)
+        except ValueError:  # an int outside 0–255
+            return False
+        # Each distinct byte's first cell: a boolean is byte 0 or 1, so two
+        # byte searches find them; ints need a set of the bytes.
+        distinct = (0, 1) if table is self._bools else set(raw)
+        firsts = sorted(at for at in map(raw.find, distinct) if at >= 0)
+        cells = [values[at] for at in firsts]
+        codes = list(map(table.get, cells))
+        known = self.values
+        if len(known) + codes.count(None) > 256:
+            return False
+        translation = bytearray(256)
+        for at, value, code in zip(firsts, cells, codes):
+            if code is None:
+                code = table[value] = len(known)
+                known.append(value)
+                new_at.add(at)
+            translation[raw[at]] = code
+        self.codes.frombytes(
+            _widen(raw.translate(translation), self.codes.itemsize, sys.byteorder)
+        )
+        return True
 
     def _intern_distinct(
         self, table: Dict[Any, int], values: List[Any], new_at: Set[int]
@@ -465,22 +536,33 @@ def _encode_columns(
 
     A name seen for the first time opens a column ``ABSENT``-padded over
     the ``offset`` earlier positions; columns the window never binds are
-    padded.  With ``mark_start`` the ``__start__`` column is True at
-    position 1, False where a row lacks it and the row's value elsewhere.
+    padded.  Each column's cells are read in one ``itemgetter`` pass, or
+    with ``_MISSING`` where a row does not bind its name.  With
+    ``mark_start`` the ``__start__`` column is True at position 1, False
+    where a row lacks it and the row's value elsewhere; when no row binds
+    it (served rows never do), it is built from that definition alone.
     """
     names = dict.fromkeys(chain.from_iterable(rows))
+    start: Optional[List[Any]] = None
     if mark_start:
-        names["__start__"] = None
+        if "__start__" in names:
+            start = [row.get("__start__", False) for row in rows]
+        else:
+            start = [False] * len(rows)
+            names["__start__"] = None
+        if not offset:
+            start[0] = True
     for name in names:
         column = columns.get(name)
         if column is None:
             column = columns[name] = kind(name, prefix_length=offset)
-        if mark_start and name == "__start__":
-            values = [row.get(name, False) for row in rows]
-            if not offset:
-                values[0] = True
+        if start is not None and name == "__start__":
+            values = start
         else:
-            values = [row.get(name, _MISSING) for row in rows]
+            try:
+                values = list(map(itemgetter(name), rows))
+            except KeyError:  # a row that does not bind ``name``
+                values = [row.get(name, _MISSING) for row in rows]
         column.encode(values, new_at)
     if len(names) < len(columns):
         for name, column in columns.items():

@@ -83,7 +83,6 @@ class Evaluator:
         self._trace = trace
         self._domain = {k: tuple(v) for k, v in (domain or {}).items()}
         self._default_domain: Optional[Tuple[Any, ...]] = None
-        self._constructor = IntervalConstructor(trace, self._holds_callback)
         self._memo: Dict[Any, bool] = {}
 
     @property
@@ -129,10 +128,12 @@ class Evaluator:
 
     # -- internals -------------------------------------------------------------------
 
-    def _holds_callback(
-        self, formula: Formula, lo: int, hi: Position, env: Mapping[str, Any]
-    ) -> bool:
-        return self._holds(formula, lo, hi, env)
+    @property
+    def _constructor(self) -> IntervalConstructor:
+        """An interval constructor calling back into this evaluator, built
+        per use: one kept here would hold the evaluator in a reference
+        cycle through its bound ``_holds``, left to the cycle collector."""
+        return IntervalConstructor(self._trace, self._holds)
 
     def _normalize(self, lo: int, hi: Position) -> Tuple[int, Position]:
         """Shift a context lying entirely in the repeating cycle back one period.
@@ -288,20 +289,27 @@ class Evaluator:
         return self._default_domain
 
     def _holds_forall(
-        self, formula: Forall, lo: int, hi: Position, env: Mapping[str, Any]
+        self,
+        formula: Forall,
+        lo: int,
+        hi: Position,
+        env: Mapping[str, Any],
+        index: int = 0,
     ) -> bool:
-        def recurse(remaining: Tuple[str, ...], current: Dict[str, Any]) -> bool:
-            if not remaining:
-                return self._holds(formula.body, lo, hi, current)
-            name, rest = remaining[0], remaining[1:]
-            for value in self._domain_for(name):
-                extended = dict(current)
-                extended[name] = value
-                if not recurse(rest, extended):
-                    return False
-            return True
+        """``Forall`` over the bound variables from ``index`` on.
 
-        return recurse(tuple(formula.variables), dict(env))
+        A method, not a recursive closure: a closure that calls itself is
+        a reference cycle, left to the cycle collector on every call.
+        """
+        if index == len(formula.variables):
+            return self._holds(formula.body, lo, hi, env)
+        name = formula.variables[index]
+        for value in self._domain_for(name):
+            extended = dict(env)
+            extended[name] = value
+            if not self._holds_forall(formula, lo, hi, extended, index + 1):
+                return False
+        return True
 
     def _holds_next_binding(
         self, formula: NextBinding, lo: int, hi: Position, env: Mapping[str, Any]

@@ -23,7 +23,11 @@ A third property pins the encoder itself: **per-value interning** codes
 every window, static or split, exactly as a cell-by-cell interner does —
 codes, representatives (type and identity), the missing flag and the value
 universe — over booleans beside equal numbers, NaNs, unhashable values and
-values whose hash or ``==`` raises.  A fourth pins the bitset builder:
+values whose hash or ``==`` raises; and so do the windows coded by byte
+translation (booleans, ints in 0–255 beside ``False`` / ``True`` and equal
+floats, 255 beside 256, gaps, a column crossing 256 codes mid-stream),
+whose widened codes read alike in either byte order.  A fourth pins the
+bitset builder:
 **bit-plane splits** give the per-code bitsets a cell-by-cell builder
 gives, at 1 to 1,024 codes (so over one and two byte planes), over
 ``ABSENT`` cells, at any extension points and in either byte order.
@@ -50,7 +54,7 @@ from dataclasses import dataclass
 from functools import partial
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.api import Session
 from repro.checking.monitor import Monitor
@@ -491,46 +495,114 @@ def intern_windows(draw):
     return [pool[i] for i in a], [pool[i] for i in b], cuts
 
 
+def assert_encodes_like_cell_by_cell(cells, cuts):
+    """Static and split builds of the columns ``cells`` (name → cell list,
+    ``_MISSING`` where a state does not bind the name) give the codes,
+    representatives (by identity), missing flags and value universe of a
+    cell-by-cell interner fed the same windows.  The static store is one
+    window; the growing one takes the windows ``cuts`` split off."""
+    names = list(cells)
+    rows = [
+        {name: value for name, value in zip(names, row) if value is not columns._MISSING}
+        for row in zip(*cells.values())
+    ]
+    for static in (True, False):
+        frames = [rows] if static else list(frames_of(rows, cuts))
+        store = None if static else IncrementalColumnStore()
+        reference = {name: CellByCellColumn() for name in cells}
+        universe = columns._Universe()
+        offset = 0
+        for frame in frames:
+            window = Window(frame, [{}] * len(frame))
+            if static:
+                store = ColumnStore(window, mark_start=False)
+            else:
+                store.absorb(window)
+            new_at = set()
+            for name, column in reference.items():
+                column.encode(cells[name][offset:offset + len(frame)], new_at)
+            universe.observe(window, sorted(new_at))
+            offset += len(frame)
+        for name, expected in reference.items():
+            column = store.column(name)
+            if not any(name in row for row in rows):
+                assert column is None
+                continue
+            assert list(column.codes) == expected.codes, (static, name)
+            assert column.missing == expected.missing
+            assert len(column.values) == len(expected.values)
+            for got, want in zip(column.values, expected.values):
+                assert got is want, (name, got, want)
+        assert _outcome(store.value_universe) == _outcome(universe.values)
+
+
+_SMALL_INTS = st.sampled_from([0, 1, 2, 3, 4, 7, 200, 254, 255])
+
+#: Window kinds around the byte-translation path: booleans; ints in 0–255
+#: (``0`` and ``1`` among them, to meet ``False`` and ``True`` in another
+#: window); 255 beside 256, which no byte holds; floats equal to those
+#: ints; booleans mixed with ints; and ``_MISSING`` gaps.
+BYTE_CELLS = {
+    "bool": st.booleans(),
+    "int": _SMALL_INTS,
+    "edge": st.sampled_from([0, 255, 256]),
+    "float": st.sampled_from([0.0, 1.0, 2.0, 255.0]),
+    "mixed": st.one_of(st.booleans(), _SMALL_INTS),
+    "gap": st.one_of(st.booleans(), _SMALL_INTS, st.just(columns._MISSING)),
+}
+
+
+@st.composite
+def byte_windows(draw):
+    """One column's cells as windows of one kind each, and the window
+    bounds.  A ``wide`` window holds 240–256 distinct ints past 255, so
+    that the new values of a later window cross 256 codes mid-stream."""
+    cells, cuts = [], []
+    for kind in draw(st.lists(st.sampled_from([*BYTE_CELLS, "wide"]), min_size=1, max_size=6)):
+        if kind == "wide":
+            cells += range(1000, 1000 + draw(st.integers(240, 256)))
+        else:
+            cells += draw(st.lists(BYTE_CELLS[kind], min_size=1, max_size=24))
+        cuts.append(len(cells))
+    return cells, cuts
+
+
 class TestPerValueInterning:
     @settings(max_examples=200, deadline=None)
     @given(intern_windows())
     def test_encoder_matches_the_cell_by_cell_interner(self, drawn):
         a, b, cuts = drawn
-        cells = {"a": a, "b": b}
-        rows = [
-            {name: value for name, value in (("a", va), ("b", vb))
-             if value is not columns._MISSING}
-            for va, vb in zip(a, b)
-        ]
-        # A static store is one window; a growing one takes the splits.
-        for static in (True, False):
-            frames = [rows] if static else list(frames_of(rows, cuts))
-            store = None if static else IncrementalColumnStore()
-            reference = {name: CellByCellColumn() for name in cells}
-            universe = columns._Universe()
-            offset = 0
-            for frame in frames:
-                window = Window(frame, [{}] * len(frame))
-                if static:
-                    store = ColumnStore(window, mark_start=False)
-                else:
-                    store.absorb(window)
-                new_at = set()
-                for name, column in reference.items():
-                    column.encode(cells[name][offset:offset + len(frame)], new_at)
-                universe.observe(window, sorted(new_at))
-                offset += len(frame)
-            for name, expected in reference.items():
-                column = store.column(name)
-                if not any(name in row for row in rows):
-                    assert column is None
-                    continue
-                assert list(column.codes) == expected.codes
-                assert column.missing == expected.missing
-                assert len(column.values) == len(expected.values)
-                for got, want in zip(column.values, expected.values):
-                    assert got is want, (name, got, want)
-            assert _outcome(store.value_universe) == _outcome(universe.values)
+        assert_encodes_like_cell_by_cell({"a": a, "b": b}, cuts)
+
+    @settings(max_examples=200, deadline=None)
+    @given(byte_windows())
+    # Booleans after 0 and 1; ints after equal floats; one window mixing
+    # booleans with ints; new small ints past 250 codes.
+    @example(([0, 1, True, False], [2, 4]))
+    @example(([1.0, 2.0, 1, 2, 3], [2, 5]))
+    @example(([True, 1, 0, False], [4]))
+    @example(([*range(1000, 1250), *range(10)], [250, 260]))
+    def test_byte_coded_windows_match_the_cell_by_cell_interner(self, drawn):
+        # A window of booleans, or of ints in 0–255, is coded by byte
+        # translation; its codes, representatives and universe stay those
+        # of the cell-by-cell interner, static or split at its bounds.
+        cells, cuts = drawn
+        assert_encodes_like_cell_by_cell({"v": cells}, cuts)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.integers(0, 255), max_size=80), st.sampled_from("hiq"))
+    def test_widened_codes_read_either_byte_order(self, coded, typecode):
+        # Each byte lands in its code's low byte at the offset the byte
+        # order and item size give, so a window widened for the other
+        # order, byte-swapped, reads as the native one — in 2-, 4- and
+        # 8-byte items.
+        other = "big" if sys.byteorder == "little" else "little"
+        for byteorder in (sys.byteorder, other):
+            codes = array(typecode)
+            codes.frombytes(columns._widen(bytes(coded), codes.itemsize, byteorder))
+            if byteorder != sys.byteorder:
+                codes.byteswap()
+            assert list(codes) == coded, (byteorder, codes.itemsize)
 
 
 def per_cell_code_bits(codes, count, n, bits=None, built=0):

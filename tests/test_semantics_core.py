@@ -5,9 +5,12 @@ event validities ``[end P]P`` / ``[begin P]~P`` / ``[P]~P``, and the defining
 clauses of the Chapter 3 model.
 """
 
+import gc
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.api import Session
 from repro.errors import TraceError
 from repro.semantics import (
     BOTTOM,
@@ -254,6 +257,31 @@ class TestEvaluator:
         # V4: *I === ~[I]False, checked directly on this trace.
         for term in (event(A), forward(event(A), event(B)), event(land(A, C))):
             assert _EV.satisfies(occurs(term)) == _EV.satisfies(lnot(interval(term, False)))
+
+    @pytest.mark.parametrize("text", [
+        "[] (x == 1 -> <> p)",
+        "forall a . [] (x == ?a -> <> p)",
+        "[] [(x == 1) => p] <> p",
+    ])
+    def test_a_checked_evaluator_is_freed_by_reference_counting(self, text):
+        # Neither the interval constructor's callback nor the quantifier's
+        # recursion may point back at the evaluator: with the collector off,
+        # a finished check — one constructing intervals included — leaves
+        # it nothing to find: no evaluator, memo, memo keys or closure
+        # cells.
+        trace = make_trace([{"x": i % 3, "p": i % 4 == 0} for i in range(50)])
+        gc.collect()
+        gc.disable()
+        try:
+            assert Session().check(text, mode="trace", trace=trace).verdict is not None
+            gc.set_debug(gc.DEBUG_SAVEALL)
+            gc.collect()
+            left = [type(obj).__name__ for obj in gc.garbage]
+        finally:
+            gc.set_debug(0)
+            del gc.garbage[:]
+            gc.enable()
+        assert left == [], sorted(set(left))
 
     def test_forall_over_explicit_domain(self):
         trace = make_trace([{"x": 1}, {"x": 2}, {"x": 3}])
