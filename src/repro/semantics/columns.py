@@ -13,23 +13,24 @@ straight from validated wire rows, so a served state is never built as a
 ``State``; a list of ``State`` s becomes one by reading their maps in two
 C-level passes.  The window is the only input of the one window encoder
 (:meth:`_Store._encode`), which turns it column-major, one column at a
-time, each column's cells read in one ``itemgetter`` pass.  A window of
-values its column knows is coded by one pass of dictionary lookups.  A
-window that brings a new value is coded in C-level passes too: when its
-values are all booleans, or all ints in 0–255, ``bytes()`` of them is the
-code array up to a byte translation (dictionary encoding into byte-sized
-codes, as in Abadi, Madden & Ferreira's compressed column stores), so each
-distinct byte is looked up or interned once, in first-occurrence order,
-one ``bytes.translate`` codes every cell and one strided slice widens the
-codes; any other window has its distinct values collected in one pass, the
-ones the column lacks interned in first-occurrence order, and then takes
-the lookup pass.  Values that cannot be hashed, and windows mixing
-booleans with numbers, are interned cell by cell.  The same call pads the
-columns the window does not bind, marks the ``__start__`` column of the
-Init-clause ``start`` predicate (True at position 1, False where a state
-lacks it; built from that definition when no state binds it) and extends
-the observed value universe; it only reads the window's maps.  Two stores
-share it:
+time, each column's cells read in one ``itemgetter`` pass (``row.get``
+where a row lacks the name).  A window of values its column knows is coded
+by one pass of dictionary lookups.  A window that brings a new value — a
+static trace, a served stream's first frame — is coded in C-level passes
+too: when its values are all booleans, or all ints in 0–255, ``bytes()``
+of them is the code array up to a byte translation (dictionary encoding
+into byte-sized codes, as in Abadi, Madden & Ferreira's compressed column
+stores), so each distinct byte is looked up or interned once, in
+first-occurrence order, one ``bytes.translate`` codes every cell and one
+strided slice widens the codes; any other window has its distinct values
+collected in one pass, the ones the column lacks interned in
+first-occurrence order, and then takes the lookup pass.  Values that cannot
+be hashed, and windows mixing booleans with numbers, are interned cell by
+cell.  The same call pads the columns the window does not bind, marks the
+``__start__`` column of the Init-clause ``start`` predicate (True at
+position 1, False where a state lacks it; built from that definition when
+no state binds it) and extends the observed value universe; it only reads
+the window's maps.  Two stores share it:
 
 * a :class:`ColumnStore` holds one static trace, encoded as one window;
 * an :class:`IncrementalColumnStore` holds a growing prefix, encoded one
@@ -174,6 +175,10 @@ def _widen(coded: bytes, itemsize: int, byteorder: str) -> bytearray:
 class _Missing:
     __slots__ = ()
 
+
+#: The value types of a window that byte translation can code: all
+#: booleans, or all ints (in 0–255, which ``bytes()`` checks).
+_BYTE_KINDS = ({bool}, {int})
 
 #: What a window reads for a variable (operation) a state does not bind;
 #: every intern table maps it to ``ABSENT``.
@@ -347,15 +352,17 @@ class _ColumnBase:
 
         The window is read through the boolean intern table when its values
         are all booleans and through the other one when none is.  A column
-        that knows every value of the window codes it in one lookup pass.
-        Otherwise a window with no absent cell whose values are all
-        booleans, or all ints in 0–255, is coded by byte translation while
-        the column's codes fit in a byte (:meth:`_encode_bytes`); any other
-        window has each value new to the column interned once
-        (:meth:`_intern_distinct`) and the lookup pass run after that.  Windows mixing booleans with other values, and
-        values that cannot be hashed or whose hash or ``==`` raises, are
-        interned cell by cell.  Window indexes that interned a new value
-        are added to ``new_at``.
+        that knows every value of the window codes it in one lookup pass; a
+        new column, which knows none, does not try it.  Otherwise a window
+        with no absent cell whose values are all booleans, or all ints in
+        0–255, is coded by byte translation while the column's codes fit in
+        a byte (:meth:`_encode_bytes`) — a served stream's first frame,
+        whose columns are all new, among them; any other window has each
+        value new to the column interned once (:meth:`_intern_distinct`) and
+        the lookup pass run after that.  Windows mixing booleans with other
+        values, and values that cannot be hashed or whose hash or ``==``
+        raises, are interned cell by cell.  Window indexes that interned a
+        new value are added to ``new_at``.
         """
         kinds = set(map(type, values))
         complete = _Missing not in kinds
@@ -364,12 +371,15 @@ class _ColumnBase:
             kinds.discard(_Missing)
         if bool not in kinds or len(kinds) == 1:
             table = self._bools if bool in kinds else self._hashed
-            try:
-                codes = list(map(table.__getitem__, values))
-            except Exception:  # a value new to the column, or one that raised
-                if complete and kinds in ({bool}, {int}):
-                    if self._encode_bytes(table, values, new_at):
-                        return
+            codes = None
+            if self.values:  # a new column knows no value yet
+                try:
+                    codes = list(map(table.__getitem__, values))
+                except Exception:  # a value new to the column, or one that raised
+                    pass
+            if codes is None:
+                if complete and kinds in _BYTE_KINDS and self._encode_bytes(table, values, new_at):
+                    return
                 codes = self._intern_distinct(table, values, new_at)
             if codes is not None:
                 self.codes.fromlist(codes)
@@ -385,33 +395,39 @@ class _ColumnBase:
     def _encode_bytes(self, table: Dict[Any, int], values: List[Any], new_at: Set[int]) -> bool:
         """Append the codes of a window of booleans, or of ints, by byte
         translation; ``False``, with nothing changed, unless every value and
-        every code fits in a byte.
+        every code fits in a byte and every lookup returns.
 
         ``bytes(values)`` is the window up to a byte translation.  Its
         distinct bytes are taken in first-occurrence order, and each one's
         first cell is looked up in ``table`` as the lookup pass would look
         it up (``1`` finds an interned ``1.0``); a value the table lacks is
         interned from that cell, the object a cell-by-cell scan would have
-        interned.  One ``bytes.translate`` then codes every cell, and one
-        strided slice assignment (:func:`_widen`) widens the codes into the
-        code array.
+        interned.  A lookup that raises (a known value hashing like a small
+        int, whose ``==`` raises) leaves the window to the other paths.  One
+        ``bytes.translate`` then codes every cell, and one strided slice
+        assignment (:func:`_widen`) widens the codes into the code array.
         """
         try:
             raw = bytes(values)
         except ValueError:  # an int outside 0–255
             return False
-        # Each distinct byte's first cell: a boolean is byte 0 or 1, so two
-        # byte searches find them; ints need a set of the bytes.
-        distinct = (0, 1) if table is self._bools else set(raw)
-        firsts = sorted(at for at in map(raw.find, distinct) if at >= 0)
-        cells = [values[at] for at in firsts]
-        codes = list(map(table.get, cells))
+        # Each distinct byte's first cell, in order: a boolean is byte 0 or
+        # 1, so two byte searches find them (-1 for one the window lacks);
+        # ints need a set of the bytes.
+        firsts = sorted(map(raw.find, (0, 1) if table is self._bools else set(raw)))
+        if firsts[0] < 0:
+            del firsts[0]
+        try:
+            codes = list(map(table.get, map(values.__getitem__, firsts)))
+        except Exception:  # a known value whose ``==`` raises
+            return False
         known = self.values
         if len(known) + codes.count(None) > 256:
             return False
         translation = bytearray(256)
-        for at, value, code in zip(firsts, cells, codes):
+        for at, code in zip(firsts, codes):
             if code is None:
+                value = values[at]
                 code = table[value] = len(known)
                 known.append(value)
                 new_at.add(at)

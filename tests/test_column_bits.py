@@ -577,11 +577,13 @@ class TestPerValueInterning:
     @settings(max_examples=200, deadline=None)
     @given(byte_windows())
     # Booleans after 0 and 1; ints after equal floats; one window mixing
-    # booleans with ints; new small ints past 250 codes.
+    # booleans with ints; new small ints past 250 codes; small ints after a
+    # known value that hashes like 7 and whose ``==`` raises.
     @example(([0, 1, True, False], [2, 4]))
     @example(([1.0, 2.0, 1, 2, 3], [2, 5]))
     @example(([True, 1, 0, False], [4]))
     @example(([*range(1000, 1250), *range(10)], [250, 260]))
+    @example(([_RaisingEq(), 7, 8], [1]))
     def test_byte_coded_windows_match_the_cell_by_cell_interner(self, drawn):
         # A window of booleans, or of ints in 0–255, is coded by byte
         # translation; its codes, representatives and universe stay those
