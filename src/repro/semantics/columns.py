@@ -407,6 +407,8 @@ class _ColumnBase:
         ``bytes.translate`` then codes every cell, and one strided slice
         assignment (:func:`_widen`) widens the codes into the code array.
         """
+        if len(self.values) >= 256:  # no new code fits in a byte
+            return False
         try:
             raw = bytes(values)
         except ValueError:  # an int outside 0–255

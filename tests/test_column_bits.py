@@ -591,6 +591,30 @@ class TestPerValueInterning:
         cells, cuts = drawn
         assert_encodes_like_cell_by_cell({"v": cells}, cuts)
 
+    def test_boolean_and_small_int_windows_are_byte_coded(self, monkeypatch):
+        # The exactness tests pass whichever path codes a window, so this
+        # one pins the dispatch: booleans and ints in 0–255 that bring new
+        # values, static or appended, reach neither of the other interners
+        # while the column holds fewer than 256 codes.
+        def unreachable(*args):
+            raise AssertionError("not byte-coded")
+
+        monkeypatch.setattr(columns._ColumnBase, "_intern_distinct", unreachable)
+        monkeypatch.setattr(columns._ColumnBase, "_intern", unreachable)
+        rows = [{"p": i % 3 == 0, "n": i % 40 * 6} for i in range(64)]
+        expected = {}
+        for name in ("p", "n"):
+            first = {}
+            expected[name] = [first.setdefault(row[name], len(first)) for row in rows]
+        static = ColumnStore(Window(rows, [{}] * 64), mark_start=True)
+        growing = IncrementalColumnStore()
+        for start in range(0, 64, 16):
+            growing.absorb(Window(rows[start:start + 16], [{}] * 16))
+        for store in (static, growing):
+            for name, codes in expected.items():
+                assert list(store.column(name).codes) == codes, name
+            assert list(store.column("__start__").codes) == [0] + [1] * 63
+
     @settings(max_examples=100, deadline=None)
     @given(st.lists(st.integers(0, 255), max_size=80), st.sampled_from("hiq"))
     def test_widened_codes_read_either_byte_order(self, coded, typecode):
