@@ -30,16 +30,20 @@ number.
 
 A second gate sweeps the column encoder: one 16,384-state column of
 booleans, at 2, 12, 200 and 1,024 int codes and with every value distinct,
+and beside them an operation column of 2, 12 and 200 distinct records
+(every fourth state idle) and a column of 200 distinct ints past 255, each
 built static (one window) and in 6-, 16- and 64-state windows (a fleet
 frame's last tenth averages 5.6 states).  Boolean windows and windows of
 ints in 0–255 that bring a new value are coded by byte translation; the
-others by one lookup pass, after interning what is new.  It gates on the
-codes, which at every point equal a per-cell reference interner's (one
-dictionary step per cell), and on a count: the cell-by-cell intern step
+others, records by their key tuples, by one lookup pass, after interning
+what is new.  It gates on the codes, which at every point equal a per-cell
+reference interner's (one dictionary step per cell, records hashed as
+records), and on a count: the cell-by-cell intern step
 (``_ColumnBase._intern``) runs at most once per distinct value per column,
 where a per-cell interner runs it once per cell of every window that
-brings a new value.  The nanoseconds per cell of each build are recorded
-under their own label, with the machine stamp, and not asserted.
+brings a new value.  The nanoseconds per cell of each build are recorded,
+the value columns' and the record and wide-int columns' under labels of
+their own, with the machine stamp, and not asserted.
 
 A third gate sweeps the per-code bitset builder (``Column.code_bits``)
 over the same columns at 2, 12, 200 and 1,024 codes (the all-distinct
@@ -60,8 +64,8 @@ from collections import Counter
 
 from repro.compile import compile_formula
 from repro.semantics import columns
-from repro.semantics.columns import Column, ColumnStore, IncrementalColumnStore, Window
-from repro.semantics.state import State
+from repro.semantics.columns import ABSENT, Column, ColumnStore, IncrementalColumnStore, Window
+from repro.semantics.state import OperationRecord, State
 from repro.semantics.trace import Trace
 from repro.syntax.parser import parse_formula
 
@@ -97,6 +101,12 @@ ENCODER_FRAMES = (None, 6, 16, 64)
 ENCODER_CODES = ("bool", 2, 12, 200, 1024, None)
 ENCODER_REPS = 5
 ENCODER_LABEL = "encoder-v2"
+
+#: The encoder sweep's keyed columns, recorded under their own label:
+#: ``op-N``, an operation column of N distinct records; ``wide-N``, N
+#: distinct ints past 255 (under 256 codes, where the byte path is tried).
+ENCODER_KEYED = ("op-2", "op-12", "op-200", "wide-200")
+ENCODER_KEYED_LABEL = "encoder-keyed-v1"
 
 #: The bitset-builder sweep: window sizes, cardinalities (all at or under
 #: the bitset cap) and the series label; states and repetitions are the
@@ -217,7 +227,20 @@ def test_kernel_answers_each_formula_in_one_dispatch(benchmark):
 def encoder_window(codes):
     """``ENCODER_STATES`` states of one column ``x``: ``codes`` distinct
     ints (or, for "bool", the two booleans), each taken equally often in a
-    seeded shuffle, or all distinct."""
+    seeded shuffle, or all distinct.  A keyed column (``ENCODER_KEYED``,
+    ``op-N`` or ``wide-N``) turns the N-code column's values into records
+    of operation ``x`` (a fresh record per state, every fourth state idle)
+    or into ints past 255."""
+    if codes in ENCODER_KEYED:
+        kind, count = codes.split("-")
+        values = [row["x"] for row in encoder_window(int(count)).values]
+        if kind == "wide":
+            return Window([{"x": 1000 + v} for v in values], [{}] * ENCODER_STATES)
+        operations = [
+            {"x": OperationRecord(("at", "in", "after")[v % 3], (v,), ())} if i % 4 else {}
+            for i, v in enumerate(values)
+        ]
+        return Window([{}] * ENCODER_STATES, operations)
     if codes is None:
         values = list(range(ENCODER_STATES))
     elif codes == "bool":
@@ -229,12 +252,23 @@ def encoder_window(codes):
     return Window([{"x": value} for value in values], [{}] * ENCODER_STATES)
 
 
+def encoder_column(store):
+    """The sweep's column ``x`` of ``store``: a variable's or an operation's."""
+    column = store.column("x")
+    return column if column is not None else store.op_column("x")
+
+
 def per_cell_codes(window):
     """The reference interner: column ``x``'s codes by one dictionary step
-    per cell, in cell order.  A sweep column holds only booleans or only
-    ints, so one table keeps the encoder's interning rule."""
+    per cell, in cell order (``ABSENT`` where an operation is idle).  A
+    sweep column holds only booleans, only ints or only records, so one
+    table keeps the encoder's interning rule."""
     table = {}
-    return [table.setdefault(row["x"], len(table)) for row in window.values]
+    if window.values[0]:
+        return [table.setdefault(row["x"], len(table)) for row in window.values]
+    return [
+        table.setdefault(ops["x"], len(table)) if ops else ABSENT for ops in window.operations
+    ]
 
 
 def encoder_build(window, frame):
@@ -247,13 +281,13 @@ def encoder_build(window, frame):
     return store
 
 
-def encoder_sweep():
-    """Nanoseconds per cell of every build in the sweep (best of
-    ``ENCODER_REPS``), keyed by window size, then cardinality."""
+def encoder_sweep(columns):
+    """Nanoseconds per cell of every build of ``columns`` in the sweep
+    (best of ``ENCODER_REPS``), keyed by window size, then column."""
     sweep = {}
     for frame in ENCODER_FRAMES:
         row = sweep[str(frame or "static")] = {}
-        for codes in ENCODER_CODES:
+        for codes in columns:
             window = encoder_window(codes)
             best = float("inf")
             for _ in range(ENCODER_REPS):
@@ -275,25 +309,26 @@ def test_encoder_interns_each_distinct_value_once(monkeypatch):
         return intern(column, value)
 
     monkeypatch.setattr(columns._ColumnBase, "_intern", counted)
-    for codes in ENCODER_CODES:
+    for codes in ENCODER_CODES + ENCODER_KEYED:
         window = encoder_window(codes)
         expected = per_cell_codes(window)
         for frame in ENCODER_FRAMES:
             interned.clear()
-            column = encoder_build(window, frame).column("x")
+            column = encoder_column(encoder_build(window, frame))
             assert list(column.codes) == expected, (frame, codes)
             assert len(column.values) == max(expected) + 1, (frame, codes)
             assert interned[column] <= len(column.values), (frame, codes, interned[column])
     monkeypatch.undo()
 
-    point = {
-        "states": ENCODER_STATES,
-        "ns_per_cell": encoder_sweep(),
-        "machine": machine(),
-    }
-    print()
-    print(point)
-    record_point(point, ENCODER_LABEL)
+    for label, swept in ((ENCODER_LABEL, ENCODER_CODES), (ENCODER_KEYED_LABEL, ENCODER_KEYED)):
+        point = {
+            "states": ENCODER_STATES,
+            "ns_per_cell": encoder_sweep(swept),
+            "machine": machine(),
+        }
+        print()
+        print(label, point)
+        record_point(point, label)
 
 
 def per_cell_code_bits(column, n):

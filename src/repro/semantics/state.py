@@ -27,9 +27,17 @@ class OperationRecord(Mapping[str, Any]):
     Keys: ``phase`` (one of :class:`repro.syntax.terms.OpPhase`), ``args``
     (tuple of entry-parameter values) and ``results`` (tuple of result
     values, meaningful in the ``after`` phase).
+
+    The record holds its fields as one tuple, its *key* ``(phase, args,
+    results)``, and hashes and compares through it: two records are equal
+    exactly when their keys are, and a record hashes as its key does.  So a
+    table keyed by records' keys codes records as one keyed by the records
+    would, with every hash and comparison made on plain tuples in C — the
+    column encoder (:mod:`repro.semantics.columns`) codes operation cells
+    that way.
     """
 
-    __slots__ = ("_phase", "_args", "_results")
+    __slots__ = ("_key",)
 
     def __init__(
         self,
@@ -39,30 +47,28 @@ class OperationRecord(Mapping[str, Any]):
     ) -> None:
         if phase not in OpPhase.ALL:
             raise TraceError(f"unknown operation phase: {phase!r}")
-        self._phase = phase
-        self._args = tuple(args)
-        self._results = tuple(results)
+        self._key = (phase, tuple(args), tuple(results))
 
     @property
     def phase(self) -> str:
-        return self._phase
+        return self._key[0]
 
     @property
     def args(self) -> Tuple[Any, ...]:
-        return self._args
+        return self._key[1]
 
     @property
     def results(self) -> Tuple[Any, ...]:
-        return self._results
+        return self._key[2]
 
     # Mapping interface so OpAt/OpIn/OpAfter can use record["phase"] etc.
     def __getitem__(self, key: str) -> Any:
         if key == "phase":
-            return self._phase
+            return self._key[0]
         if key == "args":
-            return self._args
+            return self._key[1]
         if key == "results":
-            return self._results
+            return self._key[2]
         raise KeyError(key)
 
     def __iter__(self) -> Iterator[str]:
@@ -74,20 +80,14 @@ class OperationRecord(Mapping[str, Any]):
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, OperationRecord):
             return NotImplemented
-        return (
-            self._phase == other._phase
-            and self._args == other._args
-            and self._results == other._results
-        )
+        return self._key == other._key
 
     def __hash__(self) -> int:
-        return hash((self._phase, self._args, self._results))
+        return hash(self._key)
 
     def __repr__(self) -> str:
-        return (
-            f"OperationRecord(phase={self._phase!r}, args={self._args!r}, "
-            f"results={self._results!r})"
-        )
+        phase, args, results = self._key
+        return f"OperationRecord(phase={phase!r}, args={args!r}, results={results!r})"
 
 
 _IDLE_RECORD = OperationRecord()

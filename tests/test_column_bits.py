@@ -26,8 +26,13 @@ universe — over booleans beside equal numbers, NaNs, unhashable values and
 values whose hash or ``==`` raises; and so do the windows coded by byte
 translation (booleans, ints in 0–255 beside ``False`` / ``True`` and equal
 floats, 255 beside 256, gaps, a column crossing 256 codes mid-stream),
-whose widened codes read alike in either byte order.  A fourth pins the
-bitset builder:
+whose widened codes read alike in either byte order, and operation
+columns, coded by their records' key tuples (args equal across ``1`` /
+``1.0`` / ``True``, NaN and unhashable args, idle cells).  Dispatch pins
+beside it: byte-coded windows and hashable operation windows reach no
+other interner (the latter no Python-level ``OperationRecord.__hash__`` /
+``__eq__`` either), and a column of ints past 255 leaves the byte path
+after its first try.  A fourth pins the bitset builder:
 **bit-plane splits** give the per-code bitsets a cell-by-cell builder
 gives, at 1 to 1,024 codes (so over one and two byte planes), over
 ``ABSENT`` cells, at any extension points and in either byte order.
@@ -43,6 +48,7 @@ atoms are read row by row keeps only the rows read since its last append.
 
 import copy
 import gc
+import operator
 import os
 import pickle
 import random
@@ -473,6 +479,30 @@ PLAIN_POOL = [
     *_twice(lambda: tuple([1, "a"])), *_twice(lambda: 10 ** 20), columns._MISSING,
 ]
 
+#: Operation cells whose keys hash and compare, each a fixed record: equal
+#: records that are different objects, records whose args are equal across
+#: ``1`` / ``1.0`` / ``True`` (and results across ``0`` / ``False``),
+#: phases and results that tell records apart, args holding one NaN object
+#: and a distinct NaN, and idle cells.
+HASHABLE_RECORD_POOL = [
+    *_twice(lambda: OperationRecord("at", (1,))),
+    OperationRecord("at", (1.0,)), OperationRecord("at", (True,)),
+    OperationRecord("in", (1,)), OperationRecord("at", (2, "a")), OperationRecord("at"),
+    OperationRecord("after", (1,), (0,)), OperationRecord("after", (1,), (False,)),
+    OperationRecord("after", (1,), (2,)),
+    *_twice(lambda: OperationRecord("at", (_NAN,))), OperationRecord("at", (float("nan"),)),
+    columns._MISSING,
+]
+
+#: The same records beside ones whose args cannot be hashed (lists, one
+#: whose ``==`` raises) or whose hash or ``==`` raises.
+RECORD_POOL = HASHABLE_RECORD_POOL + [
+    *_twice(lambda: OperationRecord("at", ([0],))), OperationRecord("at", ([1],)),
+    OperationRecord("in", (_Incomparable([0]),)),
+    OperationRecord("at", (_RaisingHash(),)),
+    *_twice(lambda: OperationRecord("at", (_RaisingEq(),))),
+]
+
 
 def _outcome(read):
     """``read()``'s values, typed, or the type and message it raised."""
@@ -483,10 +513,10 @@ def _outcome(read):
 
 
 @st.composite
-def intern_windows(draw):
-    """Cells of two variables from one pool, and cut points splitting them
-    into windows."""
-    pool = draw(st.sampled_from([INTERN_POOL, PLAIN_POOL]))
+def intern_windows(draw, pools=(INTERN_POOL, PLAIN_POOL)):
+    """Cells of two columns from one of ``pools``, and cut points splitting
+    them into windows."""
+    pool = draw(st.sampled_from(pools))
     # Indexes, not the values: drawing a value would hash it.
     index = st.integers(0, len(pool) - 1)
     a = draw(st.lists(index, min_size=1, max_size=40))
@@ -495,12 +525,14 @@ def intern_windows(draw):
     return [pool[i] for i in a], [pool[i] for i in b], cuts
 
 
-def assert_encodes_like_cell_by_cell(cells, cuts):
+def assert_encodes_like_cell_by_cell(cells, cuts, operations=False):
     """Static and split builds of the columns ``cells`` (name → cell list,
     ``_MISSING`` where a state does not bind the name) give the codes,
     representatives (by identity), missing flags and value universe of a
     cell-by-cell interner fed the same windows.  The static store is one
-    window; the growing one takes the windows ``cuts`` split off."""
+    window; the growing one takes the windows ``cuts`` split off.  With
+    ``operations`` the cells are operation records, in the windows'
+    operation maps and the stores' operation columns."""
     names = list(cells)
     rows = [
         {name: value for name, value in zip(names, row) if value is not columns._MISSING}
@@ -513,7 +545,8 @@ def assert_encodes_like_cell_by_cell(cells, cuts):
         universe = columns._Universe()
         offset = 0
         for frame in frames:
-            window = Window(frame, [{}] * len(frame))
+            empty = [{}] * len(frame)
+            window = Window(empty, frame) if operations else Window(frame, empty)
             if static:
                 store = ColumnStore(window, mark_start=False)
             else:
@@ -524,7 +557,7 @@ def assert_encodes_like_cell_by_cell(cells, cuts):
             universe.observe(window, sorted(new_at))
             offset += len(frame)
         for name, expected in reference.items():
-            column = store.column(name)
+            column = (store.op_column if operations else store.column)(name)
             if not any(name in row for row in rows):
                 assert column is None
                 continue
@@ -575,6 +608,14 @@ class TestPerValueInterning:
         assert_encodes_like_cell_by_cell({"a": a, "b": b}, cuts)
 
     @settings(max_examples=200, deadline=None)
+    @given(intern_windows((RECORD_POOL, HASHABLE_RECORD_POOL)))
+    def test_operation_columns_match_the_cell_by_cell_interner(self, drawn):
+        # Records are coded by their key tuples; the reference interns the
+        # records themselves, through their own ``__hash__`` / ``__eq__``.
+        a, b, cuts = drawn
+        assert_encodes_like_cell_by_cell({"Send": a, "Recv": b}, cuts, operations=True)
+
+    @settings(max_examples=200, deadline=None)
     @given(byte_windows())
     # Booleans after 0 and 1; ints after equal floats; one window mixing
     # booleans with ints; new small ints past 250 codes; small ints after a
@@ -584,6 +625,8 @@ class TestPerValueInterning:
     @example(([True, 1, 0, False], [4]))
     @example(([*range(1000, 1250), *range(10)], [250, 260]))
     @example(([_RaisingEq(), 7, 8], [1]))
+    # Small ints after a window holding an int past 255.
+    @example(([300, 0, 1, 2, 300, 2, 5], [1, 4]))
     def test_byte_coded_windows_match_the_cell_by_cell_interner(self, drawn):
         # A window of booleans, or of ints in 0–255, is coded by byte
         # translation; its codes, representatives and universe stay those
@@ -614,6 +657,61 @@ class TestPerValueInterning:
             for name, codes in expected.items():
                 assert list(store.column(name).codes) == codes, name
             assert list(store.column("__start__").codes) == [0] + [1] * 63
+
+    def test_a_column_of_wide_ints_leaves_the_byte_path(self, monkeypatch):
+        # A column that met an int outside 0–255 in a window that brought a
+        # new value does not try byte translation again: later windows of
+        # new values go straight to the distinct-value interner.
+        tried = Counter()
+        encode_bytes = columns._ColumnBase._encode_bytes
+
+        def counted(column, *args):
+            tried[column.name] += 1
+            return encode_bytes(column, *args)
+
+        monkeypatch.setattr(columns._ColumnBase, "_encode_bytes", counted)
+        store = IncrementalColumnStore()
+        for start in range(0, 64, 16):
+            store.absorb(Window(
+                [{"id": 1000 + i, "n": i % 40} for i in range(start, start + 16)], [{}] * 16
+            ))
+        store.absorb(Window([{"id": i, "n": 200 + i} for i in range(16)], [{}] * 16))
+        assert tried == {"id": 1, "n": 4, "__start__": 1}
+        assert list(store.column("id").codes) == list(range(80))
+
+    def test_hashable_operation_windows_hash_their_keys_in_c(self, monkeypatch):
+        # The exactness tests pass whichever path codes a window, so this
+        # one pins the dispatch: windows of records whose args hash, with
+        # idle cells, static or appended, new or known, reach neither a
+        # Python-level ``OperationRecord.__hash__`` / ``__eq__`` nor the
+        # cell-by-cell interner.
+        records = [OperationRecord(("at", "in", "after")[i % 3], (i % 5,), ()) for i in range(64)]
+        operations = [{"Enq": record} if i % 4 else {} for i, record in enumerate(records)]
+        firsts = {}
+        for operation in operations:
+            for record in operation.values():
+                firsts.setdefault((record.phase, record.args, record.results), record)
+        codes = {key: code for code, key in enumerate(firsts)}
+        expected = [
+            codes[o["Enq"].phase, o["Enq"].args, o["Enq"].results] if o else ABSENT
+            for o in operations
+        ]
+
+        def unreachable(*args):
+            raise AssertionError("a Python-level step per cell")
+
+        monkeypatch.setattr(OperationRecord, "__hash__", unreachable)
+        monkeypatch.setattr(OperationRecord, "__eq__", unreachable)
+        monkeypatch.setattr(columns._ColumnBase, "_intern", unreachable)
+        static = ColumnStore(Window([{}] * 64, operations), mark_start=True)
+        growing = IncrementalColumnStore()
+        for start in range(0, 64, 16):
+            growing.absorb(Window([{}] * 16, operations[start:start + 16]))
+        for store in (static, growing):
+            column = store.op_column("Enq")
+            assert list(column.codes) == expected
+            assert len(column.values) == len(firsts) == 15
+            assert all(map(operator.is_, column.values, firsts.values()))
 
     @settings(max_examples=100, deadline=None)
     @given(st.lists(st.integers(0, 255), max_size=80), st.sampled_from("hiq"))

@@ -1,10 +1,15 @@
 """Column-major trace storage and the vectorized bitset kernel.
 
-Three invariants pin the tentpole of the columnar refactor:
+Four invariants pin the tentpole of the columnar refactor:
 
 * the lazy row view (``states`` / ``state_at`` / iteration) reconstructed
   from dictionary-encoded columns is **exactly** the row-major trace it
   replaced, including ``__start__`` marking and canonical lasso wrapping;
+* the window encoder opens columns in first-occurrence order of their
+  names, whether it finds the names by row shape or by scanning every row
+  (same-length rows binding different names, ``__start__`` in the rows),
+  and codes operation records by their keys to the same rows, first
+  records and value universe, for any window split;
 * pickling ships columns and rebuilds identical rows on the other side
   (the ``check_many`` worker handoff);
 * the vectorized kernel's whole-column verdicts agree with the
@@ -12,18 +17,22 @@ Three invariants pin the tentpole of the columnar refactor:
   generated scenarios.
 """
 
+import operator
 import pickle
 import random
+from itertools import chain
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.checking.monitor import Monitor
 from repro.compile import compile_formula
 from repro.compile.vector import bit_positions
 from repro.gen.generators import ScenarioProfile, gen_formula, gen_trace
-from repro.semantics.columns import ABSENT, ColumnStore
+from repro.semantics import columns
+from repro.semantics.columns import ABSENT, ColumnStore, IncrementalColumnStore, Window
 from repro.semantics.evaluator import Evaluator
-from repro.semantics.state import State
+from repro.semantics.state import OperationRecord, State
 from repro.semantics.trace import Trace, boolean_trace, make_trace
 from repro.syntax.parser import parse_formula
 
@@ -115,6 +124,152 @@ class TestColumnRoundTrip:
         assert column.values == [1, True]
         assert column.codes[0] == column.codes[1] != column.codes[2]
         assert type(column.values[column.codes[2]]) is bool
+
+
+#: Variable names of the name-discovery property (``__start__`` among them,
+#: as a source trace may carry it) and its operation names and records:
+#: args equal across ``1`` / ``1.0`` / ``True``, and list args that cannot
+#: be hashed.
+NAMES = ("a", "b", "c", "__start__")
+OPERATIONS = ("Send", "Recv")
+_records = st.builds(
+    OperationRecord,
+    phase=st.sampled_from(["at", "in", "after"]),
+    args=st.tuples(st.one_of(
+        st.sampled_from([0, 1, 1.0, True, 2]), st.lists(st.integers(0, 1), max_size=1),
+    )),
+)
+
+
+@st.composite
+def shaped_rows(draw):
+    """Rows binding subsets of ``NAMES`` in any key order — most of them
+    as many names as the first row holds, not always the same ones — with
+    operation maps, and cut points splitting them into windows."""
+    count = draw(st.integers(1, 12))
+    width = draw(st.integers(0, len(NAMES)))
+    value = st.sampled_from([True, False, 0, 1, 1.0, 2])
+    rows, operations = [], []
+    for _ in range(count):
+        size = draw(st.one_of(st.just(width), st.just(width), st.integers(0, len(NAMES))))
+        names = draw(st.permutations(NAMES))[:size]
+        rows.append({name: draw(value) for name in names})
+        operations.append(draw(st.fixed_dictionaries({}, optional=dict.fromkeys(OPERATIONS, _records))))
+    cuts = draw(st.lists(st.integers(1, count), max_size=4))
+    return rows, operations, cuts
+
+
+def windows_of(rows, cuts):
+    bounds = sorted({c for c in cuts if 0 < c < len(rows)}) + [len(rows)]
+    return [rows[start:stop] for start, stop in zip([0] + bounds, bounds)]
+
+
+def expected_columns(windows, mark_start):
+    """Column names in the order a first-occurrence scan of each window
+    opens them (``__start__`` after a window's own names when it binds it
+    nowhere), and each column's cells, ``columns._MISSING`` where a row
+    does not bind the name."""
+    cells, seen = {}, 0
+    for window in windows:
+        names = list(dict.fromkeys(chain.from_iterable(window)))
+        if mark_start and "__start__" not in names:
+            names.append("__start__")
+        for name in names:
+            cells.setdefault(name, [columns._MISSING] * seen)
+        for name, column in cells.items():
+            for at, row in enumerate(window, seen):
+                if mark_start and name == "__start__":
+                    column.append(at == 0 or row.get(name, False))
+                else:
+                    column.append(row.get(name, columns._MISSING))
+        seen += len(window)
+    return cells
+
+
+def typed(value):
+    """``value`` tagged so that booleans differ from the numbers equal to
+    them, as the columns intern them."""
+    return (type(value) is bool, value)
+
+
+def assert_columns(store, kind, expected):
+    """The store's columns of ``kind`` are ``expected``'s, in its order,
+    each decoding to its cells (booleans apart from equal numbers), with
+    the first-occurrence object of each value kept."""
+    found = store._columns if kind == "values" else store._op_columns
+    assert list(found) == list(expected)
+    for name, cells in expected.items():
+        column = found[name]
+        assert column.missing == any(cell is columns._MISSING for cell in cells)
+        decoded = [column.values[code] if code >= 0 else columns._MISSING for code in column.codes]
+        assert list(map(typed, decoded)) == list(map(typed, cells))
+        firsts = []
+        for cell in cells:
+            if cell is not columns._MISSING and typed(cell) not in map(typed, firsts):
+                firsts.append(cell)
+        assert len(column.values) == len(firsts)
+        assert all(map(operator.is_, column.values, firsts)), name
+
+
+class TestNameDiscovery:
+    def test_same_length_rows_with_different_names(self):
+        # Every row holds two names, but not the same two: the names the
+        # first row lacks open their columns after its own, in
+        # first-occurrence order, padded where a row lacks them.
+        rows = [{"b": 1, "a": 2}, {"a": 3, "c": 4}, {"d": 5, "b": 6}]
+        for mark_start in (False, True):
+            store = ColumnStore(Window(rows, [{}] * 3), mark_start=mark_start)
+            assert list(store._columns) == ["b", "a", "c", "d"] + ["__start__"] * mark_start
+            assert [store.state_values(i) for i in range(3)] == [
+                {"b": 1, "a": 2, **({"__start__": True} if mark_start else {})},
+                {"a": 3, "c": 4, **({"__start__": False} if mark_start else {})},
+                {"b": 6, "d": 5, **({"__start__": False} if mark_start else {})},
+            ]
+
+    def test_rows_carrying_start(self):
+        # A row's ``__start__`` keeps the column where the rows first name
+        # it; position 1 is True whatever the row says, later rows keep
+        # their value or read False.
+        for rows, order in (
+            ([{"__start__": False, "p": 1}, {"p": 2, "q": 3}], ["__start__", "p", "q"]),
+            ([{"p": 1, "q": 2}, {"q": 3, "__start__": True}], ["p", "q", "__start__"]),
+            ([{"__start__": False, "p": 1}, {"p": 2, "__start__": True}], ["__start__", "p"]),
+        ):
+            store = ColumnStore(Window(rows, [{}] * 2), mark_start=True)
+            assert list(store._columns) == order
+            column = store.column("__start__")
+            assert [column.value_at(i) for i in range(2)] == [
+                (True, True), (True, rows[1].get("__start__", False)),
+            ]
+            assert [column.missing for column in store._columns.values()] == [
+                any(name not in row for row in rows) and name != "__start__" for name in order
+            ]
+
+    @settings(max_examples=200, deadline=None)
+    @given(shaped_rows())
+    def test_columns_follow_first_occurrence_order_for_any_rows(self, drawn):
+        # Static (with and without marking) and split builds: columns open
+        # in first-occurrence order, ``__start__`` included, pad where a
+        # row lacks the name, and decode to the rows and records given.
+        rows, operations, cuts = drawn
+        builds = [
+            ([rows], [operations], mark_start, ColumnStore(Window(rows, operations), mark_start))
+            for mark_start in (False, True)
+        ]
+        growing = IncrementalColumnStore()
+        frames = windows_of(rows, cuts)
+        op_frames = windows_of(operations, cuts)
+        for frame, op_frame in zip(frames, op_frames):
+            growing.absorb(Window(frame, op_frame))
+        builds.append((frames, op_frames, True, growing))
+        # The value universe, extended only from the states that brought a
+        # new value, lists values as a scan of every state does.
+        scanned = columns._Universe()
+        scanned.observe(Window(rows, operations), range(len(rows)))
+        for frames, op_frames, mark_start, store in builds:
+            assert_columns(store, "values", expected_columns(frames, mark_start))
+            assert_columns(store, "operations", expected_columns(op_frames, False))
+            assert list(map(typed, store.value_universe())) == list(map(typed, scanned.values()))
 
 
 class TestColumnarPickle:
