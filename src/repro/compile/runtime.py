@@ -585,16 +585,22 @@ class PlanState:
         evaluator-error cases can become more defined.
         """
         error: Optional[Exception] = None
-        for child in (a, b):
-            try:
-                if self._holds(child, lo, hi) is deciding:
-                    return deciding
-            except Exception as exc:  # deferred: may be absorbed by the other side
-                if error is None:
-                    error = exc
-        if error is not None:
-            raise error
-        return not deciding
+        try:
+            for child in (a, b):
+                try:
+                    if self._holds(child, lo, hi) is deciding:
+                        return deciding
+                except Exception as exc:  # deferred: may be absorbed by the other side
+                    if error is None:
+                        error = exc
+            if error is not None:
+                raise error
+            return not deciding
+        finally:
+            # The held error's traceback holds this frame: drop the
+            # reference, or the frame, the error and everything the frame
+            # reaches would wait for the cycle collector.
+            error = None
 
     def _holds_tracked(self, nid: int, lo: int, hi: Position) -> Tuple[bool, bool]:
         """Evaluate a child and report whether its verdict is tail-dependent."""

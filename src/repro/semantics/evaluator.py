@@ -242,18 +242,24 @@ class Evaluator:
         depend on the operand order, exactly as in the compiled runtime.
         """
         error: Optional[Exception] = None
-        for operand, negate in ((formula.left, negate_left), (formula.right, False)):
-            try:
-                value = bool(self._holds(operand, lo, hi, env)) != negate
-            except Exception as exc:  # deferred: the other operand may decide
-                if error is None:
-                    error = exc
-                continue
-            if value is deciding:
-                return deciding
-        if error is not None:
-            raise error
-        return not deciding
+        try:
+            for operand, negate in ((formula.left, negate_left), (formula.right, False)):
+                try:
+                    value = bool(self._holds(operand, lo, hi, env)) != negate
+                except Exception as exc:  # deferred: the other operand may decide
+                    if error is None:
+                        error = exc
+                    continue
+                if value is deciding:
+                    return deciding
+            if error is not None:
+                raise error
+            return not deciding
+        finally:
+            # The held error's traceback holds this frame: drop the
+            # reference, or the frame, the error and the trace it reaches
+            # would wait for the cycle collector.
+            error = None
 
     def _holds_interval_formula(
         self, formula: IntervalFormula, lo: int, hi: Position, env: Mapping[str, Any]

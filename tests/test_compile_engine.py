@@ -11,6 +11,8 @@ public verdict API while absorbing each appended state in flat — no longer
 prefix-proportional — per-step work.
 """
 
+import gc
+
 import pytest
 
 from repro.api import CheckRequest, Session
@@ -188,6 +190,28 @@ class TestCompiledAgreesWithTrace:
             for mode in ("trace", "compiled", "stepwise", "monitor")
         }
         assert set(verdicts.values()) == {True}, verdicts
+
+    @pytest.mark.parametrize("text", ["[] (x < 3 \\/ p)", "[] (p \\/ x < 3)"])
+    @pytest.mark.parametrize("mode", ["trace", "compiled", "stepwise", "monitor"])
+    def test_a_deferred_operand_error_leaves_no_frame_for_the_collector(self, text, mode):
+        # A junction holds an operand's error until the other operand has
+        # spoken.  The error's traceback holds the junction's frame, so a
+        # reference kept past the junction would leave that frame, the
+        # error and all the frame reaches (the trace, the evaluator) to the
+        # cycle collector.
+        rows = [{"x": 1, "p": False}, {"p": True}, {"x": 2, "p": False}]
+        gc.collect()
+        gc.disable()
+        try:
+            assert Session().check(text, trace=make_trace(rows), mode=mode).verdict is True
+            gc.set_debug(gc.DEBUG_SAVEALL)
+            gc.collect()
+            left = {type(obj).__name__ for obj in gc.garbage}
+        finally:
+            gc.set_debug(0)
+            del gc.garbage[:]
+            gc.enable()
+        assert not left & {"frame", "traceback"}, sorted(left)
 
     def test_env_bindings_match(self):
         trace = make_trace(ROWS)
