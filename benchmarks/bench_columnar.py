@@ -35,10 +35,10 @@ and beside them an operation column of 2, 12 and 200 distinct records
 built static (one window) and in 6-, 16- and 64-state windows (a fleet
 frame's last tenth averages 5.6 states).  Boolean windows and windows of
 ints in 0–255 that bring a new value are coded by byte translation; the
-others, records by their key tuples, by one lookup pass, after interning
-what is new.  It gates on the codes, which at every point equal a per-cell
-reference interner's (one dictionary step per cell, records hashed as
-records), and on a count: the cell-by-cell intern step
+others, records among them, by one lookup pass, after interning what is
+new.  It gates on the codes, which at every point equal a per-cell
+reference interner's (one dictionary step per cell), and on a count: the
+cell-by-cell intern step
 (``_ColumnBase._intern``) runs at most once per distinct value per column,
 where a per-cell interner runs it once per cell of every window that
 brings a new value.  The nanoseconds per cell of each build are recorded,
@@ -281,13 +281,13 @@ def encoder_build(window, frame):
     return store
 
 
-def encoder_sweep(columns):
-    """Nanoseconds per cell of every build of ``columns`` in the sweep
-    (best of ``ENCODER_REPS``), keyed by window size, then column."""
+def encoder_sweep(swept):
+    """Nanoseconds per cell of every build of the ``swept`` columns in the
+    sweep (best of ``ENCODER_REPS``), keyed by window size, then column."""
     sweep = {}
     for frame in ENCODER_FRAMES:
         row = sweep[str(frame or "static")] = {}
-        for codes in columns:
+        for codes in swept:
             window = encoder_window(codes)
             best = float("inf")
             for _ in range(ENCODER_REPS):

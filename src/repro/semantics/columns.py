@@ -13,34 +13,33 @@ straight from validated wire rows, so a served state is never built as a
 ``State``; a list of ``State`` s becomes one by reading their maps in two
 C-level passes.  The window is the only input of the one window encoder
 (:meth:`_Store._encode`), which turns it column-major, one column at a
-time.  The window's names are found by its rows' shape: when every row
-holds as many names as the first and each of those is found in every row,
-they are all of them; otherwise the rows' names are collected in
-first-occurrence order.  Each column's cells are read in one
-``itemgetter`` pass, or one ``dict.get`` pass where a row lacks the name.
-Cells are coded by their keys: a variable's values are their own keys, an
-operation's :class:`OperationRecord` s are coded by their ``(phase, args,
-results)`` key tuples, read in one ``attrgetter`` pass, so that no
-Python-level ``__hash__`` or ``__eq__`` runs per cell.  A window of keys
-its column knows is coded by one pass of dictionary lookups.  A window
-that brings a new value — a static trace, a served stream's first frame —
-is coded in C-level passes too: when its values are all booleans, or all
-ints in 0–255, ``bytes()`` of them is the code array up to a byte
-translation (dictionary encoding into byte-sized codes, as in Abadi,
-Madden & Ferreira's compressed column stores), so each distinct byte is
-looked up or interned once, in first-occurrence order, one
-``bytes.translate`` codes every cell and one strided slice widens the
-codes (a column that has met an int outside 0–255 is not tried again);
-any other window has its distinct keys collected in one pass, the ones the
-column lacks interned in first-occurrence order (each keeping its first
-cell as the column's value), and then takes the lookup pass.  Keys that
-cannot be hashed (an operation's list args among them), and windows mixing
-booleans with numbers, are interned cell by cell.  The same call pads the
-columns the window does not bind, marks the ``__start__`` column of the
-Init-clause ``start`` predicate (True at position 1, False where a state
-lacks it; built from that definition when no state binds it) and extends
-the observed value universe; it only reads the window's maps.  Two stores
-share it:
+time.  A window's variable names are found by its rows' shape: when every
+row holds as many names as the first and each of those is found in every
+row, they are all of them; otherwise, and for operation names, the rows'
+names are collected in first-occurrence order.  Each column's cells are
+read in one ``itemgetter`` pass, or one ``dict.get`` pass where a row
+lacks the name.  Every hash and comparison below runs in C: an
+operation's :class:`OperationRecord` is the tuple ``(phase, args,
+results)`` and hashes and compares as one, so no Python-level
+``__hash__`` or ``__eq__`` runs per cell.  A window of values its column
+knows is coded by one pass of dictionary lookups.  A window that brings a
+new value — a static trace, a served stream's first frame — is coded in
+C-level passes too: when its values are all booleans, or all ints in
+0–255, ``bytes()`` of them is the code array up to a byte translation
+(dictionary encoding into byte-sized codes, as in Abadi, Madden &
+Ferreira's compressed column stores), so each distinct byte is looked up
+or interned once, in first-occurrence order, one ``bytes.translate``
+codes every cell and one strided slice widens the codes (a column that
+has met an int outside 0–255 is not tried again); any other window has
+its distinct values collected in one pass, the ones the column lacks
+interned in first-occurrence order, and then takes the lookup pass.
+Values that cannot be hashed (a record with list args among them), and
+windows mixing booleans with numbers, are interned cell by cell.  The
+same call pads the columns the window does not bind, marks the
+``__start__`` column of the Init-clause ``start`` predicate (True at
+position 1, False where a state lacks it; built from that definition
+when no state binds it) and extends the observed value universe; it only
+reads the window's maps.  Two stores share it:
 
 * a :class:`ColumnStore` holds one static trace, encoded as one window;
 * an :class:`IncrementalColumnStore` holds a growing prefix, encoded one
@@ -74,9 +73,7 @@ from array import array
 from collections.abc import Sequence as SequenceABC
 from itertools import chain, filterfalse, islice, repeat
 from operator import attrgetter, itemgetter
-from typing import (
-    Any, Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Set, Tuple, Type,
-)
+from typing import Any, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Set, Tuple, Type
 
 from ..errors import TraceError
 from .state import OperationRecord, State, observed_values
@@ -195,12 +192,6 @@ _BYTE_KINDS = ({bool}, {int})
 #: What a window reads for a variable (operation) a state does not bind;
 #: every intern table maps it to ``ABSENT``.
 _MISSING = _Missing()
-
-#: An operation cell's key: a record's ``(phase, args, results)`` tuple
-#: (:class:`OperationRecord`), read without a Python-level call.  An idle
-#: cell's key is ``_MISSING`` itself.
-_record_key = attrgetter("_key")
-_Missing._key = _MISSING  # type: ignore[attr-defined]
 
 #: A ``State``'s two maps, read from the slots behind its ``raw_values``
 #: and ``raw_operations`` properties without a Python-level call.
@@ -325,25 +316,19 @@ class _Universe:
 class _ColumnBase:
     """Shared dictionary-encoded storage of one column.
 
-    Cells are interned by their keys (:attr:`_key_of`): a variable's values
-    are their own keys, an operation's records are interned by their key
-    tuples, and ``values`` keeps each key's first cell.  Interning follows
-    ``dict`` key semantics, except that booleans are interned apart: ``1``
-    and ``1.0`` share a code, ``True`` gets its own.  A row rebuilt from the
-    column must give back a value the default quantification domain treats
-    the same way — it leaves out booleans — which ``True`` standing in for
-    ``1`` would not.  Values that cannot be hashed, or whose hash or
-    comparison raises, fall back to a scan over their own codes, where a
-    comparison that raises counts as "different".
+    Interning follows ``dict`` key semantics, except that booleans are
+    interned apart: ``1`` and ``1.0`` share a code, ``True`` gets its own.
+    A row rebuilt from the column must give back a value the default
+    quantification domain treats the same way — it leaves out booleans —
+    which ``True`` standing in for ``1`` would not.  Values that cannot be
+    hashed, or whose hash or comparison raises, fall back to a scan over
+    their own codes, where a comparison that raises counts as "different".
     """
 
     __slots__ = (
         "name", "codes", "values", "missing", "_bits", "_bits_to",
         "_hashed", "_bools", "_unhashable", "_try_bytes",
     )
-
-    #: A cell's key, as one C-level call; ``None``: the cell itself.
-    _key_of: Optional[Callable[[Any], Any]] = None
 
     def __init__(self, name: str, prefix_length: int = 0) -> None:
         self.name = name
@@ -377,27 +362,24 @@ class _ColumnBase:
     def encode(self, values: List[Any], new_at: Set[int]) -> None:
         """Append the codes of a window's ``values`` (``_MISSING`` = absent).
 
-        The window is coded by its cells' keys, taken in one C-level pass
-        (an operation column's record key tuples), so that every hash and
-        comparison below runs on plain values in C.  It is read through the
-        boolean intern table when its keys are all booleans and through the
-        other one when none is.  A column that knows every key of the
-        window codes it in one lookup pass; a new column, which knows none,
-        does not try it.  Otherwise a window with no absent cell whose
-        values are all booleans, or all ints in 0–255, is coded by byte
-        translation while the column's codes fit in a byte and it has met no
-        int outside 0–255 (:meth:`_encode_bytes`) — a served stream's first
-        frame, whose columns are all new, among them; any other window has
-        each key new to the column interned once (:meth:`_intern_distinct`)
-        and the lookup pass run after that.  Windows mixing booleans with
-        other values, and keys that cannot be hashed or whose hash or ``==``
-        raises (an operation's unhashable args among them), are interned
-        cell by cell (:meth:`_intern`).  Window indexes that interned a new
-        value are added to ``new_at``.
+        The window is read through the boolean intern table when its values
+        are all booleans and through the other one when none is.  Every hash
+        and comparison runs in C: an operation's records hash and compare as
+        the tuples they are (:class:`OperationRecord`).  A column that knows
+        every value of the window codes it in one lookup pass; a new column,
+        which knows none, does not try it.  Otherwise a window with no
+        absent cell whose values are all booleans, or all ints in 0–255, is
+        coded by byte translation while the column's codes fit in a byte and
+        it has met no int outside 0–255 (:meth:`_encode_bytes`) — a served
+        stream's first frame, whose columns are all new, among them; any
+        other window has each value new to the column interned once
+        (:meth:`_intern_distinct`) and the lookup pass run after that.
+        Windows mixing booleans with other values, and values that cannot be
+        hashed or whose hash or ``==`` raises (a record with list args among
+        them), are interned cell by cell (:meth:`_intern`).  Window indexes
+        that interned a new value are added to ``new_at``.
         """
-        key_of = self._key_of
-        keys = values if key_of is None else list(map(key_of, values))
-        kinds = set(map(type, keys))
+        kinds = set(map(type, values))
         complete = _Missing not in kinds
         if not complete:
             self.missing = True
@@ -407,16 +389,16 @@ class _ColumnBase:
             codes = None
             if self.values:  # a new column knows no value yet
                 try:
-                    codes = list(map(table.__getitem__, keys))
-                except Exception:  # a key new to the column, or one that raised
+                    codes = list(map(table.__getitem__, values))
+                except Exception:  # a value new to the column, or one that raised
                     pass
             if codes is None:
                 if (
                     complete and self._try_bytes and kinds in _BYTE_KINDS
-                    and self._encode_bytes(table, keys, new_at)
+                    and self._encode_bytes(table, values, new_at)
                 ):
                     return
-                codes = self._intern_distinct(table, keys, values, new_at)
+                codes = self._intern_distinct(table, values, new_at)
             if codes is not None:
                 self.codes.fromlist(codes)
                 return
@@ -480,46 +462,41 @@ class _ColumnBase:
         return True
 
     def _intern_distinct(
-        self, table: Dict[Any, int], keys: List[Any], values: List[Any], new_at: Set[int]
+        self, table: Dict[Any, int], values: List[Any], new_at: Set[int]
     ) -> Optional[List[int]]:
-        """The window's codes, interning each key ``table`` lacks once.
+        """The window's codes, interning each value ``table`` lacks once.
 
-        The window's distinct keys are collected in first-occurrence order
-        (``dict.fromkeys``), so new codes follow scan order; each new code's
-        value is its key's first cell in ``values`` (the cells ``keys`` were
-        read from), the object a cell-by-cell scan would have interned.
-        ``None``, with nothing interned, if hashing or comparing a key
-        raised.
+        The window's distinct values are collected in first-occurrence order
+        (``dict.fromkeys`` keeps the first occurrence's object), so new
+        codes follow scan order and each new value's representative is the
+        object a cell-by-cell scan would have interned.  ``None``, with
+        nothing interned, if hashing or comparing a value raised.
         """
         try:
-            new = list(filterfalse(table.__contains__, dict.fromkeys(keys)))
+            new = list(filterfalse(table.__contains__, dict.fromkeys(values)))
         except Exception:  # unhashable, or a __hash__ / __eq__ that raises
             return None
-        known = self.values
-        first = len(known)
-        table.update(zip(new, range(first, first + len(new))))
-        if len(new) == len(keys):  # every cell holds a value of its own
-            new_at.update(range(len(keys)))
-            known += values
-            return list(range(first, len(known)))
-        codes = list(map(table.__getitem__, keys))
+        first = len(self.values)
+        self.values += new
+        table.update(zip(new, range(first, len(self.values))))
+        if len(new) == len(values):  # every cell holds a value of its own
+            new_at.update(range(len(values)))
+            return list(range(first, len(self.values)))
+        codes = list(map(table.__getitem__, values))
         # Each new code's first cell, found left to right, is where a
         # cell-by-cell scan would have interned it.
         at = 0
-        for code in range(first, first + len(new)):
+        for code in range(first, len(self.values)):
             at = codes.index(code, at)
             new_at.add(at)
-            known.append(values[at])
         return codes
 
     def _intern(self, value: Any) -> Tuple[int, bool]:
-        """``(code, new)`` of the cell ``value``, appending it to ``values``
-        if its key is new."""
+        """``(code, new)`` of ``value``, appending it to ``values`` if new."""
         values = self.values
-        key = value if self._key_of is None else self._key_of(value)
-        table: Optional[Dict[Any, int]] = self._bools if type(key) is bool else self._hashed
+        table: Optional[Dict[Any, int]] = self._bools if type(value) is bool else self._hashed
         try:
-            code = table.get(key)  # type: ignore[union-attr]
+            code = table.get(value)  # type: ignore[union-attr]
         except Exception:  # unhashable, or a __hash__ / __eq__ that raises
             table = None
             for known in self._unhashable:
@@ -536,7 +513,7 @@ class _ColumnBase:
         if table is None:
             self._unhashable.append(code)
         else:
-            table[key] = code
+            table[value] = code
         return code, True
 
     def code_bits(self, n: int) -> Optional[List[int]]:
@@ -580,15 +557,11 @@ class Column(_ColumnBase):
 class OperationColumn(_ColumnBase):
     """Dictionary-encoded :class:`OperationRecord` s of one operation name.
 
-    Records are interned by their key tuples; ``values`` holds each key's
-    first record.  ``ABSENT`` means the operation is idle in that state (a
-    ``State`` with an ``operations`` mapping treats a missing record as
-    idle).
+    ``ABSENT`` means the operation is idle in that state (a ``State`` with
+    an ``operations`` mapping treats a missing record as idle).
     """
 
     __slots__ = ()
-
-    _key_of = _record_key
 
 
 def _column(columns: Dict[str, Any], kind: Type[_ColumnBase], name: str, offset: int) -> Any:
@@ -605,16 +578,18 @@ def _encode_columns(
     kind: Type[_ColumnBase],
     rows: List[Dict[str, Any]],
     offset: int,
-    mark_start: bool,
     new_at: Set[int],
+    mark_start: bool = False,
+    by_shape: bool = False,
 ) -> None:
     """Append one window of ``rows`` (name → value dicts) to ``columns``.
 
-    The window's names are found by the rows' shape: when every row holds
-    as many names as the first, and each of the first row's names is found
-    in every row as its cells are read, the first row's names are all of
-    them, in first-occurrence order.  Otherwise every row's names are
-    collected in first-occurrence order.  A name seen for the first time
+    The window's names are collected from every row, in first-occurrence
+    order.  With ``by_shape`` (variable rows, which mostly bind the same
+    names) they are first found by the rows' shape: when every row holds as
+    many names as the first, and each of the first row's names is found in
+    every row as its cells are read, the first row's names are all of them,
+    in that order, and no row is scanned.  A name seen for the first time
     opens a column ``ABSENT``-padded over the ``offset`` earlier positions;
     columns the window never binds are padded.  Each column's cells are
     read in one ``itemgetter`` pass, or, where a row does not bind its
@@ -624,7 +599,7 @@ def _encode_columns(
     it (served rows never do), it is built from that definition alone.
     """
     first = rows[0]
-    shaped = set(map(len, rows)) == {len(first)}
+    shaped = by_shape and set(map(len, rows)) == {len(first)}
     names = list(first if shaped else dict.fromkeys(chain.from_iterable(rows)))
     start = "__start__" if mark_start else None
     for name in names:
@@ -680,11 +655,10 @@ class _Store:
         offset = self.length
         new_at: Set[int] = set()
         _encode_columns(
-            self._columns, Column, window.values, offset, self._mark_start, new_at
+            self._columns, Column, window.values, offset, new_at,
+            mark_start=self._mark_start, by_shape=True,
         )
-        _encode_columns(
-            self._op_columns, OperationColumn, window.operations, offset, False, new_at
-        )
+        _encode_columns(self._op_columns, OperationColumn, window.operations, offset, new_at)
         self.length = offset + len(window)
         self._universe.observe(window, sorted(new_at))
 

@@ -21,72 +21,75 @@ from ..syntax.terms import OpPhase
 __all__ = ["OperationRecord", "State"]
 
 
-class OperationRecord(Mapping[str, Any]):
+#: The record fields, in the order a record holds them, and the tuple's
+#: own constructor and item read (a record's ``__getitem__`` takes field
+#: names).
+_FIELDS = ("phase", "args", "results")
+_new = tuple.__new__
+_item = tuple.__getitem__
+_WHOLE = slice(None)
+
+try:  # the C field reader namedtuple's fields use: no Python-level call
+    from _collections import _tuplegetter
+except ImportError:  # pragma: no cover - not CPython
+    def _tuplegetter(index: int, doc: str) -> Any:
+        return property(lambda record: _item(record, index), doc=doc)
+
+
+class OperationRecord(tuple, Mapping[str, Any]):
     """The lifecycle record of one abstract operation within one state.
 
     Keys: ``phase`` (one of :class:`repro.syntax.terms.OpPhase`), ``args``
     (tuple of entry-parameter values) and ``results`` (tuple of result
     values, meaningful in the ``after`` phase).
 
-    The record holds its fields as one tuple, its *key* ``(phase, args,
-    results)``, and hashes and compares through it: two records are equal
-    exactly when their keys are, and a record hashes as its key does.  So a
-    table keyed by records' keys codes records as one keyed by the records
-    would, with every hash and comparison made on plain tuples in C — the
-    column encoder (:mod:`repro.semantics.columns`) codes operation cells
-    that way.
+    A record *is* the tuple ``(phase, args, results)``: it hashes and
+    compares as that tuple does, in C, with no Python-level ``__hash__`` or
+    ``__eq__`` — the column encoder (:mod:`repro.semantics.columns`) hashes
+    operation cells that way.  So a record equals a plain tuple holding the
+    same fields.  Read as a mapping, it has the three keys above:
+    iteration, ``in`` and ``record[key]`` are by field name.
     """
 
-    __slots__ = ("_key",)
+    __slots__ = ()
 
-    def __init__(
-        self,
+    def __new__(
+        cls,
         phase: str = OpPhase.IDLE,
         args: Sequence[Any] = (),
         results: Sequence[Any] = (),
-    ) -> None:
+    ) -> "OperationRecord":
         if phase not in OpPhase.ALL:
             raise TraceError(f"unknown operation phase: {phase!r}")
-        self._key = (phase, tuple(args), tuple(results))
+        return _new(cls, (phase, tuple(args), tuple(results)))
 
-    @property
-    def phase(self) -> str:
-        return self._key[0]
-
-    @property
-    def args(self) -> Tuple[Any, ...]:
-        return self._key[1]
-
-    @property
-    def results(self) -> Tuple[Any, ...]:
-        return self._key[2]
+    phase = _tuplegetter(0, "The lifecycle phase (:class:`OpPhase`).")
+    args = _tuplegetter(1, "The entry-parameter values, a tuple.")
+    results = _tuplegetter(2, "The result values, a tuple.")
 
     # Mapping interface so OpAt/OpIn/OpAfter can use record["phase"] etc.
-    def __getitem__(self, key: str) -> Any:
+    def __getitem__(self, key: str) -> Any:  # type: ignore[override]
         if key == "phase":
-            return self._key[0]
+            return _item(self, 0)
         if key == "args":
-            return self._key[1]
+            return _item(self, 1)
         if key == "results":
-            return self._key[2]
+            return _item(self, 2)
         raise KeyError(key)
 
-    def __iter__(self) -> Iterator[str]:
-        return iter(("phase", "args", "results"))
+    def __iter__(self) -> Iterator[str]:  # type: ignore[override]
+        return iter(_FIELDS)
 
-    def __len__(self) -> int:
-        return 3
+    def __contains__(self, key: object) -> bool:  # type: ignore[override]
+        return key in _FIELDS
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, OperationRecord):
-            return NotImplemented
-        return self._key == other._key
-
-    def __hash__(self) -> int:
-        return hash(self._key)
+    def __reduce__(self) -> Tuple[Any, ...]:
+        # Rebuilt from its three fields, whatever the pickle protocol: the
+        # tuple's own reduction would pass them as one argument.
+        return type(self), _item(self, _WHOLE)
 
     def __repr__(self) -> str:
-        phase, args, results = self._key
+        phase, args, results = _item(self, _WHOLE)
         return f"OperationRecord(phase={phase!r}, args={args!r}, results={results!r})"
 
 

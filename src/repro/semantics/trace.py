@@ -328,7 +328,8 @@ def make_trace(
     """Build a trace from plain dictionaries of state-variable values.
 
     ``operations``, when given, is a parallel sequence of mappings from
-    operation name to ``(phase, args, results)`` tuples or dicts.
+    operation name to ``(phase, args, results)`` tuples, dicts or
+    :class:`~repro.semantics.state.OperationRecord` s.
     """
     states: List[State] = []
     for index, values in enumerate(assignments):
@@ -337,7 +338,7 @@ def make_trace(
             raw = operations[index]
             op_records = {}
             for name, spec in raw.items():
-                if isinstance(spec, dict):
+                if isinstance(spec, Mapping):  # a dict or a record: by key
                     op_records[name] = spec
                 else:
                     phase, args, results = (tuple(spec) + ("", (), ()))[:3]

@@ -27,12 +27,11 @@ values whose hash or ``==`` raises; and so do the windows coded by byte
 translation (booleans, ints in 0–255 beside ``False`` / ``True`` and equal
 floats, 255 beside 256, gaps, a column crossing 256 codes mid-stream),
 whose widened codes read alike in either byte order, and operation
-columns, coded by their records' key tuples (args equal across ``1`` /
-``1.0`` / ``True``, NaN and unhashable args, idle cells).  Dispatch pins
-beside it: byte-coded windows and hashable operation windows reach no
-other interner (the latter no Python-level ``OperationRecord.__hash__`` /
-``__eq__`` either), and a column of ints past 255 leaves the byte path
-after its first try.  A fourth pins the bitset builder:
+columns (args equal across ``1`` / ``1.0`` / ``True``, NaN and unhashable
+args, idle cells).  Dispatch pins beside it: byte-coded windows reach no
+other interner, hashable operation windows run no Python-level record
+code and never the cell-by-cell interner, and a column of ints past 255
+leaves the byte path after its first try.  A fourth pins the bitset builder:
 **bit-plane splits** give the per-code bitsets a cell-by-cell builder
 gives, at 1 to 1,024 codes (so over one and two byte planes), over
 ``ABSENT`` cells, at any extension points and in either byte order.
@@ -479,7 +478,7 @@ PLAIN_POOL = [
     *_twice(lambda: tuple([1, "a"])), *_twice(lambda: 10 ** 20), columns._MISSING,
 ]
 
-#: Operation cells whose keys hash and compare, each a fixed record: equal
+#: Operation cells that hash and compare, each a fixed record: equal
 #: records that are different objects, records whose args are equal across
 #: ``1`` / ``1.0`` / ``True`` (and results across ``0`` / ``False``),
 #: phases and results that tell records apart, args holding one NaN object
@@ -610,8 +609,8 @@ class TestPerValueInterning:
     @settings(max_examples=200, deadline=None)
     @given(intern_windows((RECORD_POOL, HASHABLE_RECORD_POOL)))
     def test_operation_columns_match_the_cell_by_cell_interner(self, drawn):
-        # Records are coded by their key tuples; the reference interns the
-        # records themselves, through their own ``__hash__`` / ``__eq__``.
+        # Records hash and compare as the tuples they are; the reference
+        # interns them cell by cell, the encoder a window at a time.
         a, b, cuts = drawn
         assert_encodes_like_cell_by_cell({"Send": a, "Recv": b}, cuts, operations=True)
 
@@ -679,34 +678,47 @@ class TestPerValueInterning:
         assert tried == {"id": 1, "n": 4, "__start__": 1}
         assert list(store.column("id").codes) == list(range(80))
 
-    def test_hashable_operation_windows_hash_their_keys_in_c(self, monkeypatch):
+    def test_hashable_operation_windows_hash_their_records_in_c(self, monkeypatch):
         # The exactness tests pass whichever path codes a window, so this
-        # one pins the dispatch: windows of records whose args hash, with
-        # idle cells, static or appended, new or known, reach neither a
-        # Python-level ``OperationRecord.__hash__`` / ``__eq__`` nor the
-        # cell-by-cell interner.
+        # one pins the dispatch: a record hashes and compares as the tuple
+        # it is, in C, and windows of records whose args hash, with idle
+        # cells, static or appended, new or known, run none of the
+        # record's Python-level methods and never the cell-by-cell
+        # interner.
+        assert OperationRecord.__hash__ is tuple.__hash__
+        assert OperationRecord.__eq__ is tuple.__eq__
         records = [OperationRecord(("at", "in", "after")[i % 3], (i % 5,), ()) for i in range(64)]
         operations = [{"Enq": record} if i % 4 else {} for i, record in enumerate(records)]
         firsts = {}
         for operation in operations:
             for record in operation.values():
-                firsts.setdefault((record.phase, record.args, record.results), record)
-        codes = {key: code for code, key in enumerate(firsts)}
-        expected = [
-            codes[o["Enq"].phase, o["Enq"].args, o["Enq"].results] if o else ABSENT
-            for o in operations
-        ]
+                firsts.setdefault(record, record)
+        codes = {record: code for code, record in enumerate(firsts)}
+        expected = [codes[o["Enq"]] if o else ABSENT for o in operations]
 
         def unreachable(*args):
             raise AssertionError("a Python-level step per cell")
 
-        monkeypatch.setattr(OperationRecord, "__hash__", unreachable)
-        monkeypatch.setattr(OperationRecord, "__eq__", unreachable)
         monkeypatch.setattr(columns._ColumnBase, "_intern", unreachable)
-        static = ColumnStore(Window([{}] * 64, operations), mark_start=True)
-        growing = IncrementalColumnStore()
-        for start in range(0, 64, 16):
-            growing.absorb(Window([{}] * 16, operations[start:start + 16]))
+        methods = {
+            function.__code__ for function in vars(OperationRecord).values()
+            if hasattr(function, "__code__")
+        }
+        called = Counter()
+
+        def profile(frame, event, arg):
+            if event == "call" and frame.f_code in methods:
+                called[frame.f_code.co_name] += 1
+
+        sys.setprofile(profile)
+        try:
+            static = ColumnStore(Window([{}] * 64, operations), mark_start=True)
+            growing = IncrementalColumnStore()
+            for start in range(0, 64, 16):
+                growing.absorb(Window([{}] * 16, operations[start:start + 16]))
+        finally:
+            sys.setprofile(None)
+        assert not called
         for store in (static, growing):
             column = store.op_column("Enq")
             assert list(column.codes) == expected

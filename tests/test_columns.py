@@ -8,15 +8,17 @@ Four invariants pin the tentpole of the columnar refactor:
 * the window encoder opens columns in first-occurrence order of their
   names, whether it finds the names by row shape or by scanning every row
   (same-length rows binding different names, ``__start__`` in the rows),
-  and codes operation records by their keys to the same rows, first
-  records and value universe, for any window split;
+  and codes operation records to the same rows, first records and value
+  universe, for any window split;
 * pickling ships columns and rebuilds identical rows on the other side
-  (the ``check_many`` worker handoff);
+  (the ``check_many`` worker handoff), and a record pickles and reads as
+  its three fields;
 * the vectorized kernel's whole-column verdicts agree with the
   per-position compiled runtime and the Chapter 3 reference evaluator on
   generated scenarios.
 """
 
+import copy
 import operator
 import pickle
 import random
@@ -109,6 +111,14 @@ class TestColumnRoundTrip:
         assert column.codes[0] == ABSENT
         present, record = column.value_at(1)
         assert present and record.phase == "at" and record.args == (2,)
+
+    def test_operations_may_be_given_as_records(self):
+        # A record iterates its field names, as a mapping does, so it is
+        # read by key like a dict, not unpacked like a tuple.
+        record = OperationRecord("after", (2,), (7,))
+        trace = make_trace(ROWS[:2], operations=[{}, {"Enq": record}])
+        assert trace.state_at(2).raw_operations == {"Enq": record}
+        assert trace.columns.op_column("Enq").values == [record]
 
     def test_value_universe_is_deduplicated_in_observation_order(self):
         trace = make_trace([{"x": 3, "p": True}, {"x": 1, "y": 3}, {"x": 3}])
@@ -245,6 +255,31 @@ class TestNameDiscovery:
                 any(name not in row for row in rows) and name != "__start__" for name in order
             ]
 
+    def test_rows_of_one_shape_are_not_scanned_for_names(self, monkeypatch):
+        # Columns come out alike whichever way the names are found, so this
+        # pins the dispatch: variable rows that all bind the first row's
+        # names are not scanned for names, same-length rows binding other
+        # names are scanned once, and operation maps always are, even of
+        # one shape.
+        scanned = []
+
+        class Chain:
+            @staticmethod
+            def from_iterable(rows):
+                scanned.append(rows)
+                return chain.from_iterable(rows)
+
+        monkeypatch.setattr(columns, "chain", Chain)
+        operations = [{"Enq": OperationRecord("at", (i,))} for i in range(8)]
+        for rows, scans in (
+            ([{"p": i % 2 == 0, "x": i} for i in range(8)], 0),
+            ([{"p": True, "x": 0}, {"x": 1, "q": False}] * 4, 1),
+        ):
+            scanned.clear()
+            ColumnStore(Window(rows, operations), mark_start=True)
+            assert [found is rows for found in scanned] == [True] * scans + [False]
+            assert scanned[-1] is operations
+
     @settings(max_examples=200, deadline=None)
     @given(shaped_rows())
     def test_columns_follow_first_occurrence_order_for_any_rows(self, drawn):
@@ -283,6 +318,27 @@ class TestColumnarPickle:
         assert clone.value_universe() == trace.value_universe()
         for pos in range(1, 12):
             assert clone.state_at(pos) == trace.state_at(pos)
+
+    def test_operation_records_pickle_and_read_by_their_fields(self):
+        # A record is the tuple of its fields, and equals it, but reads as
+        # a three-key mapping; copies and every pickle protocol rebuild it
+        # from its fields.
+        record = OperationRecord("after", [1], (2,))
+        assert record == ("after", (1,), (2,))
+        assert hash(record) == hash(("after", (1,), (2,)))
+        assert dict(record) == {"phase": "after", "args": (1,), "results": (2,)}
+        assert list(record) == ["phase", "args", "results"]
+        assert "args" in record and 0 not in record and len(record) == 3
+        assert record["results"] == (2,) and record.get(0) is None
+        with pytest.raises(KeyError):
+            record[0]
+        clones = [copy.copy(record), copy.deepcopy(record)] + [
+            pickle.loads(pickle.dumps(record, protocol))
+            for protocol in range(pickle.HIGHEST_PROTOCOL + 1)
+        ]
+        for clone in clones:
+            assert type(clone) is OperationRecord and clone == record
+            assert (clone.phase, clone.args, clone.results) == ("after", (1,), (2,))
 
     def test_pickle_ships_columns_not_states(self):
         trace = make_trace(ROWS)
