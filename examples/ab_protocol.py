@@ -5,9 +5,8 @@ Run with ``python examples/ab_protocol.py``.
 Simulates the protocol of Figure 7-2 under different loss rates and checks
 the sender (Figure 7-3), receiver (Figure 7-4) and service-provided (§7.4)
 specifications through one façade :class:`~repro.api.session.Session` —
-every (trace, specification) pair shares the session's evaluator memo
-tables, and the faulty-sender sweep goes through ``check_specification``
-(experiment E4).
+every specification compiles once and serves every trace, and the
+faulty-sender sweep goes through ``check_specification`` (experiment E4).
 """
 
 from repro.api import Session

@@ -5,8 +5,9 @@ Run with ``python examples/mutual_exclusion.py``.
 Simulates the shared-flag discipline of Figure 8-1, checks the specification
 and the mutual-exclusion theorem on correct and faulty runs through one
 façade session (the theorem's conjuncts ride a single ``check_many`` batch
-per trace, sharing the spec check's memo table), and re-checks the paper's
-Figure 8-2 proof steps semantically (experiment E5).
+per trace, each conjunct compiled once for all the traces it is checked
+on), and re-checks the paper's Figure 8-2 proof steps semantically
+(experiment E5).
 """
 
 from repro.api import CheckRequest, Session

@@ -2,8 +2,8 @@
 
 Three nouns cover every checking question of the reproduction:
 
-* :class:`Session` — holds traces, quantification domains, shared evaluator
-  memo tables and the engine registry; answers requests through
+* :class:`Session` — holds traces, quantification domains, the compiled-plan
+  cache and the engine registry; answers requests through
   :meth:`~Session.check` and batches through :meth:`~Session.check_many`;
 * :class:`CheckRequest` — one formula (string, AST, builder expression, LTL
   or LLL object — see :func:`coerce_formula`) plus mode and options;

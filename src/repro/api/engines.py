@@ -142,7 +142,6 @@ class TraceEngine(Engine):
         formula = self._interval_formula(request)
         trace = session.resolve_trace(request.trace)
         evaluator = session.evaluator(trace, request.domain)
-        memo_before = evaluator.memo_size
         verdict = evaluator.satisfies(formula, request.env)
         witness = None
         if (
@@ -163,7 +162,7 @@ class TraceEngine(Engine):
             statistics={
                 "trace_length": trace.length,
                 "memo_entries": evaluator.memo_size,
-                "memo_new_entries": evaluator.memo_size - memo_before,
+                "memo_new_entries": evaluator.memo_size,
             },
         )
 
@@ -175,9 +174,10 @@ class CompiledEngine(Engine):
     enforces this), but the formula is normalized, hash-consed and lowered
     to an executable plan exactly once: the session's
     :class:`~repro.compile.cache.PlanCache` shares the plan across
-    ``check_many`` batches and across traces, the per-trace
-    :class:`~repro.compile.runtime.PlanState` shares memo tables and
-    interval-endpoint indexes across requests, plan nodes dispatch through
+    ``check_many`` batches and across traces.  Each request binds its own
+    :class:`~repro.compile.runtime.PlanState` (memo tables and
+    interval-endpoint indexes for this one check) and closes it once the
+    verdict, witness and statistics are read.  Plan nodes dispatch through
     closures bound at state-binding time, and event searches bisect
     instead of scanning.  A stutter-terminated trace is checked as a
     finished prefix: the incremental plan state the monitors run, with
@@ -203,27 +203,28 @@ class CompiledEngine(Engine):
             trace, formula, request.domain, vectorize=self.vectorize
         )
         plan = state.plan
-        memo_before = state.memo_size
-        dispatch_before = state.stats.dispatch_calls
-        verdict = state.satisfies(request.env)
-        witness = None
-        if request.extract_model:
-            # Witness construction is opt-in, exactly like the trace engine.
-            found = state.construct_root_interval(request.env)
-            if found is not None and found is not BOTTOM:
-                witness = found
-        statistics = {
-            "trace_length": trace.length,
-            "plan_nodes": plan.node_count,
-            "plan_terms": plan.term_count,
-            "plan_digest": plan.digest[:12],
-            "plan_from_cache": from_cache,
-            "memo_entries": state.memo_size,
-            "memo_new_entries": state.memo_size - memo_before,
-            "dispatch_calls": state.stats.dispatch_calls - dispatch_before,
-            "event_indexes": state.index_count,
-            "vector_nodes": state.vector_node_count,
-        }
+        try:
+            verdict = state.satisfies(request.env)
+            witness = None
+            if request.extract_model:
+                # Witness construction is opt-in, exactly like the trace engine.
+                found = state.construct_root_interval(request.env)
+                if found is not None and found is not BOTTOM:
+                    witness = found
+            statistics = {
+                "trace_length": trace.length,
+                "plan_nodes": plan.node_count,
+                "plan_terms": plan.term_count,
+                "plan_digest": plan.digest[:12],
+                "plan_from_cache": from_cache,
+                "memo_entries": state.memo_size,
+                "memo_new_entries": state.memo_size,
+                "dispatch_calls": state.stats.dispatch_calls,
+                "event_indexes": state.index_count,
+                "vector_nodes": state.vector_node_count,
+            }
+        finally:
+            state.close()
         statistics.update(session.plan_cache.statistics())
         return CheckResult(
             verdict=verdict,
@@ -417,9 +418,12 @@ class MonitorEngine(Engine):
         formula = self._interval_formula(request)
         trace = session.resolve_trace(request.trace)
         name = request.label or "formula"
-        monitor = Monitor({name: formula}, request.domain)
-        verdicts = monitor.observe_trace(trace)
-        verdict = verdicts[name]
+        # An unbounded history: the first failing step may lie anywhere.
+        monitor = Monitor({name: formula}, request.domain, stat_window=None)
+        try:
+            verdict = monitor.observe_trace(trace)[name]
+        finally:
+            monitor.close()
         history = list(verdict.history)
         first_failure = next(
             (step for step, value in enumerate(history, start=1) if not value),

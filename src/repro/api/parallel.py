@@ -5,11 +5,10 @@ worker processes.  The batch is split into contiguous chunks (preserving
 order), each worker materializes its own :class:`~repro.api.session.Session`
 and runs a chunk serially, and the results are re-concatenated in request
 order.  Workers share nothing: each compiles the plans its chunk needs
-into its own in-memory plan cache, and per-trace memo sharing happens
-within a chunk, so chunks should group requests over the same trace —
-which is how the conformance runner lays them out.  Each worker's
-:mod:`repro.obs` registry snapshot rides home with its chunk, and the
-parent session merges it into its own registry on join.
+into its own in-memory plan cache, and every request binds its own state
+to its trace.  Each worker's :mod:`repro.obs` registry snapshot rides
+home with its chunk, and the parent session merges it into its own
+registry on join.
 """
 
 from __future__ import annotations
@@ -60,10 +59,10 @@ def split_chunks(
 def _run_chunk(
     requests: List[CheckRequest],
 ) -> Tuple[List[CheckResult], Dict[str, Any]]:
-    # A fresh session per worker: plans and evaluator memo tables are
-    # shared within the chunk, never across processes.  The worker session
-    # carries its own MetricsRegistry; its snapshot rides home with the
-    # chunk and the parent merges it on join.
+    # A fresh session per worker: plans are shared within the chunk, never
+    # across processes.  The worker session carries its own
+    # MetricsRegistry; its snapshot rides home with the chunk and the
+    # parent merges it on join.
     from .session import Session
 
     session = Session()

@@ -1,8 +1,8 @@
 """The façade session: one front door for every checking question.
 
 A :class:`Session` holds the shared context of a checking campaign — named
-traces, default quantification domains, per-trace evaluators with their memo
-tables, and the engine registry — and answers
+traces, default quantification domains, the compiled-plan cache, and the
+engine registry — and answers
 :class:`~repro.api.request.CheckRequest` objects through
 :meth:`Session.check` and :meth:`Session.check_many`.
 
@@ -21,8 +21,8 @@ Every :class:`~repro.api.result.CheckResult` records *why* its engine was
 selected in ``engine_reason`` — including the automatic fallback from the
 compiled path to the interpreting evaluator should a formula fail to lower.
 
-``check_many`` batches requests over the shared evaluator memo tables and
-can fan a large campaign out over worker processes in chunks;
+``check_many`` batches requests over the session's plan cache and can fan a
+large campaign out over worker processes in chunks;
 :meth:`Session.check_spec` checks a whole specification through one
 multi-root :class:`~repro.compile.specplan.SpecPlan` so clauses share
 subformula work.
@@ -69,6 +69,12 @@ def _domain_key(domain: Optional[Mapping[str, Iterable[Any]]]) -> Any:
 class Session:
     """Shared context for a checking campaign.
 
+    The session keeps only what does not depend on a trace: compiled plans
+    in a bounded LRU, and bounded identity shortcuts to the plans of the
+    specifications and monitored formula sets it has resolved.  Every check
+    binds its evaluator or plan state to its trace afresh and closes it when
+    the check ends, so the session holds no per-trace object between checks.
+
     Parameters
     ----------
     domain:
@@ -91,9 +97,8 @@ class Session:
         override per-call with ``compile=True`` / ``compile=False``.
     forall_unroll_cap:
         Bound on quantifier unrolling in the compiled runtime (``None`` =
-        the runtime default, ``0`` disables specialization).  Part of the
-        bound-plan-state cache key: plan states specialized under
-        different caps never alias.
+        the runtime default, ``0`` disables specialization), applied to
+        every plan state the session binds.
     metrics:
         A :class:`~repro.obs.MetricsRegistry` to record into (defaults to
         a fresh one per session; pass ``repro.obs.NULL_METRICS`` for the
@@ -168,22 +173,19 @@ class Session:
             "formula from an interned plan.",
         )
         self._traces: Dict[str, Trace] = {}
-        self._evaluators: Dict[Tuple[int, Any], Evaluator] = {}
-        self._trace_refs: Dict[int, Trace] = {}
         self._plan_cache: Optional[Any] = None
-        self._plan_states: Dict[Tuple[str, int, Any], Any] = {}
         # Spec plans re-resolved by specification identity, skipping the
         # per-call clause interpretation + digest on repeated check_spec
         # calls (conformance campaigns check one spec on many traces).
-        # Values are (plan, specification): holding the spec in the entry
-        # keeps its id() valid for exactly as long as the key can match.
-        # Bounded LRU so sessions streaming fresh Specification objects
-        # (the spec-mode fuzzer) stay bounded, and entries drop when the
-        # plan cache evicts their plan.
+        # Values are (plan, specification), plan None for a spec that
+        # failed to lower: holding the spec in the entry keeps its id()
+        # valid for exactly as long as the key can match.  Bounded LRU so
+        # sessions streaming fresh Specification objects (the spec-mode
+        # fuzzer) stay bounded, and entries drop when the plan cache
+        # evicts their plan.
         self._spec_plans: "OrderedDict[Tuple[int, int, Any], Tuple[Any, Any]]" = (
             OrderedDict()
         )
-        self._spec_plan_failures: set = set()
         # Monitor fast path: formulas resolved by *identity* skip the
         # per-open clause parse + spec digest (a serve registry opening
         # thousands of streams passes the same formula objects each time).
@@ -227,43 +229,25 @@ class Session:
         trace: Trace,
         domain: Optional[Mapping[str, Iterable[Any]]] = None,
     ) -> Evaluator:
-        """The shared evaluator (and memo table) for ``trace`` and ``domain``.
+        """A fresh evaluator (and memo table) for ``trace`` and ``domain``.
 
-        Requests over the same trace and domain reuse one memo table, so a
-        batch of clauses — or a whole conformance campaign — shares every
-        subformula verdict.  Shared evaluators (and their traces) stay alive
-        for the session's lifetime; long-lived sessions churning through
-        many traces should call :meth:`clear_caches` between campaigns.
+        Bound per call: its memo table lives as long as the caller holds
+        the evaluator, and the session keeps nothing of it.
         """
         if domain is None:
             domain = self._default_domain
-        domain_key = _domain_key(domain)
-        if domain_key is _UNCACHEABLE:
-            return Evaluator(trace, domain)
-        key = (id(trace), domain_key)
-        evaluator = self._evaluators.get(key)
-        if evaluator is None:
-            evaluator = Evaluator(trace, domain)
-            self._evaluators[key] = evaluator
-            # Keep the trace alive so the id() key cannot be recycled.
-            self._trace_refs[id(trace)] = trace
-        return evaluator
+        return Evaluator(trace, domain)
 
     def clear_caches(self) -> "Session":
-        """Release every shared evaluator, memo table, plan and pinned trace.
+        """Release every compiled plan and identity entry.
 
-        Both the plans and every bound plan state (single- and multi-root)
-        are dropped, and the plan-cache hit/miss/eviction statistics reset
-        to zero — the counters always describe the current cache
-        generation.  Named traces registered with :meth:`add_trace` are
-        kept; call this between campaigns on a long-lived session to bound
-        memory.
+        The plan-cache hit/miss/eviction statistics reset to zero — the
+        counters always describe the current cache generation.  Named
+        traces registered with :meth:`add_trace` are kept.  Memory does not
+        need it: every cache the session holds is bounded, and no check
+        leaves a per-trace object behind.
         """
-        self._evaluators.clear()
-        self._trace_refs.clear()
-        self._plan_states.clear()
         self._spec_plans.clear()
-        self._spec_plan_failures.clear()
         self._monitor_plans.clear()
         if self._plan_cache is not None:
             self._plan_cache.clear()
@@ -283,17 +267,16 @@ class Session:
     def cache_statistics(self) -> Dict[str, Any]:
         """One snapshot of every cache this session holds.
 
-        Plan-cache hit/miss/eviction counters plus the bound plan-state,
-        evaluator and spec-identity entry counts — the numbers
-        :mod:`repro.serve` surfaces per worker in service snapshots.  The
-        same numbers flow into :meth:`metrics_snapshot` as
-        ``repro_plan_cache_*`` series.  ``plan_state_pool_hits`` is always
-        0: monitors bind a fresh plan state each, and the key stays for
-        readers written against the former plan-state pool.
+        Plan-cache hit/miss/eviction counters plus the spec and monitor
+        identity entry counts — the numbers :mod:`repro.serve` surfaces per
+        worker in service snapshots.  The plan-cache numbers flow into
+        :meth:`metrics_snapshot` as ``repro_plan_cache_*`` series.  No plan
+        state or evaluator is counted: the session keeps none between
+        checks.  ``plan_state_pool_hits`` is always 0: monitors bind a
+        fresh plan state each, and the key stays for readers written
+        against the former plan-state pool.
         """
         stats: Dict[str, Any] = dict(self.plan_cache.statistics())
-        stats["plan_states"] = len(self._plan_states)
-        stats["evaluators"] = len(self._evaluators)
         stats["spec_plan_entries"] = len(self._spec_plans)
         stats["monitor_plan_entries"] = len(self._monitor_plans)
         stats["plan_state_pool_hits"] = 0
@@ -310,8 +293,6 @@ class Session:
             "repro_plan_cache_hits": ("plan_cache_hits", "LRU hits this generation."),
             "repro_plan_cache_misses": ("plan_cache_misses", "LRU misses this generation."),
             "repro_plan_cache_evictions": ("plan_cache_evictions", "LRU evictions."),
-            "repro_plan_states": ("plan_states", "Bound plan states held."),
-            "repro_evaluators": ("evaluators", "Shared interpreter evaluators held."),
             "repro_plan_alpha_interned": (
                 "plan_alpha_interned",
                 "Cache lookups collapsed onto an alpha-equivalent plan."),
@@ -405,16 +386,13 @@ class Session:
     _SPEC_PLAN_IDENTITY_CAPACITY = 64
 
     def _drop_plan_states_for(self, digest: str) -> None:
-        """Drop plan states bound to an evicted plan (LRU eviction hook).
-
-        The spec identity cache drops its entries for the evicted plan
-        too, so an eviction from the bounded plan cache cannot be served
-        (and kept alive) through the identity shortcut.
-        """
-        for key in [k for k in self._plan_states if k[0] == digest]:
-            del self._plan_states[key]
+        """Drop the identity entries of an evicted plan (LRU eviction hook),
+        so an eviction from the bounded plan cache cannot be served (and
+        kept alive) through the identity shortcuts."""
         for key in [
-            k for k, (plan, _) in self._spec_plans.items() if plan.digest == digest
+            k
+            for k, (plan, _) in self._spec_plans.items()
+            if plan is not None and plan.digest == digest
         ]:
             del self._spec_plans[key]
         for key in [
@@ -431,14 +409,14 @@ class Session:
         domain: Optional[Mapping[str, Iterable[Any]]] = None,
         vectorize: bool = True,
     ):
-        """The shared compiled plan state for ``(formula, trace, domain)``.
+        """A fresh compiled plan state for ``(formula, trace, domain)``.
 
         The plan itself is cached by formula digest + domain shape — one
-        compilation serves every trace and every ``check_many`` batch — and
-        each ``(plan, trace, domain)`` binding keeps one
-        :class:`~repro.compile.runtime.PlanState` whose memo tables and
-        endpoint indexes are shared across requests, exactly like
-        :meth:`evaluator` shares interpreter memo tables.
+        compilation serves every trace and every ``check_many`` batch.  The
+        :class:`~repro.compile.runtime.PlanState` binding it to ``trace``
+        is made per call; close it (:meth:`PlanState.close
+        <repro.compile.runtime.PlanState.close>`) when the check ends, and
+        reference counting frees it with its last holder.
 
         Returns ``(plan_state, plan_from_cache)``.
         """
@@ -447,25 +425,31 @@ class Session:
         plan, from_cache = self.plan_cache.get(formula, domain)
         if from_cache and plan.source != formula:
             self._m_plan_interned.child().inc()
-        domain_key = _domain_key(domain)
-        cap = self._forall_unroll_cap
-        if domain_key is _UNCACHEABLE:
-            return (
-                plan.evaluator(
-                    trace, domain, vectorize=vectorize, forall_unroll_cap=cap
-                ),
-                from_cache,
-            )
-        key = (plan.digest, id(trace), domain_key, bool(vectorize), cap)
-        state = self._plan_states.get(key)
-        if state is None:
-            state = plan.evaluator(
-                trace, domain, vectorize=vectorize, forall_unroll_cap=cap
-            )
-            self._plan_states[key] = state
-            # Keep the trace alive so the id() key cannot be recycled.
-            self._trace_refs[id(trace)] = trace
+        state = plan.evaluator(
+            trace, domain, vectorize=vectorize,
+            forall_unroll_cap=self._forall_unroll_cap,
+        )
         return state, from_cache
+
+    def _spec_key(self, specification, domain) -> Any:
+        """The identity-LRU key of ``specification`` under ``domain``
+        (``None`` for an unhashable domain, which is never cached).
+
+        Clause lists only grow (and clauses are immutable), so (identity,
+        clause count) safely re-resolves the plan without re-interpreting
+        and re-digesting every clause per trace.
+        """
+        domain_key = _domain_key(domain)
+        if domain_key is _UNCACHEABLE:
+            return None
+        return (id(specification), len(specification.clauses), domain_key)
+
+    def _remember_spec(self, key: Any, plan: Any, specification) -> None:
+        if key is None:
+            return
+        self._spec_plans[key] = (plan, specification)
+        while len(self._spec_plans) > self._SPEC_PLAN_IDENTITY_CAPACITY:
+            self._spec_plans.popitem(last=False)
 
     def spec_plan_state(
         self,
@@ -474,59 +458,37 @@ class Session:
         domain: Optional[Mapping[str, Iterable[Any]]] = None,
         vectorize: bool = True,
     ):
-        """The shared multi-root plan state for ``(specification, trace, domain)``.
+        """A fresh multi-root plan state for ``(specification, trace, domain)``.
 
         The whole specification compiles into one
         :class:`~repro.compile.specplan.SpecPlan` (cached by spec digest +
-        domain shape in the same LRU as single-formula plans); each
-        ``(plan, trace, domain)`` binding keeps one
-        :class:`~repro.compile.specplan.SpecPlanState` whose memo tables
-        and endpoint indexes are shared across every clause *and* every
-        request.
+        domain shape in the same LRU as single-formula plans, and found
+        again by specification identity); the
+        :class:`~repro.compile.specplan.SpecPlanState` binding it to
+        ``trace`` shares its memo tables and endpoint indexes across every
+        clause of one check.  It is made per call; close it when the check
+        ends.
 
         Returns ``(spec_plan_state, plan_from_cache)``.
         """
         if domain is None:
             domain = self._default_domain
-        domain_key = _domain_key(domain)
-        plan = None
-        from_cache = True
-        if domain_key is not _UNCACHEABLE:
-            # Clause lists only grow (and clauses are immutable), so
-            # (identity, clause count) safely re-resolves the plan without
-            # re-interpreting and re-digesting every clause per trace.
-            plan_key = (id(specification), len(specification.clauses), domain_key)
-            entry = self._spec_plans.get(plan_key)
-            if entry is not None:
-                self._spec_plans.move_to_end(plan_key)
-                plan = entry[0]
-        if plan is None:
+        key = self._spec_key(specification, domain)
+        entry = self._spec_plans.get(key)
+        if entry is not None and entry[0] is not None:
+            self._spec_plans.move_to_end(key)
+            plan, from_cache = entry[0], True
+        else:
             items = [
                 (clause.name, clause.interpreted_formula())
                 for clause in specification.clauses
             ]
             plan, from_cache = self.plan_cache.get_spec(items, domain)
-            if domain_key is not _UNCACHEABLE:
-                self._spec_plans[plan_key] = (plan, specification)
-                while len(self._spec_plans) > self._SPEC_PLAN_IDENTITY_CAPACITY:
-                    self._spec_plans.popitem(last=False)
-        cap = self._forall_unroll_cap
-        if domain_key is _UNCACHEABLE:
-            return (
-                plan.evaluator(
-                    trace, domain, vectorize=vectorize, forall_unroll_cap=cap
-                ),
-                from_cache,
-            )
-        key = (plan.digest, id(trace), domain_key, bool(vectorize), cap)
-        state = self._plan_states.get(key)
-        if state is None:
-            state = plan.evaluator(
-                trace, domain, vectorize=vectorize, forall_unroll_cap=cap
-            )
-            self._plan_states[key] = state
-            # Keep the trace alive so the id() key cannot be recycled.
-            self._trace_refs[id(trace)] = trace
+            self._remember_spec(key, plan, specification)
+        state = plan.evaluator(
+            trace, domain, vectorize=vectorize,
+            forall_unroll_cap=self._forall_unroll_cap,
+        )
         return state, from_cache
 
     # -- engines ----------------------------------------------------------------------
@@ -608,8 +570,9 @@ class Session:
     ) -> List[CheckResult]:
         """Answer a batch of requests, in order.
 
-        In-process execution shares this session's evaluator memo tables
-        across the whole batch.  With ``processes`` > 1 the batch is split
+        In-process execution shares this session's compiled plans across
+        the whole batch; each request binds (and frees) its own plan state
+        or evaluator.  With ``processes`` > 1 the batch is split
         into chunks and fanned out over worker processes (each worker runs
         its own session); requests that cannot be shipped to workers fall
         back to in-process execution.
@@ -710,17 +673,14 @@ class Session:
 
         resolved = self.resolve_trace(trace)
         use_spec_plan = self._prefer_compiled if compiled is None else compiled
-        # The spec object itself (identity-hashed) keys the negative cache,
-        # pinning it so a recycled id() can never alias a fresh spec.
-        failure_key = (
-            specification,
-            len(specification.clauses),
-            _domain_key(domain if domain is not None else self._default_domain),
+        key = self._spec_key(
+            specification, domain if domain is not None else self._default_domain
         )
+        entry = self._spec_plans.get(key)
         if (
             use_spec_plan
             and not (processes and processes > 1)
-            and failure_key not in self._spec_plan_failures
+            and (entry is None or entry[0] is not None)
         ):
             try:
                 state, from_cache = self.spec_plan_state(
@@ -729,15 +689,18 @@ class Session:
             except CompileError:
                 # Negative-cache the identity: a spec that cannot lower
                 # would otherwise pay a full failed compilation per trace.
-                self._spec_plan_failures.add(failure_key)
+                self._remember_spec(key, None, specification)
             else:
-                with self.tracer.span(
-                    "check_spec",
-                    spec=getattr(specification, "name", None),
-                    clauses=len(specification.clauses),
-                    path="specplan",
-                ):
-                    outcomes = state.check_all(env)
+                try:
+                    with self.tracer.span(
+                        "check_spec",
+                        spec=getattr(specification, "name", None),
+                        clauses=len(specification.clauses),
+                        path="specplan",
+                    ):
+                        outcomes = state.check_all(env)
+                finally:
+                    state.close()
                 self._m_spec_checks.child("specplan").inc()
                 self._m_plan_requests.child("hit" if from_cache else "miss").inc()
                 verdicts = [

@@ -30,11 +30,13 @@ runtime batch — one volatile-memo sweep, one tail-kernel extension, one
 verdict re-evaluation with ``commits=k`` so every clause's ``stable_for``
 advances exactly as ``k`` frame-at-a-time commits would have.  Each frame
 still gets its own acknowledgement (cumulative length, its own snapshot
-version), and when a verdict *does* flip inside a coalesced group the
-handle replays the stream frame-at-a-time on a fresh monitor from its
-retained frame boundaries, recovering the exact per-frame alert positions
-and ``stable_for`` resets — coalescing is an optimization, never a
-semantic change.
+version), and when a verdict differs between a coalesced group's two
+ends the handle replays the stream frame-at-a-time on a fresh monitor
+from its retained frame boundaries, recovering the exact per-frame alert
+positions and ``stable_for`` resets.  One case is not recovered: a
+verdict that flips and flips back inside the group, while every verdict
+ends the group as it began it, raises no alert, where frame-at-a-time
+dispatch raises two (pinned by a strict xfail; ROADMAP item 3).
 """
 
 from __future__ import annotations
@@ -165,12 +167,14 @@ class StreamHandle:
         frame keeps its own snapshot version (``k`` bumps).
 
         Returns one ``(alerts, verdict_map, length, version)`` entry per
-        frame, exactly what frame-at-a-time ingestion would have produced:
-        on the common no-flip path the alert lists are empty and the maps
-        identical; when a verdict flipped inside the group, the stream is
-        replayed frame-at-a-time from its retained commit boundaries on a
-        fresh monitor, recovering the exact mid-group alert positions and
-        ``stable_for`` resets (see :meth:`_replay_group`).
+        frame.  On the common no-flip path the alert lists are empty and
+        the maps identical; when a verdict differs between the group's two
+        ends, the stream is replayed frame-at-a-time from its retained
+        commit boundaries on a fresh monitor, recovering the exact
+        mid-group alert positions and ``stable_for`` resets (see
+        :meth:`_replay_group`).  A verdict that flips and flips back inside
+        the group, with no verdict changed at its ends, raises no alert,
+        unlike frame-at-a-time ingestion (ROADMAP item 3).
         """
         if len(batches) == 1:
             alerts = self.absorb(batches[0])

@@ -7,6 +7,10 @@ pre-façade ``Specification.check`` loop, the memo-key and bind-next
 satellites, and the historical entry points agreeing with the façade.
 """
 
+import gc
+import sys
+import tracemalloc
+
 import pytest
 
 from repro.api import (
@@ -25,10 +29,16 @@ from repro.lll.semantics import is_satisfiable_bounded
 from repro.lll.syntax import LChop, LTrueStar, LVar
 from repro.ltl.decision import is_valid
 from repro.ltl.syntax import LProp, Sometime
+from repro.obs import Tracer
 from repro.semantics import Evaluator, make_trace
 from repro.semantics.evaluator import satisfies
 from repro.semantics.trace import INFINITY
-from repro.specs import sender_spec, service_provided_spec
+from repro.specs import (
+    mutex_spec,
+    reliable_queue_spec,
+    sender_spec,
+    service_provided_spec,
+)
 from repro.syntax import parse_formula
 from repro.syntax.builder import (
     always,
@@ -40,7 +50,13 @@ from repro.syntax.builder import (
     lvar,
     prop,
 )
-from repro.systems import ABProtocolConfig, ab_protocol_faulty_trace, ab_protocol_trace
+from repro.systems import (
+    ABProtocolConfig,
+    ab_protocol_faulty_trace,
+    ab_protocol_trace,
+    mutex_trace,
+    reliable_queue_trace,
+)
 
 
 ROWS = [{"x": 1, "p": False}, {"x": 2, "p": True}]
@@ -147,15 +163,15 @@ class TestEngines:
         assert result.verdict is False
         assert result.counterexample is not None
 
-    def test_trace_engine_shares_memo_tables_across_requests(self):
+    def test_trace_engine_binds_a_fresh_memo_table_per_request(self):
         session = Session()
         trace = make_trace(ROWS)
-        # stepwise pins the per-position memo machinery this test is about;
-        # the default vectorized path answers from bitset profiles instead.
-        first = session.check("<> x == 2", trace=trace, mode="stepwise")
-        again = session.check("<> x == 2", trace=trace, mode="stepwise")
+        first = session.check("<> x == 2", trace=trace, mode="trace")
+        again = session.check("<> x == 2", trace=trace, mode="trace")
+        assert first.verdict is again.verdict is True
         assert first.statistics["memo_new_entries"] > 0
-        assert again.statistics["memo_new_entries"] == 0
+        assert again.statistics["memo_new_entries"] == \
+            first.statistics["memo_new_entries"]
 
     def test_monitor_engine_reports_first_failure_step(self):
         trace = make_trace([{"x": 1}, {"x": 2}, {"x": 2}])
@@ -163,6 +179,14 @@ class TestEngines:
         assert result.verdict is False
         assert result.statistics["first_failure_step"] == 2
         assert result.statistics["prefix_length"] == 3
+
+    def test_monitor_engine_first_failure_past_the_statistics_window(self):
+        rows = [{"p": step < 10} for step in range(1, 5001)]
+        result = Session().check("[] p", trace=rows, mode="monitor")
+        assert result.verdict is False
+        assert result.counterexample == 10
+        assert result.statistics["first_failure_step"] == 10
+        assert len(result.statistics["history"]) == 5000
 
     def test_lll_satisfiability_matches_the_direct_translation(self):
         from repro.lll.translation import ltl_to_lll
@@ -241,33 +265,20 @@ class TestBatching:
         fanned = session.check_many(requests, processes=2)
         assert [(r.verdict, r.error) for r in fanned] == [(True, None)] * 4
 
-    def test_clear_caches_releases_shared_evaluators(self):
-        session = Session()
-        trace = make_trace(ROWS)
-        session.check("<> x == 2", trace=trace, compile=False)
-        assert session._evaluators
-        session.clear_caches()
-        assert not session._evaluators and not session._trace_refs
-        assert session.check("<> x == 2", trace=trace).verdict is True
-
-    def test_clear_caches_drops_plan_states_and_resets_statistics(self):
-        """Regression: plan-state caches must actually drop on clear and the
-        plan-cache counters must reset — statistics always describe the
-        current cache generation."""
-        from repro.specs import mutex_spec
-        from repro.systems import mutex_trace
-
+    def test_clear_caches_drops_plans_and_resets_statistics(self):
+        """Regression: plan and identity caches must actually drop on clear
+        and the plan-cache counters must reset — statistics always describe
+        the current cache generation."""
         session = Session()
         trace = make_trace(ROWS)
         session.check("<> x == 2", trace=trace)          # compiled by default
         session.check("<> x == 2", trace=trace)          # a cache hit
         session.check_spec(mutex_spec(2), mutex_trace(2, entries=2, seed=0))
-        assert session._plan_states and session._spec_plans
+        assert session._spec_plans
         before = session.plan_cache.statistics()
         assert before["plan_cache_hits"] > 0 and before["plan_cache_misses"] > 0
         session.clear_caches()
-        assert not session._plan_states
-        assert not session._spec_plans and not session._spec_plan_failures
+        assert not session._spec_plans
         stats = session.plan_cache.statistics()
         assert stats["plan_cache_size"] == 0
         assert stats["plan_cache_hits"] == 0
@@ -290,6 +301,50 @@ class TestBatching:
         assert default.verdict is True and default.witness is None
         explicit = Session().check("*( x == 2 )", trace=ROWS, extract_model=True)
         assert explicit.witness is not None
+
+
+class TestSessionMemory:
+    """A session keeps compiled plans only: every check frees what it bound."""
+
+    def test_retained_memory_is_flat_in_the_traces_checked(self):
+        spec = reliable_queue_spec()
+        # The span buffer is bounded; a small one is full long before the
+        # first reading, so it cannot pass for growth.
+        session = Session(tracer=Tracer(max_spans=8))
+        retained = {}
+        tracemalloc.start()
+        try:
+            for seed in range(240):
+                session.check_spec(spec, reliable_queue_trace(seed=seed))
+                if seed + 1 in (40, 240):
+                    gc.collect()
+                    retained[seed + 1] = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert retained[240] - retained[40] < 32 * 1024
+
+    @pytest.mark.parametrize(
+        "path", ["trace", "compiled", "stepwise", "monitor", "check_spec"]
+    )
+    def test_a_check_leaves_no_reference_and_nothing_to_collect(self, path):
+        spec = mutex_spec(2)
+        trace = mutex_trace(2, entries=30, seed=0)  # 213 states
+        session = Session()
+        gc.collect()
+        gc.disable()
+        try:
+            references = sys.getrefcount(trace)
+            if path == "check_spec":
+                assert session.check_spec(spec, trace).holds
+            else:
+                formula = spec.clause("A1/12").interpreted_formula()
+                assert session.check(formula, trace=trace, mode=path).verdict
+            # Nothing holds the trace, and every bound state went with
+            # its last reference rather than to the cycle collector.
+            assert sys.getrefcount(trace) == references
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestConformanceParity:

@@ -117,18 +117,20 @@ class TestPlanCache:
         assert second.statistics["plan_from_cache"] is True
         assert first.statistics["plan_digest"] == second.statistics["plan_digest"]
 
-    def test_memo_tables_shared_per_trace(self):
+    def test_each_request_binds_a_fresh_plan_state(self):
         session = Session()
         trace = make_trace(ROWS)
         # stepwise pins the per-position memo machinery this test is about;
         # the default vectorized path answers from bitset profiles instead.
         first = session.check("<> x == 2", trace=trace, mode="stepwise")
         again = session.check("<> x == 2", trace=trace, mode="stepwise")
+        assert first.statistics["plan_from_cache"] is False
+        assert again.statistics["plan_from_cache"] is True
         assert first.statistics["memo_new_entries"] > 0
-        assert again.statistics["memo_new_entries"] == 0
-        assert again.statistics["dispatch_calls"] == 1  # one root memo hit
+        for key in ("memo_new_entries", "dispatch_calls"):
+            assert again.statistics[key] == first.statistics[key]
 
-    def test_vectorized_and_stepwise_states_are_cached_separately(self):
+    def test_vectorized_and_stepwise_states_share_one_plan(self):
         session = Session()
         trace = make_trace(ROWS)
         vec = session.check("<> x == 2", trace=trace, mode="compiled")
@@ -136,15 +138,16 @@ class TestPlanCache:
         assert vec.verdict is step.verdict is True
         assert vec.statistics["vector_nodes"] > 0
         assert step.statistics["vector_nodes"] == 0
-        assert len(session._plan_states) == 2
+        assert step.statistics["plan_from_cache"] is True
+        assert len(session.plan_cache) == 1
 
-    def test_clear_caches_releases_plans_and_states(self):
+    def test_clear_caches_releases_plans(self):
         session = Session()
         trace = make_trace(ROWS)
         session.check("<> x == 2", trace=trace, mode="compiled")
-        assert len(session.plan_cache) == 1 and session._plan_states
+        assert len(session.plan_cache) == 1
         session.clear_caches()
-        assert len(session.plan_cache) == 0 and not session._plan_states
+        assert len(session.plan_cache) == 0
         assert session.check("<> x == 2", trace=trace, mode="compiled").verdict is True
 
     def test_cache_statistics_on_the_result(self):

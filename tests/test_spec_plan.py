@@ -264,17 +264,20 @@ class TestLRUPlanCache:
         with pytest.raises(ValueError):
             PlanCache(max_plans=0)
 
-    def test_session_drops_states_of_evicted_plans(self):
+    def test_session_drops_monitor_entries_of_evicted_plans(self):
         session = Session()
         session._plan_cache = PlanCache(
             max_plans=1, on_evict=session._drop_plan_states_for
         )
-        trace = make_trace([{"p": True, "q": False}])
-        session.check("<> p", trace=trace)
-        assert len(session._plan_states) == 1
-        session.check("<> q", trace=trace)  # evicts the <> p plan
-        assert len(session._plan_states) == 1
+        first = {"a": parse_formula("<> p")}
+        session.monitor(first)
+        assert session.monitor(first).plan_from_cache  # served by identity
+        assert session.cache_statistics()["monitor_plan_entries"] == 1
+        session.monitor({"b": parse_formula("<> q")})  # evicts the <> p plan
         assert session.plan_cache.evictions == 1
+        assert session.cache_statistics()["monitor_plan_entries"] == 1
+        # The evicted plan is compiled again, not served through identity.
+        assert not session.monitor(first).plan_from_cache
 
     def test_spec_identity_cache_is_bounded_and_follows_evictions(self):
         """Regression: evicted spec plans must not survive (or be served)
