@@ -64,7 +64,7 @@ from collections import Counter
 
 from repro.compile import compile_formula
 from repro.semantics import columns
-from repro.semantics.columns import ABSENT, Column, ColumnStore, IncrementalColumnStore, Window
+from repro.semantics.columns import ABSENT, Column, ColumnStore, Window
 from repro.semantics.state import OperationRecord, State
 from repro.semantics.trace import Trace
 from repro.syntax.parser import parse_formula
@@ -275,7 +275,7 @@ def encoder_build(window, frame):
     """The store of ``window``: static, or absorbed ``frame`` states at a time."""
     if frame is None:
         return ColumnStore(window, mark_start=False)
-    store = IncrementalColumnStore()
+    store = ColumnStore()
     for start in range(0, len(window), frame):
         store.absorb(window[start:start + frame])
     return store

@@ -122,50 +122,6 @@ class StatWindow:
         self.dropped = 0
         self.total = 0
 
-    def percentile(self, q: float) -> Optional[float]:
-        """The q-th percentile (``0 <= q <= 100``) of the *windowed*
-        numeric samples, linearly interpolated between ranks.
-
-        ``None`` samples are skipped; an empty (or all-``None``) window
-        answers ``None``.  Percentiles describe the window only — samples
-        rolled out by the bound are gone (their sum survives on
-        :attr:`total`); :class:`repro.obs.Histogram` series keep lifetime
-        distributions.
-        """
-        if not 0.0 <= q <= 100.0:
-            raise ValueError(f"percentile must be in [0, 100], got {q}")
-        values = sorted(v for v in self._items if v is not None)
-        if not values:
-            return None
-        rank = (len(values) - 1) * (q / 100.0)
-        lo = int(rank)
-        hi = min(lo + 1, len(values) - 1)
-        return float(values[lo] + (values[hi] - values[lo]) * (rank - lo))
-
-    def merge(self, other: "StatWindow") -> "StatWindow":
-        """A new window holding both sample runs, accounting preserved.
-
-        ``self``'s samples are treated as older than ``other``'s (merge is
-        append-ordered, like replaying both streams back to back); the
-        result keeps this window's ``maxlen``, rolls out the oldest
-        samples if the union overflows it, and its ``dropped``/``total``
-        carry both inputs' lifetime accounting exactly — so
-        ``merged.total_count == a.total_count + b.total_count`` always
-        holds, however much the bound discards.
-        """
-        merged = StatWindow(self._maxlen)
-        items = self._items + other._items
-        merged.dropped = self.dropped + other.dropped
-        merged.total = self.total + other.total
-        if self._maxlen is not None and len(items) > self._maxlen:
-            merged.dropped += len(items) - self._maxlen
-            items = items[len(items) - self._maxlen :]
-        merged._items = items
-        return merged
-
-    def to_list(self) -> List[Any]:
-        return list(self._items)
-
     # -- the list-like read surface ----------------------------------------
 
     def __len__(self) -> int:
@@ -331,12 +287,8 @@ class Monitor:
     def plan_state(self) -> SpecPlanState:
         """The multi-root plan state behind this monitor, bound on first use."""
         if self._state is None:
-            self._state = SpecPlanState(
-                self._plan,
-                self._prefix,
-                domain=self._domain,
-                incremental=True,
-                forall_unroll_cap=self._forall_unroll_cap,
+            self._state = self._plan.evaluator(
+                self._prefix, self._domain, forall_unroll_cap=self._forall_unroll_cap
             )
         return self._state
 

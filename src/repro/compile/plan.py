@@ -153,15 +153,9 @@ class CompiledPlan:
         forall_unroll_cap: Optional[int] = None,
     ):
         """An incremental :class:`PlanState` over a growing state prefix."""
-        from .runtime import GrowingPrefix, PlanState
+        from .runtime import GrowingPrefix
 
-        return PlanState(
-            self,
-            GrowingPrefix(),
-            domain=domain,
-            incremental=True,
-            forall_unroll_cap=forall_unroll_cap,
-        )
+        return self.evaluator(GrowingPrefix(), domain, forall_unroll_cap=forall_unroll_cap)
 
 
 def compile_formula(formula: Formula) -> CompiledPlan:

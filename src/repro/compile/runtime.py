@@ -26,19 +26,19 @@ Incremental monitoring
 ----------------------
 
 ``PlanState(..., incremental=True)`` evaluates over a prefix read under the
-paper's finite-computation convention: a :class:`GrowingPrefix`, which
-gains a window of states per :meth:`GrowingPrefix.extend`, or a
-stutter-terminated :class:`~repro.semantics.trace.Trace`, which is a
-prefix that has stopped growing.  Both answer the same position protocol
-(period 1, the last state repeating) and hold their states as the
-dictionary-encoded columns the bitset kernel
-(:class:`~repro.compile.vector.TailKernel`) reads; a trace's columns are
-encoded once, and no ``State`` row is cached unless a per-position
-fallback asks for one.  During evaluation the runtime tracks, per memo
-entry, whether the verdict depended on the *tail* of the computation (a
-stuttered position beyond the last concrete state, the exhaustion of an
-infinite suffix enumeration, a backward event search, or the growing
-default quantification domain).  Tail-independent verdicts are frozen
+paper's finite-computation convention: a stutter-terminated
+:class:`~repro.semantics.trace.Trace` (period 1, the last state
+repeating).  A :class:`GrowingPrefix` is such a trace that gains a window
+of states per :meth:`GrowingPrefix.extend`; a trace built from states is
+a prefix that has stopped growing.  Either way the trace's one position
+protocol answers, over the dictionary-encoded columns the bitset kernel
+(:class:`~repro.compile.vector.TailKernel`) reads, and no ``State`` row
+is cached unless a per-position fallback asks for one.  During
+evaluation the runtime tracks, per memo entry, whether the verdict
+depended on the *tail* of the computation (a stuttered position beyond
+the last concrete state, the exhaustion of an infinite suffix
+enumeration, a backward event search, or the growing default
+quantification domain).  Tail-independent verdicts are frozen
 forever in a stable memo; tail-dependent ones go to a volatile memo
 cleared by :meth:`PlanState.note_append`.  Resumable frontier aggregators
 for ``[] / <>`` on infinite contexts, and the kernel's window-extended
@@ -57,10 +57,10 @@ from bisect import bisect_left, bisect_right
 from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 from ..errors import EvaluationError, TraceError
-from ..semantics.columns import IncrementalColumnStore
+from ..semantics.columns import ColumnStore
 from ..semantics.construction import BOTTOM, Direction, Interval
 from ..semantics.state import State
-from ..semantics.trace import INFINITY
+from ..semantics.trace import INFINITY, Trace
 from .vector import TailKernel, search_changes
 from .dag import (
     N_INTERVAL,
@@ -109,30 +109,32 @@ def reads_as_prefix(trace, vectorize: bool) -> bool:
     return vectorize and trace.period == 1
 
 
-class GrowingPrefix:
-    """A stutter-extended state prefix held as columns only.
+class GrowingPrefix(Trace):
+    """A stutter-extended state prefix that grows: a
+    :class:`~repro.semantics.trace.Trace` held as columns only.
 
-    Implements the position protocol of :class:`repro.semantics.trace.Trace`
-    specialized to the paper's finite-computation convention
-    (``loop_start == length``, period 1).  Each appended window — a
+    It starts empty and stays the paper's finite computation
+    (``loop_start == length``, period 1) as it grows, so the trace's own
+    position protocol answers it.  Each appended window — a
     :class:`~repro.semantics.columns.Window`, as the serve layer builds
     from wire rows without a ``State``, or a sequence of ``State`` s — is
-    encoded once, column by column, into an
-    :class:`~repro.semantics.columns.IncrementalColumnStore` (``__start__``
-    marked there), and then dropped.  :meth:`state_at` and :meth:`states`
-    answer with row views rebuilt from the columns and cached per position
-    until the next append: a stream whose atoms are read row by row keeps
-    only the rows read since its last append.
+    encoded once, column by column, into the prefix's
+    :class:`~repro.semantics.columns.ColumnStore` (``__start__`` marked
+    there), and then dropped.  Row views rebuilt from the columns are
+    cached until the next append: a stream whose atoms are read row by row
+    keeps only the rows read since its last append.  A prefix pickles as a
+    trace does, and an unpickled one goes on growing.
     """
 
-    __slots__ = ("columns", "_rows")
+    __slots__ = ()
 
     def __init__(self) -> None:
-        #: The prefix's dictionary-encoded columns: the substrate the
-        #: tail-window :class:`~repro.compile.vector.TailKernel` extends its
-        #: truth profiles over.
-        self.columns = IncrementalColumnStore()
-        self._rows: Dict[int, State] = {}
+        # ``Trace.__init__`` requires a state; a prefix starts with none.
+        self._source = None
+        self._store = ColumnStore()
+        self._rows = {}
+        self._mark_start = False  # the store marks ``__start__``
+        self._loop_start = self._length = 0
 
     def append(self, state: State) -> None:
         self.extend((state,))
@@ -145,68 +147,10 @@ class GrowingPrefix:
         that is not a ``State`` raises :class:`TraceError` before any of
         the window is encoded.
         """
-        self.columns.absorb(states)
+        store = self._store
+        store.absorb(states)
+        self._loop_start = self._length = store.length
         self._rows.clear()
-
-    # -- Trace position protocol --------------------------------------------
-
-    @property
-    def length(self) -> int:
-        return self.columns.length
-
-    @property
-    def loop_start(self) -> int:
-        return self.columns.length
-
-    @property
-    def period(self) -> int:
-        return 1
-
-    def states(self) -> Tuple[State, ...]:
-        return tuple(self.state_at(pos) for pos in range(1, self.length + 1))
-
-    def canonical(self, position: Position) -> int:
-        if position == INFINITY:
-            raise TraceError("cannot canonicalize the infinite position")
-        pos = int(position)
-        if pos < 1:
-            raise TraceError(f"positions are 1-based, got {pos}")
-        n = self.columns.length
-        return pos if pos <= n else n
-
-    def state_at(self, position: Position) -> State:
-        index = self.canonical(position) - 1
-        row = self._rows.get(index)
-        if row is None:
-            store = self.columns
-            row = self._rows[index] = State(
-                store.state_values(index), store.state_operations(index)
-            )
-        return row
-
-    def suffix_representatives(self, start: Position, end: Position) -> List[int]:
-        if start == INFINITY:
-            raise TraceError("context cannot start at infinity")
-        lo = int(start)
-        if end != INFINITY:
-            return list(range(lo, int(end) + 1))
-        n = self.columns.length
-        if lo >= n:
-            return [lo]
-        return list(range(lo, n + 1))
-
-    def scan_bound(self, start: Position, end: Position) -> int:
-        if end != INFINITY:
-            return int(end)
-        return max(int(start), self.columns.length) + 1
-
-    def repeats_forever(self, position: Position) -> bool:
-        if position == INFINITY:
-            return True
-        return int(position) >= self.columns.length
-
-    def value_universe(self) -> Tuple[Any, ...]:
-        return self.columns.value_universe()
 
 
 class EventIndex:
@@ -304,10 +248,9 @@ class PlanState:
     plan:
         The compiled plan.
     trace:
-        The computation: a :class:`repro.semantics.trace.Trace` (any lasso
-        in static mode; stutter-terminated in incremental mode, where it
-        is read as a finished prefix) or a :class:`GrowingPrefix`
-        (incremental mode).
+        The computation: a :class:`repro.semantics.trace.Trace` — any
+        lasso in static mode; in incremental mode a stutter-terminated
+        one, growing (a :class:`GrowingPrefix`) or finished.
     domain:
         Explicit ``Forall`` quantification domains; variables not mentioned
         quantify over the trace's observed value universe, exactly as in

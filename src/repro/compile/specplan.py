@@ -208,13 +208,7 @@ class SpecPlan:
         """An incremental :class:`SpecPlanState` over a growing state prefix."""
         from .runtime import GrowingPrefix
 
-        return SpecPlanState(
-            self,
-            GrowingPrefix(),
-            domain=domain,
-            incremental=True,
-            forall_unroll_cap=forall_unroll_cap,
-        )
+        return self.evaluator(GrowingPrefix(), domain, forall_unroll_cap=forall_unroll_cap)
 
 
 @dataclass(frozen=True)
@@ -331,24 +325,6 @@ class SpecPlanState:
         self._state.close()
 
     # -- incremental protocol --------------------------------------------------
-
-    def append(self, state) -> None:
-        """Absorb one observed state (incremental spec plans only)."""
-        self._state.trace.append(state)
-        self._state.note_append()
-
-    def append_batch(self, states: Sequence[Any]) -> None:
-        """Absorb a multi-state window in one memo sweep.
-
-        All states land on the prefix first; the volatile/aggregator memo
-        split is then updated **once** for the whole window (and the tail
-        kernel extends each touched profile in one vectorized pass), which
-        is what makes batched appends cheaper than repeated single-state
-        :meth:`append` calls — verdicts afterwards are identical.
-        """
-        if states:
-            self._state.trace.extend(states)
-            self._state.note_append(len(states))
 
     def note_append(self, count: int = 1) -> None:
         self._state.note_append(count)

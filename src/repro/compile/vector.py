@@ -223,19 +223,18 @@ class _CallTrack:
 class TailKernel:
     """Bitset evaluation of one plan state's state-formula nodes.
 
-    Bound to the plan state's trace — a
-    :class:`~repro.compile.runtime.GrowingPrefix`, or a stutter-terminated
-    :class:`~repro.semantics.trace.Trace` read as a finished prefix — it
-    keeps one packed truth profile
-    per ``(node, bindings)`` over the *concrete states observed so far* and
-    extends each touched profile in one pass over the positions
-    ``[built_to, length)`` — column atoms through the trace's
-    dictionary-encoded columns (the test runs once per distinct value,
-    cached across extensions), other atoms one rebuilt row per new
-    position, connectives by recombining child bits.  A multi-state
-    append is thus absorbed as one window pass instead of N
-    per-position re-evaluations.  A profile searched as an event also
-    keeps its change index (:meth:`changes`), extended the same way.
+    Bound to the plan state's trace — a stutter-terminated
+    :class:`~repro.semantics.trace.Trace`, growing
+    (:class:`~repro.compile.runtime.GrowingPrefix`) or finished — it keeps
+    one packed truth profile per ``(node, bindings)`` over the *concrete
+    states observed so far* and extends each touched profile in one pass
+    over the positions ``[built_to, length)`` — column atoms through the
+    trace's dictionary-encoded columns (the test runs once per distinct
+    value, cached across extensions), other atoms one rebuilt row per new
+    position, connectives by recombining child bits.  A multi-state append
+    is thus absorbed as one window pass instead of N per-position
+    re-evaluations.  A profile searched as an event also keeps its change
+    index (:meth:`changes`), extended the same way.
 
     A profile that becomes unusable mid-stream (a variable missing from
     some appended state, a position whose evaluation raises) dies
@@ -333,8 +332,8 @@ class TailKernel:
         """The node's truth at virtual position ``pos`` (None → fall back).
 
         Positions past the last concrete state read the stuttered final
-        state, exactly like ``GrowingPrefix.canonical``; the *caller* is
-        responsible for tail-marking those reads.
+        state, exactly like ``Trace.canonical`` on a period-1 trace; the
+        *caller* is responsible for tail-marking those reads.
         """
         bits = self.profile(node)
         if bits is None:

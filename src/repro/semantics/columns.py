@@ -12,7 +12,7 @@ state's value dict and its operation dict.  The serve layer fills one
 straight from validated wire rows, so a served state is never built as a
 ``State``; a list of ``State`` s becomes one by reading their maps in two
 C-level passes.  The window is the only input of the one window encoder
-(:meth:`_Store._encode`), which turns it column-major, one column at a
+(:meth:`ColumnStore._encode`), which turns it column-major, one column at a
 time.  A window's variable names are found by its rows' shape: when every
 row holds as many names as the first and each of those is found in every
 row, they are all of them; otherwise, and for operation names, the rows'
@@ -39,18 +39,18 @@ same call pads the columns the window does not bind, marks the
 ``__start__`` column of the Init-clause ``start`` predicate (True at
 position 1, False where a state lacks it; built from that definition
 when no state binds it) and extends the observed value universe; it only
-reads the window's maps.  Two stores share it:
+reads the window's maps.
 
-* a :class:`ColumnStore` holds one static trace, encoded as one window;
-* an :class:`IncrementalColumnStore` holds a growing prefix, encoded one
-  appended window at a time — the incremental monitors keep no ``State``
-  rows, only these columns.
-
-Either way there is one :class:`Column` per state variable — a stdlib
-``array`` of 4-byte integer codes into a per-column interned value list
-(dictionary encoding), so booleans, enums and repeated non-scalar values
-all store as machine integers — and one :class:`OperationColumn` per
-operation name, encoding the (phase, args, results) records the same way.
+One store calls it, :class:`ColumnStore`: once for a trace's states, as
+one window, and once per window appended to a growing prefix (the
+incremental monitors keep no ``State`` rows, only these columns).  A store
+pickles one way for both, as its code arrays and interned values, and
+keeps growing after a round trip.  It holds one :class:`Column` per state
+variable — a stdlib ``array`` of 4-byte integer codes into a per-column
+interned value list (dictionary encoding), so booleans, enums and repeated
+non-scalar values all store as machine integers — and one
+:class:`OperationColumn` per operation name, encoding the (phase, args,
+results) records the same way.
 
 Every column builds its own per-code **position bitsets** (bit ``i`` of
 code ``c``'s int set iff position ``i + 1`` holds value ``c``), which is
@@ -84,7 +84,6 @@ __all__ = [
     "OperationColumn",
     "Window",
     "ColumnStore",
-    "IncrementalColumnStore",
 ]
 
 
@@ -286,6 +285,18 @@ class _Universe:
         self._seen: Set[Any] = set()
         self._unhashable: List[Any] = []
         self._error = error
+
+    def reindex(self) -> None:
+        """Rebuild the sets behind deduplication from the values, which are
+        distinct: a pickled universe ships its values only."""
+        try:
+            self._seen.update(self._values)
+        except TypeError:  # some cannot be hashed: keep those apart
+            for value in self._values:
+                try:
+                    self._seen.add(value)
+                except TypeError:
+                    self._unhashable.append(value)
 
     def observe(self, window: Window, indexes: Iterable[int]) -> None:
         """Add the values of the window's states at ``indexes``, in order."""
@@ -516,6 +527,16 @@ class _ColumnBase:
             table[value] = code
         return code, True
 
+    def reintern(self) -> None:
+        """Rebuild the intern tables from ``values``, which a pickle ships
+        without them.  The values are distinct, so encoding them as one
+        window interns them under codes 0, 1, … in order, through the
+        paths any window takes."""
+        fresh = type(self)(self.name)
+        fresh.encode(self.values, set())
+        self._hashed, self._bools = fresh._hashed, fresh._bools
+        self._unhashable, self._try_bytes = fresh._unhashable, fresh._try_bytes
+
     def code_bits(self, n: int) -> Optional[List[int]]:
         """Per-code position bitsets over (at least) the first ``n`` positions.
 
@@ -629,17 +650,58 @@ def _encode_columns(
                 column.pad(len(rows))
 
 
-class _Store:
-    """Columns of a state sequence, appended one window at a time."""
+class ColumnStore:
+    """The column-major form of a state sequence, appended one window at a
+    time.
 
-    __slots__ = ("length", "_mark_start", "_columns", "_op_columns", "_universe")
+    A trace's store is built from its states as one window (:meth:`_build`,
+    the static build); a growing prefix's starts empty and absorbs each
+    appended window once (:meth:`absorb`), then drops it.  Either way the
+    columns' per-code bitsets extend lazily (:meth:`_ColumnBase.code_bits`),
+    so the bitset kernel (:class:`~repro.compile.vector.TailKernel`) reads
+    them after any number of absorbs and extends its truth profiles over
+    just the appended window.
 
-    def __init__(self, mark_start: bool) -> None:
+    Parameters
+    ----------
+    source_states:
+        The states to build from, **without** ``__start__`` injection —
+        marking happens columnwise here.  Empty by default.
+    mark_start:
+        Mirror of ``Trace(mark_start=...)``: when true, position 1 gets
+        ``__start__ = True`` (overriding any source value, as the eager
+        marking did) and every later position missing it gets ``False``.
+    """
+
+    __slots__ = (
+        "length", "_mark_start", "_columns", "_op_columns", "_universe", "_unpickled",
+    )
+
+    def __init__(self, source_states: Sequence[State] = (), mark_start: bool = True) -> None:
         self.length = 0
         self._mark_start = mark_start
         self._columns: Dict[str, Column] = {}
         self._op_columns: Dict[str, OperationColumn] = {}
         self._universe = _Universe()
+        # True from unpickling until the first window: the intern tables
+        # and the universe's sets, which a pickle leaves out, are rebuilt
+        # then, so a store that never grows again never pays for them.
+        self._unpickled = False
+        if source_states:
+            self._build(source_states)
+
+    def _build(self, source_states: Sequence[State]) -> None:
+        self._encode(Window.of(source_states))
+
+    def absorb(self, states: Sequence[State]) -> None:
+        """Append one window of states to every column (padded).
+
+        A :class:`Window` is encoded as it is; a sequence of ``State`` s is
+        converted in one pass first (:meth:`Window.of`), so an element that
+        is not a ``State`` raises :class:`TraceError` before any of the
+        window is encoded.
+        """
+        self._encode(Window.of(states, self.length))
 
     def _encode(self, window: Window) -> None:
         """The window encoder: append ``window`` column by column.
@@ -652,6 +714,11 @@ class _Store:
         """
         if not window:
             return
+        if self._unpickled:
+            for column in chain(self._columns.values(), self._op_columns.values()):
+                column.reintern()
+            self._universe.reindex()
+            self._unpickled = False
         offset = self.length
         new_at: Set[int] = set()
         _encode_columns(
@@ -697,58 +764,6 @@ class _Store:
                 out[name] = record
         return out
 
-
-class IncrementalColumnStore(_Store):
-    """The column-major form of a *growing* state prefix.
-
-    The incremental monitors' :class:`~repro.compile.runtime.GrowingPrefix`
-    holds nothing else: each appended window is encoded here once, column
-    by column, with ``__start__`` marked, and then dropped.  The columns'
-    per-code bitsets extend lazily (:meth:`_ColumnBase.code_bits`), so the
-    bitset kernel (:class:`~repro.compile.vector.TailKernel`) reads them
-    after any number of absorbs and extends its truth profiles over just
-    the appended window.
-    """
-
-    __slots__ = ()
-
-    def __init__(self) -> None:
-        super().__init__(mark_start=True)
-
-    def absorb(self, states: Sequence[State]) -> None:
-        """Append one window of states to every column (padded).
-
-        A :class:`Window` is encoded as it is; a sequence of ``State`` s is
-        converted in one pass first (:meth:`Window.of`), so an element that
-        is not a ``State`` raises :class:`TraceError` before any of the
-        window is encoded.
-        """
-        self._encode(Window.of(states, self.length))
-
-
-class ColumnStore(_Store):
-    """The column-major form of one trace, encoded as a single window.
-
-    Parameters
-    ----------
-    source_states:
-        The trace's concrete states, **without** ``__start__`` injection —
-        marking happens columnwise here.
-    mark_start:
-        Mirror of ``Trace(mark_start=...)``: when true, position 1 gets
-        ``__start__ = True`` (overriding any source value, as the eager
-        marking did) and every other position missing it gets ``False``.
-    """
-
-    __slots__ = ()
-
-    def __init__(self, source_states: Sequence[State], mark_start: bool) -> None:
-        super().__init__(mark_start)
-        self._build(source_states)
-
-    def _build(self, source_states: Sequence[State]) -> None:
-        self._encode(Window.of(source_states))
-
     # -- pickling -------------------------------------------------------------
 
     def __getstate__(self) -> Dict[str, Any]:
@@ -769,14 +784,26 @@ class ColumnStore(_Store):
             payload["universe"] = self._universe.values()
         except Exception as exc:
             payload["universe"], payload["universe_error"] = (), exc
+        # The columns show whether a store marks ``__start__``: it has that
+        # column iff it does, except before its first window or where
+        # unmarked rows bind ``__start__``.  Only those carry the flag,
+        # which leaves every other store's pickle as it was.
+        if self._mark_start != ("__start__" in self._columns):
+            payload["mark_start"] = self._mark_start
         return payload
 
     def __setstate__(self, payload: Dict[str, Any]) -> None:
         self.length = payload["length"]
-        self._mark_start = False  # marking is already in the columns
-        self._universe = _Universe(payload["universe"], payload.get("universe_error"))
         self._columns = _unpickle_columns(Column, payload["columns"])
         self._op_columns = _unpickle_columns(OperationColumn, payload["op_columns"])
+        self._mark_start = payload.get("mark_start", "__start__" in self._columns)
+        self._universe = _Universe(payload["universe"], payload.get("universe_error"))
+        self._unpickled = True
+
+
+#: The name ``perfbench/tracing.py`` wraps ``absorb`` under (span
+#: ``columns.absorb``); there is one store.
+IncrementalColumnStore = ColumnStore
 
 
 def _unpickle_columns(kind: Type[_ColumnBase], shipped: List[Tuple]) -> Dict[str, Any]:

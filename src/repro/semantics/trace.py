@@ -54,16 +54,21 @@ class Trace:
     single pass, with the ``__start__`` marking done columnwise.  The
     row-major ``State`` API — :meth:`states`, :meth:`state_at`, iteration —
     is a lazy view: source states are handed back untouched where possible
-    and materialized (with ``__start__`` injected) only on first access, so
-    constructing a trace copies no state.  A compiled check of a
-    stutter-terminated trace reads it as a finished prefix — the
-    monitors' incremental plan state over these columns — and builds no
-    row at all unless a per-position fallback asks for one.  Pickling
-    ships the columns, not the per-state dicts — the compact worker
-    handoff ``check_many`` fan-out relies on.
+    and materialized (with ``__start__`` injected) only on first access,
+    into a row cache keyed by position, so constructing a trace copies no
+    state.  A compiled check of a stutter-terminated trace reads it as a
+    finished prefix — the monitors' incremental plan state over these
+    columns — and builds no row at all unless a per-position fallback asks
+    for one.  A monitor's growing prefix
+    (:class:`~repro.compile.runtime.GrowingPrefix`) is a trace too, held as
+    columns only: it starts empty, keeps ``loop_start == length`` as it
+    grows, and clears the row cache on each append, so this class holds
+    the only position protocol.  Pickling ships the columns, not the
+    per-state dicts — the compact worker handoff ``check_many`` fan-out
+    relies on — and a pickled growing prefix goes on growing.
     """
 
-    __slots__ = ("_source", "_store", "_materialized", "_mark_start", "_loop_start", "_length")
+    __slots__ = ("_source", "_store", "_rows", "_mark_start", "_loop_start", "_length")
 
     def __init__(
         self,
@@ -88,7 +93,7 @@ class Trace:
             )
         self._source: Optional[List[State]] = state_list
         self._store: Optional[ColumnStore] = None
-        self._materialized: List[Optional[State]] = [None] * n
+        self._rows: Dict[int, State] = {}
         self._mark_start = mark_start
         self._loop_start = loop_start
         self._length = n
@@ -121,7 +126,7 @@ class Trace:
         else:
             store = self.columns
             state = State(store.state_values(index), store.state_operations(index))
-        self._materialized[index] = state
+        self._rows[index] = state
         return state
 
     # -- pickling --------------------------------------------------------------
@@ -140,7 +145,7 @@ class Trace:
         self._source = None
         self._store = payload["store"]
         self._length = payload["length"]
-        self._materialized = [None] * self._length
+        self._rows = {}
         self._mark_start = False  # marking already lives in the columns
         self._loop_start = payload["loop_start"]
 
@@ -170,10 +175,10 @@ class Trace:
 
     def states(self) -> Tuple[State, ...]:
         """The concrete states ``s_1 ... s_n`` (materializing the lazy view)."""
-        materialized = self._materialized
+        rows = self._rows
         return tuple(
-            state if state is not None else self._materialize(index)
-            for index, state in enumerate(materialized)
+            rows[index] if index in rows else self._materialize(index)
+            for index in range(self._length)
         )
 
     def window(self) -> Window:
@@ -221,7 +226,7 @@ class Trace:
     def state_at(self, position: Union[int, float]) -> State:
         """The state at a virtual 1-based position (wrapping into the cycle)."""
         index = self.canonical(position) - 1
-        state = self._materialized[index]
+        state = self._rows.get(index)
         if state is None:
             state = self._materialize(index)
         return state

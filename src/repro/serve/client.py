@@ -22,7 +22,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
-from .protocol import FrameDecoder, decode_frame, encode_frame
+from .protocol import READ_SIZE, FrameDecoder, decode_frame, encode_frame
 
 __all__ = ["ServeClient", "LoadReport", "run_load"]
 
@@ -52,6 +52,7 @@ class ServeClient:
         on_alert: Optional[Callable[[Dict[str, Any]], None]] = None,
     ) -> "ServeClient":
         reader, writer = await asyncio.open_connection(host, port)
+        writer.transport.max_size = READ_SIZE
         return cls(reader, writer, on_alert=on_alert)
 
     async def close(self) -> None:
@@ -65,7 +66,7 @@ class ServeClient:
 
     async def _next_frame(self) -> Dict[str, Any]:
         while not self._queued:
-            chunk = await self._reader.read(64 * 1024)
+            chunk = await self._reader.read(READ_SIZE)
             if not chunk:
                 raise ConnectionError("service closed the connection")
             for line in self._decoder.feed(chunk):

@@ -84,6 +84,14 @@ __all__ = [
 #: service): a line longer than this is rejected before being buffered.
 MAX_LINE_BYTES = 4 * 1024 * 1024
 
+#: Bytes the service and the client read from a socket at a time, and the
+#: most their transports receive per call.  asyncio receives 256 KiB by
+#: default, above glibc's default mmap threshold (128 KiB), so every read
+#: would map and unmap a fresh buffer, two page faults a request, unless
+#: the allocator's adaptive threshold happened to pass 256 KiB while the
+#: process started.
+READ_SIZE = 64 * 1024
+
 REQUEST_OPS = ("open", "append", "snapshot", "close", "ping", "metrics")
 
 ERROR_CODES = (

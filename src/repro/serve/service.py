@@ -26,7 +26,7 @@ import asyncio
 from typing import Any, Dict, List, Optional, Sequence
 
 from ..obs import MetricsRegistry, merge_snapshots, to_prometheus_text
-from .protocol import FrameDecoder, ProtocolError, decode_frame, encode_frame
+from .protocol import READ_SIZE, FrameDecoder, ProtocolError, decode_frame, encode_frame
 from .streams import StreamRegistry
 from .worker import ShardPool
 
@@ -157,11 +157,12 @@ class MonitorService:
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
         self.connections_served += 1
+        writer.transport.max_size = READ_SIZE
         decoder = FrameDecoder()
         framing_seen = [0, 0]  # [poisoned_lines, resyncs] already folded in
         try:
             while True:
-                chunk = await reader.read(64 * 1024)
+                chunk = await reader.read(READ_SIZE)
                 if not chunk:
                     break
                 try:

@@ -68,7 +68,7 @@ from repro.core.specification import Specification
 from repro.errors import TraceError
 from repro.gen.loadgen import LOAD_FAMILIES, generate_stream_scripts
 from repro.semantics import columns
-from repro.semantics.columns import ABSENT, Column, ColumnStore, IncrementalColumnStore, Window
+from repro.semantics.columns import ABSENT, Column, ColumnStore, Window
 from repro.semantics.state import OperationRecord, State
 from repro.semantics.trace import Trace, make_trace
 from repro.serve.protocol import rows_to_states
@@ -236,7 +236,7 @@ class TestWindowSplits:
     @settings(max_examples=100, deadline=None)
     @given(state_lists(24), st.lists(st.integers(1, 23), max_size=6))
     def test_growing_code_bits_match_the_static_column(self, states, cuts):
-        growing = IncrementalColumnStore()
+        growing = ColumnStore()
         prefix = GrowingPrefix()
         for frame in frames_of(states, cuts):
             growing.absorb(frame)
@@ -539,7 +539,7 @@ def assert_encodes_like_cell_by_cell(cells, cuts, operations=False):
     ]
     for static in (True, False):
         frames = [rows] if static else list(frames_of(rows, cuts))
-        store = None if static else IncrementalColumnStore()
+        store = None if static else ColumnStore()
         reference = {name: CellByCellColumn() for name in cells}
         universe = columns._Universe()
         offset = 0
@@ -649,7 +649,7 @@ class TestPerValueInterning:
             first = {}
             expected[name] = [first.setdefault(row[name], len(first)) for row in rows]
         static = ColumnStore(Window(rows, [{}] * 64), mark_start=True)
-        growing = IncrementalColumnStore()
+        growing = ColumnStore()
         for start in range(0, 64, 16):
             growing.absorb(Window(rows[start:start + 16], [{}] * 16))
         for store in (static, growing):
@@ -669,7 +669,7 @@ class TestPerValueInterning:
             return encode_bytes(column, *args)
 
         monkeypatch.setattr(columns._ColumnBase, "_encode_bytes", counted)
-        store = IncrementalColumnStore()
+        store = ColumnStore()
         for start in range(0, 64, 16):
             store.absorb(Window(
                 [{"id": 1000 + i, "n": i % 40} for i in range(start, start + 16)], [{}] * 16
@@ -713,7 +713,7 @@ class TestPerValueInterning:
         sys.setprofile(profile)
         try:
             static = ColumnStore(Window([{}] * 64, operations), mark_start=True)
-            growing = IncrementalColumnStore()
+            growing = ColumnStore()
             for start in range(0, 64, 16):
                 growing.absorb(Window([{}] * 16, operations[start:start + 16]))
         finally:
@@ -873,13 +873,13 @@ def test_ingest_encodes_each_frame_once_and_keeps_no_rows(monkeypatch, family):
         {c.name: c.interpreted_formula() for c in specification.clauses}
     )
     absorbed = []
-    absorb = IncrementalColumnStore.absorb
+    absorb = ColumnStore.absorb
 
     def counted(store, window):
         absorbed.append(len(window))
         absorb(store, window)
 
-    monkeypatch.setattr(IncrementalColumnStore, "absorb", counted)
+    monkeypatch.setattr(ColumnStore, "absorb", counted)
     gc.collect()
     tracemalloc.start()
     try:
@@ -970,7 +970,7 @@ def test_monitor_engine_reads_the_trace_rows_and_builds_no_state(monkeypatch):
     formula = next(c for c in specification.clauses if c.name == "A1/12").interpreted_formula()
     expected = Session().check(formula, mode="compiled", trace=trace).verdict
     built, absorbed = [], []
-    init, absorb = State.__init__, IncrementalColumnStore.absorb
+    init, absorb = State.__init__, ColumnStore.absorb
 
     def counted_init(state, *args, **kwargs):
         built.append(None)
@@ -981,7 +981,7 @@ def test_monitor_engine_reads_the_trace_rows_and_builds_no_state(monkeypatch):
         absorb(store, window)
 
     monkeypatch.setattr(State, "__init__", counted_init)
-    monkeypatch.setattr(IncrementalColumnStore, "absorb", counted_absorb)
+    monkeypatch.setattr(ColumnStore, "absorb", counted_absorb)
     result = Session().check(formula, mode="monitor", trace=trace)
     assert (len(built), absorbed) == (0, [1] * len(rows))
     assert result.verdict is expected
@@ -1052,7 +1052,7 @@ def synthetic_build(codes, frame):
     window = Window(rows, [{}] * len(rows))
     if frame is None:
         return ColumnStore(window, mark_start=False)
-    store = IncrementalColumnStore()
+    store = ColumnStore()
     for start in range(0, len(rows), frame):
         store.absorb(window[start:start + frame])
     assert list(store.column("x").values) == list(dict.fromkeys(row["x"] for row in rows))

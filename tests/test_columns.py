@@ -11,8 +11,10 @@ Four invariants pin the tentpole of the columnar refactor:
   and codes operation records to the same rows, first records and value
   universe, for any window split;
 * pickling ships columns and rebuilds identical rows on the other side
-  (the ``check_many`` worker handoff), and a record pickles and reads as
-  its three fields;
+  (the ``check_many`` worker handoff), a record pickles and reads as its
+  three fields, and a monitor's growing prefix pickled mid-stream goes on
+  absorbing — in another process too — to the columns and verdicts of the
+  unbroken stream;
 * the vectorized kernel's whole-column verdicts agree with the
   per-position compiled runtime and the Chapter 3 reference evaluator on
   generated scenarios.
@@ -20,22 +22,29 @@ Four invariants pin the tentpole of the columnar refactor:
 
 import copy
 import operator
+import os
 import pickle
 import random
+import subprocess
+import sys
 from itertools import chain
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import repro
 from repro.checking.monitor import Monitor
-from repro.compile import compile_formula
+from repro.compile import GrowingPrefix, compile_formula
 from repro.compile.vector import bit_positions
 from repro.gen.generators import ScenarioProfile, gen_formula, gen_trace
+from repro.gen.loadgen import generate_stream_scripts
 from repro.semantics import columns
-from repro.semantics.columns import ABSENT, ColumnStore, IncrementalColumnStore, Window
+from repro.semantics.columns import ABSENT, ColumnStore, Window
 from repro.semantics.evaluator import Evaluator
 from repro.semantics.state import OperationRecord, State
 from repro.semantics.trace import Trace, boolean_trace, make_trace
+from repro.serve.protocol import trace_to_rows
+from repro.serve.streams import StreamRegistry
 from repro.syntax.parser import parse_formula
 
 
@@ -291,7 +300,7 @@ class TestNameDiscovery:
             ([rows], [operations], mark_start, ColumnStore(Window(rows, operations), mark_start))
             for mark_start in (False, True)
         ]
-        growing = IncrementalColumnStore()
+        growing = ColumnStore()
         frames = windows_of(rows, cuts)
         op_frames = windows_of(operations, cuts)
         for frame, op_frame in zip(frames, op_frames):
@@ -353,6 +362,107 @@ class TestColumnarPickle:
             clone = pickle.loads(pickle.dumps(trace))
             assert clone.states() == trace.states()
             assert clone.loop_start == trace.loop_start
+
+    def test_a_pickled_prefix_goes_on_absorbing(self):
+        # The operation ``O`` is bound in one row of the later window and
+        # idle in the next: the round-tripped columns must still read the
+        # idle row as absent, not intern what marks it as a value.
+        first = [State({"p": True}, {"O": OperationRecord("at", (1,))}), State({"p": False})]
+        later = [State({"p": True}, {"O": OperationRecord("after", (1,))}), State({"p": True})]
+        prefix = GrowingPrefix()
+        prefix.extend(first)
+        clone = pickle.loads(pickle.dumps(prefix))
+        assert type(clone) is GrowingPrefix
+        prefix.extend(later)
+        clone.extend(later)
+        assert column_contents(clone.columns) == column_contents(prefix.columns)
+        assert clone.state_at(4) == prefix.state_at(4) == State(
+            {"p": True, "__start__": False}
+        )
+        assert clone.states() == prefix.states()
+        assert clone.value_universe() == prefix.value_universe()
+
+    def test_a_prefix_pickled_before_its_first_state_marks_start(self):
+        prefix = pickle.loads(pickle.dumps(GrowingPrefix()))
+        prefix.extend([State({"p": True}), State({"p": False}), State({"p": True})])
+        assert [state.raw_values["__start__"] for state in prefix.states()] == [
+            True, False, False,
+        ]
+
+    def test_a_prefix_pickled_mid_stream_continues_in_another_process(self):
+        # Each stream is served in 5-state frames; halfway through, its
+        # monitor's prefix is pickled and continued in a child process by a
+        # fresh plan state.  Every later frame's verdicts and errors, and
+        # the final columns, must equal the unbroken stream's.
+        registry = StreamRegistry()
+        unbroken, shipped = {}, []
+        for script in generate_stream_scripts(12, seed=5, fault_rate=0.5):
+            rows = trace_to_rows(script.build_trace())
+            frames = [rows[start:start + 5] for start in range(0, len(rows), 5)]
+            registry.handle({"op": "open", "stream": script.stream, "spec": script.spec})
+            monitor = registry.stream(script.stream).monitor
+            outcomes = []
+            for index, frame in enumerate(frames):
+                if index == len(frames) // 2:
+                    checkpoint = pickle.dumps(monitor.plan_state.trace)
+                    later = len(frames) - index
+                registry.handle({"op": "append", "stream": script.stream, "states": frame})
+                outcomes.append({
+                    name: (verdict.holds, verdict.error)
+                    for name, verdict in monitor.verdicts.items()
+                })
+            unbroken[script.stream] = (
+                outcomes[-later:], column_contents(monitor.plan_state.trace.columns)
+            )
+            shipped.append((script.stream, script.spec, checkpoint, frames[-later:]))
+        done = subprocess.run(
+            [sys.executable, "-c", CONTINUE_STREAMS], input=pickle.dumps(shipped),
+            capture_output=True, timeout=300,
+            env={**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(repro.__file__))},
+        )
+        assert done.returncode == 0, done.stderr.decode()
+        continued = pickle.loads(done.stdout)
+        assert set(continued) == set(unbroken)
+        for stream, (outcomes, contents) in unbroken.items():
+            assert continued[stream][0] == outcomes, stream
+            assert continued[stream][1] == contents, stream
+
+
+#: Run in a child process: continue each pickled prefix with a fresh plan
+#: state over the stream's later frames, answering every frame's clause
+#: outcomes and the final columns.
+CONTINUE_STREAMS = """
+import pickle, sys
+from repro.compile import compile_specification
+from repro.serve.protocol import rows_to_states
+from repro.serve.streams import SPEC_FACTORIES
+
+continued = {}
+for stream, spec, checkpoint, frames in pickle.load(sys.stdin.buffer):
+    prefix = pickle.loads(checkpoint)
+    state = compile_specification(SPEC_FACTORIES()[spec]()).evaluator(prefix)
+    outcomes = []
+    for frame in frames:
+        prefix.extend(rows_to_states(frame))
+        state.note_append()
+        outcomes.append({o.name: (o.verdict, o.error) for o in state.check_all()})
+    store = prefix.columns
+    continued[stream] = (outcomes, [
+        (name, list(column.codes), column.values, column.missing)
+        for columns in (store._columns, store._op_columns)
+        for name, column in columns.items()
+    ])
+pickle.dump(continued, sys.stdout.buffer)
+"""
+
+
+def column_contents(store):
+    """Every column's name, codes, interned values and ``missing`` flag."""
+    return [
+        (name, list(column.codes), column.values, column.missing)
+        for columns in (store._columns, store._op_columns)
+        for name, column in columns.items()
+    ]
 
 
 class TestBitsetKernel:

@@ -8,8 +8,8 @@ Covers the observability tentpole's acceptance behaviours:
 - the tracer's nested spans and bounded root buffer;
 - the sampling profiler's node-kind attribution with bit-for-bit verdict
   parity against an unprofiled run;
-- :class:`StatWindow` ``percentile``/``merge`` with the chunked-compaction
-  edge cases, the lifetime ``total_count`` invariant in particular;
+- :class:`StatWindow`'s compaction bound, and its lifetime ``total`` and
+  ``total_count`` across a compaction;
 - ``Session.metrics_snapshot()`` reflecting check traffic;
 - worker-registry merge determinism under ``check_many(processes=N)``, and
   the counted (and still warned) fall-back to in-process execution;
@@ -345,62 +345,17 @@ class TestPlanProfiler:
 
 
 class TestStatWindow:
-    def test_percentile_interpolates(self):
-        window = StatWindow(16)
-        for value in (1, 2, 3, 4):
+    def test_totals_count_every_sample_across_compaction(self):
+        # The buffer stays within twice its bound as it compacts, and the
+        # lifetime totals keep the samples it rolled out (``None`` adds
+        # nothing to ``total``).
+        window = StatWindow(3)
+        for value in list(range(10)) + [None]:
             window.append(value)
-        assert window.percentile(0) == 1.0
-        assert window.percentile(100) == 4.0
-        assert window.percentile(50) == 2.5
-
-    def test_percentile_skips_none_and_handles_empty(self):
-        window = StatWindow(8)
-        assert window.percentile(50) is None
-        window.append(None)
-        assert window.percentile(50) is None
-        window.append(10)
-        assert window.percentile(50) == 10.0
-        with pytest.raises(ValueError):
-            window.percentile(101)
-
-    def test_merge_preserves_lifetime_accounting(self):
-        a, b = StatWindow(4), StatWindow(4)
-        for value in range(6):   # overflows a: dropped accumulates
-            a.append(value)
-        for value in range(3):
-            b.append(value * 10)
-        merged = a.merge(b)
-        assert merged.total_count == a.total_count + b.total_count
-        assert merged.total == a.total + b.total
-        assert merged.maxlen == 4
-        # Newest samples win; a's are older than b's.
-        assert merged.to_list() == [5, 0, 10, 20]
-
-    def test_merge_after_chunked_compaction(self):
-        # Appending past 2*maxlen triggers the bulk compaction branch;
-        # the merge invariant must hold across it.
-        a = StatWindow(3)
-        for value in range(10):
-            a.append(value)
-            if len(a._items) > 2 * 3:  # the compaction keeps it bounded
-                pytest.fail("compaction did not bound the buffer")
-        b = StatWindow(3)
-        b.append(100)
-        merged = a.merge(b)
-        assert merged.total_count == a.total_count + b.total_count == 11
-        assert merged.total == sum(range(10)) + 100
-        assert len(merged) <= 3
-
-    def test_merge_with_unbounded_window(self):
-        a = StatWindow(None)
-        for value in range(100):
-            a.append(value)
-        b = StatWindow(None)
-        b.append(7)
-        merged = a.merge(b)
-        assert merged.dropped == 0
-        assert merged.total_count == 101
-        assert len(merged) == 101
+            assert len(window._items) <= 2 * 3
+        assert window.total_count == 11
+        assert window.total == sum(range(10))
+        assert list(window) == [8, 9, None]
 
 
 class TestSessionMetrics:

@@ -25,13 +25,16 @@ import signal
 import pytest
 
 from repro.api import Session
-from repro.checking.monitor import DEFAULT_STAT_WINDOW, Monitor, StatWindow
+from repro.checking.monitor import DEFAULT_STAT_WINDOW, Monitor, MonitorVerdict, StatWindow
+from repro.compile import GrowingPrefix, PlanState, SpecPlanState
+from repro.compile.vector import TailKernel, _Profile
 from repro.gen.cases import SYSTEM_FACTORIES
 from repro.gen.loadgen import LOAD_FAMILIES, generate_stream_scripts
+from repro.semantics.columns import Column, ColumnStore, OperationColumn
 from repro.serve.protocol import trace_to_rows
 from repro.serve.replay import replay_corpus
 from repro.serve.service import MonitorService
-from repro.serve.streams import SPEC_FACTORIES, StreamRegistry
+from repro.serve.streams import SPEC_FACTORIES, StreamHandle, StreamRegistry
 from repro.syntax import parse_formula
 
 
@@ -77,11 +80,13 @@ class TestRegistrySemantics:
         scripts = generate_stream_scripts(len(LOAD_FAMILIES) * 2, seed=5, fault_rate=0.5)
         assert {script.spec for script in scripts} == {f[0] for f in LOAD_FAMILIES}
         assert any(script.faulty for script in scripts)
-        kinds = (
-            "StreamHandle", "Monitor", "MonitorVerdict", "SpecPlanState", "PlanState",
-            "TailKernel", "_Profile", "GrowingPrefix", "IncrementalColumnStore",
-            "Column", "OperationColumn",
-        )
+        # Named from the classes, so that a rename fails here, not silently.
+        kinds = {
+            kind.__name__ for kind in (
+                StreamHandle, Monitor, MonitorVerdict, SpecPlanState, PlanState,
+                TailKernel, _Profile, GrowingPrefix, ColumnStore, Column, OperationColumn,
+            )
+        }
         registry = StreamRegistry()
         gc.collect()
         gc.disable()
