@@ -103,11 +103,13 @@ def _old_style_observe(formulas, states):
 def _plan_state_observe(formulas, states):
     monitor = Monitor(formulas)
     per_step = []
+    costs = []
     for state in states:
         started = time.perf_counter()
         monitor.observe(state)
         per_step.append(time.perf_counter() - started)
-    return per_step, monitor
+        costs.append(monitor.last_step_cost)
+    return per_step, costs
 
 
 def test_monitor_step_latency_vs_prefix_length(benchmark):
@@ -120,17 +122,17 @@ def test_monitor_step_latency_vs_prefix_length(benchmark):
 
     def sweep():
         old = _old_style_observe(formulas, states)
-        new, monitor = _plan_state_observe(formulas, states)
+        new, costs = _plan_state_observe(formulas, states)
         checkpoints = [50, 100, 199]
         rows = [{
             "prefix": n,
             "old_step_us": old[n] * 1e6,
             "new_step_us": new[n] * 1e6,
-            "new_step_dispatch": monitor.step_costs[n],
+            "new_step_dispatch": costs[n],
         } for n in checkpoints]
-        return rows, old, new, monitor
+        return rows, old, new, costs
 
-    rows, old, new, monitor = benchmark.pedantic(sweep, rounds=1, iterations=1)
+    rows, old, new, costs = benchmark.pedantic(sweep, rounds=1, iterations=1)
     benchmark.extra_info["rows"] = rows
     print()
     for row in rows:
@@ -138,7 +140,6 @@ def test_monitor_step_latency_vs_prefix_length(benchmark):
                for k, v in row.items()})
     print({"old_total_ms": sum(old) * 1000.0, "new_total_ms": sum(new) * 1000.0})
     # Work counters are noise-free: per-step dispatch must not grow.
-    costs = monitor.step_costs
     early = sum(costs[20:60]) / 40.0
     late = sum(costs[160:200]) / 40.0
     assert late <= early * 1.5, (early, late)
@@ -229,4 +230,4 @@ def test_specification_monitoring_end_to_end(benchmark):
     monitor = benchmark(run)
     assert monitor.failing() == []
     benchmark.extra_info["states"] = trace.length
-    benchmark.extra_info["total_dispatch"] = sum(monitor.step_costs)
+    benchmark.extra_info["total_dispatch"] = monitor.plan_state.stats.dispatch_calls

@@ -162,7 +162,6 @@ class TraceEngine(Engine):
             statistics={
                 "trace_length": trace.length,
                 "memo_entries": evaluator.memo_size,
-                "memo_new_entries": evaluator.memo_size,
             },
         )
 
@@ -218,7 +217,6 @@ class CompiledEngine(Engine):
                 "plan_digest": plan.digest[:12],
                 "plan_from_cache": from_cache,
                 "memo_entries": state.memo_size,
-                "memo_new_entries": state.memo_size,
                 "dispatch_calls": state.stats.dispatch_calls,
                 "event_indexes": state.index_count,
                 "vector_nodes": state.vector_node_count,
@@ -418,13 +416,17 @@ class MonitorEngine(Engine):
         formula = self._interval_formula(request)
         trace = session.resolve_trace(request.trace)
         name = request.label or "formula"
-        # An unbounded history: the first failing step may lie anywhere.
-        monitor = Monitor({name: formula}, request.domain, stat_window=None)
+        monitor = Monitor({name: formula}, request.domain)
+        # The verdict on every prefix, one observation per state: each a
+        # one-state slice of one window over the trace's own rows.
+        rows = trace.window()
+        history = []
         try:
-            verdict = monitor.observe_trace(trace)[name]
+            for index in range(len(rows)):
+                verdict = monitor.observe_batch(rows[index:index + 1])[name]
+                history.append(verdict.holds)
         finally:
             monitor.close()
-        history = list(verdict.history)
         first_failure = next(
             (step for step, value in enumerate(history, start=1) if not value),
             None,

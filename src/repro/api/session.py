@@ -167,11 +167,6 @@ class Session:
             "by exception class.",
             ("reason",),
         )
-        self._m_plan_interned = self.metrics.counter(
-            "repro_plan_interned_total",
-            "Plan-cache hits that served an alpha-equivalent (renamed) "
-            "formula from an interned plan.",
-        )
         self._traces: Dict[str, Trace] = {}
         self._plan_cache: Optional[Any] = None
         # Spec plans re-resolved by specification identity, skipping the
@@ -316,7 +311,8 @@ class Session:
 
         Opening thousands of monitored streams over the same specification
         compiles it once per session.  ``options`` pass through to
-        the monitor (``on_change``, ``capture_errors``, ``stat_window``).
+        the monitor (``on_change``, ``capture_errors``,
+        ``forall_unroll_cap``).
         The monitor records whether its plan was served from cache on
         ``plan_from_cache``.
 
@@ -355,8 +351,6 @@ class Session:
                 for name, f in formulas.items()
             ]
             plan, from_cache = self.plan_cache.get_spec(items, domain)
-            if plan.sources != tuple(items):
-                self._m_plan_interned.child().inc()
             if identity_key is not None:
                 self._monitor_plans[identity_key] = (
                     plan, items, tuple(formulas.values()),
@@ -423,8 +417,6 @@ class Session:
         if domain is None:
             domain = self._default_domain
         plan, from_cache = self.plan_cache.get(formula, domain)
-        if from_cache and plan.source != formula:
-            self._m_plan_interned.child().inc()
         state = plan.evaluator(
             trace, domain, vectorize=vectorize,
             forall_unroll_cap=self._forall_unroll_cap,

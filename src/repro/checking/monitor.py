@@ -24,18 +24,16 @@ frozen, ``[]`` and ``<>`` resume from frontier positions, and event
 searches extend shared endpoint indexes, instead of rebuilding a ``Trace``
 and re-evaluating from scratch per state, which made online checking
 quadratic in the prefix length.  Verdicts are bit-for-bit those of the
-Chapter 3 evaluator on every prefix; :attr:`Monitor.step_costs` exposes
-per-step work counters so regression tests can assert the cost no longer
-grows with the prefix.
+Chapter 3 evaluator on every prefix; :attr:`Monitor.last_step_cost` holds
+the dispatch work of the latest observation, so regression tests can
+assert the cost no longer grows with the prefix.
 
-Long-lived monitors (the :mod:`repro.serve` streams) need three things a
-one-shot monitor does not:
+A monitor keeps no per-step record: each formula's verdict holds its
+current value and ``stable_for``, and a caller that wants the verdict on
+every prefix reads it after each observation (the ``monitor`` engine
+does).  Long-lived monitors (the :mod:`repro.serve` streams) need two
+things a one-shot monitor does not:
 
-* **bounded statistics** — ``step_costs`` and each verdict's ``history``
-  are :class:`StatWindow` ring buffers (default window 4096): totals keep
-  accumulating, but the per-step detail rolls over so a stream observed
-  for days does not grow without bound, and :meth:`Monitor.reset_stats`
-  starts a fresh window without disturbing verdict state;
 * **verdict-change callbacks** — ``on_change`` fires whenever a formula's
   verdict flips (or is first decided), which is how the serve layer turns
   monitoring into alert events without polling;
@@ -52,8 +50,8 @@ skip recompilation when thousands of streams watch the same specification.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence
+from dataclasses import dataclass
+from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence
 
 from ..compile import GrowingPrefix, SpecPlan, SpecPlanState
 from ..core.specification import Specification
@@ -62,89 +60,7 @@ from ..semantics.state import State
 from ..semantics.trace import Trace
 from ..syntax.formulas import Formula
 
-__all__ = ["StatWindow", "MonitorVerdict", "Monitor", "SpecificationMonitor"]
-
-
-#: Default ring-buffer capacity for per-step statistics.  Large enough that
-#: every interactive session and test sees exact full histories; small
-#: enough that a stream observed for days stays bounded.
-DEFAULT_STAT_WINDOW = 4096
-
-
-class StatWindow:
-    """A bounded, list-like ring buffer of per-step samples.
-
-    Behaves like the plain list it replaces for every read the codebase
-    performs — ``len``, indexing, slicing, iteration, ``sum``/``max``,
-    equality against lists — but keeps only the most recent ``maxlen``
-    samples.  Totals (:attr:`total_count`, :attr:`total`) accumulate over
-    *every* sample ever appended, so throughput accounting survives the
-    rollover that bounds memory.
-    """
-
-    __slots__ = ("_items", "_maxlen", "dropped", "total")
-
-    def __init__(self, maxlen: Optional[int] = DEFAULT_STAT_WINDOW) -> None:
-        if maxlen is not None and maxlen < 1:
-            raise ValueError(f"maxlen must be at least 1, got {maxlen}")
-        self._items: List[Any] = []
-        self._maxlen = maxlen
-        #: Samples discarded by the rollover.
-        self.dropped = 0
-        #: Sum of every numeric sample ever appended (booleans count 1/0).
-        self.total = 0
-
-    @property
-    def maxlen(self) -> Optional[int]:
-        return self._maxlen
-
-    @property
-    def total_count(self) -> int:
-        """Samples ever appended, including those rolled out of the window."""
-        return self.dropped + len(self._items)
-
-    def append(self, value: Any) -> None:
-        self._items.append(value)
-        if value is not None:
-            self.total += value
-        if self._maxlen is not None and len(self._items) > self._maxlen:
-            # Compact in chunks so append stays amortized O(1).
-            if len(self._items) > 2 * self._maxlen:
-                excess = len(self._items) - self._maxlen
-            else:
-                excess = 1
-            del self._items[:excess]
-            self.dropped += excess
-
-    def reset(self) -> None:
-        """Drop every sample and zero the totals."""
-        self._items.clear()
-        self.dropped = 0
-        self.total = 0
-
-    # -- the list-like read surface ----------------------------------------
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-    def __getitem__(self, index):
-        return self._items[index]
-
-    def __iter__(self) -> Iterator[Any]:
-        return iter(self._items)
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, StatWindow):
-            return self._items == other._items
-        if isinstance(other, (list, tuple)):
-            return self._items == list(other)
-        return NotImplemented
-
-    def __repr__(self) -> str:
-        return (
-            f"StatWindow({self._items!r}, maxlen={self._maxlen}, "
-            f"dropped={self.dropped})"
-        )
+__all__ = ["MonitorVerdict", "Monitor", "SpecificationMonitor"]
 
 
 @dataclass
@@ -155,7 +71,6 @@ class MonitorVerdict:
     formula: Formula
     holds: Optional[bool] = None
     stable_for: int = 0
-    history: Any = field(default_factory=StatWindow)
     #: Set when the formula's evaluation raised under ``capture_errors``.
     error: Optional[str] = None
 
@@ -174,7 +89,6 @@ class MonitorVerdict:
             self.stable_for = 0
         self.holds = value
         self.error = None
-        self.history.append(value)
         return changed
 
     def update_error(self, message: str, weight: int = 1) -> bool:
@@ -183,7 +97,6 @@ class MonitorVerdict:
         self.holds = None
         self.stable_for = 0 if changed else self.stable_for + weight
         self.error = message
-        self.history.append(None)
         return changed
 
     def __str__(self) -> str:
@@ -218,9 +131,6 @@ class Monitor:
         Capture per-formula evaluation errors on the verdict
         (``holds=None`` + ``error``) instead of propagating, mirroring
         ``SpecPlanState.check_all``'s per-clause contract.
-    stat_window:
-        Ring-buffer capacity for ``step_costs`` and verdict histories
-        (``None`` = unbounded, the pre-serve behaviour).
     forall_unroll_cap:
         Bound on quantifier specialization in the compiled runtime
         (``None`` = the runtime default, ``0`` disables unrolling) —
@@ -236,7 +146,6 @@ class Monitor:
         plan: Optional[SpecPlan] = None,
         on_change: Optional[Callable[[str, MonitorVerdict], None]] = None,
         capture_errors: bool = False,
-        stat_window: Optional[int] = DEFAULT_STAT_WINDOW,
         forall_unroll_cap: Optional[int] = None,
     ) -> None:
         self._formulas = dict(formulas)
@@ -257,17 +166,15 @@ class Monitor:
         self._state: Optional[SpecPlanState] = None
         self._on_change = on_change
         self._capture_errors = capture_errors
-        self._stat_window = stat_window
         self._verdicts: Dict[str, MonitorVerdict] = {
-            name: MonitorVerdict(name, formula, history=StatWindow(stat_window))
+            name: MonitorVerdict(name, formula)
             for name, formula in self._formulas.items()
         }
-        #: Evaluation work (plan dispatch calls) spent per observed batch —
-        #: flat in the prefix length for stabilised formulas.  A bounded
-        #: :class:`StatWindow`: totals accumulate forever, detail rolls.
-        #: Lifetime distributions live on the serve layer's
-        #: ``serve_step_cost`` histogram (see :mod:`repro.obs`).
-        self.step_costs: StatWindow = StatWindow(stat_window)
+        #: Evaluation work (plan dispatch calls) of the latest
+        #: :meth:`observe` / :meth:`observe_batch` (0 before any) — flat in
+        #: the prefix length for stabilised formulas.  The serve layer
+        #: reads it once per commit into ``serve_step_cost``.
+        self.last_step_cost = 0
 
     @property
     def plan(self) -> SpecPlan:
@@ -320,7 +227,7 @@ class Monitor:
         before = plan_state.stats.dispatch_calls
         plan_state.note_append()
         self._refresh_verdicts()
-        self.step_costs.append(plan_state.stats.dispatch_calls - before)
+        self.last_step_cost = plan_state.stats.dispatch_calls - before
         return dict(self._verdicts)
 
     def observe_batch(
@@ -334,7 +241,7 @@ class Monitor:
         entries that :meth:`~repro.compile.specplan.SpecPlanState.note_append`
         clears (one sweep per batch), and the tail kernel extends its
         profiles over the whole appended window in one vectorized pass.
-        Verdict histories and ``on_change`` callbacks see one entry per
+        Verdicts and ``on_change`` callbacks are refreshed once per
         *batch* — send batches of one for per-state granularity.
 
         ``states`` is a :class:`~repro.semantics.columns.Window` — what the
@@ -355,14 +262,15 @@ class Monitor:
         before = plan_state.stats.dispatch_calls
         plan_state.note_append()
         self._refresh_verdicts(weight=commits)
-        self.step_costs.append(plan_state.stats.dispatch_calls - before)
+        self.last_step_cost = plan_state.stats.dispatch_calls - before
         return dict(self._verdicts)
 
     def observe_trace(self, trace: Trace) -> Dict[str, MonitorVerdict]:
         """Feed every state of an existing trace through the monitor.
 
-        One observation per state, so verdict histories see every prefix,
-        each a one-state slice of one window over the trace's own rows
+        One observation per state, so ``stable_for`` counts states and
+        ``on_change`` fires at the state that flipped a verdict.  Each is
+        a one-state slice of one window over the trace's own rows
         (:meth:`~repro.semantics.trace.Trace.window`): no ``State`` is
         built.
         """
@@ -379,24 +287,6 @@ class Monitor:
     @property
     def prefix_length(self) -> int:
         return self._prefix.length
-
-    @property
-    def last_step_cost(self) -> int:
-        """Dispatch work of the most recent :meth:`observe` (0 before any)."""
-        return self.step_costs[-1] if len(self.step_costs) else 0
-
-    def reset_stats(self) -> "Monitor":
-        """Start a fresh statistics window; verdict state is untouched.
-
-        Long-lived streams call this at rollover points (the serve layer
-        does on demand) so per-step detail describes the current epoch
-        while the windows' ``total``/``total_count`` keep the lifetime
-        accounting.
-        """
-        self.step_costs.reset()
-        for verdict in self._verdicts.values():
-            verdict.history.reset()
-        return self
 
     def close(self) -> None:
         """Release the monitor: drop its ``on_change`` hook and break its

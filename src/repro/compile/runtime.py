@@ -225,19 +225,11 @@ class PlanStats:
     tail-dependent work shows a flat per-step search count.
     """
 
-    __slots__ = ("dispatch_calls", "steps", "event_searches")
+    __slots__ = ("dispatch_calls", "event_searches")
 
     def __init__(self) -> None:
         self.dispatch_calls = 0
-        self.steps = 0
         self.event_searches = 0
-
-    def as_dict(self) -> Dict[str, int]:
-        return {
-            "dispatch_calls": self.dispatch_calls,
-            "steps": self.steps,
-            "event_searches": self.event_searches,
-        }
 
 
 class PlanState:
@@ -423,8 +415,8 @@ class PlanState:
         self._ops = ()
         self._kernel = None
 
-    def note_append(self, count: int = 1) -> None:
-        """Absorb ``count`` appended states: drop only tail-dependent verdicts.
+    def note_append(self) -> None:
+        """Absorb appended states: drop only tail-dependent verdicts.
 
         One call absorbs an arbitrarily large appended window — the
         stable memo holds tail-*independent* entries only, so the
@@ -437,7 +429,6 @@ class PlanState:
         self._volatile_events.clear()
         self._volatile_constructs.clear()
         self._default_domain = None
-        self.stats.steps += count
 
     # -- the satisfaction relation ------------------------------------------
 

@@ -326,8 +326,8 @@ class SpecPlanState:
 
     # -- incremental protocol --------------------------------------------------
 
-    def note_append(self, count: int = 1) -> None:
-        self._state.note_append(count)
+    def note_append(self) -> None:
+        self._state.note_append()
 
 
 def compile_specification(specification) -> SpecPlan:

@@ -204,45 +204,6 @@ class TableauDecider:
                     frontier.append(previous)
         return reached
 
-    @staticmethod
-    def _reachable(
-        start: int, alive_edges: Sequence[Edge], cache: Dict[int, Set[int]]
-    ) -> Set[int]:
-        if start in cache:
-            return cache[start]
-        adjacency: Dict[int, List[int]] = {}
-        for edge in alive_edges:
-            adjacency.setdefault(edge.source, []).append(edge.target)
-        seen = {start}
-        queue = deque([start])
-        while queue:
-            current = queue.popleft()
-            for nxt in adjacency.get(current, []):
-                if nxt not in seen:
-                    seen.add(nxt)
-                    queue.append(nxt)
-        cache[start] = seen
-        return seen
-
-    def _eventuality_satisfiable(
-        self,
-        graph: TableauGraph,
-        edge: Edge,
-        eventuality: LTLFormula,
-        alive_nodes: Set[int],
-        alive_edges: Sequence[Edge],
-        cache: Dict[int, Set[int]],
-    ) -> bool:
-        """Is there an alive path from the edge's target to a fulfilling node?"""
-        goal = eventuality.right if isinstance(eventuality, StrongUntil) else eventuality
-        reachable = self._reachable(edge.target, alive_edges, cache)
-        for node_index in reachable:
-            if node_index not in alive_nodes:
-                continue
-            if goal in graph.nodes[node_index].formulas:
-                return True
-        return False
-
     # -- model extraction ---------------------------------------------------------------
 
     @staticmethod

@@ -1,29 +1,28 @@
-"""repro.obs — unified metrics, tracing and profiling.
+"""repro.obs — unified metrics and tracing.
 
-One observability layer for the whole stack, replacing the patchwork of
-ad-hoc stats surfaces that grew alongside it:
+One observability layer for the whole stack.  The numbers the monitor and
+serve layers report live in a :class:`MetricsRegistry`, once each; the
+other stats surfaces are views of it, or read counters of their own layer
+that no series duplicates:
 
-==============================================  ==================================
-Legacy surface                                  repro.obs replacement
-==============================================  ==================================
-``Session.cache_statistics()``                  ``Session.metrics_snapshot()``
-                                                (``repro_plan_cache_*`` series)
-``Monitor.step_costs`` / ``last_step_cost``     ``serve_step_cost`` histogram
-``StreamRegistry.service_snapshot()`` counters  ``serve_*`` labelled series
-``PlanStats`` per-state counters                ``PlanProfiler`` kind attribution
-==============================================  ==================================
+================================================  ==================================
+Surface                                           Where its numbers live
+================================================  ==================================
+``Session.cache_statistics()``                    the plan cache; synced into
+                                                  ``repro_plan_cache_*`` gauges by
+                                                  ``Session.metrics_snapshot()``
+``StreamRegistry.service_snapshot()`` totals      sums of the ``serve_*`` counters
+a stream snapshot's ``step_cost`` block           the commit costs that
+                                                  ``serve_step_cost`` observes
+``PlanStats`` (``dispatch_calls``,                one plan state's work counters
+``event_searches``)
+================================================  ==================================
 
-The legacy surfaces all still work — tests and tools depend on them — but
-new telemetry should go through a :class:`MetricsRegistry`.
-
-Three pieces:
+Two pieces:
 
 * :mod:`repro.obs.metrics` — labelled counters/gauges/histograms with
-  snapshot/merge/diff semantics and Prometheus-text + JSON exposition;
-* :mod:`repro.obs.tracing` — nested wall/CPU spans in a bounded buffer;
-* :mod:`repro.obs.profile` — an opt-in sampling profiler attributing
-  plan-runtime time to node kinds (forall / event-search / bitset-kernel
-  / fallback).
+  snapshot/merge semantics and Prometheus-text + JSON exposition;
+* :mod:`repro.obs.tracing` — nested wall/CPU spans in a bounded buffer.
 """
 
 from .metrics import (
@@ -35,13 +34,11 @@ from .metrics import (
     MetricsRegistry,
     NullMetrics,
     NULL_METRICS,
-    diff_snapshots,
     merge_snapshots,
     snapshot_quantile,
     to_json,
     to_prometheus_text,
 )
-from .profile import PlanProfiler
 from .tracing import NullTracer, NULL_TRACER, Span, Tracer
 
 __all__ = [
@@ -54,7 +51,6 @@ __all__ = [
     "DEFAULT_SECONDS_BUCKETS",
     "DEFAULT_SIZE_BUCKETS",
     "merge_snapshots",
-    "diff_snapshots",
     "snapshot_quantile",
     "to_json",
     "to_prometheus_text",
@@ -62,5 +58,4 @@ __all__ = [
     "Tracer",
     "NullTracer",
     "NULL_TRACER",
-    "PlanProfiler",
 ]

@@ -12,16 +12,14 @@ kinds, all labelled:
   (check latencies, batch sizes, per-batch step costs) and a
   :meth:`HistogramChild.quantile` estimator.
 
-The design centre is **snapshot/merge/diff**: :meth:`MetricsRegistry.snapshot`
-produces a plain JSON-safe dict, :func:`merge_snapshots` adds two snapshots
-series-by-series (counters, histogram buckets and gauges all sum — the
-cross-worker aggregation rule, i.e. Prometheus ``sum()``), and
-:func:`diff_snapshots` subtracts an earlier snapshot from a later one
-(rate windows; gauges keep the later value).  Worker processes ship their
-snapshot to the parent on join and the parent folds it in with
-:meth:`MetricsRegistry.merge_snapshot` — merging is associative and
-commutative over counter series, so fan-out order cannot change the
-totals.
+The design centre is **snapshot/merge**: :meth:`MetricsRegistry.snapshot`
+produces a plain JSON-safe dict, and :func:`merge_snapshots` adds two
+snapshots series-by-series (counters, histogram buckets and gauges all
+sum — the cross-worker aggregation rule, i.e. Prometheus ``sum()``).
+Worker processes ship their snapshot to the parent on join and the parent
+folds it in with :meth:`MetricsRegistry.merge_snapshot` — merging is
+associative and commutative over counter series, so fan-out order cannot
+change the totals.
 
 Two exposition encoders: the snapshot itself *is* the JSON form (it round-
 trips through ``json.dumps``), and :func:`to_prometheus_text` renders the
@@ -51,7 +49,6 @@ __all__ = [
     "DEFAULT_SECONDS_BUCKETS",
     "DEFAULT_SIZE_BUCKETS",
     "merge_snapshots",
-    "diff_snapshots",
     "to_prometheus_text",
     "to_json",
 ]
@@ -198,6 +195,10 @@ class Counter(_Instrument):
 
     def value(self, *label_values: str) -> float:
         return self.child(*label_values).value
+
+    def total(self) -> float:
+        """The sum over every label set (0 before any increment)."""
+        return sum(child.value for child in self._children.values())
 
 
 class Gauge(_Instrument):
@@ -422,6 +423,9 @@ class NullMetrics(MetricsRegistry):
         def series(self) -> Dict[Tuple[str, ...], Any]:
             return {}
 
+        def total(self) -> float:
+            return 0
+
         def inc(self, amount: float = 1, *label_values: str) -> None:
             pass
 
@@ -472,47 +476,6 @@ def merge_snapshots(*snapshots: Mapping[str, Any]) -> Dict[str, Any]:
     for snapshot in snapshots:
         merged.merge_snapshot(snapshot)
     return merged.snapshot()
-
-
-def diff_snapshots(
-    before: Mapping[str, Any], after: Mapping[str, Any]
-) -> Dict[str, Any]:
-    """``after - before``, series-by-series — the rate-window primitive.
-
-    Counters and histograms subtract (series absent from ``before`` keep
-    their ``after`` totals); gauges keep the ``after`` value, because a
-    gauge delta is rarely the question asked of one.  Instruments absent
-    from ``after`` are dropped.
-    """
-    out: Dict[str, Any] = {}
-    for name, entry in after.items():
-        old = before.get(name)
-        new_entry = {
-            key: (list(value) if isinstance(value, list) else value)
-            for key, value in entry.items()
-        }
-        if old is not None and entry.get("type") in ("counter", "histogram"):
-            old_series = {
-                tuple(row.get("labels", ())): row for row in old.get("series", ())
-            }
-            series = []
-            for row in entry.get("series", ()):
-                row = dict(row)
-                prev = old_series.get(tuple(row.get("labels", ())))
-                if prev is not None:
-                    if entry["type"] == "histogram":
-                        row["buckets"] = [
-                            a - b
-                            for a, b in zip(row.get("buckets", ()), prev.get("buckets", ()))
-                        ]
-                        row["sum"] = row.get("sum", 0.0) - prev.get("sum", 0.0)
-                        row["count"] = row.get("count", 0) - prev.get("count", 0)
-                    else:
-                        row["value"] = row.get("value", 0) - prev.get("value", 0)
-                series.append(row)
-            new_entry["series"] = series
-        out[name] = new_entry
-    return out
 
 
 def snapshot_quantile(entry: Mapping[str, Any], q: float) -> float:

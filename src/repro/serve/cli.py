@@ -19,7 +19,8 @@ stream goes undetected.  ``replay`` pushes the regression corpus through
 the wire codec and exits non-zero on any divergence from the one-shot
 engines.  ``stats`` samples a live service's ``metrics`` frame twice,
 ``--interval`` seconds apart, and prints the aggregated fleet picture:
-open streams, ingest rate, alerts, cache hits, latency quantiles.
+open streams, ingest rate, alerts, error frames, plan-cache hits and
+alpha-equivalent hits, step-cost and batch-size quantiles.
 """
 
 from __future__ import annotations
@@ -46,7 +47,8 @@ def _build_parser() -> argparse.ArgumentParser:
                            help="shard streams over N worker processes "
                                 "(0/1: one in-process registry)")
     serve_cmd.add_argument("--stat-window", type=int, default=256,
-                           help="per-stream bounded stats window")
+                           help="commits whose step costs a stream "
+                                "snapshot's window covers")
     serve_cmd.add_argument("--metrics-port", type=int, default=None, metavar="P",
                            help="also serve Prometheus text metrics on this port")
 
@@ -170,7 +172,8 @@ def _cmd_replay(args: argparse.Namespace) -> int:
     return 0 if report.ok else 1
 
 
-def _counter_total(snapshot, name: str) -> float:
+def _series_total(snapshot, name: str) -> float:
+    """A counter's or gauge's value summed over its label sets."""
     entry = snapshot.get(name)
     if not entry:
         return 0
@@ -214,16 +217,13 @@ def _cmd_stats(args: argparse.Namespace) -> int:
         print(to_json(snapshot, indent=2))
         return 0
 
-    open_entry = snapshot.get("serve_streams_open", {})
-    open_streams = sum(
-        row.get("value", 0) for row in open_entry.get("series", ())
-    )
-    states = _counter_total(snapshot, "serve_states_ingested_total")
-    alerts = _counter_total(snapshot, "serve_alerts_total")
-    errors = _counter_total(snapshot, "serve_errors_total")
+    open_streams = _series_total(snapshot, "serve_streams_open")
+    states = _series_total(snapshot, "serve_states_ingested_total")
+    alerts = _series_total(snapshot, "serve_alerts_total")
+    errors = _series_total(snapshot, "serve_errors_total")
     rate = ""
     if args.interval > 0:
-        delta = states - _counter_total(first, "serve_states_ingested_total")
+        delta = states - _series_total(first, "serve_states_ingested_total")
         rate = f"  ({delta / args.interval:,.0f} states/s over {args.interval:g}s)"
     print(f"streams open:     {open_streams:,.0f}")
     print(f"states ingested:  {states:,.0f}{rate}")
@@ -233,16 +233,15 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     if opened:
         families = ", ".join(f"{k}={v:,.0f}" for k, v in sorted(opened.items()))
         print(f"opened by family: {families}")
-    plan = _counter_by_label(snapshot, "repro_plan_requests_total")
-    if plan:
-        print(f"plan cache:       "
-              f"hits={plan.get('hit', 0):,.0f} misses={plan.get('miss', 0):,.0f}")
-    interned = _counter_total(snapshot, "repro_plan_interned_total")
-    alpha_entry = snapshot.get("repro_plan_alpha_interned", {})
-    alpha = sum(row.get("value", 0) for row in alpha_entry.get("series", ()))
-    if interned or alpha:
-        print(f"interned plans:   served={interned:,.0f} "
-              f"alpha-classes collapsed={alpha:,.0f}")
+    # The plan LRU's own counts (synced from ``cache_statistics()``): a
+    # stream open looks its plan up there, a check as well.
+    if "repro_plan_cache_hits" in snapshot:
+        hits = _series_total(snapshot, "repro_plan_cache_hits")
+        misses = _series_total(snapshot, "repro_plan_cache_misses")
+        print(f"plan cache:       hits={hits:,.0f} misses={misses:,.0f}")
+    alpha = _series_total(snapshot, "repro_plan_alpha_interned")
+    if alpha:
+        print(f"interned plans:   alpha-equivalent hits={alpha:,.0f}")
     for metric, label in (
         ("serve_step_cost", "step cost"),
         ("serve_batch_states", "batch states"),
@@ -253,9 +252,9 @@ def _cmd_stats(args: argparse.Namespace) -> int:
             q95 = snapshot_quantile(entry, 0.95)
             q99 = snapshot_quantile(entry, 0.99)
             print(f"{label + ':':<18}p50={q50:g} p95={q95:g} p99={q99:g}")
-    framing_poisoned = _counter_total(snapshot, "serve_framing_poisoned_total")
+    framing_poisoned = _series_total(snapshot, "serve_framing_poisoned_total")
     if framing_poisoned:
-        resyncs = _counter_total(snapshot, "serve_framing_resyncs_total")
+        resyncs = _series_total(snapshot, "serve_framing_resyncs_total")
         print(f"framing:          {framing_poisoned:,.0f} poisoned lines, "
               f"{resyncs:,.0f} resyncs")
     return 0

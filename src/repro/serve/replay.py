@@ -239,5 +239,5 @@ def replay_corpus(
         report.states += trace.length
         report.clauses += len(case.clauses) if case.kind == "spec" else 1
         report.disagreements.extend(disagreements)
-    report.alerts = registry.alerts_emitted
+    report.alerts = registry.service_snapshot()["alerts"]
     return report

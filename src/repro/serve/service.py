@@ -58,10 +58,6 @@ class MonitorService:
         self._metrics_server: Optional[asyncio.AbstractServer] = None
         self.connections_served = 0
         self.frames_served = 0
-        #: Front-end framing health (satellite of every backend metric):
-        #: lines the per-connection decoders rejected, and their recoveries.
-        self.framing_poisoned = 0
-        self.framing_resyncs = 0
         # Front-end-only series (framing, connections) live in their own
         # registry so they merge cleanly into any backend's snapshot —
         # including a shard pool's, whose workers know nothing of sockets.
@@ -89,13 +85,6 @@ class MonitorService:
         return self._pool
 
     # -- frame handling --------------------------------------------------------
-
-    def handle_frame(self, frame: Dict[str, Any]) -> List[Dict[str, Any]]:
-        """Synchronous dispatch — the replay harness and tests use this."""
-        self.frames_served += 1
-        if self._pool is not None:
-            return self._inject_service_series(self._pool.handle(frame))
-        return self._inject_service_series(self._registry.handle(frame))
 
     def handle_batch(self, frames: Sequence[Dict[str, Any]]) -> List[Dict[str, Any]]:
         self.frames_served += len(frames)
@@ -206,11 +195,9 @@ class MonitorService:
         poisoned = decoder.poisoned_lines - seen[0]
         resyncs = decoder.resyncs - seen[1]
         if poisoned:
-            self.framing_poisoned += poisoned
             self._m_poisoned.child().inc(poisoned)
             seen[0] = decoder.poisoned_lines
         if resyncs:
-            self.framing_resyncs += resyncs
             self._m_resyncs.child().inc(resyncs)
             seen[1] = decoder.resyncs
 
@@ -290,7 +277,7 @@ class MonitorService:
         snapshot["connections_served"] = self.connections_served
         snapshot["frames_served"] = self.frames_served
         snapshot["framing"] = {
-            "poisoned_lines": self.framing_poisoned,
-            "resyncs": self.framing_resyncs,
+            "poisoned_lines": self._m_poisoned.total(),
+            "resyncs": self._m_resyncs.total(),
         }
         return snapshot

@@ -44,7 +44,7 @@ from __future__ import annotations
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..api.session import Session
-from ..obs import DEFAULT_SIZE_BUCKETS, MetricsRegistry
+from ..obs import DEFAULT_SIZE_BUCKETS
 from ..semantics.columns import Window
 from ..syntax.parser import parse_formula
 from .protocol import ProtocolError, rows_to_states, validate_request
@@ -98,6 +98,10 @@ class StreamHandle:
         "_pending_alerts",
         "_frame_counts",
         "_rebuild",
+        "_stat_window",
+        "_costs",
+        "_cost_commits",
+        "_cost_total",
     )
 
     def __init__(
@@ -106,6 +110,7 @@ class StreamHandle:
         monitor,
         rebuild: Optional[Callable[[], Any]] = None,
         family: str = "formulas",
+        stat_window: int = 256,
     ) -> None:
         self.name = name
         #: The spec family this stream monitors (a registered spec name, or
@@ -126,6 +131,13 @@ class StreamHandle:
         #: Builds a fresh, empty monitor for the same formulas (the
         #: registry passes one backed by the session's warm plan cache).
         self._rebuild = rebuild
+        #: The step cost (plan dispatch calls) of each of the last
+        #: ``stat_window`` commits — a coalesced run is one commit — and
+        #: the lifetime count and sum of every commit's cost.
+        self._stat_window = stat_window
+        self._costs: List[int] = []
+        self._cost_commits = 0
+        self._cost_total = 0
         monitor.on_change = self._on_change  # the stream owns the alert hook
 
     # -- alerts ---------------------------------------------------------------
@@ -144,9 +156,26 @@ class StreamHandle:
 
     # -- ingestion ------------------------------------------------------------
 
+    def _record_cost(self) -> None:
+        """Read the commit's step cost, right after its ``observe_batch``
+        (a flip replay later swaps the monitor, not this number)."""
+        cost = self.monitor.last_step_cost
+        costs = self._costs
+        costs.append(cost)
+        if len(costs) > self._stat_window:
+            del costs[0]
+        self._cost_commits += 1
+        self._cost_total += cost
+
+    @property
+    def last_step_cost(self) -> int:
+        """The step cost of the latest commit (0 before any)."""
+        return self._costs[-1] if self._costs else 0
+
     def absorb(self, states) -> List[Dict[str, Any]]:
         """Commit one batch; returns the alert frames it raised."""
         self.monitor.observe_batch(states)
+        self._record_cost()
         self.version += 1
         self.states_ingested += len(states)
         self.batches += 1
@@ -187,6 +216,7 @@ class StreamHandle:
         commits = sum(1 for batch in batches if batch)
         if merged:
             self.monitor.observe_batch(merged, commits=commits)
+            self._record_cost()
         self.version += len(batches)
         self.states_ingested += len(merged)
         self.batches += len(batches)
@@ -282,7 +312,7 @@ class StreamHandle:
         cannot reach any other read.
         """
         monitor = self.monitor
-        costs = monitor.step_costs
+        costs = self._costs
         verdicts = {
             name: {
                 "holds": v.holds,
@@ -302,11 +332,11 @@ class StreamHandle:
             "verdicts": verdicts,
             "failing": sorted(monitor.failing()),
             "step_cost": {
-                "last": monitor.last_step_cost,
+                "last": self.last_step_cost,
                 "window": len(costs),
                 "window_total": sum(costs),
-                "lifetime_batches": costs.total_count,
-                "lifetime_total": costs.total,
+                "lifetime_batches": self._cost_commits,
+                "lifetime_total": self._cost_total,
             },
             "memo_size": monitor.plan_state.memo_size,
         }
@@ -318,10 +348,13 @@ class StreamHandle:
 class StreamRegistry:
     """All streams of one worker, behind the frame-level request surface.
 
-    The plain integer counters (``opened``, ``states_ingested``, ...) are
-    the legacy ``service_snapshot()`` surface; the same events also land
-    in the session's :class:`~repro.obs.MetricsRegistry` as per-family
-    labelled ``serve_*`` series, exported by the ``metrics`` frame.
+    Every total it reports lives in one place: the session's
+    :class:`~repro.obs.MetricsRegistry`, as per-family labelled
+    ``serve_*`` series, exported by the ``metrics`` frame.
+    :meth:`service_snapshot` sums those series.
+
+    ``stat_window`` is the number of commits whose step costs a stream
+    snapshot's ``step_cost`` window covers.
     """
 
     def __init__(
@@ -329,8 +362,9 @@ class StreamRegistry:
         session: Optional[Session] = None,
         stat_window: int = 256,
         worker_id: Optional[int] = None,
-        metrics: Optional[MetricsRegistry] = None,
     ) -> None:
+        if stat_window < 1:
+            raise ValueError(f"stat_window must be at least 1, got {stat_window}")
         self._session = session if session is not None else Session()
         self._stat_window = stat_window
         self._streams: Dict[str, StreamHandle] = {}
@@ -340,48 +374,43 @@ class StreamRegistry:
         #: interned plan without a parse or digest.
         self._family_formulas: Dict[str, Dict[str, Any]] = {}
         self.worker_id = worker_id
-        self.opened = 0
-        self.closed = 0
-        self.states_ingested = 0
-        self.alerts_emitted = 0
-        self.errors = 0
-        #: Defaults to the session's registry so engine/cache series and
-        #: serve series travel in one snapshot.
-        self.metrics = metrics if metrics is not None else self._session.metrics
-        self._m_opened = self.metrics.counter(
+        # The session's registry, so engine/cache series and serve series
+        # travel in one snapshot.
+        metrics = self._session.metrics
+        self._m_opened = metrics.counter(
             "serve_streams_opened_total", "Streams opened, by spec family.",
             ("family",),
         )
-        self._m_closed = self.metrics.counter(
+        self._m_closed = metrics.counter(
             "serve_streams_closed_total", "Streams closed, by spec family.",
             ("family",),
         )
-        self._m_states = self.metrics.counter(
+        self._m_states = metrics.counter(
             "serve_states_ingested_total", "States absorbed, by spec family.",
             ("family",),
         )
-        self._m_alerts = self.metrics.counter(
+        self._m_alerts = metrics.counter(
             "serve_alerts_total", "Verdict-change alerts emitted, by spec family.",
             ("family",),
         )
-        self._m_errors = self.metrics.counter(
+        self._m_errors = metrics.counter(
             "serve_errors_total", "Error frames answered, by protocol code.",
             ("code",),
         )
-        self._m_batch_states = self.metrics.histogram(
+        self._m_batch_states = metrics.histogram(
             "serve_batch_states", "States per append frame, by spec family.",
             ("family",), buckets=DEFAULT_SIZE_BUCKETS,
         )
-        self._m_coalesced = self.metrics.histogram(
+        self._m_coalesced = metrics.histogram(
             "serve_coalesced_frames",
             "Append frames coalesced into one runtime batch, by spec family.",
             ("family",), buckets=DEFAULT_SIZE_BUCKETS,
         )
-        self._m_step_cost = self.metrics.histogram(
+        self._m_step_cost = metrics.histogram(
             "serve_step_cost", "Evaluation step cost per committed batch, by spec family.",
             ("family",), buckets=DEFAULT_SIZE_BUCKETS,
         )
-        self._m_open_streams = self.metrics.gauge(
+        self._m_open_streams = metrics.gauge(
             "serve_streams_open", "Streams currently open on this worker."
         )
 
@@ -426,11 +455,9 @@ class StreamRegistry:
                 return [self.snapshot(frame.get("stream"))]
             return [self.close(frame["stream"])]
         except ProtocolError as exc:
-            self.errors += 1
             self._m_errors.child(exc.code).inc()
             return [exc.to_frame()]
         except Exception as exc:  # pragma: no cover - defensive
-            self.errors += 1
             self._m_errors.child("internal").inc()
             return [
                 ProtocolError(
@@ -492,27 +519,19 @@ class StreamRegistry:
             )
         formulas = self._resolve_formulas(frame)
         domain = frame.get("domain")
-        monitor = self._session.monitor(
-            formulas,
-            domain,
-            capture_errors=True,
-            stat_window=self._stat_window,
-        )
+        monitor = self._session.monitor(formulas, domain, capture_errors=True)
 
         def rebuild():
             # A fresh monitor on the same warm plan — what a coalesced
             # group's flip replay runs the stream back through.
-            return self._session.monitor(
-                formulas,
-                domain,
-                capture_errors=True,
-                stat_window=self._stat_window,
-            )
+            return self._session.monitor(formulas, domain, capture_errors=True)
 
         family = frame.get("spec", "formulas")
-        handle = StreamHandle(name, monitor, rebuild=rebuild, family=family)
+        handle = StreamHandle(
+            name, monitor, rebuild=rebuild, family=family,
+            stat_window=self._stat_window,
+        )
         self._streams[name] = handle
-        self.opened += 1
         self._m_opened.child(family).inc()
         self._m_open_streams.child().set(len(self._streams))
         return {
@@ -563,8 +582,6 @@ class StreamRegistry:
         handle = self.stream(name)
         states = rows_to_states(frame["states"], stream=name)
         alerts = handle.absorb(states)
-        self.states_ingested += len(states)
-        self.alerts_emitted += len(alerts)
         self._record_commit(handle, len(states), len(alerts))
         responses = list(alerts)
         if frame.get("ack", True):
@@ -613,7 +630,7 @@ class StreamRegistry:
                     [states for _, states in decoded]
                 )
             except Exception as exc:  # pragma: no cover - defensive
-                self.errors += 1
+                self._m_errors.child("internal").inc()
                 responses.append(
                     ProtocolError(
                         "internal", f"{type(exc).__name__}: {exc}", stream=name
@@ -630,8 +647,6 @@ class StreamRegistry:
             for (frame, states), (alerts, verdicts, length, version) in zip(
                 decoded, outcomes
             ):
-                self.states_ingested += len(states)
-                self.alerts_emitted += len(alerts)
                 responses.extend(alerts)
                 if frame.get("ack", True):
                     responses.append(
@@ -645,7 +660,6 @@ class StreamRegistry:
                         }
                     )
         if failure is not None:
-            self.errors += 1
             self._m_errors.child(failure.code).inc()
             responses.append(failure.to_frame())
             return len(decoded) + 1, responses
@@ -658,9 +672,7 @@ class StreamRegistry:
         self._m_batch_states.child(family).observe(states)
         if alerts:
             self._m_alerts.child(family).inc(alerts)
-        cost = handle.monitor.last_step_cost
-        if cost is not None:
-            self._m_step_cost.child(family).observe(cost)
+        self._m_step_cost.child(family).observe(handle.last_step_cost)
 
     def snapshot(self, name: Optional[str] = None) -> Dict[str, Any]:
         if name is not None:
@@ -670,18 +682,17 @@ class StreamRegistry:
     def service_snapshot(self) -> Dict[str, Any]:
         """The whole worker's aggregate, cache stats included.
 
-        The legacy operational surface; :meth:`metrics_snapshot` (and the
-        wire-level ``metrics`` frame) carries the same totals as
-        composable, per-family :mod:`repro.obs` series.
+        Its totals are the ``serve_*`` series of :meth:`metrics_snapshot`
+        (and the wire-level ``metrics`` frame), summed over their labels.
         """
         snapshot: Dict[str, Any] = {
             "ok": "snapshot",
             "streams": len(self._streams),
-            "opened": self.opened,
-            "closed": self.closed,
-            "states_ingested": self.states_ingested,
-            "alerts": self.alerts_emitted,
-            "errors": self.errors,
+            "opened": self._m_opened.total(),
+            "closed": self._m_closed.total(),
+            "states_ingested": self._m_states.total(),
+            "alerts": self._m_alerts.total(),
+            "errors": self._m_errors.total(),
             "failing_streams": sorted(
                 handle.name
                 for handle in self._streams.values()
@@ -695,20 +706,16 @@ class StreamRegistry:
 
     def metrics_frame(self) -> Dict[str, Any]:
         """The ``{"op": "metrics"}`` response: this worker's registry
-        snapshot (cache gauges synced when the session's registry is
-        shared, which is the default)."""
+        snapshot, cache gauges synced."""
         return {"ok": "metrics", "metrics": self.metrics_snapshot()}
 
     def metrics_snapshot(self) -> Dict[str, Any]:
         self._m_open_streams.child().set(len(self._streams))
-        if self.metrics is self._session.metrics:
-            return self._session.metrics_snapshot()
-        return self.metrics.snapshot()
+        return self._session.metrics_snapshot()
 
     def close(self, name: str) -> Dict[str, Any]:
         handle = self.stream(name)
         del self._streams[name]
-        self.closed += 1
         self._m_closed.child(handle.family).inc()
         self._m_open_streams.child().set(len(self._streams))
         closed = {

@@ -28,7 +28,7 @@ from __future__ import annotations
 import multiprocessing
 import pickle
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence
 
 from ..obs import MetricsRegistry, merge_snapshots
@@ -44,7 +44,6 @@ class WorkerConfig:
 
     worker_id: int
     stat_window: int = 256
-    session_options: Dict[str, Any] = field(default_factory=dict)
 
 
 def _encode_shipment(frames: Sequence[Dict[str, Any]]) -> bytes:
@@ -66,9 +65,8 @@ def shard_worker_main(conn, config: WorkerConfig) -> None:
     from ..api.session import Session
     from .streams import StreamRegistry
 
-    session = Session(**config.session_options)
     registry = StreamRegistry(
-        session=session,
+        session=Session(),
         stat_window=config.stat_window,
         worker_id=config.worker_id,
     )
@@ -149,6 +147,8 @@ class ShardPool:
     ) -> None:
         if shards < 1:
             raise ValueError(f"shards must be at least 1, got {shards}")
+        if stat_window < 1:
+            raise ValueError(f"stat_window must be at least 1, got {stat_window}")
         ctx = multiprocessing.get_context(context)
         self.ring = HashRing(range(shards), replicas=replicas)
         # Ring lookups are a SHA-256 + bisect per frame; assignments are a

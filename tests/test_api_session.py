@@ -169,9 +169,9 @@ class TestEngines:
         first = session.check("<> x == 2", trace=trace, mode="trace")
         again = session.check("<> x == 2", trace=trace, mode="trace")
         assert first.verdict is again.verdict is True
-        assert first.statistics["memo_new_entries"] > 0
-        assert again.statistics["memo_new_entries"] == \
-            first.statistics["memo_new_entries"]
+        assert first.statistics["memo_entries"] > 0
+        assert again.statistics["memo_entries"] == \
+            first.statistics["memo_entries"]
 
     def test_monitor_engine_reports_first_failure_step(self):
         trace = make_trace([{"x": 1}, {"x": 2}, {"x": 2}])

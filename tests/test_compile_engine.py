@@ -126,8 +126,8 @@ class TestPlanCache:
         again = session.check("<> x == 2", trace=trace, mode="stepwise")
         assert first.statistics["plan_from_cache"] is False
         assert again.statistics["plan_from_cache"] is True
-        assert first.statistics["memo_new_entries"] > 0
-        for key in ("memo_new_entries", "dispatch_calls"):
+        assert first.statistics["memo_entries"] > 0
+        for key in ("memo_entries", "dispatch_calls"):
             assert again.statistics[key] == first.statistics[key]
 
     def test_vectorized_and_stepwise_states_share_one_plan(self):
@@ -231,12 +231,11 @@ class TestMonitorRewrite:
 
     def test_public_api_and_verdict_shape(self):
         monitor = Monitor({"safe": parse_formula("[] x >= 1")})
-        verdicts = None
+        holds = []
         for x in (1, 2, 0):
-            verdicts = monitor.observe(State({"x": x}))
-        verdict = verdicts["safe"]
-        assert verdict.holds is False
-        assert verdict.history == [True, True, False]
+            verdict = monitor.observe(State({"x": x}))["safe"]
+            holds.append(verdict.holds)
+        assert holds == [True, True, False]
         assert verdict.stable_for == 0
         assert monitor.prefix_length == 3
         assert monitor.failing() == ["safe"]
@@ -249,6 +248,7 @@ class TestMonitorRewrite:
         assert monitor.verdicts["f"].stable_for == 3
 
     def test_verdict_history_matches_per_prefix_evaluation(self):
+        session = Session()
         for case in gen_cases(FuzzConfig(seed=17, cases=120)):
             if case.kind != "trace":
                 continue
@@ -256,14 +256,15 @@ class TestMonitorRewrite:
             if not trace.is_stutter_extended:
                 continue  # monitors follow the finite-computation convention
             formula = case.parsed_formula()
-            monitor = Monitor({"f": formula}, case.domain)
-            monitor.observe_trace(trace)
+            result = session.check(
+                formula, trace=trace, domain=case.domain, mode="monitor"
+            )
             expected = []
             states = list(trace.states())
             for n in range(1, len(states) + 1):
                 prefix = Trace(states[:n])
                 expected.append(Evaluator(prefix, case.domain).satisfies(formula))
-            assert monitor.verdicts["f"].history == expected, case.to_line()
+            assert result.statistics["history"] == expected, case.to_line()
 
     def test_per_step_work_does_not_grow_with_prefix_length(self):
         # The old Monitor rebuilt a Trace + Evaluator per observe, making
@@ -273,13 +274,15 @@ class TestMonitorRewrite:
             "resp": parse_formula("[] (p -> <> q)"),
             "evt": parse_formula("[] ([p] q)"),
         })
+        costs = []
         for i in range(300):
+            before = monitor.plan_state.stats.dispatch_calls
             monitor.observe(State({"p": i % 3 == 0, "q": i % 3 == 1}))
-        costs = monitor.step_costs
+            costs.append(monitor.last_step_cost)
+            assert costs[-1] == monitor.plan_state.stats.dispatch_calls - before
         early = sum(costs[20:60]) / 40.0
         late = sum(costs[260:300]) / 40.0
         assert late <= early * 1.5, (early, late)
-        assert monitor.last_step_cost == costs[-1]
 
     def test_specification_monitor_detects_the_injected_fault(self):
         spec = request_ack_spec()

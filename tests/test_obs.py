@@ -1,15 +1,10 @@
-"""repro.obs: the unified metrics/tracing/profiling layer and its wiring.
+"""repro.obs: the unified metrics/tracing layer and its wiring.
 
 Covers the observability tentpole's acceptance behaviours:
 
-- registry snapshot/merge/diff round-trips (counters and histogram buckets
-  sum on merge and subtract on diff; gauges sum on merge, keep the later
-  value on diff) and the Prometheus-text + JSON exposition encoders;
+- registry snapshot/merge round-trips (counters, histogram buckets and
+  gauges sum on merge) and the Prometheus-text + JSON exposition encoders;
 - the tracer's nested spans and bounded root buffer;
-- the sampling profiler's node-kind attribution with bit-for-bit verdict
-  parity against an unprofiled run;
-- :class:`StatWindow`'s compaction bound, and its lifetime ``total`` and
-  ``total_count`` across a compaction;
 - ``Session.metrics_snapshot()`` reflecting check traffic;
 - worker-registry merge determinism under ``check_many(processes=N)``, and
   the counted (and still warned) fall-back to in-process execution;
@@ -25,15 +20,12 @@ import warnings
 import pytest
 
 from repro.api import CheckRequest, Session
-from repro.checking.monitor import Monitor, StatWindow
 from repro.obs import (
     DEFAULT_SIZE_BUCKETS,
     MetricsRegistry,
     NULL_METRICS,
     NULL_TRACER,
-    PlanProfiler,
     Tracer,
-    diff_snapshots,
     merge_snapshots,
     snapshot_quantile,
     to_json,
@@ -64,6 +56,7 @@ class TestRegistry:
         checks.labels(engine="evaluator").inc()
         assert checks.value("compiled") == 3
         assert checks.value("evaluator") == 1
+        assert checks.total() == 4
 
         open_streams = registry.gauge("streams_open", "Open streams.")
         open_streams.child().set(5)
@@ -163,32 +156,6 @@ class TestSnapshotAlgebra:
         with pytest.raises(ValueError):
             registry.merge_snapshot(snap)
 
-    def test_diff_subtracts_counters_and_histograms(self):
-        registry = self.build()
-        before = registry.snapshot()
-        registry.counter("c", "counts", ("k",)).child("a").inc(4)
-        registry.gauge("g").child().set(2)
-        registry.get("h").child().observe(5)
-        after = registry.snapshot()
-        delta = diff_snapshots(before, after)
-        by_label = {tuple(r["labels"]): r for r in delta["c"]["series"]}
-        assert by_label[("a",)]["value"] == 4
-        assert by_label[("b",)]["value"] == 0
-        # Gauges keep the "after" value.
-        assert delta["g"]["series"][0]["value"] == 2
-        assert delta["h"]["series"][0]["buckets"] == [0, 1, 0]
-        assert delta["h"]["series"][0]["count"] == 1
-
-    def test_diff_keeps_series_new_since_before(self):
-        registry = MetricsRegistry()
-        counter = registry.counter("c", labels=("k",))
-        counter.child("a").inc(1)
-        before = registry.snapshot()
-        counter.child("b").inc(9)
-        delta = diff_snapshots(before, registry.snapshot())
-        by_label = {tuple(r["labels"]): r["value"] for r in delta["c"]["series"]}
-        assert by_label == {("a",): 0, ("b",): 9}
-
     def test_snapshot_quantile_pools_all_series(self):
         registry = MetricsRegistry()
         hist = registry.histogram("h", labels=("k",), buckets=(1, 2, 4))
@@ -260,6 +227,7 @@ class TestNullMetrics:
         assert NULL_METRICS.snapshot() == {}
         NULL_METRICS.merge_snapshot({"c": {"type": "counter"}})
         assert NULL_METRICS.snapshot() == {}
+        assert NULL_METRICS.counter("x", labels=("a",)).total() == 0
 
 
 class TestTracer:
@@ -298,64 +266,6 @@ class TestTracer:
         with NULL_TRACER.span("anything", k=1) as span:
             span.set(more=2)
         assert NULL_TRACER.spans() == []
-
-
-class TestPlanProfiler:
-    FORMULA = "forall v . <> x == ?v"
-
-    def test_attribution_with_verdict_parity(self):
-        formulas = {"quant": parse_formula(self.FORMULA)}
-        domain = {"v": [1, 2, 3]}
-        rows = [{"x": i % 4, "p": True} for i in range(40)]
-
-        plain = Monitor(formulas, domain=domain)
-        for row in rows:
-            baseline = plain.observe(row)
-
-        profiled = Monitor(formulas, domain=domain)
-        profiler = PlanProfiler(sample_every=2)
-        profiler.attach(profiled.plan_state)  # accepts the SpecPlanState façade
-        for row in rows:
-            verdicts = profiled.observe(row)
-
-        assert verdicts["quant"].holds == baseline["quant"].holds
-        report = profiler.report()
-        assert profiler.total_calls() > 0
-        assert all(set(row) == {"calls", "sampled", "time_s", "est_time_s"}
-                   for row in report.values())
-        # Scaled estimate is never below the directly sampled time.
-        for row in report.values():
-            assert row["est_time_s"] >= row["time_s"]
-
-    def test_export_is_idempotent(self):
-        monitor = Monitor({"ev": parse_formula("<> p")})
-        profiler = PlanProfiler(sample_every=1)
-        profiler.attach(monitor.plan_state)
-        for _ in range(8):
-            monitor.observe({"p": False})
-        registry = MetricsRegistry()
-        profiler.export(registry)
-        once = registry.snapshot()["repro_plan_node_calls_total"]["series"]
-        profiler.export(registry)
-        assert registry.snapshot()["repro_plan_node_calls_total"]["series"] == once
-
-    def test_sample_every_validated(self):
-        with pytest.raises(ValueError):
-            PlanProfiler(sample_every=0)
-
-
-class TestStatWindow:
-    def test_totals_count_every_sample_across_compaction(self):
-        # The buffer stays within twice its bound as it compacts, and the
-        # lifetime totals keep the samples it rolled out (``None`` adds
-        # nothing to ``total``).
-        window = StatWindow(3)
-        for value in list(range(10)) + [None]:
-            window.append(value)
-            assert len(window._items) <= 2 * 3
-        assert window.total_count == 11
-        assert window.total == sum(range(10))
-        assert list(window) == [8, 9, None]
 
 
 class TestSessionMetrics:

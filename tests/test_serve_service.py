@@ -10,8 +10,12 @@ Covers the serving tentpole's acceptance behaviours end to end:
 - protocol error frames for every semantic failure, with the stream (and
   connection) surviving;
 - streams on one specification sharing one compiled plan;
-- bounded monitor statistics (the :class:`StatWindow` regression) and
-  batched absorption parity;
+- one store for every number a stream or the registry reports: a
+  stream's step-cost window and lifetime figures count commits (a
+  coalesced run is one), the ``serve_step_cost`` histogram observes the
+  same numbers, and the service totals are sums of the ``serve_*``
+  counters;
+- batched absorption parity;
 - a closed stream freed by reference counting alone, with no reference
   cycle left for the garbage collector;
 - the asyncio socket front end and the consistent-hash shard pool.
@@ -19,13 +23,16 @@ Covers the serving tentpole's acceptance behaviours end to end:
 
 import asyncio
 import gc
+import json
 import os
 import signal
+import subprocess
+import sys
 
 import pytest
 
 from repro.api import Session
-from repro.checking.monitor import DEFAULT_STAT_WINDOW, Monitor, MonitorVerdict, StatWindow
+from repro.checking.monitor import Monitor, MonitorVerdict
 from repro.compile import GrowingPrefix, PlanState, SpecPlanState
 from repro.compile.vector import TailKernel, _Profile
 from repro.gen.cases import SYSTEM_FACTORIES
@@ -208,7 +215,7 @@ class TestRegistrySemantics:
             {"op": "append", "stream": "s1", "states": ["junk"]}
         )
         assert state["error"] == "bad-state"
-        assert registry.errors == 5
+        assert registry.service_snapshot()["errors"] == 5
         # The stream took no damage from any of it:
         (snap,) = registry.handle({"op": "snapshot", "stream": "s1"})
         assert snap["version"] == 0
@@ -241,43 +248,6 @@ class TestPlanCacheSharing:
 
 
 class TestMonitorStatistics:
-    def _states(self, n):
-        from repro.semantics.state import State
-
-        return [State({"p": True}) for _ in range(n)]
-
-    def test_stat_window_bounds_memory(self):
-        monitor = Monitor({"safe": parse_formula("[] p")}, stat_window=8)
-        for state in self._states(100):
-            monitor.observe(state)
-        assert len(monitor.step_costs) <= 8
-        assert monitor.step_costs.total_count == 100
-        assert monitor.step_costs.dropped == 92
-        verdict = monitor.verdicts["safe"]
-        assert len(verdict.history) <= 8
-        assert verdict.history.total_count == 100
-        assert verdict.holds is True and verdict.stable_for == 99
-
-    def test_default_window_keeps_full_history_for_short_runs(self):
-        monitor = Monitor({"safe": parse_formula("[] p")})
-        for state in self._states(50):
-            monitor.observe(state)
-        assert monitor.step_costs.maxlen == DEFAULT_STAT_WINDOW
-        assert len(monitor.step_costs) == 50
-        assert list(monitor.verdicts["safe"].history) == [True] * 50
-
-    def test_stat_window_behaves_like_a_list(self):
-        window = StatWindow(maxlen=5)
-        for i in range(9):
-            window.append(i)
-        assert window == [4, 5, 6, 7, 8]
-        assert window[-1] == 8
-        assert window[1:3] == [5, 6]
-        assert sum(window) == 30
-        assert window.total == sum(range(9))
-        window.reset()
-        assert window == [] and window.total == 0 and window.total_count == 0
-
     def test_observe_batch_matches_per_state_final_verdicts(self):
         trace = SYSTEM_FACTORIES()["reordering_queue"](num_values=4, seed=2)
         spec = SPEC_FACTORIES()["reliable_queue"]()
@@ -295,17 +265,108 @@ class TestMonitorStatistics:
         assert {n: v.holds for n, v in single.verdicts.items()} == \
                {n: v.holds for n, v in batched.verdicts.items()}
         # The batch path re-evaluates once per chunk, not once per state.
-        assert batched.step_costs.total_count < single.step_costs.total_count
+        assert batched.plan_state.stats.dispatch_calls < \
+               single.plan_state.stats.dispatch_calls
 
-    def test_reset_stats_keeps_verdicts(self):
-        monitor = Monitor({"safe": parse_formula("[] p")}, stat_window=16)
-        for state in self._states(10):
-            monitor.observe(state)
-        monitor.reset_stats()
-        assert len(monitor.step_costs) == 0
-        assert monitor.verdicts["safe"].holds is True
-        assert monitor.prefix_length == 10
 
+def step_cost_series(registry):
+    """The ``serve_step_cost`` histogram's (count, sum) over its families."""
+    entry = registry.metrics_snapshot()["serve_step_cost"]
+    return (
+        sum(row["count"] for row in entry["series"]),
+        sum(row["sum"] for row in entry["series"]),
+    )
+
+
+class TestOneStore:
+    def test_step_cost_window_keeps_the_last_commits(self):
+        registry = StreamRegistry(stat_window=8)
+        open_ok(registry, "s1", formulas={"safe": "[] p", "ev": "<> q"})
+        costs = []
+        for index in range(20):
+            registry.handle({"op": "append", "stream": "s1",
+                             "states": [{"values": {"p": True, "q": index % 3 == 0}}]})
+            costs.append(registry.stream("s1").monitor.last_step_cost)
+        (snapshot,) = registry.handle({"op": "snapshot", "stream": "s1"})
+        step = snapshot["step_cost"]
+        assert step == {
+            "last": costs[-1],
+            "window": 8,
+            "window_total": sum(costs[-8:]),
+            "lifetime_batches": 20,
+            "lifetime_total": sum(costs),
+        }
+        assert step_cost_series(registry) == (20, float(sum(costs)))
+
+    def test_a_step_cost_window_holds_at_least_one_commit(self):
+        for stat_window in (0, -1):
+            with pytest.raises(ValueError):
+                StreamRegistry(stat_window=stat_window)
+
+    def test_a_flipping_coalesced_run_counts_as_one_commit(self):
+        # Every clause of a fresh stream alerts on its first frame, so a
+        # first run of several frames flips and is replayed frame by frame
+        # on a fresh monitor.  The run is still one commit, costed by the
+        # coalesced observation.
+        registry = StreamRegistry()
+        open_ok(registry, "s1", formulas={"safe": "[] p", "ev": "<> q"})
+        frames = [
+            {"op": "append", "stream": "s1",
+             "states": [{"values": {"p": True, "q": q}}]}
+            for q in (False, False, True)
+        ]
+        responses = registry.handle_batch(frames)
+        assert [r for r in responses if r.get("event") == "alert"]
+        (snapshot,) = registry.handle({"op": "snapshot", "stream": "s1"})
+        step = snapshot["step_cost"]
+        assert step["lifetime_batches"] == step["window"] == 1
+        assert step["last"] == step["lifetime_total"] == step["window_total"]
+        assert step_cost_series(registry) == (1, float(step["lifetime_total"]))
+        assert snapshot["batches"] == 3 and snapshot["version"] == 3
+
+    def test_a_failed_coalesced_run_counts_one_internal_error(self, monkeypatch):
+        def fail(handle, batches):
+            raise RuntimeError("absorb failed")
+
+        registry = StreamRegistry()
+        open_ok(registry, "s1", formulas={"safe": "[] p"})
+        monkeypatch.setattr(StreamHandle, "absorb_group", fail)
+        frames = [
+            {"op": "append", "stream": "s1", "states": [{"values": {"p": True}}]}
+            for _ in range(2)
+        ]
+        (error,) = registry.handle_batch(frames)
+        assert error["error"] == "internal" and error["stream"] == "s1"
+        snapshot = registry.service_snapshot()
+        errors = registry.metrics_snapshot()["serve_errors_total"]["series"]
+        assert snapshot["errors"] == sum(row["value"] for row in errors) == 1
+        assert {tuple(row["labels"]) for row in errors} == {("internal",)}
+
+    def test_service_totals_are_sums_of_the_serve_counters(self):
+        registry = StreamRegistry()
+        open_ok(registry, "a", spec="request_ack")
+        open_ok(registry, "b", formulas={"safe": "[] p"})
+        registry.handle({"op": "append", "stream": "a",
+                         "states": [{"values": {"req": True, "ack": False}}]})
+        registry.handle({"op": "append", "stream": "b",
+                         "states": [{"values": {"p": False}}] * 3})
+        registry.handle({"op": "close", "stream": "b"})
+        registry.handle({"op": "snapshot", "stream": "ghost"})
+        snapshot = registry.service_snapshot()
+        metrics = registry.metrics_snapshot()
+
+        def total(name):
+            return sum(row["value"] for row in metrics[name]["series"])
+
+        assert snapshot["opened"] == total("serve_streams_opened_total") == 2
+        assert snapshot["closed"] == total("serve_streams_closed_total") == 1
+        assert snapshot["states_ingested"] == total("serve_states_ingested_total") == 4
+        assert snapshot["alerts"] == total("serve_alerts_total") > 0
+        assert snapshot["errors"] == total("serve_errors_total") == 1
+        assert all(
+            type(snapshot[key]) is int
+            for key in ("opened", "closed", "states_ingested", "alerts", "errors")
+        )
 
 class TestAsyncioService:
     def test_end_to_end_over_a_socket(self):
@@ -390,7 +451,7 @@ class TestAsyncioService:
                 assert frames[0] == {"ok": "pong"}
                 assert frames[1]["error"] == "line-too-long"
                 assert frames[2]["ok"] == "metrics"
-                assert service.framing_poisoned == 1
+                assert service.service_snapshot()["framing"]["poisoned_lines"] == 1
                 writer.close()
                 await writer.wait_closed()
             finally:
@@ -419,6 +480,59 @@ class TestAsyncioService:
                 service.close()
 
         asyncio.run(scenario())
+
+
+def run_stats(port, *options):
+    """``python -m repro.serve stats`` against a live service, to completion."""
+    import repro
+
+    return subprocess.run(
+        [sys.executable, "-m", "repro.serve", "stats", "--port", str(port), *options],
+        capture_output=True, encoding="utf-8", timeout=60,
+        env={**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(repro.__file__))},
+    )
+
+
+class TestStatsCommand:
+    def test_stats_prints_the_fleet_and_its_json(self):
+        from repro.serve.client import ServeClient
+
+        rows = [{"values": {"req": True, "ack": False}},
+                {"values": {"req": False, "ack": True}}]
+
+        async def scenario():
+            service = MonitorService()
+            host, port = await service.start()
+            try:
+                client = await ServeClient.connect(host, port)
+                try:
+                    for index in range(3):
+                        await client.open(f"s{index}", spec="request_ack")
+                        await client.append(f"s{index}", rows)
+                    await client.close_stream("s0")
+                finally:
+                    await client.close()
+                # The command blocks until it has its answer: run it off the
+                # service's event loop.
+                return [
+                    await asyncio.to_thread(run_stats, port, *options)
+                    for options in (("--interval", "0"), ("--json",))
+                ]
+            finally:
+                await service.stop()
+                service.close()
+
+        text, raw = asyncio.run(scenario())
+        assert text.returncode == 0, text.stderr
+        lines = text.stdout.splitlines()
+        assert "streams open:     2" in lines
+        assert "states ingested:  6" in lines
+        # One compile: the two later opens find the plan by formula identity.
+        assert "plan cache:       hits=0 misses=1" in lines
+        assert raw.returncode == 0, raw.stderr
+        snapshot = json.loads(raw.stdout)
+        series = snapshot["serve_states_ingested_total"]["series"]
+        assert sum(row["value"] for row in series) == 6
 
 
 class TestShardPool:
