@@ -31,6 +31,7 @@ import sys
 
 import pytest
 
+import repro
 from repro.api import Session
 from repro.checking.monitor import Monitor, MonitorVerdict
 from repro.compile import GrowingPrefix, PlanState, SpecPlanState
@@ -484,8 +485,6 @@ class TestAsyncioService:
 
 def run_stats(port, *options):
     """``python -m repro.serve stats`` against a live service, to completion."""
-    import repro
-
     return subprocess.run(
         [sys.executable, "-m", "repro.serve", "stats", "--port", str(port), *options],
         capture_output=True, encoding="utf-8", timeout=60,
