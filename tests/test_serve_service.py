@@ -13,12 +13,15 @@ Covers the serving tentpole's acceptance behaviours end to end:
 - one store for every number a stream or the registry reports: a
   stream's step-cost window and lifetime figures count commits (a
   coalesced run is one), the ``serve_step_cost`` histogram observes the
-  same numbers, and the service totals are sums of the ``serve_*``
-  counters;
+  same numbers, and the service totals (a shard pool's included) are
+  sums of the ``serve_*`` counters, so they read 0 under
+  ``NULL_METRICS``;
 - batched absorption parity;
 - a closed stream freed by reference counting alone, with no reference
   cycle left for the garbage collector;
-- the asyncio socket front end and the consistent-hash shard pool.
+- the asyncio socket front end, the ``python -m repro.serve stats``
+  command (its totals and its ingest rate) and the consistent-hash
+  shard pool.
 """
 
 import asyncio
@@ -38,6 +41,7 @@ from repro.compile import GrowingPrefix, PlanState, SpecPlanState
 from repro.compile.vector import TailKernel, _Profile
 from repro.gen.cases import SYSTEM_FACTORIES
 from repro.gen.loadgen import LOAD_FAMILIES, generate_stream_scripts
+from repro.obs import NULL_METRICS
 from repro.semantics.columns import Column, ColumnStore, OperationColumn
 from repro.serve.protocol import trace_to_rows
 from repro.serve.replay import replay_corpus
@@ -269,6 +273,46 @@ class TestMonitorStatistics:
         assert batched.plan_state.stats.dispatch_calls < \
                single.plan_state.stats.dispatch_calls
 
+    def test_each_observation_sets_its_own_step_cost(self):
+        # ``last_step_cost`` is the dispatch work of the latest observation
+        # alone, so the costs of every observation add up to the plan
+        # state's lifetime count; a batch standing for k commits advances
+        # ``stable_for`` as k observations would.
+        monitor = Monitor({"safe": parse_formula("[] p")})
+        assert monitor.last_step_cost == 0
+        start = monitor.plan_state.stats.dispatch_calls
+        costs = []
+        for _ in range(100):
+            monitor.observe({"p": True})
+            costs.append(monitor.last_step_cost)
+        verdict = monitor.verdicts["safe"]
+        assert verdict.holds is True and verdict.stable_for == 99
+        monitor.observe_batch([{"p": True}] * 10, commits=10)
+        costs.append(monitor.last_step_cost)
+        assert monitor.prefix_length == 110
+        assert monitor.verdicts["safe"].stable_for == 109
+        assert costs[0] > 0
+        assert all(type(cost) is int and cost >= 0 for cost in costs)
+        assert sum(costs) == monitor.plan_state.stats.dispatch_calls - start
+
+    def test_default_window_keeps_every_commit_of_a_short_run(self):
+        registry = StreamRegistry()
+        open_ok(registry, "s1", formulas={"safe": "[] p"})
+        costs = []
+        for _ in range(50):
+            registry.handle({"op": "append", "stream": "s1",
+                             "states": [{"values": {"p": True}}]})
+            costs.append(registry.stream("s1").monitor.last_step_cost)
+        (snapshot,) = registry.handle({"op": "snapshot", "stream": "s1"})
+        assert snapshot["step_cost"] == {
+            "last": costs[-1],
+            "window": 50,
+            "window_total": sum(costs),
+            "lifetime_batches": 50,
+            "lifetime_total": sum(costs),
+        }
+        assert snapshot["verdicts"]["safe"] == {"holds": True, "stable_for": 49}
+
 
 def step_cost_series(registry):
     """The ``serve_step_cost`` histogram's (count, sum) over its families."""
@@ -368,6 +412,29 @@ class TestOneStore:
             type(snapshot[key]) is int
             for key in ("opened", "closed", "states_ingested", "alerts", "errors")
         )
+
+    def test_under_null_metrics_the_service_totals_read_zero(self):
+        # The service totals live only in the metrics registry, so one that
+        # records nothing reads 0; a stream's own figures live on its
+        # handle and still count.
+        registry = StreamRegistry(Session(metrics=NULL_METRICS))
+        open_ok(registry, "s1", formulas={"safe": "[] p"})
+        responses = registry.handle({"op": "append", "stream": "s1",
+                                     "states": [{"values": {"p": True}}] * 3})
+        assert [r for r in responses if r.get("event") == "alert"]
+        (snapshot,) = registry.handle({"op": "snapshot", "stream": "s1"})
+        assert snapshot["states_ingested"] == 3 and snapshot["alerts"] == 1
+        assert snapshot["step_cost"]["lifetime_batches"] == 1
+        assert snapshot["step_cost"]["lifetime_total"] > 0
+        registry.handle({"op": "close", "stream": "s1"})
+        registry.handle({"op": "snapshot", "stream": "ghost"})
+        totals = registry.service_snapshot()
+        assert {
+            key: totals[key]
+            for key in ("opened", "closed", "states_ingested", "alerts", "errors")
+        } == {"opened": 0, "closed": 0, "states_ingested": 0, "alerts": 0, "errors": 0}
+        assert registry.metrics_snapshot() == {}
+
 
 class TestAsyncioService:
     def test_end_to_end_over_a_socket(self):
@@ -533,6 +600,39 @@ class TestStatsCommand:
         series = snapshot["serve_states_ingested_total"]["series"]
         assert sum(row["value"] for row in series) == 6
 
+    def test_stats_rate_counts_the_states_between_its_two_samples(self):
+        from repro.serve.client import ServeClient
+
+        rows = [{"values": {"req": True, "ack": False}},
+                {"values": {"req": False, "ack": True}}]
+
+        async def scenario():
+            service = MonitorService()
+            host, port = await service.start()
+            try:
+                client = await ServeClient.connect(host, port)
+                try:
+                    await client.open("s0", spec="request_ack")
+                    await client.append("s0", rows)  # before the first sample
+                    served = service.frames_served
+                    stats = asyncio.create_task(
+                        asyncio.to_thread(run_stats, port, "--interval", "2")
+                    )
+                    # The command's first metrics frame is its first sample.
+                    while service.frames_served == served and not stats.done():
+                        await asyncio.sleep(0.01)
+                    await client.append("s0", rows * 2)
+                    return await stats
+                finally:
+                    await client.close()
+            finally:
+                await service.stop()
+                service.close()
+
+        result = asyncio.run(scenario())
+        assert result.returncode == 0, result.stderr
+        assert "states ingested:  6  (2 states/s over 2s)" in result.stdout.splitlines()
+
 
 class TestShardPool:
     def test_sharded_parity_and_aggregation(self):
@@ -580,6 +680,40 @@ class TestShardPool:
             assert len(aggregate["workers"]) == 2
         with pytest.raises(RuntimeError):
             pool.handle({"op": "ping"})
+
+    def test_pool_totals_are_sums_of_the_fleet_serve_counters(self):
+        from repro.serve.worker import ShardPool
+
+        scripts = generate_stream_scripts(4, seed=3, fault_rate=0.5)
+        with ShardPool(2) as pool:
+            for script in scripts:
+                (opened,) = pool.handle(
+                    {"op": "open", "stream": script.stream, "spec": script.spec}
+                )
+                assert opened.get("ok") == "opened", opened
+            frames = [
+                {"op": "append", "stream": script.stream,
+                 "states": trace_to_rows(script.build_trace())}
+                for script in scripts
+            ]
+            responses = pool.handle_batch(frames)
+            assert not [r for r in responses if "error" in r]
+            (closed,) = pool.handle({"op": "close", "stream": scripts[0].stream})
+            assert closed["ok"] == "closed", closed
+            (error,) = pool.handle({"op": "snapshot", "stream": "ghost"})
+            assert error["error"] == "unknown-stream"
+            aggregate = pool.aggregate_snapshot()
+            metrics = pool.aggregate_metrics()["metrics"]
+
+        def total(name):
+            return sum(row["value"] for row in metrics[name]["series"])
+
+        assert aggregate["opened"] == total("serve_streams_opened_total") == 4
+        assert aggregate["closed"] == total("serve_streams_closed_total") == 1
+        assert aggregate["states_ingested"] == total("serve_states_ingested_total") \
+            == sum(len(frame["states"]) for frame in frames)
+        assert aggregate["alerts"] == total("serve_alerts_total") > 0
+        assert aggregate["errors"] == total("serve_errors_total") == 1
 
     def test_a_killed_worker_is_lost_and_the_others_keep_serving(self):
         from repro.serve.worker import ShardPool
