@@ -4,7 +4,7 @@ The conformance experiments of Chapters 5-8 always check a *whole*
 specification against families of traces.  This benchmark gates the
 multi-root refactor's payoff in CI: checking the mutex + queue
 specifications clause-set-at-a-time through one shared
-:class:`~repro.compile.specplan.SpecPlanState` (shared subformula memo,
+:class:`~repro.compile.runtime.PlanState` (shared subformula memo,
 shared kernel change indexes, whole-term construction memo) must be >= 1.5x faster
 than the same campaign driven clause-by-clause through the per-clause
 ``compiled`` engine — with identical verdicts.
@@ -54,7 +54,7 @@ def _per_clause_campaign(work):
 
 
 def _multi_root_campaign(work):
-    """The new default: one SpecPlanState per (spec, trace)."""
+    """The default: one multi-clause PlanState per (spec, trace)."""
     session = Session()
     verdicts = []
     for _, spec, traces in work:
@@ -116,9 +116,8 @@ def test_shared_subformula_work_counters(benchmark):
             state = compile_specification(spec).evaluator(trace)
             for clause_name in state.plan.clause_names:
                 state.satisfies(clause_name)
-            inner = state._state
             separate_indexes = 0
-            per_position_indexes = len(inner._indexes)
+            per_position_indexes = len(state._indexes)
             for clause in spec.clauses:
                 single = compile_formula(clause.interpreted_formula()).evaluator(trace)
                 single.satisfies()
@@ -127,7 +126,7 @@ def test_shared_subformula_work_counters(benchmark):
             rows.append({
                 "spec": name,
                 "shared_nodes": state.plan.shared_node_count(),
-                "multi_indexes": inner._kernel.change_index_count,
+                "multi_indexes": state._kernel.change_index_count,
                 "per_clause_indexes": separate_indexes,
                 "per_position_indexes": per_position_indexes,
             })

@@ -203,7 +203,7 @@ class CompiledEngine(Engine):
         )
         plan = state.plan
         try:
-            verdict = state.satisfies(request.env)
+            verdict = state.satisfies(env=request.env)
             witness = None
             if request.extract_model:
                 # Witness construction is opt-in, exactly like the trace engine.

@@ -149,7 +149,8 @@ class Session:
         )
         self._m_plan_requests = self.metrics.counter(
             "repro_plan_requests_total",
-            "Compiled-plan lookups, by outcome (hit = served from cache).",
+            "Compiled plans requested by checks and monitor opens, by outcome "
+            "(hit = served without compiling).",
             ("outcome",),
         )
         self._m_spec_checks = self.metrics.counter(
@@ -314,7 +315,9 @@ class Session:
         the monitor (``on_change``, ``capture_errors``,
         ``forall_unroll_cap``).
         The monitor records whether its plan was served from cache on
-        ``plan_from_cache``.
+        ``plan_from_cache``, and the open counts in
+        ``repro_plan_requests_total``: ``hit`` when the identity map or the
+        plan LRU serves the plan, ``miss`` when it compiles.
 
         Formulas passed by *identity* (the serve registry resolves each
         spec family once and reuses the objects) skip the per-open parse
@@ -357,6 +360,7 @@ class Session:
                 )
                 while len(self._monitor_plans) > self._SPEC_PLAN_IDENTITY_CAPACITY:
                     self._monitor_plans.popitem(last=False)
+        self._m_plan_requests.child("hit" if from_cache else "miss").inc()
         options.setdefault("forall_unroll_cap", self._forall_unroll_cap)
         monitor = Monitor(dict(items), domain, plan=plan, **options)
         monitor.plan_from_cache = from_cache
@@ -405,7 +409,8 @@ class Session:
     ):
         """A fresh compiled plan state for ``(formula, trace, domain)``.
 
-        The plan itself is cached by formula digest + domain shape — one
+        The plan — the one-clause :class:`~repro.compile.specplan.SpecPlan`
+        of ``formula`` — is cached by spec digest + domain shape: one
         compilation serves every trace and every ``check_many`` batch.  The
         :class:`~repro.compile.runtime.PlanState` binding it to ``trace``
         is made per call; close it (:meth:`PlanState.close
@@ -456,7 +461,7 @@ class Session:
         :class:`~repro.compile.specplan.SpecPlan` (cached by spec digest +
         domain shape in the same LRU as single-formula plans, and found
         again by specification identity); the
-        :class:`~repro.compile.specplan.SpecPlanState` binding it to
+        :class:`~repro.compile.runtime.PlanState` binding it to
         ``trace`` shares its memo tables and endpoint indexes across every
         clause of one check.  It is made per call; close it when the check
         ends.
@@ -647,7 +652,7 @@ class Session:
 
         The default path compiles the whole specification into a multi-root
         :class:`~repro.compile.specplan.SpecPlan` and answers every clause
-        through one shared :class:`~repro.compile.specplan.SpecPlanState`:
+        through one shared :class:`~repro.compile.runtime.PlanState`:
         subformulas shared across clauses (the same ``[]``/``<>``
         skeletons, event atoms, operation predicates) are decided once per
         position instead of once per clause.  Errors are captured per

@@ -53,7 +53,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence
 
-from ..compile import GrowingPrefix, SpecPlan, SpecPlanState
+from ..compile import GrowingPrefix, PlanState, SpecPlan
 from ..core.specification import Specification
 from ..semantics.columns import Window
 from ..semantics.state import State
@@ -130,7 +130,7 @@ class Monitor:
     capture_errors:
         Capture per-formula evaluation errors on the verdict
         (``holds=None`` + ``error``) instead of propagating, mirroring
-        ``SpecPlanState.check_all``'s per-clause contract.
+        ``PlanState.check_all``'s per-clause contract.
     forall_unroll_cap:
         Bound on quantifier specialization in the compiled runtime
         (``None`` = the runtime default, ``0`` disables unrolling) —
@@ -163,7 +163,7 @@ class Monitor:
         self._prefix = GrowingPrefix()
         # Bound on first use (``plan_state``): constructing a monitor costs
         # no lowering, and one that never observes a state never lowers.
-        self._state: Optional[SpecPlanState] = None
+        self._state: Optional[PlanState] = None
         self._on_change = on_change
         self._capture_errors = capture_errors
         self._verdicts: Dict[str, MonitorVerdict] = {
@@ -191,7 +191,7 @@ class Monitor:
         self._on_change = callback
 
     @property
-    def plan_state(self) -> SpecPlanState:
+    def plan_state(self) -> PlanState:
         """The multi-root plan state behind this monitor, bound on first use."""
         if self._state is None:
             self._state = self._plan.evaluator(
@@ -238,7 +238,7 @@ class Monitor:
         Sound because the incremental memo split is tail-aware: stable
         entries are tail-independent, so appending any number of states
         before the single re-evaluation invalidates exactly the volatile
-        entries that :meth:`~repro.compile.specplan.SpecPlanState.note_append`
+        entries that :meth:`~repro.compile.runtime.PlanState.note_append`
         clears (one sweep per batch), and the tail kernel extends its
         profiles over the whole appended window in one vectorized pass.
         Verdicts and ``on_change`` callbacks are refreshed once per

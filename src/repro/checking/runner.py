@@ -111,7 +111,7 @@ def run_conformance(
     **once** into a multi-root :class:`~repro.compile.specplan.SpecPlan`
     (cached on the session by spec digest) and every ``(case, seed)`` trace
     is answered by :meth:`Session.check_spec` through one shared
-    :class:`~repro.compile.specplan.SpecPlanState` — clauses sharing
+    :class:`~repro.compile.runtime.PlanState` — clauses sharing
     subformulas share memo entries and event indexes per trace, and errors
     stay captured per clause.  With ``processes`` the campaign falls back
     to the per-clause :class:`~repro.api.request.CheckRequest` batch fanned

@@ -17,15 +17,14 @@ stage                     paper anchor
                           (and later memoized) exactly once, with
                           precomputed free-variable signatures per node —
                           the rigid/state variable split of Appendix B
-:mod:`.plan`              :class:`CompiledPlan` — the trace-independent
-                          artifact, digest-addressed for caching
-:mod:`.specplan`          :class:`SpecPlan` — a whole specification's
-                          clauses interned into *one* multi-root DAG
-                          (shared memo tables, shared kernel profiles and
-                          event indexes, per-clause root verdicts), the
-                          unit the
-                          Chapter 5–8 conformance experiments actually
-                          check
+:mod:`.specplan`          :class:`SpecPlan` — the trace-independent
+                          artifact, digest-addressed for caching: a
+                          specification's clauses interned into *one*
+                          multi-root DAG (shared memo tables, shared
+                          kernel profiles and event indexes, per-clause
+                          root verdicts), the unit the Chapter 5–8
+                          conformance experiments check; a single formula
+                          is the one-clause plan
 :mod:`.lower`             closure lowering of plan-node dispatch: each DAG
                           node binds once to a Python closure over its
                           slots/memo/indexes, replacing the per-call
@@ -39,7 +38,9 @@ stage                     paper anchor
                           appended position, and each profile searched as
                           an event keeps a window-extended change index
                           that searches bisect
-:mod:`.runtime`           :class:`PlanState` — the Chapter 3 satisfaction
+:mod:`.runtime`           :class:`PlanState` — one plan bound to one
+                          computation, answering every clause: the
+                          Chapter 3 satisfaction
                           relation over slot-addressed environments, with
                           one interval-endpoint index per mode over
                           state-change events (the kernel's change index
@@ -52,14 +53,14 @@ stage                     paper anchor
                           convention: monitors, and one-shot checks of a
                           finite trace read as a finished prefix
 :mod:`.cache`             :class:`PlanCache` — the session-level
-                          digest-keyed bounded LRU (single- and multi-root
-                          plans, hit/miss/eviction stats) behind the
-                          ``compiled`` engine of :mod:`repro.api.engines`
+                          digest-keyed bounded LRU (hit/miss/eviction
+                          stats) behind the ``compiled`` engine of
+                          :mod:`repro.api.engines` and ``check_spec``
 ========================  ==================================================
 
 Typical use::
 
-    from repro.compile import compile_formula
+    from repro.compile import compile_formula, compile_specification
 
     plan = compile_formula(parse_formula("[] (p -> <> q)"))
     state = plan.evaluator(trace)          # bind once per trace
@@ -70,6 +71,10 @@ Typical use::
     monitor.note_append()
     monitor.satisfies()                    # O(changed work), not O(prefix)
 
+    state = compile_specification(spec).evaluator(trace)
+    state.satisfies("A1")                  # one clause, by name
+    state.check_all()                      # every clause, errors captured
+
 The ``compiled`` engine (``Session.check(..., mode="compiled")`` or
 ``Session(prefer_compiled=True)``) wraps exactly this, adding the session
 plan cache and the unified :class:`~repro.api.result.CheckResult`.
@@ -79,18 +84,18 @@ from .cache import DEFAULT_MAX_PLANS, PlanCache
 from .dag import CompileError, DagBuilder, PlanNode, PlanTerm
 from .lower import bind_dispatch
 from .normalize import normalize, structural_key
-from .plan import CompiledPlan, compile_formula, formula_digest
 from .runtime import (
     UNSET,
+    ClauseOutcome,
     EventIndex,
     GrowingPrefix,
     PlanState,
     PlanStats,
 )
 from .specplan import (
-    ClauseOutcome,
+    FORMULA_CLAUSE,
     SpecPlan,
-    SpecPlanState,
+    compile_formula,
     compile_specification,
     spec_digest,
 )
@@ -103,11 +108,9 @@ __all__ = [
     "DagBuilder",
     "PlanNode",
     "PlanTerm",
-    "CompiledPlan",
-    "compile_formula",
-    "formula_digest",
+    "FORMULA_CLAUSE",
     "SpecPlan",
-    "SpecPlanState",
+    "compile_formula",
     "ClauseOutcome",
     "compile_specification",
     "spec_digest",

@@ -1,13 +1,13 @@
 """Alpha-canonical renaming of bound logical variables.
 
-``formula_digest`` hashes ``repr(formula)``, so two clauses that differ
-only in the *names* of their bound variables — queue I3's ``forall c, d``
-against I1/I2's ``forall a, b`` — used to land on different digests and
-compile to disjoint plans.  This pass rewrites every bound variable to a
-canonical positional name (``$0``, ``$1``, … in pre-order binder
-occurrence), so alpha-equivalent formulas share one repr, one digest, one
-``CompiledPlan``, and — inside a ``SpecPlan`` — one hash-consed DAG
-subtree.
+A plan digest (:func:`~repro.compile.specplan.spec_digest`) hashes each
+clause's ``repr``, so two clauses that differ only in the *names* of their
+bound variables — queue I3's ``forall c, d`` against I1/I2's ``forall a,
+b`` — would land on different digests and compile to disjoint plans.
+This pass rewrites every bound variable to a canonical positional name
+(``$0``, ``$1``, … in pre-order binder occurrence), so alpha-equivalent
+formulas share one repr, one digest, one ``SpecPlan``, and — inside a
+multi-clause ``SpecPlan`` — one hash-consed DAG subtree.
 
 One soundness carve-out: a binder name that appears in the check
 request's **domain shape** is semantically significant (the name selects

@@ -2,11 +2,13 @@
 
 Plans are trace-independent, so one compilation serves every trace, every
 ``check_many`` batch and every monitoring session that asks the same
-question.  The cache holds both single-formula :class:`CompiledPlan`\\ s and
-multi-root :class:`~repro.compile.specplan.SpecPlan`\\ s in one **bounded
-LRU**: entries key on the content digest (formula or spec digest plus the
-names carrying explicit quantification domains), lookups refresh recency,
-and inserts beyond ``max_plans`` evict the least recently used plan —
+question.  The cache holds :class:`~repro.compile.specplan.SpecPlan`\\ s —
+a single formula is the one-clause plan named
+:data:`~repro.compile.specplan.FORMULA_CLAUSE` — in one **bounded LRU**:
+entries key on the spec digest plus the names carrying explicit
+quantification domains, so a formula and a one-clause specification of
+that name and formula share one entry.  Lookups refresh recency, and
+inserts beyond ``max_plans`` evict the least recently used plan —
 long-lived sessions churning through unbounded formula streams stay
 bounded without manual ``clear_caches`` calls.  Digests are
 alpha-invariant, so formulas equal up to bound-variable names share one
@@ -28,8 +30,7 @@ from collections import OrderedDict
 from typing import Any, Callable, Dict, Iterable, Mapping, Optional, Sequence, Tuple
 
 from ..syntax.formulas import Formula
-from .plan import CompiledPlan, formula_digest
-from .specplan import SpecPlan, spec_digest
+from .specplan import FORMULA_CLAUSE, SpecPlan, spec_digest
 
 __all__ = ["PlanCache", "DEFAULT_MAX_PLANS"]
 
@@ -40,7 +41,7 @@ DEFAULT_MAX_PLANS = 256
 
 
 class PlanCache:
-    """Digest-keyed bounded LRU of compiled plans (single- and multi-root).
+    """Digest-keyed bounded LRU of compiled plans.
 
     Parameters
     ----------
@@ -88,34 +89,33 @@ class PlanCache:
             if self._on_evict is not None:
                 self._on_evict(evicted)
 
-    def _get_or_compile(
+    def _lookup(
         self,
-        digest: str,
-        is_verbatim: Callable[[Any], bool],
-        compile_plan: Callable[[], Any],
-    ) -> Tuple[Any, bool]:
-        """The plan under ``digest``, compiling and storing it on a miss.
+        items: Sequence[Tuple[str, Formula]],
+        domain: Optional[Mapping[str, Iterable[Any]]],
+    ) -> Tuple[SpecPlan, bool]:
+        """The plan for ``items`` under ``domain``, compiling and storing
+        it on a miss.
 
-        ``is_verbatim`` tells a hit on the very sources apart from one on
-        an alpha-equivalent variant (counted in ``alpha_interned``).
+        A hit on an alpha-equivalent variant rather than the very sources
+        counts in ``alpha_interned``.
         """
+        items = tuple((name, formula) for name, formula in items)
+        shape = tuple(sorted(domain)) if domain else ()
+        digest = spec_digest(items, domain_shape=shape)
         plan = self._plans.get(digest)
         if plan is not None:
             self._plans.move_to_end(digest)
             self.hits += 1
-            if not is_verbatim(plan):
+            if plan.sources != items:
                 self.alpha_interned += 1
             return plan, True
         self.misses += 1
         started = time.perf_counter()
-        plan = compile_plan()
+        plan = SpecPlan(items, digest=digest, domain_shape=shape)
         self.compile_time_s += time.perf_counter() - started
         self._store(digest, plan)
         return plan, False
-
-    @staticmethod
-    def _domain_shape(domain: Optional[Mapping[str, Iterable[Any]]]) -> Tuple[str, ...]:
-        return tuple(sorted(domain)) if domain else ()
 
     # -- plans ---------------------------------------------------------------
 
@@ -123,37 +123,25 @@ class PlanCache:
         self,
         formula: Formula,
         domain: Optional[Mapping[str, Iterable[Any]]] = None,
-    ) -> Tuple[CompiledPlan, bool]:
-        """The cached plan for ``formula`` (compiling on miss).
+    ) -> Tuple[SpecPlan, bool]:
+        """The cached one-clause plan for ``formula`` (compiling on miss),
+        its clause named :data:`~repro.compile.specplan.FORMULA_CLAUSE`.
 
         Returns ``(plan, from_cache)``.
         """
-        shape = self._domain_shape(domain)
-        digest = formula_digest(formula, domain_shape=shape)
-        return self._get_or_compile(
-            digest,
-            lambda plan: plan.source == formula,
-            lambda: CompiledPlan(formula, digest=digest, domain_shape=shape),
-        )
+        return self._lookup(((FORMULA_CLAUSE, formula),), domain)
 
     def get_spec(
         self,
         items: Sequence[Tuple[str, Formula]],
         domain: Optional[Mapping[str, Iterable[Any]]] = None,
     ) -> Tuple[SpecPlan, bool]:
-        """The cached multi-root plan for ``(clause name, formula)`` pairs.
+        """The cached plan for ``(clause name, formula)`` pairs (compiling
+        on miss), keyed by the spec digest plus domain shape.
 
-        Returns ``(spec_plan, from_cache)``; keyed by the spec digest plus
-        domain shape, in the same LRU as single-formula plans.
+        Returns ``(plan, from_cache)``.
         """
-        items = [(name, formula) for name, formula in items]
-        shape = self._domain_shape(domain)
-        digest = spec_digest(items, domain_shape=shape)
-        return self._get_or_compile(
-            digest,
-            lambda plan: plan.sources == tuple(items),
-            lambda: SpecPlan(items, digest=digest, domain_shape=shape),
-        )
+        return self._lookup(items, domain)
 
     # -- maintenance ---------------------------------------------------------
 

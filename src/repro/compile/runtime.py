@@ -1,16 +1,17 @@
 """Executable plan states: the compiled evaluator runtime.
 
-A :class:`PlanState` binds one :class:`~repro.compile.plan.CompiledPlan` to
-one computation and answers ``<lo, hi> |= α`` exactly like the Chapter 3
-evaluator (:mod:`repro.semantics.evaluator`), with three representation
-changes:
+A :class:`PlanState` binds one :class:`~repro.compile.specplan.SpecPlan` to
+one computation and answers ``<lo, hi> |= α`` for each of its clauses
+exactly like the Chapter 3 evaluator (:mod:`repro.semantics.evaluator`),
+with three representation changes:
 
 * **slot-addressed environments** — quantifiers and ``bind-next`` write
   logical-variable values into a flat slot vector instead of copying
   environment dictionaries; memo keys restrict to each node's precomputed
   free-slot signature;
 * **node-id memo tables** — verdicts key on small integers from the
-  hash-consed DAG, so structurally repeated subformulas share entries, and
+  hash-consed DAG, so structurally repeated subformulas share entries
+  (within a clause and across the clauses of the plan), and
   *state formulas* (truth determined by the first state of the context)
   share one entry per canonical position across every context;
 * **interval-endpoint indexes** — for events defined by state formulas,
@@ -54,6 +55,7 @@ per-position mode, which has no kernel.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 from ..errors import EvaluationError, TraceError
@@ -74,6 +76,7 @@ from .dag import (
 __all__ = [
     "UNSET",
     "DEFAULT_FORALL_UNROLL_CAP",
+    "ClauseOutcome",
     "GrowingPrefix",
     "EventIndex",
     "PlanStats",
@@ -232,13 +235,31 @@ class PlanStats:
         self.event_searches = 0
 
 
+@dataclass(frozen=True)
+class ClauseOutcome:
+    """One clause's verdict from a plan-state evaluation."""
+
+    name: str
+    verdict: Optional[bool]
+    error: Optional[str] = None
+
+    @property
+    def holds(self) -> bool:
+        return self.verdict is True
+
+
 class PlanState:
     """One compiled plan bound to one computation.
+
+    Every clause of the plan evaluates through this one state: one slot
+    vector, one memo table keyed on hash-consed node ids (so a subformula
+    shared by several clauses is decided once per position), one set of
+    interval-endpoint indexes.
 
     Parameters
     ----------
     plan:
-        The compiled plan.
+        The compiled :class:`~repro.compile.specplan.SpecPlan`.
     trace:
         The computation: a :class:`repro.semantics.trace.Trace` — any
         lasso in static mode; in incremental mode a stutter-terminated
@@ -353,15 +374,50 @@ class PlanState:
         """Plan nodes bound to the vectorized (bitset) evaluation mode."""
         return len(self._vector_nids)
 
-    def satisfies(self, env: Optional[Mapping[str, Any]] = None) -> bool:
-        """``s |= α`` over the whole computation ``<1, ∞>``."""
-        return self.holds(1, INFINITY, env)
+    def _root(self, name: Optional[str]) -> int:
+        """The root node of the clause ``name``; ``None`` is the first."""
+        roots = self._plan.roots
+        if name is None:
+            return next(iter(roots.values()))
+        try:
+            return roots[name]
+        except KeyError:
+            raise KeyError(
+                f"no clause named {name!r} in this plan "
+                f"(clauses: {', '.join(self._plan.clause_names)})"
+            ) from None
 
-    def holds(
-        self, lo: Position, hi: Position, env: Optional[Mapping[str, Any]] = None
+    def satisfies(
+        self, name: Optional[str] = None, env: Optional[Mapping[str, Any]] = None
     ) -> bool:
-        """``<lo, hi> |= α`` under ``env`` (names outside the plan ignored)."""
-        return self.holds_node(self._plan.root, lo, hi, env)
+        """``s |= clause`` over the whole computation ``<1, ∞>`` under
+        ``env`` (names outside the plan ignored); no ``name`` answers the
+        first clause, the one clause of a compiled formula."""
+        return self.holds_node(self._root(name), 1, INFINITY, env)
+
+    def verdicts(self, env: Optional[Mapping[str, Any]] = None) -> Dict[str, bool]:
+        """Every clause's whole-computation verdict (errors propagate)."""
+        return {name: self.satisfies(name, env) for name in self._plan.clause_names}
+
+    def check_all(
+        self, env: Optional[Mapping[str, Any]] = None
+    ) -> List[ClauseOutcome]:
+        """Every clause's verdict with per-clause error capture, in order.
+
+        This is the conformance-campaign contract: an erroring clause yields
+        ``verdict=None`` plus the error string and the remaining clauses
+        still evaluate, exactly like ``Specification.check``'s per-clause
+        try/except.
+        """
+        outcomes: List[ClauseOutcome] = []
+        for name in self._plan.clause_names:
+            try:
+                outcomes.append(ClauseOutcome(name, self.satisfies(name, env)))
+            except Exception as exc:
+                outcomes.append(
+                    ClauseOutcome(name, None, f"{type(exc).__name__}: {exc}")
+                )
+        return outcomes
 
     def holds_node(
         self,
@@ -370,8 +426,8 @@ class PlanState:
         hi: Position,
         env: Optional[Mapping[str, Any]] = None,
     ) -> bool:
-        """``<lo, hi> |= node`` for any DAG node — multi-root plans evaluate
-        each clause through its own root id over the shared memo tables."""
+        """``<lo, hi> |= node`` for any DAG node: each clause evaluates
+        through its own root id over the shared memo tables."""
         if self._trace.length == 0:
             raise TraceError(
                 "the plan state has no observed states yet; append at least "
@@ -389,8 +445,9 @@ class PlanState:
             self._slots[:] = saved
 
     def construct_root_interval(self, env: Optional[Mapping[str, Any]] = None):
-        """The witness interval of a top-level ``[I]α`` / ``*I`` root, if any."""
-        node = self._nodes[self._plan.root]
+        """The witness interval of a top-level ``[I]α`` / ``*I`` root of the
+        first clause, if any."""
+        node = self._nodes[self._root(None)]
         if node.op not in (N_INTERVAL, N_OCCURS):
             return None
         saved = list(self._slots)

@@ -1,44 +1,57 @@
-"""Multi-root specification plans: one shared DAG for many clauses.
+"""Compiled evaluation plans: one shared DAG for a set of named clauses.
 
-The paper's experiments never check one formula at a time — they check a
-whole *specification* (many interval-logic clauses that share ``[]``/``<>``
-skeletons, event atoms and operation predicates) against families of
-traces.  A :class:`SpecPlan` compiles every clause of such a specification
-into **one** hash-consed node/term table: a subformula appearing in five
-clauses is lowered once, memoized once per position, and its event index is
-built once for all five.  Each clause keeps its own *root* node id, so
-per-clause verdicts (and per-clause error capture, which conformance
-campaigns rely on) are preserved.
+The paper's experiments check whole *specifications* — many
+interval-logic clauses that share ``[]``/``<>`` skeletons, event atoms and
+operation predicates — against families of traces; a single formula is
+the one-clause case.  A :class:`SpecPlan` is the trace-independent artifact
+of the pipeline: every clause compiled into **one** hash-consed node/term
+table, the logical-variable slot layout, and a content digest used as the
+plan-cache key.  A subformula appearing in five clauses is lowered once,
+memoized once per position, and its event index is built once for all
+five.  Each clause keeps its own *root* node id, so per-clause verdicts
+(and per-clause error capture, which conformance campaigns rely on) are
+preserved.
 
-Binding a spec plan to a computation yields a :class:`SpecPlanState` — a
-thin façade over one shared :class:`~repro.compile.runtime.PlanState` whose
-memo tables, slot vector and endpoint indexes serve every clause.  The
+:func:`compile_formula` compiles one formula as a one-clause plan under
+:data:`FORMULA_CLAUSE`; :func:`compile_specification` compiles a
+:class:`~repro.core.specification.Specification` whole.  Binding a plan to
+a computation yields a :class:`~repro.compile.runtime.PlanState` whose
+memo tables, slot vector and endpoint indexes serve every clause; the
 incremental variant (:meth:`SpecPlan.monitor`) gives
-:class:`~repro.checking.monitor.SpecificationMonitor` one plan state per
-specification instead of one per clause.
+:class:`~repro.checking.monitor.Monitor` one plan state per set of watched
+formulas.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
-from ..semantics.trace import INFINITY
-from ..syntax.formulas import Formula
+from ..syntax.formulas import Forall, Formula, NextBinding, walk_formula
 from .alpha import alpha_canonical
 from .dag import DagBuilder, PlanNode, PlanTerm
 from .normalize import normalize
-from .plan import _logical_names
+from .runtime import GrowingPrefix, PlanState, reads_as_prefix
 
 __all__ = [
+    "FORMULA_CLAUSE",
     "SpecPlan",
-    "SpecPlanState",
-    "ClauseOutcome",
+    "compile_formula",
     "compile_specification",
     "legacy_spec_digest",
     "spec_digest",
 ]
+
+
+#: The clause name a single formula compiles under: ``compile_formula(f)``
+#: and ``PlanCache.get(f)`` build the one-clause plan ``[(FORMULA_CLAUSE,
+#: f)]``, so a one-clause specification of that name shares its cache entry.
+FORMULA_CLAUSE = "formula"
+
+#: :class:`~repro.compile.runtime.PlanState` under its former name, kept
+#: only because the repository benchmark's tracer wraps ``satisfies`` and
+#: ``check_all`` through it.
+SpecPlanState = PlanState
 
 
 def spec_digest(
@@ -46,14 +59,17 @@ def spec_digest(
 ) -> str:
     """An alpha-invariant digest of a (clause name, formula) sequence.
 
-    The formula ``repr`` is fully structural (exactly as in
-    :func:`~repro.compile.plan.formula_digest`) and each clause is hashed
-    in its *alpha-canonical* form — the fresh-name counter restarts per
-    clause, so clauses equal up to bound-variable names contribute the
-    same bytes.  Clause names take part so two specifications with the
-    same formulas under different clause names — whose per-clause results
-    are addressed differently — get distinct plans.  Domain-shape names
-    are frozen during canonicalization (they select domains by name).
+    The formula ``repr`` is fully structural, so equal formulas share a
+    digest and distinct formulas practically never collide.  Each clause
+    is hashed in its *alpha-canonical* form — the fresh-name counter
+    restarts per clause, so clauses equal up to bound-variable names
+    contribute the same bytes.  Clause names take part so two
+    specifications with the same formulas under different clause names —
+    whose per-clause results are addressed differently — get distinct
+    plans.  The domain shape (the *names* carrying explicit quantification
+    domains, not their values) keys plans the way the session cache hands
+    them out, and its names are frozen during canonicalization, since they
+    select their domains by name.
     """
     frozen = frozenset(domain_shape)
     payload = "\x00".join(
@@ -69,17 +85,25 @@ def legacy_spec_digest(
 ) -> str:
     """The verbatim-repr digest of a clause sequence (plus domain shape).
 
-    Keys spec plans built by direct construction (``domain_shape=None``),
-    which compile their clauses verbatim; see
-    :func:`~repro.compile.plan.legacy_formula_digest`.
+    Keys plans built by direct construction (``domain_shape=None``), which
+    compile their clauses verbatim: alpha-equivalent plans built that way
+    may bind *different* explicit domains, so they must not share a key.
     """
     payload = "\x00".join(f"{name}\x1f{formula!r}" for name, formula in items)
     payload += "\x00\x00" + "\x00".join(domain_shape)
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
+def _logical_names(formula: Formula) -> Set[str]:
+    names: Set[str] = set(formula.free_variables())
+    for node in walk_formula(formula):
+        if isinstance(node, (Forall, NextBinding)):
+            names.update(node.variables)
+    return names
+
+
 class SpecPlan:
-    """The compile-once artifact of a whole specification.
+    """The compile-once artifact of a set of named clauses.
 
     Parameters
     ----------
@@ -89,6 +113,11 @@ class SpecPlan:
     digest:
         Precomputed content digest (the cache computes it once for the
         lookup key); derived from ``items`` when omitted.
+    domain_shape:
+        The names carrying explicit quantification domains.  Given, every
+        clause compiles in its alpha-canonical form with those binder names
+        frozen (what the plan cache does); ``None`` compiles the clauses
+        verbatim and keys them by :func:`legacy_spec_digest`.
     """
 
     def __init__(
@@ -102,19 +131,13 @@ class SpecPlan:
             raise ValueError("spec plan clause names must be unique")
         self.sources: Tuple[Tuple[str, Formula], ...] = tuple(items)
         if domain_shape is None:
-            # Direct construction compiles the clauses verbatim (and keys
-            # by verbatim digest), exactly as before alpha-interning.
             canonical = items
-            self.alpha_renames: Dict[str, Dict[str, Tuple[str, ...]]] = {}
         else:
             frozen = frozenset(domain_shape)
-            canonical = []
-            self.alpha_renames = {}
-            for name, formula in items:
-                rewritten, renames = alpha_canonical(formula, frozen)
-                canonical.append((name, rewritten))
-                if renames:
-                    self.alpha_renames[name] = renames
+            canonical = [
+                (name, alpha_canonical(formula, frozen)[0])
+                for name, formula in items
+            ]
         self.canonical_sources: Tuple[Tuple[str, Formula], ...] = tuple(
             canonical
         )
@@ -127,7 +150,7 @@ class SpecPlan:
         normalized = [
             (name, normalize(formula)) for name, formula in canonical
         ]
-        names: set = set()
+        names: Set[str] = set()
         for _, formula in normalized:
             names.update(_logical_names(formula))
         self.slot_names: Tuple[str, ...] = tuple(sorted(names))
@@ -153,11 +176,6 @@ class SpecPlan:
     def term_count(self) -> int:
         return len(self.terms)
 
-    @property
-    def root(self) -> int:
-        """The first clause's root (PlanState compatibility hook)."""
-        return next(iter(self.roots.values()))
-
     def shared_node_count(self) -> int:
         """Nodes a clause-by-clause compilation would duplicate.
 
@@ -165,7 +183,7 @@ class SpecPlan:
         shared table size — the sharing the multi-root plan buys.
         """
         separate = 0
-        for _, formula in getattr(self, "canonical_sources", self.sources):
+        for _, formula in self.canonical_sources:
             builder = DagBuilder(dict(self.slot_of))
             builder.add_formula(normalize(formula))
             separate += len(builder.nodes)
@@ -186,13 +204,19 @@ class SpecPlan:
         domain: Optional[Mapping[str, Iterable[Any]]] = None,
         vectorize: bool = True,
         forall_unroll_cap: Optional[int] = None,
-    ):
-        """A :class:`SpecPlanState` bound to a fixed (possibly lasso) trace,
-        in the mode :meth:`CompiledPlan.evaluator
-        <repro.compile.plan.CompiledPlan.evaluator>` picks."""
-        from .runtime import reads_as_prefix
+    ) -> PlanState:
+        """A :class:`~repro.compile.runtime.PlanState` bound to a fixed
+        (possibly lasso) trace.
 
-        return SpecPlanState(
+        A stutter-terminated trace is checked as a finished prefix: the
+        incremental plan state with the bitset kernel, reading the trace's
+        own columns (:func:`~repro.compile.runtime.reads_as_prefix`).  A
+        lasso with a longer cycle, or ``vectorize=False`` (the ``stepwise``
+        engine's mode), runs the static per-position memo path; verdicts
+        are identical either way.  ``forall_unroll_cap`` bounds quantifier
+        unrolling (``None`` = runtime default, ``0`` disables it).
+        """
+        return PlanState(
             self,
             trace,
             domain=domain,
@@ -204,130 +228,16 @@ class SpecPlan:
         self,
         domain: Optional[Mapping[str, Iterable[Any]]] = None,
         forall_unroll_cap: Optional[int] = None,
-    ):
-        """An incremental :class:`SpecPlanState` over a growing state prefix."""
-        from .runtime import GrowingPrefix
-
+    ) -> PlanState:
+        """An incremental :class:`~repro.compile.runtime.PlanState` over a
+        growing state prefix."""
         return self.evaluator(GrowingPrefix(), domain, forall_unroll_cap=forall_unroll_cap)
 
 
-@dataclass(frozen=True)
-class ClauseOutcome:
-    """One clause's verdict from a spec-plan evaluation."""
-
-    name: str
-    verdict: Optional[bool]
-    error: Optional[str] = None
-
-    @property
-    def holds(self) -> bool:
-        return self.verdict is True
-
-
-class SpecPlanState:
-    """One spec plan bound to one computation.
-
-    All clauses evaluate through a single shared
-    :class:`~repro.compile.runtime.PlanState`: one slot vector, one memo
-    table keyed on hash-consed node ids (so a subformula shared by several
-    clauses is decided once per position), one set of interval-endpoint
-    indexes.
-    """
-
-    def __init__(
-        self,
-        plan: SpecPlan,
-        trace,
-        domain: Optional[Mapping[str, Iterable[Any]]] = None,
-        incremental: bool = False,
-        forall_unroll_cap: Optional[int] = None,
-    ) -> None:
-        from .runtime import PlanState
-
-        self._plan = plan
-        self._state = PlanState(
-            plan,
-            trace,
-            domain=domain,
-            incremental=incremental,
-            forall_unroll_cap=forall_unroll_cap,
-        )
-
-    # -- shared-state introspection ------------------------------------------
-
-    @property
-    def plan(self) -> SpecPlan:
-        return self._plan
-
-    @property
-    def trace(self):
-        return self._state.trace
-
-    @property
-    def stats(self):
-        return self._state.stats
-
-    @property
-    def memo_size(self) -> int:
-        return self._state.memo_size
-
-    @property
-    def index_count(self) -> int:
-        return self._state.index_count
-
-    # -- evaluation -----------------------------------------------------------
-
-    def satisfies(self, name: str, env: Optional[Mapping[str, Any]] = None) -> bool:
-        """``s |= clause`` over the whole computation ``<1, ∞>``."""
-        return self.holds(name, 1, INFINITY, env)
-
-    def holds(
-        self, name: str, lo, hi, env: Optional[Mapping[str, Any]] = None
-    ) -> bool:
-        """``<lo, hi> |= clause`` for the clause named ``name``."""
-        try:
-            root = self._plan.roots[name]
-        except KeyError:
-            raise KeyError(
-                f"no clause named {name!r} in this spec plan "
-                f"(clauses: {', '.join(self._plan.clause_names)})"
-            ) from None
-        return self._state.holds_node(root, lo, hi, env)
-
-    def verdicts(self, env: Optional[Mapping[str, Any]] = None) -> Dict[str, bool]:
-        """Every clause's whole-computation verdict (errors propagate)."""
-        return {name: self.satisfies(name, env) for name in self._plan.clause_names}
-
-    def check_all(
-        self, env: Optional[Mapping[str, Any]] = None
-    ) -> List[ClauseOutcome]:
-        """Every clause's verdict with per-clause error capture, in order.
-
-        This is the conformance-campaign contract: an erroring clause yields
-        ``verdict=None`` plus the error string and the remaining clauses
-        still evaluate, exactly like ``Specification.check``'s per-clause
-        try/except.
-        """
-        outcomes: List[ClauseOutcome] = []
-        for name in self._plan.clause_names:
-            try:
-                outcomes.append(ClauseOutcome(name, self.satisfies(name, env)))
-            except Exception as exc:
-                outcomes.append(
-                    ClauseOutcome(name, None, f"{type(exc).__name__}: {exc}")
-                )
-        return outcomes
-
-    def close(self) -> None:
-        """Break the shared plan state's reference cycles
-        (:meth:`~repro.compile.runtime.PlanState.close`); it answers nothing
-        afterwards."""
-        self._state.close()
-
-    # -- incremental protocol --------------------------------------------------
-
-    def note_append(self) -> None:
-        self._state.note_append()
+def compile_formula(formula: Formula) -> SpecPlan:
+    """Compile one interval-logic formula: the one-clause plan named
+    :data:`FORMULA_CLAUSE`."""
+    return SpecPlan([(FORMULA_CLAUSE, formula)])
 
 
 def compile_specification(specification) -> SpecPlan:

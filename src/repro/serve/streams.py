@@ -9,7 +9,7 @@ every stream opened on the same specification reuses one warm compiled
 plan.
 
 Each stream is an incremental :class:`~repro.checking.monitor.Monitor` —
-the multi-root ``SpecPlanState`` path with tail-aware memos — plus a
+one multi-root ``PlanState`` with tail-aware memos — plus a
 version counter bumped once per committed batch.  A snapshot read builds
 a small version-stamped verdict digest from the monitor when it is asked
 for.  A registry is single-threaded (in process and in each shard
@@ -108,7 +108,7 @@ class StreamHandle:
         self,
         name: str,
         monitor,
-        rebuild: Optional[Callable[[], Any]] = None,
+        rebuild: Callable[[], Any],
         family: str = "formulas",
         stat_window: int = 256,
     ) -> None:
@@ -223,7 +223,7 @@ class StreamHandle:
         self._frame_counts.extend(len(batch) for batch in batches)
         alerts, self._pending_alerts = self._pending_alerts, []
         if alerts:
-            pairs = self._replay_group(len(batches), alerts)
+            pairs = self._replay_group(len(batches))
         else:
             verdicts = self.verdict_map()
             pairs = [([], verdicts) for _ in batches]
@@ -237,7 +237,7 @@ class StreamHandle:
         return out
 
     def _replay_group(
-        self, group_size: int, coalesced_alerts: List[Dict[str, Any]]
+        self, group_size: int
     ) -> List[Tuple[List[Dict[str, Any]], Dict[str, Optional[bool]]]]:
         """Exact per-frame alerts for a coalesced group that flipped.
 
@@ -253,18 +253,7 @@ class StreamHandle:
         granularity differs.  Flips are rare (once per faulty stream), so
         the O(history) replay amortizes away against the batched fast
         path.
-
-        Without a ``rebuild`` hook the handle degrades to
-        commit-granularity alerts: the coalesced alerts (positioned at the
-        group boundary) ride ahead of the last frame's acknowledgement.
         """
-        if self._rebuild is None:
-            verdicts = self.verdict_map()
-            pairs: List[Tuple[List[Dict[str, Any]], Dict[str, Optional[bool]]]] = [
-                ([], verdicts) for _ in range(group_size - 1)
-            ]
-            pairs.append((coalesced_alerts, verdicts))
-            return pairs
         monitor = self._rebuild()
         states = self.monitor.plan_state.trace.states()
         counts = self._frame_counts
@@ -283,7 +272,7 @@ class StreamHandle:
                 alert["error"] = verdict.error
             captured.append(alert)
 
-        pairs = []
+        pairs: List[Tuple[List[Dict[str, Any]], Dict[str, Optional[bool]]]] = []
         offset = 0
         for index, count in enumerate(counts):
             chunk = list(states[offset:offset + count])
@@ -309,7 +298,10 @@ class StreamHandle:
         """The last *committed* version, built for this read.
 
         Each call returns a new frame, so a reader mutating its copy
-        cannot reach any other read.
+        cannot reach any other read.  Two keys count different things:
+        ``batches`` counts append frames, while
+        ``step_cost.lifetime_batches`` counts commits, and a coalesced run
+        of frames is one commit.  Both names are part of the wire format.
         """
         monitor = self.monitor
         costs = self._costs

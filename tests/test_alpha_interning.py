@@ -8,10 +8,10 @@ module pins both halves:
 
 - ``alpha_canonical`` unifies renamed, shadowed and nested binders while
   leaving frozen (domain-shape) names verbatim;
-- ``formula_digest`` / ``spec_digest`` are alpha-invariant, stable across
-  pretty-print round-trips, and still separate structurally different
+- ``spec_digest`` is alpha-invariant, one clause or many, stable across
+  pretty-print round-trips, and still separates structurally different
   formulas;
-- the plan cache interns alpha classes (single- and multi-root plans);
+- the plan cache interns alpha classes (one-clause and multi-clause plans);
 - as a property over generated ``rich``-fragment formulas and traces,
   consistently renaming ``forall`` binders keeps the digest, the interned
   plan and every verdict of the ``trace`` and ``compiled`` engines;
@@ -29,8 +29,7 @@ from hypothesis import given, settings, strategies as st
 from repro.api.session import Session
 from repro.compile.cache import PlanCache
 from repro.compile.normalize import alpha_canonical
-from repro.compile.plan import formula_digest, legacy_formula_digest
-from repro.compile.specplan import legacy_spec_digest, spec_digest
+from repro.compile.specplan import FORMULA_CLAUSE, legacy_spec_digest, spec_digest
 from repro.gen.generators import ScenarioProfile, gen_formula, gen_trace
 from repro.specs import unreliable_queue_spec
 from repro.syntax import parse_formula, to_ascii
@@ -81,6 +80,11 @@ def fifo_clauses(a, b):
             ),
         ),
     }
+
+
+def digest(formula, domain_shape=()):
+    """The plan-cache key of ``formula``'s one-clause plan."""
+    return spec_digest([(FORMULA_CLAUSE, formula)], domain_shape)
 
 
 def rename_binders(formula, mapping):
@@ -137,11 +141,13 @@ class TestAlphaCanonical:
 
 
 class TestDigests:
-    def test_formula_digest_is_alpha_invariant(self):
+    def test_one_clause_digest_is_alpha_invariant(self):
         f1 = fifo_clauses("a", "b")["order"]
         f2 = fifo_clauses("u", "v")["order"]
-        assert formula_digest(f1) == formula_digest(f2)
-        assert legacy_formula_digest(f1) != legacy_formula_digest(f2)
+        assert digest(f1) == digest(f2)
+        assert legacy_spec_digest([(FORMULA_CLAUSE, f1)]) != legacy_spec_digest(
+            [(FORMULA_CLAUSE, f2)]
+        )
 
     def test_queue_spec_clauses_survive_renaming(self):
         # I1/I2/I3 of the unreliable queue, each against a binder-renamed
@@ -155,7 +161,7 @@ class TestDigests:
         ):
             renamed = rename_binders(clauses[name], mapping)
             assert renamed != clauses[name]
-            assert formula_digest(renamed) == formula_digest(clauses[name]), name
+            assert digest(renamed) == digest(clauses[name]), name
 
     def test_spec_digest_is_alpha_invariant_per_clause(self):
         items1 = sorted(fifo_clauses("a", "b").items())
@@ -171,14 +177,14 @@ class TestDigests:
         for clause in unreliable_queue_spec().clauses:
             formula = clause.interpreted_formula()
             round_tripped = parse_formula(to_ascii(formula))
-            assert formula_digest(round_tripped) == formula_digest(formula)
+            assert digest(round_tripped) == digest(formula)
 
     def test_domain_shape_freezes_binders_apart(self):
         # When the binder names select explicit domains, renaming them is
         # *not* sound — the digests must stay distinct.
         f1 = forall("a", occurs(event(at_op("Enq", lvar("a")))))
         f2 = forall("z", occurs(event(at_op("Enq", lvar("z")))))
-        assert formula_digest(f1, ("a",)) != formula_digest(f2, ("z",))
+        assert digest(f1, ("a",)) != digest(f2, ("z",))
 
 
 class TestCacheInterning:
@@ -240,7 +246,7 @@ class TestAlphaRenamingProperty:
     def test_renaming_keeps_digest_plan_and_verdicts(self, seed, mapping):
         formula, renamed, traces = renamed_case(seed, mapping)
         assert renamed != formula
-        assert formula_digest(renamed) == formula_digest(formula)
+        assert digest(renamed) == digest(formula)
 
         cache = PlanCache()
         plan, from_cache = cache.get(formula)

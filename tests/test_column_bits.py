@@ -1330,7 +1330,7 @@ def test_stream_crossing_the_cap_keeps_profiling_per_position(monkeypatch, cap, 
     session = Session()
     formulas = {name: parse_formula(text) for name, text in CAP_CLAUSES.items()}
     monitor = Monitor(formulas)
-    state = monitor.plan_state._state
+    state = monitor.plan_state
     kernel = state._kernel
     node = atom_node(state, "x < 9")
     for stop in range(8, len(CAP_ROWS) + 1, 8):

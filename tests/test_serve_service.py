@@ -37,7 +37,7 @@ import pytest
 import repro
 from repro.api import Session
 from repro.checking.monitor import Monitor, MonitorVerdict
-from repro.compile import GrowingPrefix, PlanState, SpecPlanState
+from repro.compile import GrowingPrefix, PlanState
 from repro.compile.vector import TailKernel, _Profile
 from repro.gen.cases import SYSTEM_FACTORIES
 from repro.gen.loadgen import LOAD_FAMILIES, generate_stream_scripts
@@ -95,7 +95,7 @@ class TestRegistrySemantics:
         # Named from the classes, so that a rename fails here, not silently.
         kinds = {
             kind.__name__ for kind in (
-                StreamHandle, Monitor, MonitorVerdict, SpecPlanState, PlanState,
+                StreamHandle, Monitor, MonitorVerdict, PlanState,
                 TailKernel, _Profile, GrowingPrefix, ColumnStore, Column, OperationColumn,
             )
         }
@@ -593,8 +593,9 @@ class TestStatsCommand:
         lines = text.stdout.splitlines()
         assert "streams open:     2" in lines
         assert "states ingested:  6" in lines
-        # One compile: the two later opens find the plan by formula identity.
-        assert "plan cache:       hits=0 misses=1" in lines
+        # One compile, and the two later opens find the plan by formula
+        # identity: both count as hits.
+        assert "plan cache:       hits=2 misses=1" in lines
         assert raw.returncode == 0, raw.stderr
         snapshot = json.loads(raw.stdout)
         series = snapshot["serve_states_ingested_total"]["series"]

@@ -1,7 +1,7 @@
 """Multi-root spec plans, closure-lowered dispatch, and the new defaults.
 
 Covers the multi-layer refactor's acceptance criteria: clauses sharing a
-subformula evaluate it once per position in a ``SpecPlanState`` (asserted
+subformula evaluate it once per position in one ``PlanState`` (asserted
 through evaluation counters), spec-plan verdicts match the per-clause
 compiled engine over the full ``tests/corpus/`` families, the bounded LRU
 plan cache evicts with statistics, comparison atoms are indexed once per
@@ -20,6 +20,7 @@ from repro.api import CheckRequest, Session
 from repro.checking import ConformanceCase, run_conformance
 from repro.checking.monitor import Monitor, SpecificationMonitor
 from repro.compile import (
+    ClauseOutcome,
     CompileError,
     EventIndex,
     PlanCache,
@@ -100,9 +101,8 @@ class TestSpecPlanSharing:
         state = compile_specification(spec).evaluator(trace)
         for name in state.plan.clause_names:
             state.satisfies(name)
-        inner = state._state
-        assert not inner._indexes
-        shared = inner._kernel.change_index_count
+        assert not state._indexes
+        shared = state._kernel.change_index_count
         separate = 0
         for clause in spec.clauses:
             single = compile_formula(clause.interpreted_formula()).evaluator(trace)
@@ -111,6 +111,23 @@ class TestSpecPlanSharing:
             separate += single._kernel.change_index_count
         assert 0 < shared < separate
         assert state.index_count == shared
+
+    def test_one_formula_is_one_plan(self):
+        """A formula compiles to the one-clause plan: checking it and
+        checking the one-axiom specification of that clause name and formula
+        share one compilation, and its plan state answers one clause."""
+        formula = parse_formula("[] (p -> <> q)")
+        trace = make_trace([{"p": i % 3 == 0, "q": i % 3 == 1} for i in range(7)])
+        (name,) = compile_formula(formula).clause_names
+        spec = Specification("one formula").add_axiom(name, formula)
+        session = Session()
+        checked = session.check(formula, trace=trace, mode="compiled")
+        result = session.check_spec(spec, trace)
+        assert checked.verdict is False
+        assert [v.holds for v in result.verdicts] == [False]
+        assert session.cache_statistics()["plan_cache_misses"] == 1
+        outcomes = compile_formula(formula).evaluator(trace).check_all()
+        assert outcomes == [ClauseOutcome(name, False)]
 
     def test_duplicate_clause_names_rejected(self):
         with pytest.raises(ValueError, match="unique"):
@@ -336,10 +353,9 @@ class TestComparisonEvents:
         evaluator = Evaluator(trace)
         for (name, formula) in items:
             assert state.satisfies(name) == evaluator.satisfies(formula), name
-        inner = state._state
-        assert inner._kernel is None
-        assert len(inner._indexes) == len(items)
-        assert all(isinstance(ix, EventIndex) for ix in inner._indexes.values())
+        assert state._kernel is None
+        assert len(state._indexes) == len(items)
+        assert all(isinstance(ix, EventIndex) for ix in state._indexes.values())
         assert state.index_count == len(items)
 
     def test_kernel_comparisons_test_each_distinct_value_once(self):
@@ -355,12 +371,11 @@ class TestComparisonEvents:
         evaluator = Evaluator(trace)
         for (name, formula) in items:
             assert state.satisfies(name) == evaluator.satisfies(formula), name
-        inner = state._state
-        assert not inner._indexes
-        kernel = inner._kernel
+        assert not state._indexes
+        kernel = state._kernel
         assert kernel.change_index_count == len(items)
         comparisons = [
-            node for node in inner._nodes
+            node for node in state._nodes
             if node.predicate is not None and str(node.predicate).startswith("x ==")
         ]
         assert len(comparisons) == len(items)
