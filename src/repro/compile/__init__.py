@@ -39,9 +39,9 @@ stage                     paper anchor
                           an event keeps a window-extended change index
                           that searches bisect
 :mod:`.runtime`           :class:`PlanState` — one plan bound to one
-                          computation, answering every clause: the
-                          Chapter 3 satisfaction
-                          relation over slot-addressed environments, with
+                          computation, answering each of its clauses by
+                          the Chapter 3 satisfaction relation over
+                          slot-addressed environments, with
                           one interval-endpoint index per mode over
                           state-change events (the kernel's change index
                           incrementally, an :class:`EventIndex` over a

@@ -233,12 +233,12 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     if opened:
         families = ", ".join(f"{k}={v:,.0f}" for k, v in sorted(opened.items()))
         print(f"opened by family: {families}")
-    # Every stream open and check counts its plan request here: a hit when
-    # the session's identity map or its plan LRU serves the plan, a miss
-    # when it compiles.  The LRU's own gauges miss the warm opens, which
-    # the identity map answers without reaching the LRU.
-    requests = _counter_by_label(snapshot, "repro_plan_requests_total")
-    if requests:
+    # Every monitor opened and every check counts its plan request here: a
+    # hit when the session's identity map or its plan LRU serves the plan,
+    # a miss when it compiles.  The LRU's own gauges miss the warm opens,
+    # which the identity map answers without reaching the LRU.
+    if "repro_plan_requests_total" in snapshot:
+        requests = _counter_by_label(snapshot, "repro_plan_requests_total")
         hits, misses = requests.get("hit", 0), requests.get("miss", 0)
         print(f"plan cache:       hits={hits:,.0f} misses={misses:,.0f}")
     alpha = _series_total(snapshot, "repro_plan_alpha_interned")
