@@ -53,6 +53,16 @@ the bitsets only: at every point they equal those of a per-cell reference
 builder kept here (one interpreted step per cell, the builder the bit-plane
 split replaced).  Both builders' nanoseconds per cell are recorded under
 their own label, with the machine stamp, and not asserted.
+
+A fourth gate pins the kernel's fused interval constructions, which pass
+an interval as its two positions: one-shot ``check_spec`` runs whose
+clauses are ``[] [I] α`` over state-formula events (the two-process mutex
+spec on a 400-entry trace, the reliable queue on 40 values) construct no
+:class:`~repro.semantics.construction.Interval` at all, counted through
+``Interval.__post_init__`` (fused closures that built an ``Interval`` per
+search and per result constructed 1,600 and 7,380), and make exactly the
+plan dispatch calls and event searches recorded here, so the saving
+changes no work the plan does.
 """
 
 import json
@@ -62,12 +72,16 @@ import random
 import time
 from collections import Counter
 
-from repro.compile import compile_formula
+from repro.api import Session
+from repro.compile import PlanState, compile_formula
 from repro.semantics import columns
+from repro.semantics.construction import Interval
 from repro.semantics.columns import ABSENT, Column, ColumnStore, Window
 from repro.semantics.state import OperationRecord, State
 from repro.semantics.trace import Trace
+from repro.specs import mutex_spec, reliable_queue_spec
 from repro.syntax.parser import parse_formula
+from repro.systems import mutex_trace, reliable_queue_trace
 
 #: Concrete state counts of the checked traces.  The timed ratio is
 #: recorded on the last (largest) one.
@@ -114,6 +128,15 @@ ENCODER_KEYED_LABEL = "encoder-keyed-v1"
 CODE_BITS_FRAMES = (None, 16, 64)
 CODE_BITS_CODES = (2, 12, 200, 1024)
 CODE_BITS_LABEL = "code-bits-v1"
+
+#: The fused-construction gate: per check, the spec and trace it runs and
+#: the plan dispatch calls and event searches the check makes.
+FUSED_CHECKS = {
+    "mutex": (lambda: (mutex_spec(2), mutex_trace(2, entries=400, seed=1)), 1208, 1602),
+    "reliable_queue": (
+        lambda: (reliable_queue_spec(), reliable_queue_trace(40, seed=1)), 6602, 6601,
+    ),
+}
 
 
 def build_trace(states):
@@ -396,3 +419,36 @@ def test_code_bits_match_the_per_cell_builder():
     print()
     print(point)
     record_point(point, CODE_BITS_LABEL)
+
+
+def test_fused_constructions_build_no_interval(monkeypatch):
+    """Fused constructions: one-shot spec checks build no ``Interval`` and
+    make the recorded dispatch calls and event searches."""
+    built = Counter()
+    post_init = Interval.__post_init__
+
+    def counted(interval):
+        built["intervals"] += 1
+        post_init(interval)
+
+    work = []
+    check_all = PlanState.check_all
+
+    def recorded(state, env=None):
+        outcomes = check_all(state, env)
+        work.append((state.stats.dispatch_calls, state.stats.event_searches))
+        return outcomes
+
+    monkeypatch.setattr(Interval, "__post_init__", counted)
+    monkeypatch.setattr(PlanState, "check_all", recorded)
+    for name, (build, dispatch_calls, event_searches) in FUSED_CHECKS.items():
+        built.clear()
+        work.clear()
+        spec, trace = build()
+        result = Session().check_spec(spec, trace)
+        assert all(verdict.holds for verdict in result.verdicts), name
+        assert built["intervals"] == 0, (name, built["intervals"])
+        assert work == [(dispatch_calls, event_searches)], (name, work)
+        print()
+        print(name, {"states": trace.length, "intervals": built["intervals"],
+                     "dispatch_calls": dispatch_calls, "event_searches": event_searches})

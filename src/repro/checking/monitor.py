@@ -181,6 +181,15 @@ class Monitor:
         """The multi-root plan every watched formula compiled into."""
         return self._plan
 
+    def fresh(self) -> "Monitor":
+        """A new monitor of the same formulas on the same plan, domain and
+        options that has observed nothing and has no ``on_change`` hook."""
+        return Monitor(
+            self._formulas, self._domain, plan=self._plan,
+            capture_errors=self._capture_errors,
+            forall_unroll_cap=self._forall_unroll_cap,
+        )
+
     @property
     def on_change(self) -> Optional[Callable[[str, MonitorVerdict], None]]:
         """The verdict-change callback (assignable after construction)."""

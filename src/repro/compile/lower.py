@@ -20,6 +20,17 @@ Memoization stays **outside** the closures: every child evaluation goes
 back through ``PlanState._holds`` so hash-consed sharing, the state-formula
 position memo, and the incremental tail tracking intercede at every node
 exactly as before.
+
+With the bitset kernel bound, ``[I]α`` / ``*I`` over state-formula events
+lower further, to a *fused construction*: the interval term compiles to a
+tree of closures that computes the construction function F from the
+kernel's change indexes and passes the interval as plain positions
+``(lo, hi)`` — ``lo is None`` for ⊥ — with the horizon up to which the
+same interval repeats (:func:`_compile_term_bits`).  Such a construction
+allocates no :class:`~repro.semantics.construction.Interval`; only the
+generic path (``PlanState._construct``) builds them.  This is closure
+compilation (Feeley & Lapalme, "Using closures for code generation",
+1987) carried down to the interval arithmetic.
 """
 
 from __future__ import annotations
@@ -29,7 +40,7 @@ from typing import Callable, List, Tuple
 
 from ..semantics.trace import INFINITY
 
-from ..semantics.construction import BOTTOM, Direction, Interval
+from ..semantics.construction import BOTTOM, Direction
 from .vector import search_changes
 from .dag import (
     CompileError,
@@ -240,38 +251,37 @@ class _ExactConstruct(Exception):
 
 
 def _compile_term_bits(state, kernel, tid, direction):
-    """Compile interval term ``tid`` to a closure ``(i, j) -> (found, horizon)``.
+    """Compile interval term ``tid`` to a closure ``(i, j) -> (lo, hi, horizon)``.
 
-    The closure computes ``found = F(term, <i, j>)`` straight from the
-    tail kernel's change indexes — the whole ``_construct_interval`` →
+    The closure computes ``F(term, <i, j>)`` straight from the tail
+    kernel's change indexes — the whole ``_construct_interval`` →
     ``_construct`` → ``_find_event`` recursion collapsed to bisections at
     lowering time, with the direction of every event search resolved
-    statically (it only depends on the term's shape).  Returns ``None``
-    when some event leaf is not a state formula; raises
-    :class:`_ExactConstruct` at *call* time when a profile has died
-    (a missing variable, a raising position), so the caller falls back to
-    the generic exact path whose lazy per-position errors the fused path
-    cannot reproduce.
+    statically (it only depends on the term's shape).  It passes the
+    interval as its two positions and builds no
+    :class:`~repro.semantics.construction.Interval`: ``lo is None`` is ⊥
+    (``hi`` is then ``None`` too).  Returns ``None`` when some event leaf
+    is not a state formula; raises :class:`_ExactConstruct` at *call* time
+    when a profile has died (a missing variable, a raising position), so
+    the caller falls back to the generic exact path whose lazy
+    per-position errors the fused path cannot reproduce.
 
     ``horizon`` is the last start ``i' >= i`` up to which ``F(term, <i',
     j>)`` gives the same result with the same tail marking.  F depends on
     the start only through the searches made from it, so the horizon is
-    the least of their horizons
-    (:func:`~repro.compile.vector.search_changes`: one before the change a
-    search found, unbounded when it found none); a search from a position
-    an earlier search found adds nothing.  Shapes that put the start in
-    the interval (``=> J``, ``<= J``, the bare context) answer the start
-    itself.
+    the least of their horizons (one before the change a search found,
+    unbounded when it found none); a search from a position an earlier
+    search found adds nothing.  Shapes that put the start in the interval
+    (``=> J``, ``<= J``, the bare context) answer the start itself.
 
-    Every event leaf searches through
+    Every event leaf makes one search,
     :func:`~repro.compile.vector.search_changes`, the same bisection (and
     tail-marking) ``PlanState._find_event`` runs for a growing prefix.
     """
     term = state._terms[tid]
     op = term.op
     if op == T_EVENT:
-        nid = term.event
-        node = state._nodes[nid]
+        node = state._nodes[term.event]
         if not node.is_state:
             return None
         changes = kernel.changes
@@ -285,7 +295,10 @@ def _compile_term_bits(state, kernel, tid, direction):
             if index is None:
                 raise _ExactConstruct
             stats.event_searches += 1
-            return search_changes(index, trace.length, i, j, forward, mark_tail)
+            k = search_changes(index, trace.length, i, j, forward, mark_tail)
+            if k is None:
+                return None, None, INFINITY
+            return k - 1, k, k - 1
         return run
     if op == T_BEGIN:
         inner = _compile_term_bits(state, kernel, term.a, direction)
@@ -293,10 +306,8 @@ def _compile_term_bits(state, kernel, tid, direction):
             return None
 
         def run(i, j):
-            found, horizon = inner(i, j)
-            if found is BOTTOM:
-                return BOTTOM, horizon
-            return Interval(found.lo, found.lo), horizon
+            lo, _, horizon = inner(i, j)
+            return lo, lo, horizon
         return run
     if op == T_END:
         inner = _compile_term_bits(state, kernel, term.a, direction)
@@ -304,16 +315,15 @@ def _compile_term_bits(state, kernel, tid, direction):
             return None
 
         def run(i, j):
-            found, horizon = inner(i, j)
-            if found is BOTTOM or found.hi == INFINITY:
-                return BOTTOM, horizon
-            last = int(found.hi)
-            return Interval(last, last), horizon
+            lo, hi, horizon = inner(i, j)
+            if lo is None or hi == INFINITY:
+                return None, None, horizon
+            return hi, hi, horizon
         return run
     if op in (T_FORWARD, T_BACKWARD):
         left, right = term.a, term.b
         if left is None and right is None:
-            return lambda i, j: (Interval(i, j), i)
+            return lambda i, j: (i, j, i)
         if op == T_FORWARD:
             # ``I =>``: the *next* I (caller's direction); ``=> J``: the
             # first J, always forward.
@@ -346,43 +356,41 @@ def _compile_term_bits(state, kernel, tid, direction):
             return None
         if rrun is None:
             def run(i, j):
-                found, horizon = lrun(i, j)
-                if found is BOTTOM or found.hi == INFINITY:
-                    return BOTTOM, horizon
-                return Interval(int(found.hi), j), horizon
+                _, hi, horizon = lrun(i, j)
+                if hi is None or hi == INFINITY:
+                    return None, None, horizon
+                return hi, j, horizon
             return run
         if lrun is None:
             def run(i, j):
-                found, horizon = rrun(i, j)
-                if found is BOTTOM or found.hi == INFINITY:
-                    return BOTTOM, horizon
-                return Interval(i, int(found.hi)), i
+                _, hi, horizon = rrun(i, j)
+                if hi is None or hi == INFINITY:
+                    return None, None, horizon
+                return i, hi, i
             return run
         if op == T_FORWARD:
             def run(i, j):
-                prefix, horizon = lrun(i, j)
-                if prefix is BOTTOM or prefix.hi == INFINITY:
-                    return BOTTOM, horizon
-                lo = int(prefix.hi)
+                _, lo, horizon = lrun(i, j)
+                if lo is None or lo == INFINITY:
+                    return None, None, horizon
                 # J is searched from where I ended, which stays put up to
                 # I's horizon: its own horizon does not bound this one.
-                found = rrun(lo, j)[0]
-                if found is BOTTOM or found.hi == INFINITY:
-                    return BOTTOM, horizon
-                return Interval(lo, int(found.hi)), horizon
+                hi = rrun(lo, j)[1]
+                if hi is None or hi == INFINITY:
+                    return None, None, horizon
+                return lo, hi, horizon
             return run
 
         def run(i, j):
-            suffix, horizon = rrun(i, j)
-            if suffix is BOTTOM or suffix.hi == INFINITY:
-                return BOTTOM, horizon
-            hi = int(suffix.hi)
-            found, left_horizon = lrun(i, hi)
+            _, hi, horizon = rrun(i, j)
+            if hi is None or hi == INFINITY:
+                return None, None, horizon
+            _, lo, left_horizon = lrun(i, hi)
             if left_horizon < horizon:
                 horizon = left_horizon
-            if found is BOTTOM or found.hi == INFINITY:
-                return BOTTOM, horizon
-            return Interval(int(found.hi), hi), horizon
+            if lo is None or lo == INFINITY:
+                return None, None, horizon
+            return lo, hi, horizon
         return run
     return None
 
@@ -395,11 +403,11 @@ def _vectorized_incremental(state, kernel, node, fallback):
     cached-profile bit test per call), ``[] / <>`` directly over a state
     formula (one mask test over the context per call), and ``[I]α`` /
     ``*I`` over a term whose events are all state formulas: the fused term
-    closure (:func:`_compile_term_bits`) builds the interval from change
-    indexes, and the node's closure leaves that construction's horizon in
-    ``state._horizon`` for the ``[] / <>`` frontier
-    (``PlanState._holds_suffixes_incremental``), which then skips every
-    start up to it.  A dead profile falls back to the node's generic
+    closure (:func:`_compile_term_bits`) finds the interval's two positions
+    from change indexes, building no ``Interval``, and the node's closure
+    leaves that construction's horizon in ``state._horizon`` for the
+    ``[] / <>`` frontier (``PlanState._holds_suffixes_incremental``), which
+    calls this closure directly and then skips every start up to it.  A dead profile falls back to the node's generic
     closure, with the start itself as horizon.  ``_holds`` skips both
     context normalization and the tail push for vector node ids, so these
     closures own both obligations: a context reaching past the last
@@ -477,7 +485,7 @@ def _vectorized_incremental(state, kernel, node, fallback):
                 mark_tail()
                 lo, hi = normalize(lo, hi)
             try:
-                found, horizon = construct_fast(lo, hi)
+                found_lo, found_hi, horizon = construct_fast(lo, hi)
             except _ExactConstruct:
                 verdict = fallback(lo, hi)
                 state._horizon = lo
@@ -485,9 +493,9 @@ def _vectorized_incremental(state, kernel, node, fallback):
             # Every start up to the horizon builds this same interval, so
             # the verdict (the body's through its memo) holds for all of them.
             if body is None:
-                verdict = found is not BOTTOM
+                verdict = found_lo is not None
             else:
-                verdict = found is BOTTOM or holds(body, found.lo, found.hi)
+                verdict = found_lo is None or holds(body, found_lo, found_hi)
             state._horizon = horizon
             return verdict
         return run

@@ -593,17 +593,6 @@ class PlanState:
             # reaches would wait for the cycle collector.
             error = None
 
-    def _holds_tracked(self, nid: int, lo: int, hi: Position) -> Tuple[bool, bool]:
-        """Evaluate a child and report whether its verdict is tail-dependent."""
-        self._tail.append(False)
-        try:
-            value = self._holds(nid, lo, hi)
-        finally:
-            tail = self._tail.pop()
-            if tail:
-                self._tail[-1] = True
-        return value, tail
-
     # -- [] / <> -------------------------------------------------------------
 
     def _holds_suffixes(self, node, lo: int, hi: Position, want: bool) -> bool:
@@ -639,7 +628,11 @@ class PlanState:
         same interval with the same tail marking, so it has the same verdict
         and tail-dependence, and the loop jumps past it.  Pending starts
         waiting on the same change point thus share one evaluation; any
-        other child advances one start at a time.
+        other child advances one start at a time.  Such a child's closure
+        is called directly, counted as the dispatch ``_holds`` would have
+        made (its node id takes ``_holds``' memo-free path anyway); any
+        other child goes through ``_holds``.  Each child verdict runs in a
+        tail frame of its own, which tells whether it was tail-dependent.
         """
         child = node.a
         n = self._trace.length
@@ -651,18 +644,30 @@ class PlanState:
             frontier = self._agg.get(agg_key, lo - 1)
         except TypeError:
             agg_key = None
-        spans = child in self._vector_nids and self._nodes[child].op in (
-            N_INTERVAL, N_OCCURS,
-        )
+        fused = None
+        if child in self._vector_nids and self._nodes[child].op in (N_INTERVAL, N_OCCURS):
+            fused = self._ops[child]
+        stats = self.stats
+        tails = self._tail
         first_tail: Optional[int] = None
         k = max(frontier + 1, lo)
         while k <= n:
-            value, tail = self._holds_tracked(child, k, INFINITY)
+            tails.append(False)
+            try:
+                if fused is None:
+                    value = self._holds(child, k, INFINITY)
+                else:
+                    stats.dispatch_calls += 1
+                    value = fused(k, INFINITY)
+            finally:
+                tail = tails.pop()
+                if tail:
+                    tails[-1] = True
             if value is want:
                 return want
             if tail and first_tail is None:
                 first_tail = k
-            k = self._horizon + 1 if spans else k + 1
+            k = k + 1 if fused is None else self._horizon + 1
         if agg_key is not None:
             self._agg[agg_key] = n if first_tail is None else first_tail - 1
         self._mark_tail()  # an undecided verdict depends on future states
@@ -890,11 +895,14 @@ class PlanState:
         """The changeset search of Chapter 3 (first/last False→True event).
 
         With the kernel bound, a state-formula event bisects its change
-        index directly.  Otherwise the search result is a pure
-        function of the event node, its free-slot bindings, the context and
-        the direction, so it memoizes — sharing searches across the clauses
-        of a multi-root plan and across repeated constructions of a shared
-        interval term.
+        index directly (:func:`~repro.compile.vector.search_changes`); this
+        is the one caller that wraps the change position it answers in an
+        :class:`Interval`, for the generic :meth:`_construct` (the fused
+        constructions pass positions).  Otherwise the search result is a
+        pure function of the event node, its free-slot bindings, the
+        context and the direction, so it memoizes — sharing searches across
+        the clauses of a multi-root plan and across repeated constructions
+        of a shared interval term.
 
         In incremental mode the memo splits by tail-dependence: a search
         decided entirely within the concrete states (a forward event found
@@ -919,10 +927,11 @@ class PlanState:
                 # profile or an unhashable binding falls through to the
                 # memoized scan.
                 self.stats.event_searches += 1
-                return search_changes(
+                k = search_changes(
                     index, self._trace.length, i, j,
                     direction == Direction.FORWARD, self._mark_tail,
-                )[0]
+                )
+                return BOTTOM if k is None else Interval(k - 1, k)
         key: Optional[Tuple[Any, ...]] = None
         try:
             envkey = tuple(self._slots[s] for s in node.free_slots)

@@ -30,7 +30,15 @@ profile:
   (:meth:`TailKernel.changes`).  It is allocated on the profile's first
   event search and then extended over each appended window only, so an
   event search is a bisection (:func:`search_changes`), not a shift of a
-  whole-prefix int.
+  whole-prefix int.  The search answers the change position ``k`` (the
+  event's interval is ``<k - 1, k>``) and builds no interval object: the
+  fused constructions of :mod:`repro.compile.lower` pass intervals as
+  positions, and only the generic path wraps ``k`` in an ``Interval``.
+
+Reading a slot-free node's profile, or its change index, once it is built
+to the trace's length is one dict lookup (:meth:`TailKernel.profile`,
+:meth:`TailKernel.changes`): a one-shot check's trace is extended once,
+and every later read is such a read.
 
 A lasso whose cycle is longer than one state has no kernel: it runs the
 static per-position mode (:mod:`repro.compile.runtime`).
@@ -53,7 +61,6 @@ from array import array
 from bisect import bisect_right
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from ..semantics.construction import BOTTOM, Interval
 from ..semantics.state import State
 from ..semantics.trace import INFINITY
 from ..syntax.terms import (
@@ -121,26 +128,25 @@ def bit_positions(bits: int) -> List[int]:
     return out
 
 
-def search_changes(changes, n: int, i: int, j, forward: bool, mark_tail):
+def search_changes(changes, n: int, i: int, j, forward: bool, mark_tail) -> Optional[int]:
     """The changeset search of Chapter 3 over a growing prefix.
 
     ``changes`` is an event formula's change index over the concrete
-    positions ``1..n`` (:meth:`TailKernel.changes`).  Returns ``(found,
-    horizon)``.  ``found`` is ``Interval(k - 1, k)`` for the first
-    (``forward``) or last change ``k`` in ``(i, bound]``, else ``BOTTOM``;
-    ``bound`` is ``j``, or one past ``max(i, n)`` for an infinite context.
-    The stutter tail repeats the last state, so no change exists past
-    ``n`` (in particular the backward search's recurs-forever ⊥ cannot
-    arise).  ``mark_tail()`` runs when the answer may still change as the
-    prefix grows: a forward search that found nothing with its bound past
-    ``n``, and every backward search over an infinite context or past
-    ``n``.
+    positions ``1..n`` (:meth:`TailKernel.changes`).  Returns the first
+    (``forward``) or last change position ``k`` in ``(i, bound]`` — the
+    event's interval is ``<k - 1, k>`` — or ``None`` for ``⊥``; ``bound``
+    is ``j``, or one past ``max(i, n)`` for an infinite context.  The
+    stutter tail repeats the last state, so no change exists past ``n``
+    (in particular the backward search's recurs-forever ⊥ cannot arise).
+    ``mark_tail()`` runs when the answer may still change as the prefix
+    grows: a forward search that found nothing with its bound past ``n``,
+    and every backward search over an infinite context or past ``n``.
 
-    ``horizon`` is the last context start from which the same search (same
-    ``j``) gives the same answer and the same tail marking: ``k - 1`` when
-    it found ``k`` (any earlier start still has ``k`` as its first or last
-    change), unbounded when it found nothing (a later start sees a subset
-    of the same empty range).
+    Every start from ``i`` up to ``k - 1`` (same ``j``) finds the same
+    ``k`` with the same tail marking, and every later start finds nothing
+    when this one found nothing: the fused term closures take ``k - 1``,
+    or an unbounded horizon, as the last start that repeats this search
+    (:func:`repro.compile.lower._compile_term_bits`).
     """
     if j == INFINITY:
         bound = (i if i > n else n) + 1
@@ -151,10 +157,10 @@ def search_changes(changes, n: int, i: int, j, forward: bool, mark_tail):
         if after < len(changes):
             k = changes[after]
             if k <= bound:
-                return Interval(k - 1, k), k - 1
+                return k
         if bound > n:
             mark_tail()  # no event yet; one may still appear
-        return BOTTOM, INFINITY
+        return None
     if j == INFINITY or bound > n:
         # The changeset max can move (or appear) as the prefix grows.
         mark_tail()
@@ -162,8 +168,8 @@ def search_changes(changes, n: int, i: int, j, forward: bool, mark_tail):
     if last >= 0:
         k = changes[last]
         if k > i:
-            return Interval(k - 1, k), k - 1
-    return BOTTOM, INFINITY
+            return k
+    return None
 
 
 def _record_test(phases, arg_values) -> Callable[[Any], bool]:
@@ -189,8 +195,10 @@ class _Profile:
     ``bits`` covers concrete positions ``1..built_to``; ``passes`` caches
     a column atom's test verdict per dictionary code (the test runs once
     per *distinct value*, across every extension).  ``dead`` is the permanent
-    exact-fallback flag.  ``changes`` is the change index over positions
-    ``1..changes_to``, ``None`` until the profile's first event search.
+    exact-fallback flag; a profile dies extending to the trace's length and
+    is never extended again, so one built to that length is alive.
+    ``changes`` is the change index over positions ``1..changes_to``,
+    ``None`` until the profile's first event search.
     """
 
     __slots__ = ("bits", "built_to", "dead", "passes", "changes", "changes_to")
@@ -272,7 +280,12 @@ class TailKernel:
     def profile(self, node) -> Optional[int]:
         """Truth bits over concrete positions ``1..length`` under the current
         slot bindings, extended to the trace's length; ``None`` when the
-        per-position path must decide instead."""
+        per-position path must decide instead.  A slot-free node's profile
+        already built to that length is one dict lookup."""
+        if not node.free_slots:
+            entry = self._entries.get(node.id)
+            if entry is not None and entry.built_to == self._trace.length:
+                return entry.bits
         key = self._key(node)
         try:
             entry = self._entries.get(key)
@@ -302,8 +315,14 @@ class TailKernel:
         changeset as an event.  It is allocated on the profile's first
         event search and afterwards extended over the positions appended
         since, one shift of that window each time.  The profile is read
-        through :meth:`profile` only when it needs extending.
+        through :meth:`profile` only when it needs extending, and a
+        slot-free node's index already extended to the trace's length is
+        one dict lookup.
         """
+        if not node.free_slots:
+            entry = self._entries.get(node.id)
+            if entry is not None and entry.changes_to == self._trace.length:
+                return entry.changes
         key = self._key(node)
         try:
             entry = self._entries.get(key)

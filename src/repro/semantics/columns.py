@@ -574,6 +574,29 @@ class Column(_ColumnBase):
 
     __slots__ = ()
 
+    def encode_start(self, count: int, first: bool, new_at: Set[int]) -> None:
+        """Append ``count`` cells of the ``__start__`` column written from
+        its definition: ``True`` in the window's first cell when it holds
+        the trace's first position (``first``), ``False`` in every other.
+
+        Each value's code is looked up, or interned, once, and its run of
+        cells appended in one step: the codes, values and ``new_at`` that
+        :meth:`encode` gives the same cells as a list.
+        """
+        runs = ((True, 1), (False, count - 1)) if first else ((False, count),)
+        table, values = self._bools, self.values
+        at = 0
+        for value, cells in runs:
+            if not cells:
+                continue
+            code = table.get(value)
+            if code is None:
+                code = table[value] = len(values)
+                values.append(value)
+                new_at.add(at)
+            self.codes.extend(array("i", [code]) * cells)
+            at += cells
+
 
 class OperationColumn(_ColumnBase):
     """Dictionary-encoded :class:`OperationRecord` s of one operation name.
@@ -617,7 +640,8 @@ def _encode_columns(
     name, in one ``dict.get`` pass reading ``_MISSING`` there.  With
     ``mark_start`` the ``__start__`` column is True at position 1, False
     where a row lacks it and the row's value elsewhere; when no row binds
-    it (served rows never do), it is built from that definition alone.
+    it (served rows never do), its codes are written from that definition
+    alone (:meth:`Column.encode_start`), with no list of cells.
     """
     first = rows[0]
     shaped = by_shape and set(map(len, rows)) == {len(first)}
@@ -639,10 +663,7 @@ def _encode_columns(
         _column(columns, kind, name, offset).encode(values, new_at)
     if start is not None and start not in names:  # no row binds it
         names.append(start)
-        values = [False] * len(rows)
-        if not offset:
-            values[0] = True
-        _column(columns, kind, start, offset).encode(values, new_at)
+        _column(columns, kind, start, offset).encode_start(len(rows), not offset, new_at)
     if len(names) < len(columns):
         bound = set(names)
         for name, column in columns.items():

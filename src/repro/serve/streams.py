@@ -97,7 +97,6 @@ class StreamHandle:
         "alerts_emitted",
         "_pending_alerts",
         "_frame_counts",
-        "_rebuild",
         "_stat_window",
         "_costs",
         "_cost_commits",
@@ -108,7 +107,6 @@ class StreamHandle:
         self,
         name: str,
         monitor,
-        rebuild: Callable[[], Any],
         family: str = "formulas",
         stat_window: int = 256,
     ) -> None:
@@ -128,9 +126,6 @@ class StreamHandle:
         #: State count of every committed frame, in order — the commit
         #: boundaries a coalesced group's flip replay reconstructs from.
         self._frame_counts: List[int] = []
-        #: Builds a fresh, empty monitor for the same formulas (the
-        #: registry passes one backed by the session's warm plan cache).
-        self._rebuild = rebuild
         #: The step cost (plan dispatch calls) of each of the last
         #: ``stat_window`` commits — a coalesced run is one commit — and
         #: the lifetime count and sum of every commit's cost.
@@ -244,17 +239,19 @@ class StreamHandle:
         A flip observed at the group boundary could have happened at any
         of the group's commit points; clients are promised frame-at-a-time
         alert positions and ``stable_for`` resets regardless of how frames
-        were coalesced.  So: rebuild a fresh monitor (plan comes warm from
-        the session cache), replay every retained commit silently up to
-        the group, then commit the group's frames one at a time, capturing
-        alerts and verdict maps per frame.  The replayed monitor replaces
+        were coalesced.  So: build a fresh monitor on the stream's own plan
+        (:meth:`Monitor.fresh <repro.checking.monitor.Monitor.fresh>`, which
+        looks no plan up, so a replay is not counted as a plan request),
+        replay every retained commit silently up to the group, then commit
+        the group's frames one at a time, capturing alerts and verdict maps
+        per frame.  The replayed monitor replaces
         the optimistic one — its final verdicts are identical (batched
         absorption is verdict-equivalent by construction); only the alert
         granularity differs.  Flips are rare (once per faulty stream), so
         the O(history) replay amortizes away against the batched fast
         path.
         """
-        monitor = self._rebuild()
+        monitor = self.monitor.fresh()
         states = self.monitor.plan_state.trace.states()
         counts = self._frame_counts
         boundary = len(counts) - group_size
@@ -512,16 +509,9 @@ class StreamRegistry:
         formulas = self._resolve_formulas(frame)
         domain = frame.get("domain")
         monitor = self._session.monitor(formulas, domain, capture_errors=True)
-
-        def rebuild():
-            # A fresh monitor on the same warm plan — what a coalesced
-            # group's flip replay runs the stream back through.
-            return self._session.monitor(formulas, domain, capture_errors=True)
-
         family = frame.get("spec", "formulas")
         handle = StreamHandle(
-            name, monitor, rebuild=rebuild, family=family,
-            stat_window=self._stat_window,
+            name, monitor, family=family, stat_window=self._stat_window,
         )
         self._streams[name] = handle
         self._m_opened.child(family).inc()

@@ -70,10 +70,15 @@ from repro.gen.loadgen import LOAD_FAMILIES, generate_stream_scripts
 from repro.semantics import columns
 from repro.semantics.columns import ABSENT, Column, ColumnStore, Window
 from repro.semantics.state import OperationRecord, State
-from repro.semantics.trace import Trace, make_trace
+from repro.semantics.trace import INFINITY, Trace, make_trace
 from repro.serve.protocol import rows_to_states
 from repro.serve.streams import SPEC_FACTORIES, StreamRegistry
-from repro.syntax.builder import always, atom, eventually, event, forward, interval, lor
+from repro.compile.lower import _compile_term_bits
+from repro.semantics.construction import BOTTOM, Direction, Interval
+from repro.syntax.builder import (
+    always, atom, backward, begin, end, eventually, event, forward, interval, land, lnot,
+    lor, occurs, prop,
+)
 from repro.syntax.parser import parse_formula
 from repro.syntax.terms import Prop
 
@@ -320,6 +325,130 @@ class TestWindowSplits:
                 assert verdict is not None or not complete, (name, seen)
                 assert verdict is None or observed[name] is verdict, (name, seen)
             assert observed == one_shot(session, spec, trace, compiled=True), seen
+
+
+#: Event formulas the fused constructions search: state formulas only.
+_FUSED_EVENTS = (
+    prop("p"), prop("q"), lnot(prop("p")), land(prop("p"), lnot(prop("q"))),
+)
+
+
+def _term_shapes(inner):
+    """Every term shape over ``inner``: ``begin``, ``end`` and the six
+    arrows with an argument omitted or not."""
+    pairs = st.tuples(inner, inner)
+    return st.one_of(
+        inner.map(begin),
+        inner.map(end),
+        inner.map(lambda left: forward(left, None)),
+        inner.map(lambda right: forward(None, right)),
+        pairs.map(lambda both: forward(*both)),
+        inner.map(lambda left: backward(left, None)),
+        inner.map(lambda right: backward(None, right)),
+        pairs.map(lambda both: backward(*both)),
+    )
+
+
+#: Interval terms of every shape, from events and the bare context ``=>``.
+interval_terms = st.recursive(
+    st.sampled_from((*_FUSED_EVENTS, None)).map(
+        lambda formula: forward() if formula is None else event(formula)
+    ),
+    _term_shapes,
+    max_leaves=4,
+)
+
+
+def _tail_framed(state, call):
+    """``call()``'s result and whether it marked the plan state's tail."""
+    state._tail.append(False)
+    try:
+        result = call()
+    finally:
+        tail = state._tail.pop()
+    return result, tail
+
+
+def _positions(found):
+    return (None, None) if found is BOTTOM else (found.lo, found.hi)
+
+
+def assert_fused_constructions_equal_f(state, static):
+    """Every term of ``state``'s plan, compiled to a fused closure in both
+    directions, gives at every context ``<i, j>`` (``j`` past the last
+    state and infinite included) the positions of the ``Interval`` that
+    ``PlanState._construct`` builds, ⊥ included, with the same tail
+    marking, and so does the static per-position mode (``static``, over
+    the same states read as a finished computation); every start up to the
+    reported horizon constructs that interval with that marking.
+
+    Returns the positions and tail marking per ``(term, direction, i, j)``.
+    """
+    n = state.trace.length
+    results = {}
+    for tid in range(len(state.plan.terms)):
+        for direction in (Direction.FORWARD, Direction.BACKWARD):
+            fused = _compile_term_bits(state, state._kernel, tid, direction)
+            assert fused is not None, (tid, direction)
+
+            def f(i, j):
+                return _tail_framed(
+                    state, lambda: state._construct(tid, Interval(i, j), direction)
+                )
+
+            for i in range(1, n + 1):
+                for j in (*range(i, n + 2), INFINITY):
+                    (lo, hi, horizon), tail = _tail_framed(state, lambda: fused(i, j))
+                    found, found_tail = f(i, j)
+                    where = (tid, direction, i, j)
+                    assert (lo, hi) == _positions(found), where
+                    assert tail == found_tail, where
+                    assert _positions(
+                        static._construct(tid, Interval(i, j), direction)
+                    ) == (lo, hi), where
+                    assert horizon >= i, where
+                    for later in range(i + 1, int(min(horizon, n, j)) + 1):
+                        assert f(later, j) == (found, found_tail), (where, later)
+                    results[where] = ((lo, hi), tail)
+    return results
+
+
+class TestFusedConstruction:
+    """The kernel's fused constructions compute the construction function F."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(st.fixed_dictionaries({"p": st.booleans(), "q": st.booleans()}),
+                 min_size=1, max_size=9),
+        interval_terms,
+        st.lists(st.integers(1, 6), max_size=3),
+    )
+    def test_fused_construction_equals_f(self, rows, term, cuts):
+        # Static, then grown window by window: there, a construction left
+        # unmarked keeps its interval however the prefix grows.
+        plan = compile_formula(occurs(term))
+        states = [State(row) for row in rows]
+        trace = Trace(states)
+        assert_fused_constructions_equal_f(
+            PlanState(plan, trace, incremental=True), PlanState(plan, trace),
+        )
+        prefix = GrowingPrefix()
+        windows = list(frames_of(states, cuts))
+        prefix.extend(windows[0])
+        state = PlanState(plan, prefix, incremental=True)
+        settled = {}
+        for window in windows[1:] + [None]:
+            results = assert_fused_constructions_equal_f(
+                state, PlanState(plan, Trace(states[:prefix.length])),
+            )
+            for where, positions in settled.items():
+                assert results[where][0] == positions, where
+            settled.update(
+                (where, positions) for where, (positions, tail) in results.items() if not tail
+            )
+            if window is not None:
+                prefix.extend(window)
+                state.note_append()
 
 
 class _Incomparable(list):
@@ -675,7 +804,7 @@ class TestPerValueInterning:
                 [{"id": 1000 + i, "n": i % 40} for i in range(start, start + 16)], [{}] * 16
             ))
         store.absorb(Window([{"id": i, "n": 200 + i} for i in range(16)], [{}] * 16))
-        assert tried == {"id": 1, "n": 4, "__start__": 1}
+        assert tried == {"id": 1, "n": 4}
         assert list(store.column("id").codes) == list(range(80))
 
     def test_hashable_operation_windows_hash_their_records_in_c(self, monkeypatch):

@@ -39,7 +39,7 @@ from repro.compile.vector import bit_positions
 from repro.gen.generators import ScenarioProfile, gen_formula, gen_trace
 from repro.gen.loadgen import generate_stream_scripts
 from repro.semantics import columns
-from repro.semantics.columns import ABSENT, ColumnStore, Window
+from repro.semantics.columns import ABSENT, Column, ColumnStore, Window
 from repro.semantics.evaluator import Evaluator
 from repro.semantics.state import OperationRecord, State
 from repro.semantics.trace import Trace, boolean_trace, make_trace
@@ -463,6 +463,92 @@ def column_contents(store):
         for columns in (store._columns, store._op_columns)
         for name, column in columns.items()
     ]
+
+
+def start_cells(count, first):
+    """A window's ``__start__`` cells as the list rows binding the name give:
+    True in the first cell of the trace's first window, False elsewhere."""
+    cells = [False] * count
+    if first:
+        cells[0] = True
+    return cells
+
+
+def encode_start_as_list(column, count, first, new_at):
+    """The reference: the same cells coded by :meth:`Column.encode`."""
+    column.encode(start_cells(count, first), new_at)
+
+
+def start_column_builds(build, monkeypatch):
+    """What ``build()`` leaves in its store's ``__start__`` column with the
+    cells written from their definition, then with the reference's list
+    encoding: codes, values, ``missing``, the ``new_at`` indexes each
+    window's start cells added, and the store's value universe."""
+    outcomes = []
+    for write in (Column.encode_start, encode_start_as_list):
+        added = []
+
+        def spy(column, count, first, new_at, write=write):
+            mine = set()
+            write(column, count, first, mine)
+            added.append(sorted(mine))
+            new_at |= mine
+
+        monkeypatch.setattr(Column, "encode_start", spy)
+        store = build()
+        column = store.column("__start__")
+        outcomes.append((
+            list(column.codes), column.values, column.missing, added,
+            store.value_universe(),
+        ))
+        monkeypatch.undo()
+    return outcomes
+
+
+def absorbed(*windows, pickle_after=None):
+    """A store that absorbed ``windows`` (lists of rows), pickled and
+    restored after window ``pickle_after`` if given."""
+    store = ColumnStore()
+    for index, rows in enumerate(windows):
+        store.absorb(Window(rows, [{}] * len(rows)))
+        if index == pickle_after:
+            store = pickle.loads(pickle.dumps(store))
+    return store
+
+
+class TestStartColumn:
+    """``__start__`` cells no row binds are written from the definition —
+    one code at position 1, the other everywhere else — with the codes,
+    values and new-value positions the list encoding of the same cells
+    gives."""
+
+    @pytest.mark.parametrize("build", [
+        lambda: ColumnStore([State({"x": 3})]),
+        lambda: ColumnStore([State({"x": i % 4, "p": i % 3 == 0}) for i in range(9)]),
+        lambda: absorbed([{"x": 1}], [{"x": 2}, {"x": 1}, {"x": 5}], [{"x": 7}]),
+        lambda: absorbed([{"x": 1}], [{"x": 2}], [{"x": 3}, {"x": 4}]),
+        lambda: absorbed([{"x": 1}], [{"x": 2}, {"x": 3}], pickle_after=0),
+        lambda: absorbed(
+            [{"x": 1}, {"x": 2}], [{"x": 3}], [{"x": 4}, {"x": 1}], pickle_after=1,
+        ),
+    ], ids=[
+        "static-one-state", "static", "growing-from-one-state",
+        "growing-one-state-windows", "pickled-after-one-state", "pickled-mid-stream",
+    ])
+    def test_written_cells_equal_the_list_encoding(self, build, monkeypatch):
+        direct, listed = start_column_builds(build, monkeypatch)
+        assert direct == listed
+        assert direct[3], "no window wrote its start cells from the definition"
+
+    def test_rows_binding_start_keep_the_list_path(self, monkeypatch):
+        rows = [{"__start__": False, "p": 1}, {"p": 2, "__start__": True}, {"p": 3}]
+        direct, listed = start_column_builds(
+            lambda: ColumnStore(Window(rows, [{}] * 3), mark_start=True), monkeypatch,
+        )
+        assert direct == listed
+        codes, values, _, added, _ = direct
+        assert added == []
+        assert [values[code] for code in codes] == [True, True, False]
 
 
 class TestBitsetKernel:

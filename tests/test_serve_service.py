@@ -369,6 +369,35 @@ class TestOneStore:
         assert step_cost_series(registry) == (1, float(step["lifetime_total"]))
         assert snapshot["batches"] == 3 and snapshot["version"] == 3
 
+    def test_a_flip_replay_is_not_a_plan_request(self, monkeypatch):
+        # A fresh stream's first run of several frames flips, so it is
+        # replayed on a fresh monitor built on the stream's own plan: only
+        # the open asks the session for a plan.
+        replays = []
+        replay = StreamHandle._replay_group
+
+        def counted(handle, group_size):
+            replays.append(group_size)
+            return replay(handle, group_size)
+
+        monkeypatch.setattr(StreamHandle, "_replay_group", counted)
+        registry = StreamRegistry()
+        open_ok(registry, "s1", spec="request_ack")
+        opened = registry.stream("s1").monitor
+        rows = [
+            {"values": {"req": req, "ack": ack}}
+            for req, ack in ((False, False), (True, False), (True, False), (False, True))
+        ]
+        registry.handle_batch(
+            [{"op": "append", "stream": "s1", "states": [row]} for row in rows]
+        )
+        assert replays == [4]
+        replayed = registry.stream("s1").monitor
+        assert replayed is not opened and replayed.plan is opened.plan
+        requests = registry.metrics_snapshot()["repro_plan_requests_total"]["series"]
+        counts = {tuple(row["labels"]): row["value"] for row in requests}
+        assert counts.get(("hit",), 0) == 0 and counts[("miss",)] == 1
+
     def test_a_failed_coalesced_run_counts_one_internal_error(self, monkeypatch):
         def fail(handle, batches):
             raise RuntimeError("absorb failed")
