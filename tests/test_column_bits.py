@@ -3,8 +3,8 @@
 One window encoder fills the columns of static traces and growing prefixes,
 one builder (``Column.code_bits``) derives their bitsets, and one kernel
 (``TailKernel``) evaluates state formulas over them — on a growing prefix,
-and on a stutter-terminated trace checked as a finished prefix.  Two
-properties pin the pair down:
+and on a stutter-terminated trace checked as a finished prefix.  Three
+properties pin them down:
 
 * **window splits** — any split of a state sequence into append frames
   leaves a growing store with the same columns, codes and per-value bitsets
@@ -17,9 +17,14 @@ properties pin the pair down:
   ``_MAX_BITSET_BYTES`` keeps no bitsets, whether it got there mid-stream
   or was built past it; the profiles over it go on per position, alive
   and bit-for-bit the per-position verdicts, and verdicts match the
-  ``stepwise`` and ``trace`` engines.
+  ``stepwise`` and ``trace`` engines;
+* **fused constructions** — the kernel's position-passing interval
+  closures give, for every term shape, at every context of a static or
+  window-grown trace, the interval ``PlanState._construct`` builds (and
+  the static per-position mode), with its tail marking, and every start
+  up to the horizon they report builds that interval too.
 
-A third property pins the encoder itself: **per-value interning** codes
+A fourth property pins the encoder itself: **per-value interning** codes
 every window, static or split, exactly as a cell-by-cell interner does —
 codes, representatives (type and identity), the missing flag and the value
 universe — over booleans beside equal numbers, NaNs, unhashable values and
@@ -31,7 +36,7 @@ columns (args equal across ``1`` / ``1.0`` / ``True``, NaN and unhashable
 args, idle cells).  Dispatch pins beside it: byte-coded windows reach no
 other interner, hashable operation windows run no Python-level record
 code and never the cell-by-cell interner, and a column of ints past 255
-leaves the byte path after its first try.  A fourth pins the bitset builder:
+leaves the byte path after its first try.  A fifth pins the bitset builder:
 **bit-plane splits** give the per-code bitsets a cell-by-cell builder
 gives, at 1 to 1,024 codes (so over one and two byte planes), over
 ``ABSENT`` cells, at any extension points and in either byte order.
@@ -64,17 +69,17 @@ from hypothesis import example, given, settings, strategies as st
 from repro.api import Session
 from repro.checking.monitor import Monitor
 from repro.compile import GrowingPrefix, PlanState, compile_formula
+from repro.compile.lower import _compile_term_bits
 from repro.core.specification import Specification
 from repro.errors import TraceError
 from repro.gen.loadgen import LOAD_FAMILIES, generate_stream_scripts
 from repro.semantics import columns
 from repro.semantics.columns import ABSENT, Column, ColumnStore, Window
+from repro.semantics.construction import BOTTOM, Direction, Interval
 from repro.semantics.state import OperationRecord, State
 from repro.semantics.trace import INFINITY, Trace, make_trace
 from repro.serve.protocol import rows_to_states
 from repro.serve.streams import SPEC_FACTORIES, StreamRegistry
-from repro.compile.lower import _compile_term_bits
-from repro.semantics.construction import BOTTOM, Direction, Interval
 from repro.syntax.builder import (
     always, atom, backward, begin, end, eventually, event, forward, interval, land, lnot,
     lor, occurs, prop,

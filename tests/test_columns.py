@@ -9,7 +9,9 @@ Four invariants pin the tentpole of the columnar refactor:
   names, whether it finds the names by row shape or by scanning every row
   (same-length rows binding different names, ``__start__`` in the rows),
   and codes operation records to the same rows, first records and value
-  universe, for any window split;
+  universe, for any window split; a ``__start__`` column that no row binds
+  is written from its definition with the codes, values and new-value
+  positions the list encoding of its cells gives;
 * pickling ships columns and rebuilds identical rows on the other side
   (the ``check_many`` worker handoff), a record pickles and reads as its
   three fields, and a monitor's growing prefix pickled mid-stream goes on
