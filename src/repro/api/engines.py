@@ -409,14 +409,12 @@ class MonitorEngine(Engine):
     )
 
     def run(self, request: CheckRequest, session) -> CheckResult:
-        # Imported lazily: repro.checking imports the façade for its
-        # conformance runner, so a top-level import here would be circular.
-        from ..checking.monitor import Monitor
-
         formula = self._interval_formula(request)
         trace = session.resolve_trace(request.trace)
         name = request.label or "formula"
-        monitor = Monitor({name: formula}, request.domain)
+        # Through the session: its default domain applies and the plan
+        # comes from its cache, as for every other plan-backed engine.
+        monitor = session.monitor({name: formula}, request.domain)
         # The verdict on every prefix, one observation per state: each a
         # one-state slice of one window over the trace's own rows.
         rows = trace.window()

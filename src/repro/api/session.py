@@ -82,7 +82,7 @@ class Session:
         carries none.
     engines:
         A custom :class:`~repro.api.engines.EngineRegistry`; defaults to the
-        six standard engines.
+        seven standard engines.
     processes:
         Default worker-process count for :meth:`check_many` (``None`` =
         in-process).
@@ -95,10 +95,6 @@ class Session:
         on ``CheckResult.engine_reason``).  Pass ``prefer_compiled=False``
         to keep the interpreting ``trace`` engine the default; requests
         override per-call with ``compile=True`` / ``compile=False``.
-    forall_unroll_cap:
-        Bound on quantifier unrolling in the compiled runtime (``None`` =
-        the runtime default, ``0`` disables specialization), applied to
-        every plan state the session binds.
     metrics:
         A :class:`~repro.obs.MetricsRegistry` to record into (defaults to
         a fresh one per session; pass ``repro.obs.NULL_METRICS`` for the
@@ -118,7 +114,6 @@ class Session:
         engines: Optional[EngineRegistry] = None,
         processes: Optional[int] = None,
         prefer_compiled: bool = True,
-        forall_unroll_cap: Optional[int] = None,
         metrics: Optional[MetricsRegistry] = None,
         tracer: Optional[Tracer] = None,
     ) -> None:
@@ -129,7 +124,6 @@ class Session:
         self._registry_is_default = engines is None
         self._processes = processes
         self._prefer_compiled = prefer_compiled
-        self._forall_unroll_cap = forall_unroll_cap
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.tracer = tracer if tracer is not None else Tracer()
         # Hot-path instruments, declared once (children are cached too).
@@ -312,8 +306,7 @@ class Session:
 
         Opening thousands of monitored streams over the same specification
         compiles it once per session.  ``options`` pass through to
-        the monitor (``on_change``, ``capture_errors``,
-        ``forall_unroll_cap``).
+        the monitor (``on_change``, ``capture_errors``).
         The monitor records whether its plan was served from cache on
         ``plan_from_cache``, and the open counts in
         ``repro_plan_requests_total``: ``hit`` when the identity map or the
@@ -331,7 +324,6 @@ class Session:
 
         if domain is None:
             domain = self._default_domain
-        cap = options.get("forall_unroll_cap", self._forall_unroll_cap)
         domain_key = _domain_key(domain)
         plan = None
         items: Any = None
@@ -341,7 +333,6 @@ class Session:
             identity_key = (
                 tuple((name, id(f)) for name, f in formulas.items()),
                 domain_key,
-                cap,
             )
             entry = self._monitor_plans.get(identity_key)
             if entry is not None:
@@ -361,7 +352,6 @@ class Session:
                 while len(self._monitor_plans) > self._SPEC_PLAN_IDENTITY_CAPACITY:
                     self._monitor_plans.popitem(last=False)
         self._m_plan_requests.child("hit" if from_cache else "miss").inc()
-        options.setdefault("forall_unroll_cap", self._forall_unroll_cap)
         monitor = Monitor(dict(items), domain, plan=plan, **options)
         monitor.plan_from_cache = from_cache
         return monitor
@@ -422,10 +412,7 @@ class Session:
         if domain is None:
             domain = self._default_domain
         plan, from_cache = self.plan_cache.get(formula, domain)
-        state = plan.evaluator(
-            trace, domain, vectorize=vectorize,
-            forall_unroll_cap=self._forall_unroll_cap,
-        )
+        state = plan.evaluator(trace, domain, vectorize=vectorize)
         return state, from_cache
 
     def _spec_key(self, specification, domain) -> Any:
@@ -482,10 +469,7 @@ class Session:
             ]
             plan, from_cache = self.plan_cache.get_spec(items, domain)
             self._remember_spec(key, plan, specification)
-        state = plan.evaluator(
-            trace, domain, vectorize=vectorize,
-            forall_unroll_cap=self._forall_unroll_cap,
-        )
+        state = plan.evaluator(trace, domain, vectorize=vectorize)
         return state, from_cache
 
     # -- engines ----------------------------------------------------------------------

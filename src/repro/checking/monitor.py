@@ -131,11 +131,6 @@ class Monitor:
         Capture per-formula evaluation errors on the verdict
         (``holds=None`` + ``error``) instead of propagating, mirroring
         ``PlanState.check_all``'s per-clause contract.
-    forall_unroll_cap:
-        Bound on quantifier specialization in the compiled runtime
-        (``None`` = the runtime default, ``0`` disables unrolling) —
-        verdicts are identical at any cap; the knob exists for parity
-        harnesses and benchmarks pinning one mode.
     """
 
     def __init__(
@@ -146,7 +141,6 @@ class Monitor:
         plan: Optional[SpecPlan] = None,
         on_change: Optional[Callable[[str, MonitorVerdict], None]] = None,
         capture_errors: bool = False,
-        forall_unroll_cap: Optional[int] = None,
     ) -> None:
         self._formulas = dict(formulas)
         self._domain = domain
@@ -159,7 +153,6 @@ class Monitor:
                 f"{sorted(self._formulas)}"
             )
         self._plan = plan
-        self._forall_unroll_cap = forall_unroll_cap
         self._prefix = GrowingPrefix()
         # Bound on first use (``plan_state``): constructing a monitor costs
         # no lowering, and one that never observes a state never lowers.
@@ -187,7 +180,6 @@ class Monitor:
         return Monitor(
             self._formulas, self._domain, plan=self._plan,
             capture_errors=self._capture_errors,
-            forall_unroll_cap=self._forall_unroll_cap,
         )
 
     @property
@@ -203,9 +195,7 @@ class Monitor:
     def plan_state(self) -> PlanState:
         """The multi-root plan state behind this monitor, bound on first use."""
         if self._state is None:
-            self._state = self._plan.evaluator(
-                self._prefix, self._domain, forall_unroll_cap=self._forall_unroll_cap
-            )
+            self._state = self._plan.evaluator(self._prefix, self._domain)
         return self._state
 
     def _refresh_verdicts(self, weight: int = 1) -> None:

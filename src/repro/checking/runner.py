@@ -103,7 +103,6 @@ def run_conformance(
     cases: Sequence[ConformanceCase],
     domain: Optional[Mapping[str, Iterable[object]]] = None,
     session: Optional[object] = None,
-    processes: Optional[int] = None,
 ) -> ConformanceReport:
     """Check ``specification`` against every case and seed.
 
@@ -113,9 +112,7 @@ def run_conformance(
     is answered by :meth:`Session.check_spec` through one shared
     :class:`~repro.compile.runtime.PlanState` — clauses sharing
     subformulas share memo entries and event indexes per trace, and errors
-    stay captured per clause.  With ``processes`` the campaign falls back
-    to the per-clause :class:`~repro.api.request.CheckRequest` batch fanned
-    out in chunks over worker processes.  Pass an existing
+    stay captured per clause.  Pass an existing
     :class:`~repro.api.session.Session` to share its plan caches with
     other checks.
     """
@@ -125,64 +122,12 @@ def run_conformance(
 
     if session is None:
         session = Session()
-    prepared: List[Tuple[ConformanceCase, List[Trace]]] = []
+    outcomes: List[ConformanceOutcome] = []
     for case in cases:
-        prepared.append((case, [case.factory(seed) for seed in case.seeds]))
-
-    if processes and processes > 1:
-        return _run_conformance_fanned(
-            specification, prepared, domain, session, processes
-        )
-
-    outcomes: List[ConformanceOutcome] = []
-    for case, traces in prepared:
         outcome = ConformanceOutcome(case)
-        for trace in traces:
+        for seed in case.seeds:
             outcome.results.append(
-                session.check_spec(specification, trace, domain=domain)
+                session.check_spec(specification, case.factory(seed), domain=domain)
             )
-        outcomes.append(outcome)
-    return ConformanceReport(specification, outcomes)
-
-
-def _run_conformance_fanned(
-    specification: Specification,
-    prepared: Sequence[Tuple[ConformanceCase, List[Trace]]],
-    domain: Optional[Mapping[str, Iterable[object]]],
-    session,
-    processes: int,
-) -> ConformanceReport:
-    """The worker-process campaign: one request per (case, seed, clause)."""
-    from ..api.request import CheckRequest
-    from ..core.specification import ClauseVerdict
-
-    clauses = specification.clauses
-    requests: List[CheckRequest] = []
-    for case, traces in prepared:
-        for trace in traces:
-            for clause in clauses:
-                requests.append(
-                    CheckRequest(
-                        formula=clause.interpreted_formula(),
-                        trace=trace,
-                        domain=domain,
-                        capture_errors=True,
-                        label=f"{case.name}/{clause.name}",
-                    )
-                )
-    results = session.check_many(requests, processes=processes)
-
-    outcomes: List[ConformanceOutcome] = []
-    cursor = 0
-    for case, traces in prepared:
-        outcome = ConformanceOutcome(case)
-        for _ in traces:
-            verdicts = [
-                ClauseVerdict(clause, results[cursor + index].verdict is True,
-                              results[cursor + index].error)
-                for index, clause in enumerate(clauses)
-            ]
-            cursor += len(clauses)
-            outcome.results.append(SpecificationResult(specification, verdicts))
         outcomes.append(outcome)
     return ConformanceReport(specification, outcomes)

@@ -75,7 +75,6 @@ from .dag import (
 
 __all__ = [
     "UNSET",
-    "DEFAULT_FORALL_UNROLL_CAP",
     "ClauseOutcome",
     "GrowingPrefix",
     "EventIndex",
@@ -89,12 +88,6 @@ Position = Union[int, float]
 
 #: Sentinel marking an unbound logical-variable slot.
 UNSET = object()
-
-#: Default cap on explicit-domain ``Forall`` unrolling at lowering time:
-#: a quantifier whose variables all carry explicit domains with at most
-#: this many bindings in total (the cartesian product) lowers to a flat
-#: specialized loop over precomputed binding tuples.
-DEFAULT_FORALL_UNROLL_CAP = 8
 
 _MISS = object()
 
@@ -281,14 +274,6 @@ class PlanState:
         identical verdicts and errors.  Off, the static per-position mode
         answers any lasso, with no kernel: each state-formula event is
         indexed once over the fixed lasso (:class:`EventIndex`).
-    forall_unroll_cap:
-        ``Forall`` nodes whose variables all carry *explicit* domains with
-        at most this many bindings in total unroll at lowering time into a
-        flat specialized loop over the precomputed binding tuples (see
-        :mod:`repro.compile.lower`); larger or default-universe domains
-        keep the generic per-call quantifier path.  ``0`` disables
-        unrolling.  Verdicts, short-circuit order and error behaviour are
-        identical either way.
     """
 
     def __init__(
@@ -297,7 +282,6 @@ class PlanState:
         trace,
         domain: Optional[Mapping[str, Iterable[Any]]] = None,
         incremental: bool = False,
-        forall_unroll_cap: Optional[int] = None,
     ) -> None:
         self._plan = plan
         self._nodes = plan.nodes
@@ -331,9 +315,6 @@ class PlanState:
         #: the last start from which its verdict and tail marking repeat
         #: (see :func:`repro.compile.lower._compile_term_bits`).
         self._horizon: Position = 0
-        if forall_unroll_cap is None:
-            forall_unroll_cap = DEFAULT_FORALL_UNROLL_CAP
-        self._forall_unroll_cap = max(0, int(forall_unroll_cap))
         self.stats = PlanStats()
         # The bitset kernel evaluates state formulas columnwise, its
         # profiles extended over each window the prefix gains.
@@ -485,7 +466,6 @@ class PlanState:
         self._volatile.clear()
         self._volatile_events.clear()
         self._volatile_constructs.clear()
-        self._default_domain = None
 
     # -- the satisfaction relation ------------------------------------------
 

@@ -203,7 +203,6 @@ class SpecPlan:
         trace,
         domain: Optional[Mapping[str, Iterable[Any]]] = None,
         vectorize: bool = True,
-        forall_unroll_cap: Optional[int] = None,
     ) -> PlanState:
         """A :class:`~repro.compile.runtime.PlanState` bound to a fixed
         (possibly lasso) trace.
@@ -213,25 +212,22 @@ class SpecPlan:
         own columns (:func:`~repro.compile.runtime.reads_as_prefix`).  A
         lasso with a longer cycle, or ``vectorize=False`` (the ``stepwise``
         engine's mode), runs the static per-position memo path; verdicts
-        are identical either way.  ``forall_unroll_cap`` bounds quantifier
-        unrolling (``None`` = runtime default, ``0`` disables it).
+        are identical either way.
         """
         return PlanState(
             self,
             trace,
             domain=domain,
             incremental=reads_as_prefix(trace, vectorize),
-            forall_unroll_cap=forall_unroll_cap,
         )
 
     def monitor(
         self,
         domain: Optional[Mapping[str, Iterable[Any]]] = None,
-        forall_unroll_cap: Optional[int] = None,
     ) -> PlanState:
         """An incremental :class:`~repro.compile.runtime.PlanState` over a
         growing state prefix."""
-        return self.evaluator(GrowingPrefix(), domain, forall_unroll_cap=forall_unroll_cap)
+        return self.evaluator(GrowingPrefix(), domain)
 
 
 def compile_formula(formula: Formula) -> SpecPlan:

@@ -11,8 +11,8 @@ unbounded growth.
 
 This is deliberately not a distributed tracer — no IDs, no propagation,
 no exporters.  Spans are plain objects; :meth:`Tracer.spans` exports the
-buffer as JSON-safe dicts for the serve ``metrics`` frame or ad-hoc
-inspection.  The per-span cost is two clock reads and a list append,
+buffer as JSON-safe dicts for in-process inspection (no serve frame
+carries spans).  The per-span cost is two clock reads and a list append,
 cheap enough to leave on for every ``Session.check`` call.
 
 ``NULL_TRACER`` is the no-op twin (same API, records nothing) used for

@@ -188,6 +188,28 @@ class TestEngines:
         assert result.statistics["first_failure_step"] == 10
         assert len(result.statistics["history"]) == 5000
 
+    def test_monitor_engine_applies_the_session_default_domain(self):
+        session = Session(domain={"a": [1, 2, 7]})
+        rows = [{"x": 1}, {"x": 2}, {"x": 3}]
+        text = "forall a . <> x == ?a"
+        verdicts = {
+            mode: session.check(text, trace=rows, mode=mode).verdict
+            for mode in ("trace", "compiled", "stepwise", "monitor")
+        }
+        assert verdicts == dict.fromkeys(verdicts, False)
+        requests = [CheckRequest(formula=text, trace=rows, mode="monitor")] * 2
+        assert [r.verdict for r in session.check_many(requests)] == \
+            [r.verdict for r in session.check_many(requests, processes=2)] == \
+            [False, False]
+
+    def test_monitor_engine_takes_its_plan_from_the_session_cache(self):
+        session = Session()
+        formula = parse_formula("[] (p -> <> q)")
+        trace = make_trace([{"p": True, "q": False}, {"p": False, "q": True}])
+        for _ in range(2):
+            assert session.check(formula, trace=trace, mode="monitor").verdict
+        assert session.cache_statistics()["plan_cache_misses"] == 1
+
     def test_lll_satisfiability_matches_the_direct_translation(self):
         from repro.lll.translation import ltl_to_lll
         from repro.ltl.syntax import to_nnf
@@ -402,12 +424,6 @@ class TestConformanceParity:
         report = run_conformance(spec, self.CASES)
         assert self._facade_matrix(report) == self._seed_matrix(spec, self.CASES)
         assert report.all_as_expected
-
-    def test_parallel_campaign_identical(self):
-        spec = sender_spec()
-        serial = run_conformance(spec, self.CASES)
-        fanned = run_conformance(spec, self.CASES, processes=2)
-        assert self._facade_matrix(fanned) == self._facade_matrix(serial)
 
     def test_check_specification_matches_direct_check(self):
         trace = ab_protocol_trace(ABProtocolConfig(seed=7))

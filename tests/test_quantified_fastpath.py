@@ -1,17 +1,13 @@
 """The quantified-spec fast path, proven by parity.
 
-Forall specialization (unrolling explicit-domain quantifiers at lowering
-time) and batched tail-window appends are pure *speed* changes — every
-observable answer must be bit-for-bit what the generic quantifier path
-and single-state appends produce.  This harness pins that:
+Batched tail-window appends are a pure *speed* change — every observable
+answer must be bit-for-bit what single-state appends produce.  This
+harness pins that:
 
 - the ``quantified_incremental`` corpus (queue I1-I3, the Chapter 5
   queue/stack foralls, quantified mutual-exclusion obligations) replays
   disagreement-free through the differential oracle AND incrementally
   through monitors with batched appends, against pinned verdicts;
-- any ``forall_unroll_cap`` (0 = generic quantification, small caps,
-  huge caps) yields identical verdicts, engine reasons and captured
-  errors;
 - the serve registry's same-stream coalescing answers byte-identical
   response and snapshot sequences to frame-at-a-time dispatch, including
   mid-group verdict flips and malformed frames, for any split of the four
@@ -28,9 +24,8 @@ import os
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.api import CheckRequest, Session
+from repro.api import Session
 from repro.gen import (
-    DifferentialOracle,
     FuzzConfig,
     fuzz,
     load_corpus,
@@ -40,8 +35,6 @@ from repro.gen.loadgen import LOAD_FAMILIES, generate_stream_scripts
 from repro.semantics.trace import Trace
 from repro.serve.protocol import rows_to_states, trace_to_rows
 from repro.serve.streams import StreamRegistry
-from repro.specs import reliable_queue_spec
-from repro.systems import reliable_queue_trace
 
 CORPUS_PATH = os.path.join(
     os.path.dirname(__file__), "corpus", "quantified_incremental.jsonl"
@@ -119,55 +112,6 @@ class TestQuantifiedCorpus:
         assert {n: v.stable_for for n, v in batched.verdicts.items()} == {
             n: v.stable_for for n, v in single.verdicts.items()
         }
-
-
-class TestForallCapParity:
-    def test_generic_quantifier_path_pins_identical_expectations(self):
-        """A session with unrolling disabled (cap 0) re-derives exactly the
-        pinned expectations: specialization never changes an answer."""
-        generic = DifferentialOracle(
-            session=Session(forall_unroll_cap=0), shrink=False
-        )
-        for case in corpus_cases():
-            fresh = generic.record_expectations(case.replacing(expect=None))
-            assert fresh.expect == case.expect, case.id
-
-    def test_every_cap_agrees_on_monitored_streams(self):
-        """Caps straddling every specialization decision (off, below the
-        domain product, at the default, far above) are indistinguishable."""
-        baseline = {}
-        for cap in (None, 0, 1, 4, 64):
-            session = Session() if cap is None else Session(forall_unroll_cap=cap)
-            for case in corpus_cases():
-                monitor = session.monitor(
-                    clause_formulas(case), domain=case.domain, capture_errors=True
-                )
-                monitor.observe_batch(case.built_trace().states())
-                holds = monitor_holds(monitor)
-                if cap is None:
-                    baseline[case.id] = holds
-                else:
-                    assert holds == baseline[case.id], (cap, case.id)
-
-    def test_check_results_share_verdict_and_engine_reason(self):
-        """The one-shot façade agrees across caps down to the recorded
-        engine reason — specialization happens inside the compiled path,
-        never by rerouting to a different engine."""
-        trace = reliable_queue_trace()
-        formulas = [
-            clause.interpreted_formula()
-            for clause in reliable_queue_spec().clauses
-        ]
-        default = Session()
-        generic = Session(forall_unroll_cap=0)
-        for formula in formulas:
-            a = default.check(formula, trace=trace, capture_errors=True)
-            b = generic.check(formula, trace=trace, capture_errors=True)
-            assert (a.verdict, a.engine_reason, a.error) == (
-                b.verdict,
-                b.engine_reason,
-                b.error,
-            )
 
 
 class TestServeCoalescing:
