@@ -10,6 +10,7 @@ satellites, and the historical entry points agreeing with the façade.
 import gc
 import sys
 import tracemalloc
+import warnings
 
 import pytest
 
@@ -424,6 +425,29 @@ class TestConformanceParity:
         report = run_conformance(spec, self.CASES)
         assert self._facade_matrix(report) == self._seed_matrix(spec, self.CASES)
         assert report.all_as_expected
+
+    def test_parallel_campaign_identical(self):
+        """Each (case, seed) trace answered clause by clause in worker
+        processes (``check_spec(processes=2)``) matches the serial
+        multi-root campaign, with no fallback to in-process execution."""
+        spec = sender_spec()
+        serial = run_conformance(spec, self.CASES)
+        session = Session()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            fanned = [
+                (case.name, seed,
+                 tuple((v.clause.name, v.holds) for v in session.check_spec(
+                     spec, case.factory(seed), processes=2).verdicts))
+                for case in self.CASES
+                for seed in case.seeds
+            ]
+        assert fanned == self._facade_matrix(serial)
+        snapshot = session.metrics_snapshot()
+        assert snapshot["repro_spec_checks_total"]["series"] == [
+            {"labels": ["per-clause"], "value": len(fanned)}
+        ]
+        assert snapshot["repro_parallel_chunks_total"]["series"][0]["value"] > 0
 
     def test_check_specification_matches_direct_check(self):
         trace = ab_protocol_trace(ABProtocolConfig(seed=7))

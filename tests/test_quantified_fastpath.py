@@ -7,7 +7,9 @@ harness pins that:
 - the ``quantified_incremental`` corpus (queue I1-I3, the Chapter 5
   queue/stack foralls, quantified mutual-exclusion obligations) replays
   disagreement-free through the differential oracle AND incrementally
-  through monitors with batched appends, against pinned verdicts;
+  through monitors with batched appends, against pinned verdicts; a fresh
+  session re-records exactly those verdicts, and a one-shot check answers
+  its quantified clauses on the compiled engine, with no fallback;
 - the serve registry's same-stream coalescing answers byte-identical
   response and snapshot sequences to frame-at-a-time dispatch, including
   mid-group verdict flips and malformed frames, for any split of the four
@@ -26,6 +28,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.api import Session
 from repro.gen import (
+    DifferentialOracle,
     FuzzConfig,
     fuzz,
     load_corpus,
@@ -59,6 +62,35 @@ class TestQuantifiedCorpus:
     def test_replays_clean_through_the_oracle(self):
         report = replay_corpus(corpus_cases())
         assert report.ok, report.summary()
+
+    def test_a_fresh_session_rederives_the_pinned_expectations(self):
+        """Recording every engine's verdict afresh gives exactly the pinned
+        ``expect`` map: no pinned engine goes missing, none is added, and
+        no answer moves."""
+        oracle = DifferentialOracle(session=Session(), shrink=False)
+        for case in corpus_cases():
+            fresh = oracle.record_expectations(case.replacing(expect=None))
+            assert fresh.expect == case.expect, case.id
+
+    def test_one_shot_checks_answer_foralls_on_the_compiled_engine(self):
+        """A one-shot check of a quantified clause is answered inside the
+        compiled engine, never by a fallback to the interpreter, and agrees
+        with the interpreting ``trace`` engine down to the captured error."""
+        session = Session()
+        for case in corpus_cases():
+            trace = case.built_trace()
+            for index, clause in enumerate(case.clauses):
+                compiled, interpreted = (
+                    session.check(clause, trace=trace, domain=case.domain,
+                                  mode=mode, capture_errors=True)
+                    for mode in (None, "trace")
+                )
+                assert compiled.engine == "compiled", (case.id, index)
+                assert "fell back" not in compiled.engine_reason, (case.id, index)
+                assert (compiled.verdict, compiled.error) == (
+                    interpreted.verdict,
+                    interpreted.error,
+                ), (case.id, index)
 
     def test_incremental_batched_replay_matches_pinned_verdicts(self):
         """Each case replayed as a monitored stream with batched appends
